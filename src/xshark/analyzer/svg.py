@@ -12,9 +12,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .. import __version__
+from ..isa import VMEM_BUCKETS
 from .deps import Backtail
 from .dma import DmaRecord
-from .vmem import N_BUCKETS, VmemPageStats
+from .vmem import VmemPageStats
 
 COLOR_BASE_STALL = "#2e8b57"        # green
 COLOR_TRANSFER_STALL = "#7d3c98"    # purple
@@ -96,18 +97,18 @@ def render_vmem_heatmap(stats: VmemPageStats, width: int = 960) -> str:
     n_samples = len(stats.samples)
     cell_w = max(1.0, (width - 140) / max(1, n_samples))
     cell_h = 4
-    body = [f'<text x="8" y="16" font-size="12">VMEM heatmap: {N_BUCKETS} buckets '
+    body = [f'<text x="8" y="16" font-size="12">VMEM heatmap: {VMEM_BUCKETS} buckets '
             f'x {n_samples} samples (interval {stats.sample_interval})</text>']
-    for b in range(N_BUCKETS):
+    for b in range(VMEM_BUCKETS):
         y = 24 + b * cell_h
         for s in range(n_samples):
             used = stats.bucket_used[s][b]
             if used == 0:
                 continue
-            shade = 255 - int(200 * used / 256)
+            shade = 255 - int(200 * used / stats.bucket_pages)
             body.append(f'<rect x="{120 + s * cell_w:.1f}" y="{y}" '
                         f'width="{cell_w:.1f}" height="{cell_h}" '
                         f'fill="rgb({shade},{shade // 2},{255 - shade})"/>')
         if b % 16 == 0:
             body.append(f'<text x="8" y="{y + 4}" font-size="8">bucket {b}</text>')
-    return _doc(width, 24 + N_BUCKETS * cell_h + 12, body)
+    return _doc(width, 24 + VMEM_BUCKETS * cell_h + 12, body)

@@ -18,15 +18,6 @@ class UtilizationSeries:
     samples: List[Tuple[int, float]]            # (bucket start cycle, busy fraction)
     annotations: List[Tuple[int, int]] = field(default_factory=list)  # (cycle, dma_id)
 
-    @property
-    def busy_cycles(self) -> int:
-        return round(sum(f for _, f in self.samples) * self.bucket_width)
-
-    def mean(self, start: int = 0, end: int = None) -> float:
-        pts = [f for c, f in self.samples
-               if c >= start and (end is None or c < end)]
-        return sum(pts) / len(pts) if pts else 0.0
-
     def to_json(self):
         return {"unit": self.unit, "bucket_width": self.bucket_width,
                 "samples": [[c, round(f, 6)] for c, f in self.samples],

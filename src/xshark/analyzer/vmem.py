@@ -1,12 +1,13 @@
 """VMEM page usage and fragmentation.
 
-Pages are 64 bytes; the 2 MiB scratchpad is 32768 pages viewed as 128
-buckets of 256 pages. A page is "used" once something reads it after a
-write; written-but-never-read pages are "unused". For the free-space series
-a page is live from its first write to its last read inside the window
-(written-never-read pages stay live to the window end; read-only pages are
-live from the window start to their last read - the conservative choices for
-suggesting where a transfer could land).
+Pages are 64 bytes; the scratchpad is viewed as 128 equal buckets of whole
+pages (256 pages each at the default 2 MiB; SimConfig rejects a capacity
+that does not split this way). A page is "used" once something reads it
+after a write; written-but-never-read pages are "unused". For the free-space
+series a page is live from its first write to its last read inside the
+window (written-never-read pages stay live to the window end; read-only
+pages are live from the window start to their last read - the conservative
+choices for suggesting where a transfer could land).
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..isa import DEFAULT_VMEM_CAPACITY, MemSpace, PAGE_BYTES
+from ..isa import DEFAULT_VMEM_CAPACITY, MemSpace, PAGE_BYTES, VMEM_BUCKETS
 from ..sim import MEM_READ, MEM_WRITE, PerfEvent
-
-BUCKET_PAGES = 256
-N_BUCKETS = 128
 
 
 @dataclass
@@ -38,6 +36,10 @@ class VmemPageStats:
     def n_pages(self) -> int:
         return self.capacity // PAGE_BYTES
 
+    @property
+    def bucket_pages(self) -> int:
+        return self.n_pages // VMEM_BUCKETS
+
     def largest_contiguous_at(self, cycle: int) -> int:
         if not self.samples:
             return self.capacity
@@ -46,7 +48,7 @@ class VmemPageStats:
 
     def to_json(self):
         return {"capacity": self.capacity, "page_bytes": PAGE_BYTES,
-                "buckets": N_BUCKETS, "bucket_pages": BUCKET_PAGES,
+                "buckets": VMEM_BUCKETS, "bucket_pages": self.bucket_pages,
                 "sample_interval": self.sample_interval,
                 "samples": self.samples, "total_free": self.total_free,
                 "largest_contiguous_free": self.largest_contiguous_free,
@@ -110,8 +112,8 @@ def analyze_vmem(events: List[PerfEvent], sample_interval: int = 64,
         free = ~live
         total_free.append(int(free.sum()) * PAGE_BYTES)
         largest.append(_longest_run(free) * PAGE_BYTES)
-        used_now = (used_since <= t).reshape(N_BUCKETS, BUCKET_PAGES).sum(axis=1)
-        written_now = (first_write <= t).reshape(N_BUCKETS, BUCKET_PAGES).sum(axis=1)
+        used_now = (used_since <= t).reshape(VMEM_BUCKETS, -1).sum(axis=1)
+        written_now = (first_write <= t).reshape(VMEM_BUCKETS, -1).sum(axis=1)
         bucket_used.append(used_now.astype(int).tolist())
         bucket_written.append(written_now.astype(int).tolist())
 

@@ -223,6 +223,16 @@ def cmd_compare(args, config):
     return 0 if verdict != "DIFFERENT" else 2
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 # (name, help, handler, [(flags, kwargs)...])
 COMMANDS = [
     ("asm", "assemble a kernel into a program bundle", cmd_asm, [
@@ -231,15 +241,16 @@ COMMANDS = [
     ]),
     ("run", "run a program bundle on the simulator", cmd_run, [
         (["program"], {"help": "program bundle"}),
-        (["--max-cycles"], {"type": int, "default": 10_000_000}),
+        (["--max-cycles"], {"type": _positive_int, "default": 10_000_000}),
         (["-o", "--output"], {"help": "write the performance event log (JSONL)"}),
     ]),
     ("record", "record an execution window into a trace", cmd_record, [
         (["program"], {"help": "program bundle"}),
         (["--break"], {"dest": "break_at", "required": True,
                        "help": "breakpoint label or pc"}),
-        (["--hit"], {"type": int, "default": 1, "help": "break on Nth hit"}),
-        (["--count"], {"type": int, "required": True,
+        (["--hit"], {"type": _positive_int, "default": 1,
+                     "help": "break on Nth hit"}),
+        (["--count"], {"type": _positive_int, "required": True,
                        "help": "instructions to record"}),
         (["--fast-forward"], {"action": "store_true",
                               "help": "step to DMA quiescence before recording"}),
@@ -257,8 +268,8 @@ COMMANDS = [
         (["--util"], {"action": "store_true"}),
         (["--vmem"], {"action": "store_true"}),
         (["--deps"], {"action": "store_true"}),
-        (["--bucket-width"], {"type": int, "default": 1}),
-        (["--sample-interval"], {"type": int, "default": 64}),
+        (["--bucket-width"], {"type": _positive_int, "default": 1}),
+        (["--sample-interval"], {"type": _positive_int, "default": 64}),
         (["--program"], {"help": "program bundle, for pseudo-HLO regions"}),
         (["-o", "--output"], {"required": True, "help": "report directory"}),
     ]),

@@ -38,9 +38,8 @@ instruction is annulled and its only architectural input is the guard itself.
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Optional
 
@@ -57,6 +56,7 @@ INSTR_BYTES = 16
 DMA_SLOTS = 16
 
 DEFAULT_VMEM_CAPACITY = 2 * 1024 * 1024
+VMEM_BUCKETS = 128       # equal page buckets in the VMEM analysis views
 DEFAULT_HBM_CAPACITY = 256 * 1024 * 1024
 
 
@@ -450,7 +450,7 @@ class DmaSlotState:
 
     __slots__ = ("active", "src", "dst", "issue_cycle", "base_done_cycle",
                  "transfer_start_cycle", "complete_cycle", "buffer", "applied",
-                 "dma_id", "issue_index", "issue_pc")
+                 "dma_id")
 
     def __init__(self):
         self.active = False
@@ -463,19 +463,6 @@ class DmaSlotState:
         self.buffer = b""
         self.applied = False
         self.dma_id = -1
-        self.issue_index = -1
-        self.issue_pc = -1
-
-    def status_at(self, cycle: int) -> str:
-        if not self.active:
-            return "idle"
-        if cycle < self.base_done_cycle:
-            return "issued"
-        if cycle < self.transfer_start_cycle:
-            return "base_done"
-        if cycle < self.complete_cycle:
-            return "transferring"
-        return "complete"
 
     def clone(self) -> "DmaSlotState":
         c = DmaSlotState()
@@ -524,18 +511,12 @@ class MachineState:
 
     # -- register access ---------------------------------------------------
 
-    def read_sreg(self, i: int) -> int:
-        return self.sregs[i]
-
     def read_sreg_signed(self, i: int) -> int:
         v = self.sregs[i]
         return v - (1 << 32) if v & (1 << 31) else v
 
     def write_sreg(self, i: int, value: int):
         self.sregs[i] = value & 0xFFFFFFFF
-
-    def read_pred(self, r: RegisterId) -> int:
-        return self.pregs[r.index]
 
     def read_reg_bytes(self, r: RegisterId) -> bytes:
         if r.cls is RegClass.SCALAR:
@@ -655,10 +636,3 @@ def instruction_io_sets(instr: Instruction, state: MachineState,
 
     raise Fault("decode", f"unhandled opcode {op!r}", pc)
 
-
-def program_to_json(program: Program) -> str:
-    return json.dumps({
-        "isa_version": ISA_VERSION,
-        "entry_pc": program.entry_pc,
-        "instructions": [i.to_json() for i in program.instructions],
-    }, indent=2)

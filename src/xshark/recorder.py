@@ -20,7 +20,7 @@ import base64
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .debugger import Breakpoint, DebugSession
@@ -74,6 +74,14 @@ class ExecutionTrace:
     reg_snapshots: List[Tuple[RegisterId, bytes]]
     mem_snapshots: List[Tuple[MemRegion, bytes]]
     instr_stream: List[Tuple[int, bytes]]      # (pc, 16-byte encoding)
+
+    def check_config_hash(self, config_hash: str):
+        """The config-hash gate: a trace replays only under the SimConfig
+        whose hash it was recorded with."""
+        if self.header.sim_config_hash != config_hash:
+            raise TraceError("TRACE_CONFIG_MISMATCH",
+                             "trace was recorded under a different SimConfig; replay "
+                             "fidelity requires identical timing parameters")
 
     def validate(self):
         seen = set()
@@ -325,10 +333,7 @@ def read_trace(source: str, expected_config_hash: Optional[str] = None) -> Execu
     if trace.header.isa_version != ISA_VERSION:
         raise TraceError("TRACE_VERSION",
                          f"trace ISA version {trace.header.isa_version} != {ISA_VERSION}")
-    if (expected_config_hash is not None
-            and trace.header.sim_config_hash != expected_config_hash):
-        raise TraceError("TRACE_CONFIG_MISMATCH",
-                         "trace was recorded under a different SimConfig; replay "
-                         "fidelity requires identical timing parameters")
+    if expected_config_hash is not None:
+        trace.check_config_hash(expected_config_hash)
     trace.validate()
     return trace

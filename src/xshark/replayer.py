@@ -9,14 +9,14 @@ divergence error naming the stream index - never a silent zero-fill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from .intervals import IntervalSet
-from .isa import (Fault, MachineState, MemSpace, Program,
-                  decode_instruction, instruction_io_sets)
-from .recorder import ExecutionTrace, RecordResult, TraceError
-from .sim import (DmaTransfer, PerfTracker, SimConfig, Simulator, state_digest)
+from .isa import (Fault, MachineState, MemSpace, decode_instruction,
+                  instruction_io_sets)
+from .recorder import ExecutionTrace, RecordResult
+from .sim import PerfTracker, SimConfig, Simulator, state_digest
 
 
 class ReplayDivergence(Exception):
@@ -30,7 +30,6 @@ class ReplayResult:
     state: MachineState
     cycles: int
     executed: int
-    dma_history: List[DmaTransfer]
     stall_cycles: dict
     written_regs: frozenset
     written_mem: Dict[MemSpace, list]
@@ -54,7 +53,9 @@ def _restore(trace: ExecutionTrace, config: SimConfig) -> MachineState:
 
 def _replay_stream(trace: ExecutionTrace, config: SimConfig,
                    order: Sequence[int], tracker: Optional[PerfTracker],
-                   check_pc_chain: bool) -> ReplayResult:
+                   check_pc_chain: bool, strict_config: bool) -> ReplayResult:
+    if strict_config:
+        trace.check_config_hash(config.config_hash())
     state = _restore(trace, config)
     sim = Simulator(config, state, None, tracker)
     defined_regs = {r for r, _ in trace.reg_snapshots}
@@ -113,9 +114,8 @@ def _replay_stream(trace: ExecutionTrace, config: SimConfig,
             written_mem[slot.dst.space].remove(slot.dst.offset, slot.dst.end)
     spans = {sp: list(iv) for sp, iv in written_mem.items()}
     digest = state_digest(state, frozenset(written_regs), spans)
-    return ReplayResult(state, state.cycle, len(entries), sim.dma_history,
-                        dict(sim.stall_cycles), frozenset(written_regs), spans,
-                        digest, fault)
+    return ReplayResult(state, state.cycle, len(entries), dict(sim.stall_cycles),
+                        frozenset(written_regs), spans, digest, fault)
 
 
 def replay(trace: ExecutionTrace, config: SimConfig,
@@ -126,12 +126,9 @@ def replay(trace: ExecutionTrace, config: SimConfig,
     strict_config=False skips the config-hash gate; architectural results are
     provably timing-independent, but event timings will differ.
     """
-    if strict_config and trace.header.sim_config_hash != config.config_hash():
-        raise TraceError("TRACE_CONFIG_MISMATCH",
-                         "trace was recorded under a different SimConfig; "
-                         "pass strict_config=False to replay anyway")
     return _replay_stream(trace, config, range(len(trace.instr_stream)),
-                          tracker, check_pc_chain=True)
+                          tracker, check_pc_chain=True,
+                          strict_config=strict_config)
 
 
 def replay_with_schedule(trace: ExecutionTrace, order: Sequence[int],
@@ -146,11 +143,8 @@ def replay_with_schedule(trace: ExecutionTrace, order: Sequence[int],
     n = len(trace.instr_stream)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the instruction stream")
-    if strict_config and trace.header.sim_config_hash != config.config_hash():
-        raise TraceError("TRACE_CONFIG_MISMATCH",
-                         "trace was recorded under a different SimConfig")
     return _replay_stream(trace, config, list(order), tracker,
-                          check_pc_chain=False)
+                          check_pc_chain=False, strict_config=strict_config)
 
 
 def compare_window(live_state: MachineState, recorded: RecordResult,

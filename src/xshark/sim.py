@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 from . import _kernels
-from .isa import (CMP_MODES, DMA_DIRS, MXU_TILE_BYTES, VLEN_BYTES,
+from .isa import (CMP_MODES, PAGE_BYTES, VLEN_BYTES, VMEM_BUCKETS,
                   DEFAULT_HBM_CAPACITY, DEFAULT_VMEM_CAPACITY, Fault,
                   Instruction, MachineState, MemRegion, MemSpace, Opcode,
                   Program, RegClass, Unit, instruction_io_sets)
@@ -66,6 +66,10 @@ class SimConfig:
         for u in Unit:
             if self.unit_latency.get(u.value, 0) <= 0:
                 raise ValueError(f"missing/invalid latency for {u.value}")
+        bucket = VMEM_BUCKETS * PAGE_BYTES
+        if self.vmem_capacity <= 0 or self.vmem_capacity % bucket:
+            raise ValueError(f"vmem_capacity must be a positive multiple of "
+                             f"{bucket} bytes ({VMEM_BUCKETS} whole-page buckets)")
 
     def bandwidth(self, link) -> int:
         return self.link_bandwidth[_LINK_NAMES[link]]
@@ -208,28 +212,6 @@ def events_from_jsonl(text: str):
 
 
 @dataclass
-class DmaTransfer:
-    """Per-DMA timeline entry collected by the simulator (ground truth for
-    the event-log based analyzer)."""
-
-    dma_id: int
-    slot: int
-    link: str
-    size: int
-    src: MemRegion
-    dst: MemRegion
-    issue_index: int
-    issue_pc: int
-    issue_cycle: int
-    base_done_cycle: int
-    transfer_start_cycle: int
-    complete_cycle: int
-    wait_cycle: Optional[int] = None
-    wait_index: Optional[int] = None
-    later_wait_cycles: list = field(default_factory=list)
-
-
-@dataclass
 class StepOutcome:
     pc: int
     index: int
@@ -247,7 +229,6 @@ class RunResult:
     state: MachineState
     cycles: int
     executed: int
-    dma_history: List[DmaTransfer]
     stall_cycles: dict
     fault: Optional[Fault] = None
 
@@ -268,8 +249,6 @@ class Simulator:
         self.program = program
         self.tracker = tracker if tracker is not None else NullTracker()
         self._emit = not isinstance(self.tracker, NullTracker)
-        self.dma_history: List[DmaTransfer] = []
-        self._by_dma_id = {}
         self.stream_index = 0
         self.stall_cycles = {STALL_HAZARD: 0, STALL_DMA_BASE: 0, STALL_DMA_TRANSFER: 0}
         self._pending: list = []   # (cycle, seq, PerfEvent)
@@ -324,8 +303,7 @@ class Simulator:
             if self.state.cycle >= max_cycles:
                 self.sync()
                 return RunResult("budget", self.state, self.state.cycle,
-                                 self.stream_index, self.dma_history,
-                                 dict(self.stall_cycles))
+                                 self.stream_index, dict(self.stall_cycles))
             out = self.step()
             if out.fault is not None:
                 fault = out.fault
@@ -333,8 +311,7 @@ class Simulator:
         self.sync()
         outcome = "fault" if fault is not None else "halted"
         return RunResult(outcome, self.state, self.state.cycle,
-                         self.stream_index, self.dma_history,
-                         dict(self.stall_cycles), fault)
+                         self.stream_index, dict(self.stall_cycles), fault)
 
     def exec_instruction(self, instr: Instruction, pc: int) -> StepOutcome:
         """Execute one instruction to retirement; advances cycle by
@@ -342,7 +319,6 @@ class Simulator:
         state = self.state
         idx = self.stream_index
         start = state.cycle
-        emit = self._emit
         try:
             ios = instruction_io_sets(instr, state, pc)
         except Fault as f:
@@ -355,7 +331,7 @@ class Simulator:
         if annulled:
             issue = start
             retire = issue + 1
-            if emit:
+            if self._emit:
                 self._send(PerfEvent(issue, REG_READ, pc=pc, idx=idx,
                                      reg=str(instr.predicate)))
                 self._send(PerfEvent(issue, INSTR_ISSUE, pc=pc, idx=idx,
@@ -380,43 +356,64 @@ class Simulator:
                         if r.overlaps(slot.dst):
                             issue = max(issue, slot.complete_cycle)
         if issue > start:
-            self.stall_cycles[STALL_HAZARD] += issue - start
-            if emit:
-                self._send(PerfEvent(start, STALL_BEGIN, pc=pc, idx=idx,
-                                     reason=STALL_HAZARD))
-                self._send(PerfEvent(issue, STALL_END, pc=pc, idx=idx,
-                                     reason=STALL_HAZARD))
+            self._stall(STALL_HAZARD, start, issue, pc, idx)
         self._advance_engine(issue)
 
         try:
-            out = self._execute(instr, pc, idx, issue, ios, emit)
+            out = self._execute(instr, pc, idx, issue, ios)
         except Fault as f:
             state.halted = True
             return StepOutcome(pc, idx, instr, issue, fault=f, halted=True)
         self.stream_index += 1
         return out
 
-    def _execute(self, instr, pc, idx, issue, ios, emit) -> StepOutcome:
+    # -- per-instruction events (callers of _issue/_retire check _emit) -----
+
+    def _issue(self, instr, pc, idx, cycle, ios, slot=None, dma_id=None):
+        """Emit instr_issue, then its reg_reads, then its mem_reads."""
+        send = self._send
+        send(PerfEvent(cycle, INSTR_ISSUE, pc=pc, idx=idx, opcode=instr.opcode.name,
+                       unit=instr.unit.value, slot=slot, dma_id=dma_id))
+        for r in ios.input_regs:
+            send(PerfEvent(cycle, REG_READ, pc=pc, idx=idx, reg=str(r)))
+        for m in ios.input_mem:
+            send(PerfEvent(cycle, MEM_READ, pc=pc, idx=idx, region=m, dma_id=dma_id))
+
+    def _retire(self, pc, idx, unit, exec_at, retire, reg_writes=(), mem_writes=()):
+        """Emit unit_busy, then the reg_writes and mem_writes, then
+        instr_retire."""
+        send = self._send
+        send(PerfEvent(exec_at, UNIT_BUSY, pc=pc, idx=idx, unit=unit.value,
+                       until=retire))
+        for r in reg_writes:
+            send(PerfEvent(retire, REG_WRITE, pc=pc, idx=idx, reg=str(r)))
+        for m in mem_writes:
+            send(_mem_write(retire, pc, idx, m))
+        send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
+
+    def _stall(self, reason, begin, end, pc, idx, slot=None, dma_id=None):
+        """Charge end - begin cycles to `reason` and emit the stall pair."""
+        self.stall_cycles[reason] += end - begin
+        if self._emit:
+            self._send(PerfEvent(begin, STALL_BEGIN, pc=pc, idx=idx, reason=reason,
+                                 slot=slot, dma_id=dma_id))
+            self._send(PerfEvent(end, STALL_END, pc=pc, idx=idx, reason=reason,
+                                 slot=slot, dma_id=dma_id))
+
+    # -- instruction semantics -----------------------------------------------
+
+    def _execute(self, instr, pc, idx, issue, ios) -> StepOutcome:
         state = self.state
-        cfg = self.config
         op = instr.opcode
-        unit = instr.unit
-        latency = cfg.latency(unit)
-        exec_at = issue
         next_pc = pc + 1
-        reg_writes = []            # (RegisterId,) written at retire
-        mem_writes = []            # regions written at retire
-        issue_extra = {}
 
         if op is Opcode.S_LDI:
             state.write_sreg(instr.dst_regs[0].index, instr.immediates[0])
-            reg_writes.append(instr.dst_regs[0])
         elif op is Opcode.S_ADD or op is Opcode.S_MUL:
             a = state.sregs[instr.src_regs[0].index]
             b = state.sregs[instr.src_regs[1].index]
             v = a + b if op is Opcode.S_ADD else a * b
             state.write_sreg(instr.dst_regs[0].index, v)
-            reg_writes.append(instr.dst_regs[0])
         elif op is Opcode.S_CMP:
             a = state.read_sreg_signed(instr.src_regs[0].index)
             b = state.read_sreg_signed(instr.src_regs[1].index)
@@ -424,7 +421,6 @@ class Simulator:
             res = {"eq": a == b, "ne": a != b, "lt": a < b,
                    "le": a <= b, "gt": a > b, "ge": a >= b}[mode]
             state.pregs[instr.dst_regs[0].index] = int(res)
-            reg_writes.append(instr.dst_regs[0])
         elif op is Opcode.S_MOV:
             src = instr.src_regs[0]
             if src.cls is RegClass.SCALAR:
@@ -433,27 +429,22 @@ class Simulator:
                 off = src.index * VLEN_BYTES + instr.immediates[0] * 4
                 state.sregs[instr.dst_regs[0].index] = \
                     struct.unpack_from("<I", state.vregs, off)[0]
-            reg_writes.append(instr.dst_regs[0])
         elif op is Opcode.V_ADD or op is Opcode.V_MUL:
             fn = _kernels.v_add if op is Opcode.V_ADD else _kernels.v_mul
             fn(state.vregs,
                instr.dst_regs[0].index * VLEN_BYTES,
                instr.src_regs[0].index * VLEN_BYTES,
                instr.src_regs[1].index * VLEN_BYTES)
-            reg_writes.append(instr.dst_regs[0])
         elif op is Opcode.V_LOAD:
             data = state.read_mem(ios.input_mem[0])
             o = instr.dst_regs[0].index * VLEN_BYTES
             state.vregs[o:o + VLEN_BYTES] = data
-            reg_writes.append(instr.dst_regs[0])
         elif op is Opcode.V_STORE:
             o = instr.src_regs[1].index * VLEN_BYTES
             state.write_mem(ios.output_mem[0], bytes(state.vregs[o:o + VLEN_BYTES]))
-            mem_writes.append(ios.output_mem[0])
         elif op is Opcode.MXU_MM:
             d, a, b = (state.sregs[r.index] for r in instr.src_regs)
             _kernels.mxu_mm(state.vmem, d, a, b)
-            mem_writes.append(ios.output_mem[0])
         elif op is Opcode.BR:
             next_pc = instr.immediates[0]
         elif op is Opcode.BRZ:
@@ -462,32 +453,24 @@ class Simulator:
         elif op is Opcode.HALT:
             state.halted = True
         elif op is Opcode.DMA_ISSUE:
-            return self._exec_dma_issue(instr, pc, idx, issue, ios, emit)
+            return self._exec_dma_issue(instr, pc, idx, issue, ios)
         elif op is Opcode.DMA_WAIT:
-            return self._exec_dma_wait(instr, pc, idx, issue, emit)
+            return self._exec_dma_wait(instr, pc, idx, issue, ios)
         else:
             raise Fault("decode", f"unhandled opcode {op!r}", pc)
 
-        retire = exec_at + latency
-        if emit:
-            self._send(PerfEvent(issue, INSTR_ISSUE, pc=pc, idx=idx,
-                                 opcode=op.name, unit=unit.value, **issue_extra))
-            for r in ios.input_regs:
-                self._send(PerfEvent(issue, REG_READ, pc=pc, idx=idx, reg=str(r)))
-            for m in ios.input_mem:
-                self._send(PerfEvent(issue, MEM_READ, pc=pc, idx=idx, region=m))
-            self._send(PerfEvent(exec_at, UNIT_BUSY, pc=pc, idx=idx,
-                                 unit=unit.value, until=retire))
-            for r in reg_writes:
-                self._send(PerfEvent(retire, REG_WRITE, pc=pc, idx=idx, reg=str(r)))
-            for m in mem_writes:
-                self._send(PerfEvent(retire, MEM_WRITE, pc=pc, idx=idx, region=m))
-            self._send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
+        # Outside DMA, every write lands at retire, so the footprint's
+        # outputs are exactly the retire-time writes.
+        retire = issue + self.config.latency(instr.unit)
+        if self._emit:
+            self._issue(instr, pc, idx, issue, ios)
+            self._retire(pc, idx, instr.unit, issue, retire,
+                         ios.output_regs, ios.output_mem)
         state.cycle = retire
         state.pc = next_pc
         return StepOutcome(pc, idx, instr, issue, retire, halted=state.halted)
 
-    def _exec_dma_issue(self, instr, pc, idx, issue, ios, emit) -> StepOutcome:
+    def _exec_dma_issue(self, instr, pc, idx, issue, ios) -> StepOutcome:
         state = self.state
         cfg = self.config
         slot_no = instr.immediates[0]
@@ -507,113 +490,62 @@ class Simulator:
         slot.issue_cycle, slot.base_done_cycle = issue, base_done
         slot.transfer_start_cycle, slot.complete_cycle = t_start, complete
         slot.buffer = state.read_mem(src)
-        slot.dma_id = state.dma_seq
-        slot.issue_index, slot.issue_pc = idx, pc
+        slot.dma_id = dma_id = state.dma_seq
         state.dma_seq += 1
 
-        xfer = DmaTransfer(slot.dma_id, slot_no, link_name(link), src.length,
-                           src, dst, idx, pc, issue, base_done, t_start, complete)
-        self.dma_history.append(xfer)
-        self._by_dma_id[slot.dma_id] = xfer
-
         retire = issue + cfg.latency(Unit.DMA)
-        if emit:
-            self._send(PerfEvent(issue, INSTR_ISSUE, pc=pc, idx=idx,
-                                 opcode=instr.opcode.name, unit="DMA",
-                                 slot=slot_no, dma_id=slot.dma_id))
-            for r in ios.input_regs:
-                self._send(PerfEvent(issue, REG_READ, pc=pc, idx=idx, reg=str(r)))
-            self._send(PerfEvent(issue, MEM_READ, pc=pc, idx=idx, region=src,
-                                 dma_id=slot.dma_id))
+        if self._emit:
+            self._issue(instr, pc, idx, issue, ios, slot_no, dma_id)
             self._send(PerfEvent(issue, DMA_ISSUE_EV, pc=pc, idx=idx,
-                                 slot=slot_no, dma_id=slot.dma_id,
+                                 slot=slot_no, dma_id=dma_id,
                                  link=link_name(link), size=src.length,
                                  src_region=src, dst_region=dst))
-            self._queue(PerfEvent(base_done, DMA_BASE_DONE, idx=idx,
-                                  slot=slot_no, dma_id=slot.dma_id))
-            self._queue(PerfEvent(t_start, DMA_TRANSFER_START, idx=idx,
-                                  slot=slot_no, dma_id=slot.dma_id))
-            self._queue(PerfEvent(complete, DMA_COMPLETE, idx=idx,
-                                  slot=slot_no, dma_id=slot.dma_id))
-            self._queue(PerfEvent(complete, MEM_WRITE, pc=pc, idx=idx,
-                                  region=dst, dma_id=slot.dma_id))
-            self._send(PerfEvent(issue, UNIT_BUSY, pc=pc, idx=idx, unit="DMA",
-                                 until=retire))
-            self._send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
+            for cycle, kind in ((base_done, DMA_BASE_DONE),
+                                (t_start, DMA_TRANSFER_START),
+                                (complete, DMA_COMPLETE)):
+                self._queue(PerfEvent(cycle, kind, idx=idx, slot=slot_no,
+                                      dma_id=dma_id))
+            self._queue(_mem_write(complete, pc, idx, dst, dma_id))
+            self._retire(pc, idx, Unit.DMA, issue, retire)
         state.cycle = retire
         state.pc = pc + 1
         return StepOutcome(pc, idx, instr, issue, retire)
 
-    def _exec_dma_wait(self, instr, pc, idx, issue, emit) -> StepOutcome:
+    def _exec_dma_wait(self, instr, pc, idx, issue, ios) -> StepOutcome:
         state = self.state
         slot_no = instr.immediates[0]
         slot = state.dma_slots[slot_no]
-        if slot.dma_id < 0:
+        dma_id = slot.dma_id
+        if dma_id < 0:
             raise Fault("dma_wait_idle", f"DMA_WAIT on idle slot {slot_no}", pc)
-        xfer = self._by_dma_id[slot.dma_id]
         complete = slot.complete_cycle
         base_done = slot.base_done_cycle
-        first_wait = slot.active
 
-        if emit:
-            self._send(PerfEvent(issue, INSTR_ISSUE, pc=pc, idx=idx,
-                                 opcode=instr.opcode.name, unit="DMA",
-                                 slot=slot_no, dma_id=slot.dma_id))
+        if self._emit:
+            self._issue(instr, pc, idx, issue, ios, slot_no, dma_id)
         exec_at = issue
-        if first_wait and issue < complete:
+        if slot.active and issue < complete:   # only the first wait stalls
             if issue < base_done:
-                self.stall_cycles[STALL_DMA_BASE] += base_done - issue
-                if emit:
-                    self._send(PerfEvent(issue, STALL_BEGIN, pc=pc, idx=idx,
-                                         reason=STALL_DMA_BASE, dma_id=slot.dma_id,
-                                         slot=slot_no))
-                    self._send(PerfEvent(base_done, STALL_END, pc=pc, idx=idx,
-                                         reason=STALL_DMA_BASE, dma_id=slot.dma_id,
-                                         slot=slot_no))
-                if complete > base_done:
-                    self.stall_cycles[STALL_DMA_TRANSFER] += complete - base_done
-                    if emit:
-                        self._send(PerfEvent(base_done, STALL_BEGIN, pc=pc, idx=idx,
-                                             reason=STALL_DMA_TRANSFER,
-                                             dma_id=slot.dma_id, slot=slot_no))
-                        self._send(PerfEvent(complete, STALL_END, pc=pc, idx=idx,
-                                             reason=STALL_DMA_TRANSFER,
-                                             dma_id=slot.dma_id, slot=slot_no))
-            else:
-                self.stall_cycles[STALL_DMA_TRANSFER] += complete - issue
-                if emit:
-                    self._send(PerfEvent(issue, STALL_BEGIN, pc=pc, idx=idx,
-                                         reason=STALL_DMA_TRANSFER,
-                                         dma_id=slot.dma_id, slot=slot_no))
-                    self._send(PerfEvent(complete, STALL_END, pc=pc, idx=idx,
-                                         reason=STALL_DMA_TRANSFER,
-                                         dma_id=slot.dma_id, slot=slot_no))
+                self._stall(STALL_DMA_BASE, issue, base_done, pc, idx,
+                            slot_no, dma_id)
+            self._stall(STALL_DMA_TRANSFER, max(issue, base_done), complete,
+                        pc, idx, slot_no, dma_id)
             exec_at = complete
         self._advance_engine(exec_at)
+        slot.active = False         # slot stays associated until re-issued
         retire = exec_at + self.config.latency(Unit.DMA)
-
-        if first_wait:
-            xfer.wait_cycle = issue
-            xfer.wait_index = idx
-            slot.active = False     # slot stays associated until re-issued
-        else:
-            xfer.later_wait_cycles.append(issue)
-        if emit:
-            self._send(PerfEvent(exec_at, UNIT_BUSY, pc=pc, idx=idx, unit="DMA",
-                                 until=retire))
-            self._send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
+        if self._emit:
+            self._retire(pc, idx, Unit.DMA, exec_at, retire)
         state.cycle = retire
         state.pc = pc + 1
         return StepOutcome(pc, idx, instr, issue, retire)
 
 
-def dma_timeline(history: List[DmaTransfer]) -> List[dict]:
-    """Per-DMA timeline from a completed run's slot history."""
-    return [{"dma_id": x.dma_id, "slot": x.slot, "link": x.link, "size": x.size,
-             "issue_cycle": x.issue_cycle, "base_done_cycle": x.base_done_cycle,
-             "transfer_start_cycle": x.transfer_start_cycle,
-             "complete_cycle": x.complete_cycle, "wait_cycle": x.wait_cycle}
-            for x in history]
+def _mem_write(cycle, pc, idx, region, dma_id=None) -> PerfEvent:
+    """Every mem_write event is made here: at retire, or at a DMA's
+    completion (then carrying its dma_id)."""
+    return PerfEvent(cycle, MEM_WRITE, pc=pc, idx=idx, region=region,
+                     dma_id=dma_id)
 
 
 def run_program(program: Program, config: SimConfig,

@@ -270,12 +270,12 @@ def test_criterion_03_dma_trichotomy(corpus):
 
 def test_criterion_04_allgather_pinning():
     config = SimConfig()
-    kb, sb = _run_kernel(gen_allgather_kernel(), config)
-    kp, sp = _run_kernel(gen_allgather_kernel(pinned=True), config)
-    setup_b = [x for x in sb.dma_history
-               if kb.region_of(x.issue_pc) == "ag.setup"]
-    setup_p = [x for x in sp.dma_history
-               if kp.region_of(x.issue_pc) == "ag.setup"]
+    kb, sb, tb = _run_kernel(gen_allgather_kernel(), config)
+    kp, sp, tp = _run_kernel(gen_allgather_kernel(pinned=True), config)
+    setup_b = [x for x in analyze_dma(tb.events)
+               if kb.region_of(x.pc) == "ag.setup"]
+    setup_p = [x for x in analyze_dma(tp.events)
+               if kp.region_of(x.pc) == "ag.setup"]
     ok = (len(setup_b) == 9 and len(setup_p) == 0
           and sp.cycles <= 0.9 * sb.cycles)
     _report(4, "all-gather pinning", ok,
@@ -285,9 +285,8 @@ def test_criterion_04_allgather_pinning():
 
 def test_criterion_05_allgather_parallel_issue():
     config = SimConfig()
-    kb, sb, tb = _run_kernel(gen_allgather_kernel(), config, events=True)
-    kp, sp, tp = _run_kernel(gen_allgather_kernel(parallel_setup=True), config,
-                             events=True)
+    kb, sb, tb = _run_kernel(gen_allgather_kernel(), config)
+    kp, sp, tp = _run_kernel(gen_allgather_kernel(parallel_setup=True), config)
 
     def setup_base_stall(kernel, tracker):
         total, opens = 0, {}
@@ -365,7 +364,7 @@ def test_criterion_08_dependency_oracle(corpus):
 def test_criterion_09_vmem_invariants(corpus):
     runs = corpus["runs"]
     bad = [r.seed for r in runs if not r.vmem_ok]
-    _, result, tracker = _run_src(gen_checkerboard_kernel(), events=True)
+    _, result, tracker = _run_src(gen_checkerboard_kernel())
     stats = analyze_vmem(tracker.events, sample_interval=4096)
     peak = min(stats.total_free)
     idx = stats.total_free.index(peak)
@@ -390,24 +389,22 @@ def test_criterion_10_transparency_and_determinism(corpus):
 
 # ---------------------------------------------------------------- helpers
 
-def _run_kernel(src, config, events=False):
+def _run_kernel(src, config):
     kernel = assemble(src)
     state = config.make_state()
     apply_images(kernel, state)
-    tracker = RecordingTracker() if events else NullTracker()
+    tracker = RecordingTracker()
     result = run_program(kernel.program, config, state, tracker)
     assert result.outcome == "halted"
-    if events:
-        return kernel, result, tracker
-    return kernel, result
+    return kernel, result, tracker
 
 
-def _run_src(src, events=False):
+def _run_src(src):
     config = SimConfig()
     kernel = assemble(src)
     state = config.make_state()
     apply_images(kernel, state)
-    tracker = RecordingTracker() if events else NullTracker()
+    tracker = RecordingTracker()
     result = run_program(kernel.program, config, state, tracker,
                          max_cycles=2_000_000)
     assert result.outcome == "halted"

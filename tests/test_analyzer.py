@@ -241,14 +241,30 @@ def test_dma_metadata_pattern_relaxed_edge_lands_on_materializer():
     assert set(g.chains[second_issue]) >= {5, 6, 7}    # v_load + s_mov + s_add
 
 
+# A guarded DMA_WAIT that executes reads its guard: edge (7, 6, 'register').
+GUARDED_WAIT_KERNEL = """
+  s_ldi s0, 0x1000
+  s_ldi s1, 0x200
+  s_ldi s2, 64
+  s_ldi s3, 1
+  s_ldi s4, 1
+  dma_issue 0, hbm>vmem, s0, s1, s2
+  s_cmp p1, s3, s4, eq
+  @p1 dma_wait 0
+  halt
+"""
+
+
 def test_conservative_graph_equals_bruteforce_oracle():
-    for seed in (3, 11, 21, 33):
-        g_kernel = gen_random_kernel(seed, size=120)
-        res, rep, events, config = _record_and_replay(g_kernel.text)
+    sources = {f"seed {seed}": gen_random_kernel(seed, size=120).text
+               for seed in (3, 11, 21, 33)}
+    sources["guarded dma_wait"] = GUARDED_WAIT_KERNEL
+    for name, src in sources.items():
+        res, rep, events, config = _record_and_replay(src)
         graph = build_dependency_graph(events)
         got = {(e.dependent, e.producer, e.label) for e in graph.conservative}
         want = bruteforce_dep_oracle(res.trace, config)
-        assert got == want, f"seed {seed}"
+        assert got == want, name
 
 
 def test_graph_edges_point_backward():

@@ -74,6 +74,25 @@ def test_usage_error_exit_1(ws, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["record", "{prog}", "--break", "0", "--count", "-1", "-o", "{ws}/t"],
+    ["record", "{prog}", "--break", "0", "--count", "5", "--hit", "0",
+     "-o", "{ws}/t"],
+    ["run", "{prog}", "--max-cycles", "0"],
+    ["analyze", "{events}", "--bucket-width", "0", "-o", "{ws}/r"],
+    ["analyze", "{events}", "--sample-interval", "0", "-o", "{ws}/r"],
+], ids=["count", "hit", "max-cycles", "bucket-width", "sample-interval"])
+def test_nonpositive_numeric_argument_is_usage_error(ws, capsys, argv):
+    prog, events = ws / "prog.json", ws / "events.jsonl"
+    _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
+    _run(capsys, "run", prog, "-o", events)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(prog=prog, events=events, ws=ws) for a in argv])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert "code:USAGE" in err and "Traceback" not in err
+
+
 def test_replay_config_mismatch_exit_2(ws, capsys, tmp_path):
     prog, trace = ws / "prog.json", ws / "win.trace"
     _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
@@ -83,6 +102,28 @@ def test_replay_config_mismatch_exit_2(ws, capsys, tmp_path):
     code, _, err = _run(capsys, "--config", cfg, "replay", trace, "-o", ws / "e")
     assert code == 2
     assert "code:TRACE_CONFIG_MISMATCH" in err
+
+
+def test_analyze_at_one_mib_vmem_writes_report(ws, capsys, tmp_path):
+    prog, events, report = ws / "prog.json", ws / "e.jsonl", ws / "report"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vmem_capacity": 1 << 20}))
+    _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
+    assert _run(capsys, "--config", cfg, "run", prog, "-o", events)[0] == 0
+    assert _run(capsys, "--config", cfg, "analyze", events, "-o", report)[0] == 0
+    vmem = json.loads((report / "report.json").read_text())["vmem"]
+    assert vmem["capacity"] == 1 << 20 and vmem["bucket_pages"] == 128
+    assert (report / "vmem_heatmap.svg").exists()
+
+
+def test_unsplittable_vmem_capacity_is_config_invalid(ws, capsys, tmp_path):
+    prog, events = ws / "prog.json", ws / "e.jsonl"
+    _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
+    _run(capsys, "run", prog, "-o", events)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vmem_capacity": 1_000_000}))
+    code, _, err = _run(capsys, "--config", cfg, "analyze", events, "-o", ws / "r")
+    assert code == 1 and "code:CONFIG_INVALID" in err
 
 
 def test_config_env_var_respected(ws, capsys, tmp_path, monkeypatch):

@@ -5,9 +5,10 @@ import struct
 
 import pytest
 
+from xshark.analyzer import analyze_dma
 from xshark.isa import Fault, MemRegion, MemSpace
 from xshark.sim import (NullTracker, RecordingTracker, SimConfig, Simulator,
-                        dma_timeline, events_from_jsonl, events_to_jsonl,
+                        events_from_jsonl, events_to_jsonl,
                         run_program, state_digest,
                         STALL_DMA_BASE, STALL_DMA_TRANSFER, STALL_HAZARD)
 
@@ -16,9 +17,9 @@ from oracles import dma_oracle
 
 
 def test_sldi_takes_one_cycle():
-    _, result, _ = asm_run("s_ldi s0, 7\nhalt\n")
+    _, result, tracker = asm_run("s_ldi s0, 7\nhalt\n")
     assert result.state.sregs[0] == 7
-    assert result.dma_history == []
+    assert analyze_dma(tracker.events) == []
     # S_LDI retires at cycle 1; HALT consumes one more
     assert result.cycles == 2
 
@@ -104,7 +105,7 @@ def test_dma_wait_stall_classic_case():
     """issue at c, wait at c+2, T_b=100, bw=32, 256 B: stall 106, done c+108."""
     src = DMA_SRC.format(bytes=" ".join(f"{i % 256:02x}" for i in range(16)))
     _, result, tracker = asm_run(src)
-    (x,) = result.dma_history
+    (x,) = analyze_dma(tracker.events)
     c = x.issue_cycle
     assert x.base_done_cycle == c + 100
     assert x.complete_cycle == c + 108
@@ -132,8 +133,8 @@ def test_dma_timeline_matches_oracle_two_on_one_link():
       dma_wait 1
       halt
     """
-    _, result, _ = asm_run(src)
-    a, b = result.dma_history
+    _, result, tracker = asm_run(src)
+    a, b = analyze_dma(tracker.events)
     oracle = dma_oracle(
         [{"issue_cycle": a.issue_cycle, "link": "hbm>vmem", "size": 256,
           "wait_cycle": a.wait_cycle},
@@ -144,8 +145,6 @@ def test_dma_timeline_matches_oracle_two_on_one_link():
         assert got.base_done_cycle == want.base_done
         assert got.transfer_start_cycle == want.transfer_start
         assert got.complete_cycle == want.complete
-    tl = dma_timeline(result.dma_history)
-    assert tl[0]["complete_cycle"] == a.complete_cycle
 
 
 def test_three_parallel_dmas_base_latencies_overlap():
@@ -165,18 +164,19 @@ def test_three_parallel_dmas_base_latencies_overlap():
       dma_wait 2
       halt
     """
-    _, result, _ = asm_run(src)
-    bds = [x.base_done_cycle for x in result.dma_history]
+    _, result, tracker = asm_run(src)
+    records = analyze_dma(tracker.events)
+    bds = [x.base_done_cycle for x in records]
     assert max(bds) - min(bds) <= 3
     starts = sorted((x.transfer_start_cycle, x.complete_cycle)
-                    for x in result.dma_history)
+                    for x in records)
     for (s1_, e1), (s2_, _) in zip(starts, starts[1:]):
         assert s2_ >= e1                                 # transfers disjoint
 
 
 def test_dma_base_latency_constancy_property():
-    _, result, _ = asm_run(DMA_SRC.format(bytes="00"), mk_config(t_base=37))
-    (x,) = result.dma_history
+    _, result, tracker = asm_run(DMA_SRC.format(bytes="00"), mk_config(t_base=37))
+    (x,) = analyze_dma(tracker.events)
     assert x.base_done_cycle - x.issue_cycle == 37
 
 
@@ -192,8 +192,8 @@ def test_wait_after_complete_is_slack():
       dma_wait 0
       halt
     """
-    _, result, _ = asm_run(src)
-    (x,) = result.dma_history
+    _, result, tracker = asm_run(src)
+    (x,) = analyze_dma(tracker.events)
     assert x.wait_cycle > x.complete_cycle
     assert result.total_stall == 0
 
@@ -239,9 +239,9 @@ def test_touching_inflight_destination_stalls_as_hazard():
       dma_wait 0
       halt
     """
-    _, result, _ = asm_run(src)
+    _, result, tracker = asm_run(src)
     assert result.stall_cycles[STALL_HAZARD] > 90
-    (x,) = result.dma_history
+    (x,) = analyze_dma(tracker.events)
     assert x.wait_cycle > x.complete_cycle      # the wait then sees slack
 
 
@@ -329,8 +329,8 @@ def test_stall_partition_identity_vs_oracle():
     for t_base, size in [(100, 256), (20, 64), (7, 512)]:
         cfg = mk_config(t_base=t_base)
         src = DMA_SRC.format(bytes="01 02")
-        _, result, _ = asm_run(src, cfg)
-        (x,) = result.dma_history
+        _, result, tracker = asm_run(src, cfg)
+        (x,) = analyze_dma(tracker.events)
         (o,) = dma_oracle([{"issue_cycle": x.issue_cycle, "link": x.link,
                             "size": x.size, "wait_cycle": x.wait_cycle}],
                           t_base=t_base, bandwidth=32)

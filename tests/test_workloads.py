@@ -2,6 +2,7 @@
 
 import pytest
 
+from xshark.analyzer import analyze_dma
 from xshark.isa import Opcode
 from xshark.sim import SimConfig
 from xshark.workloads import (AsmError, assemble, disassemble,
@@ -115,9 +116,9 @@ def test_random_kernels_round_trip_and_bundle(tmp_path):
 # ---------------------------------------------------------------- all-gather
 
 def test_allgather_baseline_nine_setup_dmas_base_stalled():
-    kernel, result, _ = asm_run(gen_allgather_kernel())
-    setup = [x for x in result.dma_history
-             if kernel.region_of(x.issue_pc) == "ag.setup"]
+    kernel, result, tracker = asm_run(gen_allgather_kernel())
+    setup = [x for x in analyze_dma(tracker.events)
+             if kernel.region_of(x.pc) == "ag.setup"]
     assert len(setup) == 9
     for x in setup:
         base = x.base_done_cycle - x.wait_cycle
@@ -130,14 +131,15 @@ def test_allgather_baseline_nine_setup_dmas_base_stalled():
 
 def test_allgather_pinned_elides_setup_phase():
     kernel_b, base, _ = asm_run(gen_allgather_kernel())
-    kernel_p, pinned, _ = asm_run(gen_allgather_kernel(pinned=True))
-    setup_p = [x for x in pinned.dma_history
-               if kernel_p.region_of(x.issue_pc) == "ag.setup"]
+    kernel_p, pinned, tracker_p = asm_run(gen_allgather_kernel(pinned=True))
+    records_p = analyze_dma(tracker_p.events)
+    setup_p = [x for x in records_p
+               if kernel_p.region_of(x.pc) == "ag.setup"]
     assert setup_p == []
     assert pinned.cycles <= 0.9 * base.cycles           # >= 10% faster
     # both variants push the same bytes
-    assert len([x for x in pinned.dma_history
-                if kernel_p.region_of(x.issue_pc) == "ag.data"]) == 6
+    assert len([x for x in records_p
+                if kernel_p.region_of(x.pc) == "ag.data"]) == 6
 
 
 def test_allgather_variants_agree_on_data():
