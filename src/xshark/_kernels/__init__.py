@@ -1,23 +1,11 @@
 """Arithmetic kernels for the vector and matrix units.
 
-The compiled extension (`_native`, Cython) and the numpy fallback implement
-the same contract bit-exactly: IEEE-754 single precision, one rounding per
-operation, k-ascending accumulation order in the tile multiply. Backend is
-chosen once at import; set XSHARK_PURE=1 to force the fallback.
+One implementation (numpy, `pyfallback`) of one contract: IEEE-754 single
+precision, one rounding per operation, k-ascending accumulation order in the
+tile multiply, and the canonical quiet NaN. Replays are bit-exact because
+every run computes through these functions.
 """
 
-import os
+from .pyfallback import BACKEND, mxu_mm, v_add, v_mul
 
-if os.environ.get("XSHARK_PURE"):
-    from . import pyfallback as kernels
-else:
-    try:
-        from . import _native as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import pyfallback as kernels
-
-BACKEND = kernels.BACKEND
-
-v_add = kernels.v_add
-v_mul = kernels.v_mul
-mxu_mm = kernels.mxu_mm
+__all__ = ["BACKEND", "mxu_mm", "v_add", "v_mul"]

@@ -1,11 +1,11 @@
 """Pure-Python (numpy) implementations of the execute-stage kernels.
 
-All arithmetic stays in float32 end to end so results match the compiled
-backend bit for bit. Arithmetic that produces a NaN yields the canonical
-quiet NaN (0x7fc00000): IEEE-754 leaves payload propagation implementation
-defined, and numpy's own choice varies with array shape, so the ISA pins it.
-The tile multiply snapshots its input tiles first: partially overlapping
-dst/a/b tiles are legal and must behave identically in both backends.
+All arithmetic stays in float32 end to end, one rounding per operation, so
+results match a scalar f32 reference bit for bit. Arithmetic that produces a
+NaN yields the canonical quiet NaN (0x7fc00000): IEEE-754 leaves payload
+propagation implementation defined, and numpy's own choice varies with array
+shape, so the ISA pins it. The tile multiply snapshots its input tiles first:
+partially overlapping dst/a/b tiles are legal and read the pre-op values.
 """
 
 import numpy as np

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..intervals import IntervalMap
 from ..isa import MemRegion, MemSpace, Opcode
-from ..sim import (DMA_COMPLETE, DMA_ISSUE_EV, INSTR_ISSUE, INSTR_RETIRE,
-                   MEM_READ, MEM_WRITE, REG_READ, REG_WRITE, PerfEvent)
+from ..sim import (DMA_COMPLETE, INSTR_ISSUE, INSTR_RETIRE, MEM_READ,
+                   MEM_WRITE, REG_READ, REG_WRITE, PerfEvent)
 from . import AnalysisError
 
 RELAXED_CHAIN_CAP = 8
@@ -54,7 +54,6 @@ class LogTables:
     mem_access: Dict[MemSpace, List[Tuple[int, int, int, str]]]
     slot_access: Dict[int, List[int]]                     # slot -> [idx]
     dma_complete: Dict[int, int]                          # dma_id -> cycle
-    dma_info: Dict[int, dict]                             # dma_id -> issue payload
     window_start: int = 0
     window_end: int = 0
 
@@ -67,7 +66,7 @@ def build_tables(events: List[PerfEvent]) -> LogTables:
     t = LogTables(n, [InstrInfo(i) for i in range(n)],
                   [[] for _ in range(n)], [[] for _ in range(n)],
                   [[] for _ in range(n)], [[] for _ in range(n)],
-                  {}, {MemSpace.VMEM: [], MemSpace.HBM: []}, {}, {}, {})
+                  {}, {MemSpace.VMEM: [], MemSpace.HBM: []}, {}, {})
     start, end = None, 0
     for ev in events:
         end = max(end, ev.cycle)
@@ -93,10 +92,6 @@ def build_tables(events: List[PerfEvent]) -> LogTables:
             t.reads_mem[ev.idx].append(ev.region)
         elif k == MEM_WRITE:
             t.writes_mem[ev.idx].append(ev.region)
-        elif k == DMA_ISSUE_EV:
-            t.dma_info[ev.dma_id] = {"idx": ev.idx, "slot": ev.slot,
-                                     "size": ev.size, "link": ev.link,
-                                     "src": ev.src_region, "dst": ev.dst_region}
         elif k == DMA_COMPLETE:
             t.dma_complete[ev.dma_id] = ev.cycle
     for i in range(n):

@@ -24,6 +24,9 @@ from .deps import Backtail, DependencyGraph, compute_backtails
 from .dma import DmaRecord
 from .vmem import VmemPageStats
 
+_REQUIRED_FIELDS = ("dma_id", "issue_index", "proposed_position", "push_limit",
+                    "stall_duration", "required_vmem")
+
 UNVERIFIED = "unverified"
 VERIFIED_EQUAL_STATE = "verified_equal_state"
 VERIFIED_SPEEDUP = "verified_speedup"
@@ -58,10 +61,23 @@ class Suggestion:
 
     @staticmethod
     def from_json(d) -> "Suggestion":
-        return Suggestion(d["dma_id"], d["issue_index"], d["proposed_position"],
-                          d["push_limit"], d["stall_duration"],
-                          d["required_vmem"], d.get("largest_contiguous_at_target"),
-                          list(d.get("block", [])), d.get("verified", UNVERIFIED),
+        """Inverse of to_json; anything else raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a suggestion must be an object, got {type(d).__name__}")
+        missing = [k for k in _REQUIRED_FIELDS if k not in d]
+        if missing:
+            raise ValueError(f"suggestion lacks {', '.join(missing)}")
+        contiguous = d.get("largest_contiguous_at_target")
+        block = d.get("block", [])
+        ints = [d[k] for k in _REQUIRED_FIELDS] + [
+            d.get("speedup_cycles", 0), d.get("stall_reduction", 0)]
+        if contiguous is not None:
+            ints.append(contiguous)
+        if not (isinstance(block, list)
+                and all(type(v) is int for v in ints + block)):
+            raise ValueError("suggestion fields and block entries must be integers")
+        return Suggestion(*(d[k] for k in _REQUIRED_FIELDS), contiguous,
+                          list(block), d.get("verified", UNVERIFIED),
                           d.get("speedup_cycles", 0), d.get("stall_reduction", 0),
                           d.get("diagnostic"))
 

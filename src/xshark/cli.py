@@ -22,7 +22,7 @@ from .analyzer import (analyze_dma, analyze_utilization, analyze_vmem,
                        write_report, AnalysisError)
 from .analyzer.suggest import Suggestion
 from .debugger import Breakpoint, DebugSession
-from .isa import Fault
+from .isa import EncodingError, Fault
 from .recorder import TraceError, read_trace, record, write_trace
 from .replayer import ReplayDivergence, replay
 from .sim import (RecordingTracker, SimConfig, events_from_jsonl,
@@ -58,6 +58,41 @@ def _read(path, mode="r"):
         raise CliError("IO_ERROR", str(e), 1)
 
 
+def _load_bundle(path):
+    try:
+        return load_bundle(path)
+    except EncodingError as e:
+        raise CliError("BUNDLE_INVALID", f"bad program bundle {e}", 1)
+
+
+def _read_events(path):
+    try:
+        return events_from_jsonl(_read(path))
+    except ValueError as e:
+        raise CliError("EVENTS_INVALID", f"bad event log {path!r}: {e}", 1)
+
+
+def _read_summary(path) -> dict:
+    _, summary = _read_events(path)
+    if summary is None:
+        raise CliError("NO_SUMMARY", f"event log {path!r} lacks a summary line", 1)
+    for key, kind in (("cycles", int), ("total_stall", int), ("digest", str)):
+        if not isinstance(summary.get(key), kind):
+            raise CliError("EVENTS_INVALID", f"summary of {path!r} lacks "
+                           f"{kind.__name__} field {key!r}", 1)
+    return summary
+
+
+def _read_suggestions(path):
+    try:
+        doc = json.loads(_read(path))
+        if not isinstance(doc, list):
+            raise ValueError("expected a JSON list of suggestions")
+        return [Suggestion.from_json(d) for d in doc]
+    except ValueError as e:
+        raise CliError("SUGGESTIONS_INVALID", f"bad suggestions {path!r}: {e}", 1)
+
+
 def _summary(result, digest: str) -> dict:
     return {"cycles": result.cycles, "executed": result.executed,
             "outcome": getattr(result, "outcome", "replayed"),
@@ -78,7 +113,7 @@ def cmd_asm(args, config):
 
 
 def _make_session(bundle_path, config, tracker=None):
-    bundle = load_bundle(bundle_path)
+    bundle = _load_bundle(bundle_path)
     state = config.make_state()
     apply_images(bundle, state)
     session = DebugSession(bundle.program, config, state, tracker)
@@ -87,7 +122,7 @@ def _make_session(bundle_path, config, tracker=None):
 
 
 def cmd_run(args, config):
-    bundle = load_bundle(args.program)
+    bundle = _load_bundle(args.program)
     state = config.make_state()
     apply_images(bundle, state)
     tracker = RecordingTracker() if args.output else None
@@ -137,11 +172,11 @@ def cmd_replay(args, config):
 
 
 def cmd_analyze(args, config):
-    events, summary = events_from_jsonl(_read(args.events))
+    events, _ = _read_events(args.events)
     want_all = not (args.dma or args.util or args.vmem or args.deps)
     regions = None
     if args.program:
-        bundle = load_bundle(args.program)
+        bundle = _load_bundle(args.program)
         regions = {name: [start, end] for name, start, end in bundle.regions}
     kw = {}
     if args.dma or want_all:
@@ -162,7 +197,7 @@ def cmd_analyze(args, config):
 
 def cmd_suggest(args, config):
     trace = read_trace(args.trace, expected_config_hash=config.config_hash())
-    events, _ = events_from_jsonl(_read(args.events))
+    events, _ = _read_events(args.events)
     records = analyze_dma(events)
     graph = build_dependency_graph(events)
     if graph.n != len(trace.instr_stream):
@@ -181,8 +216,7 @@ def cmd_suggest(args, config):
 
 def cmd_apply(args, config):
     trace = read_trace(args.trace, expected_config_hash=config.config_hash())
-    suggestions = [Suggestion.from_json(d)
-                   for d in json.loads(_read(args.suggestions))]
+    suggestions = _read_suggestions(args.suggestions)
     if not suggestions:
         raise CliError("NO_SUGGESTIONS", "suggestion list is empty", 1)
     tracker = RecordingTracker()
@@ -205,10 +239,8 @@ def cmd_apply(args, config):
 
 
 def cmd_compare(args, config):
-    _, a = events_from_jsonl(_read(args.before))
-    _, b = events_from_jsonl(_read(args.after))
-    if a is None or b is None:
-        raise CliError("NO_SUMMARY", "event log lacks a summary line", 1)
+    a = _read_summary(args.before)
+    b = _read_summary(args.after)
     dc = b["cycles"] - a["cycles"]
     ds = b["total_stall"] - a["total_stall"]
     basis_a = a["digest"].split(":")[0]

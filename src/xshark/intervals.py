@@ -128,6 +128,3 @@ class IntervalMap:
                 break
             out.append((max(s, start), min(e, end), v))
         return out
-
-    def values_over(self, start: int, end: int) -> set:
-        return {v for _, _, v in self.lookup(start, end)}

@@ -292,26 +292,6 @@ class Instruction:
     def unit(self) -> Unit:
         return UNIT_OF[self.opcode]
 
-    def to_json(self):
-        d = {"opcode": self.opcode.name,
-             "unit": self.unit.value,
-             "dst": [str(r) for r in self.dst_regs],
-             "src": [str(r) for r in self.src_regs],
-             "imm": list(self.immediates)}
-        if self.predicate is not None:
-            d["pred"] = str(self.predicate)
-        return d
-
-    @staticmethod
-    def from_json(d) -> "Instruction":
-        return Instruction(
-            Opcode[d["opcode"]],
-            tuple(RegisterId.parse(r) for r in d.get("dst", ())),
-            tuple(RegisterId.parse(r) for r in d.get("src", ())),
-            tuple(d.get("imm", ())),
-            RegisterId.parse(d["pred"]) if d.get("pred") else None,
-        )
-
 
 def _enc_reg(r: Optional[RegisterId]) -> int:
     if r is None:

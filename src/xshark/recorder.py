@@ -62,10 +62,14 @@ class TraceHeader:
 
     @staticmethod
     def from_json(d):
-        return TraceHeader(d["isa_version"], d["sim_config_hash"],
-                           d["start_pc"], d["start_cycle"],
-                           d["instruction_count"], d.get("ended_at_halt", False),
-                           d.get("fault_kind"))
+        h = TraceHeader(d["isa_version"], d["sim_config_hash"],
+                        d["start_pc"], d["start_cycle"],
+                        d["instruction_count"], d.get("ended_at_halt", False),
+                        d.get("fault_kind"))
+        if not all(type(v) is int for v in (h.isa_version, h.start_pc, h.start_cycle,
+                                            h.instruction_count)):
+            raise ValueError("trace header counters must be integers")
+        return h
 
 
 @dataclass
@@ -271,10 +275,7 @@ def write_trace(trace: ExecutionTrace, destination: str, binary: bool = False):
 
 
 def _trace_from_json(text: str) -> ExecutionTrace:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise TraceError("TRACE_FORMAT", f"not a trace file: {e}") from None
+    doc = json.loads(text)
     if doc.get("format") != "xshark-trace":
         raise TraceError("TRACE_FORMAT", "missing xshark-trace format marker")
     if doc.get("version") != TRACE_VERSION:
@@ -294,7 +295,8 @@ def _trace_from_json(text: str) -> ExecutionTrace:
 def _trace_from_binary(blob: bytes) -> ExecutionTrace:
     if blob[:4] != TRACE_MAGIC:
         raise TraceError("TRACE_FORMAT", "bad magic")
-    if hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
+    blob, digest = blob[:-32], blob[-32:]
+    if hashlib.sha256(blob).digest() != digest:
         raise TraceError("TRACE_CHECKSUM", "trace payload checksum mismatch")
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != TRACE_VERSION:
@@ -320,16 +322,24 @@ def _trace_from_binary(blob: bytes) -> ExecutionTrace:
     for _ in range(nins):
         (pc,) = struct.unpack_from("<I", blob, pos); pos += 4
         stream.append((pc, blob[pos:pos + INSTR_BYTES])); pos += INSTR_BYTES
+    if pos != len(blob):
+        raise ValueError(f"{len(blob) - pos} bytes past the instruction stream")
     return ExecutionTrace(header, regs, mems, stream)
 
 
 def read_trace(source: str, expected_config_hash: Optional[str] = None) -> ExecutionTrace:
     with open(source, "rb") as fh:
         blob = fh.read()
-    if blob[:4] == TRACE_MAGIC:
-        trace = _trace_from_binary(blob)
-    else:
-        trace = _trace_from_json(blob.decode())
+    try:
+        if blob[:4] == TRACE_MAGIC:
+            trace = _trace_from_binary(blob)
+        else:
+            trace = _trace_from_json(blob.decode())
+    except (ValueError, LookupError, TypeError, AttributeError, struct.error,
+            Fault) as e:
+        # undecodable text, bad JSON/base64/hex, missing fields, short
+        # binary records, bad register bytes, empty regions
+        raise TraceError("TRACE_FORMAT", f"malformed trace: {e!r}") from None
     if trace.header.isa_version != ISA_VERSION:
         raise TraceError("TRACE_VERSION",
                          f"trace ISA version {trace.header.isa_version} != {ISA_VERSION}")

@@ -56,8 +56,18 @@ class SimConfig:
     hbm_capacity: int = DEFAULT_HBM_CAPACITY
 
     def __post_init__(self):
+        for name in ("t_base", "vmem_capacity", "hbm_capacity"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
+        for name in ("link_bandwidth", "unit_latency"):
+            table = getattr(self, name)
+            if not (isinstance(table, dict)
+                    and all(type(v) is int for v in table.values())):
+                raise ValueError(f"{name} must be an object of integers")
         if self.t_base <= 0:
             raise ValueError("t_base must be positive")
+        if self.hbm_capacity <= 0:
+            raise ValueError("hbm_capacity must be positive")
         for k, v in self.link_bandwidth.items():
             if k not in _NAME_LINKS:
                 raise ValueError(f"unknown link {k!r}")
@@ -86,11 +96,18 @@ class SimConfig:
 
     @staticmethod
     def from_json(d: dict) -> "SimConfig":
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
         base = SimConfig()
+        tables = {}
+        for name in ("link_bandwidth", "unit_latency"):
+            table = d.get(name, {})
+            if not isinstance(table, dict):
+                raise ValueError(f"{name} must be an object of integers")
+            tables[name] = {**getattr(base, name), **table}
         return SimConfig(
             t_base=d.get("t_base", base.t_base),
-            link_bandwidth={**base.link_bandwidth, **d.get("link_bandwidth", {})},
-            unit_latency={**base.unit_latency, **d.get("unit_latency", {})},
+            **tables,
             vmem_capacity=d.get("vmem_capacity", base.vmem_capacity),
             hbm_capacity=d.get("hbm_capacity", base.hbm_capacity))
 
@@ -197,17 +214,21 @@ def events_to_jsonl(events, summary: Optional[dict] = None) -> str:
 
 
 def events_from_jsonl(text: str):
-    """Returns (events, summary_or_None)."""
+    """Returns (events, summary_or_None). A line that is not JSON, or not an
+    object with a known `kind` and known fields, raises ValueError."""
     events, summary = [], None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        d = json.loads(line)
-        if d.get("kind") == "summary":
-            summary = d
-        else:
-            events.append(PerfEvent.from_json(d))
+    try:
+        for line in text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            d = json.loads(line)
+            if d.get("kind") == "summary":
+                summary = d
+            else:
+                events.append(PerfEvent.from_json(d))
+    except (ValueError, KeyError, TypeError, AttributeError, Fault) as e:
+        raise ValueError(f"bad event line {line[:80]!r}: {e!r}") from None
     return events, summary
 
 

@@ -330,20 +330,27 @@ def save_bundle(kernel: AssembledKernel, path: str):
 
 
 def load_bundle(path: str) -> AssembledKernel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "xshark-program":
-        raise EncodingError(f"{path} is not an xshark program bundle")
-    if doc.get("isa_version") != ISA_VERSION:
-        raise EncodingError(f"program bundle ISA version {doc.get('isa_version')}")
-    program = Program.from_bytes(bytes.fromhex(doc["instructions"]), doc["entry_pc"])
-    return AssembledKernel(
-        program,
-        [(off, base64.b64decode(b)) for off, b in doc["hbm_image"]],
-        [(off, base64.b64decode(b)) for off, b in doc["vmem_image"]],
-        doc.get("labels", {}),
-        [tuple(r) for r in doc.get("regions", [])],
-    )
+    """Reads a `save_bundle` file; one that does not decode raises
+    EncodingError (docs/asm.md)."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        doc = json.loads(blob)
+        if doc.get("format") != "xshark-program":
+            raise EncodingError("not an xshark program bundle")
+        if doc.get("isa_version") != ISA_VERSION:
+            raise EncodingError(f"program bundle ISA version {doc.get('isa_version')}")
+        program = Program.from_bytes(bytes.fromhex(doc["instructions"]), doc["entry_pc"])
+        return AssembledKernel(
+            program,
+            [(off, base64.b64decode(b)) for off, b in doc["hbm_image"]],
+            [(off, base64.b64decode(b)) for off, b in doc["vmem_image"]],
+            doc.get("labels", {}),
+            [tuple(r) for r in doc.get("regions", [])],
+        )
+    except (ValueError, LookupError, TypeError, AttributeError) as e:
+        # EncodingError is a ValueError, as are bad JSON, hex and base64
+        raise EncodingError(f"{path}: {e!r}") from None
 
 
 def apply_images(kernel: AssembledKernel, state):

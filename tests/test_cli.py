@@ -1,6 +1,7 @@
 """CLI pipeline: asm -> run/record -> replay -> analyze -> suggest -> apply
 -> compare, exit codes and error codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -91,6 +92,65 @@ def test_nonpositive_numeric_argument_is_usage_error(ws, capsys, argv):
     err = capsys.readouterr().err
     assert exc.value.code == 1
     assert "code:USAGE" in err and "Traceback" not in err
+
+
+MALFORMED_INPUTS = {
+    # id: (file content, argv with the file as {f}, code, exit code)
+    "trace-not-utf8": (b"\xff\xfe\x00garbage", ["replay", "{f}", "-o", "{ws}/e"],
+                       "TRACE_FORMAT", 2),
+    "trace-resigned-prefix": (None, ["replay", "{f}", "-o", "{ws}/e"],
+                              "TRACE_FORMAT", 2),
+    "config-string-t_base": (b'{"t_base": "x"}', ["--config", "{f}", "run", "{prog}"],
+                             "CONFIG_INVALID", 1),
+    "config-not-object": (b"[1]", ["--config", "{f}", "run", "{prog}"],
+                          "CONFIG_INVALID", 1),
+    "config-int-link_bandwidth": (b'{"link_bandwidth": 5}',
+                                  ["--config", "{f}", "run", "{prog}"],
+                                  "CONFIG_INVALID", 1),
+    "events-not-json": (b"not json", ["analyze", "{f}", "-o", "{ws}/r"],
+                        "EVENTS_INVALID", 1),
+    "events-unknown-kind": (b'{"kind":"bogus","cycle":1}',
+                            ["analyze", "{f}", "-o", "{ws}/r"], "EVENTS_INVALID", 1),
+    "events-no-kind": (b'{"cycle":1}', ["analyze", "{f}", "-o", "{ws}/r"],
+                       "EVENTS_INVALID", 1),
+    "events-empty-summary": (b'{"kind":"summary"}', ["compare", "{f}", "{events}"],
+                             "EVENTS_INVALID", 1),
+    "suggestions-missing-keys": (b'[{"dma_id": 1}]',
+                                 ["apply", "{trace}", "{f}", "-o", "{ws}/e"],
+                                 "SUGGESTIONS_INVALID", 1),
+    "suggestions-not-list": (b'{"dma_id":"x"}',
+                             ["apply", "{trace}", "{f}", "-o", "{ws}/e"],
+                             "SUGGESTIONS_INVALID", 1),
+    "suggestions-not-json": (b"{", ["apply", "{trace}", "{f}", "-o", "{ws}/e"],
+                             "SUGGESTIONS_INVALID", 1),
+    "bundle-not-json": (b"zz", ["run", "{f}"], "BUNDLE_INVALID", 1),
+    "bundle-no-isa-version": (b'{"format":"xshark-program"}', ["run", "{f}"],
+                              "BUNDLE_INVALID", 1),
+}
+
+
+@pytest.mark.parametrize("content,argv,want,exit_code", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_is_one_code_line(ws, capsys, content, argv, want,
+                                          exit_code):
+    prog, trace, events = ws / "prog.json", ws / "win.trace", ws / "events.jsonl"
+    _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
+    _run(capsys, "record", prog, "--break", "0", "--count", "50", "-o", trace)
+    _run(capsys, "run", prog, "-o", events)
+    if content is None:
+        # a binary trace cut to 40 bytes and re-signed: the checksum matches
+        _run(capsys, "record", prog, "--break", "0", "--count", "50", "--binary",
+             "-o", ws / "win.bin")
+        prefix = (ws / "win.bin").read_bytes()[:40]
+        content = prefix + hashlib.sha256(prefix).digest()
+    bad = ws / "bad_input"
+    bad.write_bytes(content)
+    code, _, err = _run(capsys, *[a.format(f=bad, ws=ws, prog=prog, trace=trace,
+                                           events=events) for a in argv])
+    assert code == exit_code
+    assert [ln.split()[0] for ln in err.splitlines()
+            if ln.startswith("code:")] == [f"code:{want}"]
+    assert "Traceback" not in err
 
 
 def test_replay_config_mismatch_exit_2(ws, capsys, tmp_path):

@@ -44,5 +44,3 @@ def test_interval_map_last_writer():
     m.store(50, 60, 2)
     m.store(90, 150, 3)
     assert m.lookup(0, 100) == [(0, 50, 1), (50, 60, 2), (60, 90, 1), (90, 100, 3)]
-    assert m.values_over(55, 95) == {1, 2, 3}
-    assert m.values_over(150, 200) == set()

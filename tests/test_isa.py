@@ -96,11 +96,6 @@ def test_encode_decode_round_trip_random(seed):
     assert decode_instruction(encode_instruction(ins)) == ins
 
 
-def test_instruction_json_round_trip():
-    ins = Instruction(Opcode.DMA_ISSUE, (), (S(1), S(2), S(3)), (3, 1), preg(2))
-    assert Instruction.from_json(ins.to_json()) == ins
-
-
 # ----------------------------------------------------------- IO-set parsing
 
 def test_vload_footprint():
