@@ -6,12 +6,28 @@ chased backwards through lightweight transform instructions until the value's
 origin in memory; the dependency then lands on the instruction that
 materialized those bytes (a DMA or a store). The traversed transforms form
 the DMA's "chain" - the instructions that would move with it.
+
+Both edge lists are built in dependent order, each instruction's edges
+sorted by (producer, resource), and indexed by dependent as they are built:
+`DependencyGraph.conservative_at`/`relaxed_at` hold where each instruction's
+edges start, so the relaxed pass, the chain walk and `edges_of` slice one
+instruction's edges instead of scanning all of them. The edges are also the
+only record of each read's producer.
+
+Backtails clamp the moved block by hazards through the tables' access lists,
+which are in stream order: per register and DMA slot, a bisect finds the
+part before a block member and prefix maxima of the data-ready cycle stand
+for everything before the first block member; memory accesses are bucketed
+by page, so a clamp visits only the earlier accesses that share a page with
+the region.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..intervals import IntervalMap
 from ..isa import MemRegion, MemSpace, Opcode
@@ -20,6 +36,7 @@ from ..sim import (DMA_COMPLETE, INSTR_ISSUE, INSTR_RETIRE, MEM_READ,
 from . import AnalysisError
 
 RELAXED_CHAIN_CAP = 8
+_DMA_ISSUE = Opcode.DMA_ISSUE.name
 
 # register-transform opcodes: cheap to reorder along with a DMA issue;
 # V_LOAD bridges a chain back into memory.
@@ -42,16 +59,18 @@ class InstrInfo:
 
 @dataclass
 class LogTables:
-    """Per-instruction access tables reconstructed from an event log."""
+    """Per-instruction access tables reconstructed from an event log. An
+    instruction without accesses of a kind shares the empty tuple. The access
+    lists (`reg_access`, `mem_access`, `slot_access`) are in stream order."""
 
     n: int
     instrs: List[InstrInfo]
-    reads_reg: List[List[str]]
-    writes_reg: List[List[str]]
-    reads_mem: List[List[MemRegion]]
-    writes_mem: List[List[MemRegion]]
-    reg_access: Dict[str, List[Tuple[int, str]]]          # reg -> [(idx, r/w)]
-    mem_access: Dict[MemSpace, List[Tuple[int, int, int, str]]]
+    reads_reg: List[Sequence[str]]
+    writes_reg: List[Sequence[str]]
+    reads_mem: List[Sequence[MemRegion]]
+    writes_mem: List[Sequence[MemRegion]]
+    reg_access: Dict[str, List[int]]                      # reg -> [idx]
+    mem_access: Dict[MemSpace, List[Tuple[int, int, int]]]  # [(idx, start, end)]
     slot_access: Dict[int, List[int]]                     # slot -> [idx]
     dma_complete: Dict[int, int]                          # dma_id -> cycle
     window_start: int = 0
@@ -59,53 +78,56 @@ class LogTables:
 
 
 def build_tables(events: List[PerfEvent]) -> LogTables:
-    n = 0
-    for ev in events:
-        if ev.idx is not None:
-            n = max(n, ev.idx + 1)
+    n = 1 + max((ev.idx for ev in events if ev.idx is not None), default=-1)
     t = LogTables(n, [InstrInfo(i) for i in range(n)],
-                  [[] for _ in range(n)], [[] for _ in range(n)],
-                  [[] for _ in range(n)], [[] for _ in range(n)],
+                  [()] * n, [()] * n, [()] * n, [()] * n,
                   {}, {MemSpace.VMEM: [], MemSpace.HBM: []}, {}, {})
+    instrs, slot_access = t.instrs, t.slot_access
     start, end = None, 0
     for ev in events:
-        end = max(end, ev.cycle)
+        if ev.cycle > end:
+            end = ev.cycle
         k = ev.kind
         if k == INSTR_ISSUE:
-            info = t.instrs[ev.idx]
+            info = instrs[ev.idx]
             info.pc, info.opcode, info.unit = ev.pc, ev.opcode, ev.unit
             info.issue = ev.cycle
             info.annulled = bool(ev.annulled)
             if ev.slot is not None:
                 info.slot = ev.slot
                 info.dma_id = ev.dma_id
-                t.slot_access.setdefault(ev.slot, []).append(ev.idx)
+                slot_access.setdefault(ev.slot, []).append(ev.idx)
             if start is None:
                 start = ev.cycle
         elif k == INSTR_RETIRE:
-            t.instrs[ev.idx].retire = ev.cycle
+            instrs[ev.idx].retire = ev.cycle
         elif k == REG_READ:
-            t.reads_reg[ev.idx].append(ev.reg)
+            _push(t.reads_reg, ev.idx, ev.reg)
         elif k == REG_WRITE:
-            t.writes_reg[ev.idx].append(ev.reg)
+            _push(t.writes_reg, ev.idx, ev.reg)
         elif k == MEM_READ:
-            t.reads_mem[ev.idx].append(ev.region)
+            _push(t.reads_mem, ev.idx, ev.region)
         elif k == MEM_WRITE:
-            t.writes_mem[ev.idx].append(ev.region)
+            _push(t.writes_mem, ev.idx, ev.region)
         elif k == DMA_COMPLETE:
             t.dma_complete[ev.dma_id] = ev.cycle
+    reg_access, mem_access = t.reg_access, t.mem_access
     for i in range(n):
-        for r in t.reads_reg[i]:
-            t.reg_access.setdefault(r, []).append((i, "r"))
-        for m in t.reads_mem[i]:
-            t.mem_access[m.space].append((i, m.offset, m.end, "r"))
-        for r in t.writes_reg[i]:
-            t.reg_access.setdefault(r, []).append((i, "w"))
-        for m in t.writes_mem[i]:
-            t.mem_access[m.space].append((i, m.offset, m.end, "w"))
+        for r in (*t.reads_reg[i], *t.writes_reg[i]):
+            reg_access.setdefault(r, []).append(i)
+        for m in (*t.reads_mem[i], *t.writes_mem[i]):
+            mem_access[m.space].append((i, m.offset, m.end))
     t.window_start = start or 0
     t.window_end = end
     return t
+
+
+def _push(table: list, i: int, item):
+    """Appends to table[i], which starts as the shared empty tuple."""
+    if table[i]:
+        table[i].append(item)
+    else:
+        table[i] = [item]
 
 
 @dataclass(frozen=True)
@@ -127,14 +149,16 @@ class DependencyGraph:
     relaxed: List[Edge]
     chains: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     relaxed_fallback: Set[int] = field(default_factory=set)
-    # per-instruction register producer map (None = outside window)
-    reg_producer: List[Dict[str, Optional[int]]] = field(default_factory=list)
-    mem_producers: List[List[Edge]] = field(default_factory=list)
     tables: Optional[LogTables] = None
+    # per-dependent index of each edge list: the edges of instruction i are
+    # conservative[conservative_at[i]:conservative_at[i + 1]] (same for relaxed)
+    conservative_at: List[int] = field(default_factory=list, repr=False)
+    relaxed_at: List[int] = field(default_factory=list, repr=False)
 
     def edges_of(self, idx: int, relaxed: bool = False) -> List[Edge]:
-        src = self.relaxed if relaxed else self.conservative
-        return [e for e in src if e.dependent == idx]
+        edges, at = ((self.relaxed, self.relaxed_at) if relaxed
+                     else (self.conservative, self.conservative_at))
+        return edges[at[idx]:at[idx + 1]] if 0 <= idx < len(at) - 1 else []
 
     def earliest_position(self, idx: int, relaxed: bool = False) -> int:
         """Dependency-only earliest stream position (no hazard clamps);
@@ -152,74 +176,81 @@ def build_dependency_graph(events: List[PerfEvent],
     last_reg: Dict[str, int] = {}
     last_mem = {MemSpace.VMEM: IntervalMap(), MemSpace.HBM: IntervalMap()}
     conservative: List[Edge] = []
-    reg_producer: List[Dict[str, Optional[int]]] = [dict() for _ in range(n)]
-    mem_producers: List[List[Edge]] = [[] for _ in range(n)]
+    conservative_at = [0] * (n + 1)
 
     for i in range(n):
+        own: List[Edge] = []
         for r in t.reads_reg[i]:
             p = last_reg.get(r)
-            reg_producer[i][r] = p
             if p is not None:
-                conservative.append(Edge(i, p, "register", r))
+                own.append(Edge(i, p, "register", r))
         for m in t.reads_mem[i]:
+            label = m.space.value
             for s, e, w in last_mem[m.space].lookup(m.offset, m.end):
-                edge = Edge(i, w, m.space.value, f"{m.space.value}[{s:#x}:{e:#x}]")
-                mem_producers[i].append(edge)
-                conservative.append(edge)
+                own.append(Edge(i, w, label, f"{label}[{s:#x}:{e:#x}]"))
+        conservative.extend(_sorted_unique(own))
+        conservative_at[i + 1] = len(conservative)
         for r in t.writes_reg[i]:
             last_reg[r] = i
         for m in t.writes_mem[i]:
             last_mem[m.space].store(m.offset, m.end, i)
 
-    conservative = sorted(set(conservative),
-                          key=lambda e: (e.dependent, e.producer, e.resource))
+    def producers(i: int) -> List[Edge]:
+        return conservative[conservative_at[i]:conservative_at[i + 1]]
 
     relaxed: List[Edge] = []
+    relaxed_at = [0] * (n + 1)
     chains: Dict[int, Tuple[int, ...]] = {}
     fallback: Set[int] = set()
     for i in range(n):
-        if t.instrs[i].opcode != Opcode.DMA_ISSUE.name:
-            relaxed.extend(e for e in conservative if e.dependent == i)
-            continue
-        chain: Set[int] = set()
-        edges: Set[Edge] = set(mem_producers[i])   # the src-region RAW edges
-        ok = _walk_chain(i, i, t, reg_producer, mem_producers, chain, edges,
-                         chain_cap)
-        if not ok:
-            fallback.add(i)
-            relaxed.extend(e for e in conservative if e.dependent == i)
-            continue
-        chains[i] = tuple(sorted(chain))
-        relaxed.extend(Edge(i, e.producer, e.label, e.resource)
-                       for e in sorted(edges, key=lambda e: (e.producer, e.resource)))
+        own = producers(i)
+        if t.instrs[i].opcode == _DMA_ISSUE:
+            chain: Set[int] = set()
+            # the src-region RAW edges
+            edges: Set[Edge] = {e for e in own if e.label != "register"}
+            if _walk_chain(i, i, t, producers, chain, edges, chain_cap):
+                chains[i] = tuple(sorted(chain))
+                own = _sorted_unique([Edge(i, e.producer, e.label, e.resource)
+                                      for e in edges])
+            else:
+                fallback.add(i)
+        relaxed.extend(own)
+        relaxed_at[i + 1] = len(relaxed)
 
-    relaxed = sorted(set(relaxed), key=lambda e: (e.dependent, e.producer, e.resource))
-    return DependencyGraph(n, conservative, relaxed, chains, fallback,
-                           reg_producer, mem_producers, t)
+    return DependencyGraph(n, conservative, relaxed, chains, fallback, t,
+                           conservative_at, relaxed_at)
 
 
-def _walk_chain(root: int, at: int, t: LogTables, reg_producer, mem_producers,
-                chain: Set[int], edges: Set[Edge], cap: int) -> bool:
+def _sorted_unique(edges: List[Edge]) -> List[Edge]:
+    """One dependent's distinct edges sorted by (producer, resource); the
+    resource names the label, so the key identifies the edge."""
+    if len(edges) < 2:
+        return edges
+    by_key = {(e.producer, e.resource): e for e in edges}
+    return [by_key[k] for k in sorted(by_key)]
+
+
+def _walk_chain(root: int, at: int, t: LogTables,
+                producers: Callable[[int], List[Edge]], chain: Set[int],
+                edges: Set[Edge], cap: int) -> bool:
     """Chase register producers of `at` back through transforms; collect
-    memory-materializer edges for `root`. False when the chain blows the cap."""
-    for r in t.reads_reg[at]:
-        p = reg_producer[at].get(r)
-        if p is None:
-            continue                   # value from before the window
-        if p in chain:
+    memory-materializer edges for `root`. False when the chain blows the cap.
+    A register read without an edge has its value from before the window."""
+    for e in producers(at):
+        p = e.producer
+        if e.label != "register" or p in chain:
             continue
         if t.instrs[p].opcode not in _TRANSFORMS:
             # not reorderable: keep a direct edge on the producer
-            edges.add(Edge(root, p, "register", r))
+            edges.add(Edge(root, p, "register", e.resource))
             continue
         chain.add(p)
         if len(chain) > cap:
             return False
         if t.instrs[p].opcode == "V_LOAD":
-            for e in mem_producers[p]:
-                edges.add(Edge(root, e.producer, e.label, e.resource))
-        if not _walk_chain(root, p, t, reg_producer, mem_producers, chain,
-                           edges, cap):
+            edges.update(Edge(root, m.producer, m.label, m.resource)
+                         for m in producers(p) if m.label != "register")
+        if not _walk_chain(root, p, t, producers, chain, edges, cap):
             return False
     return True
 
@@ -243,39 +274,91 @@ class Backtail:
                 "block": list(self.block)}
 
 
-def _data_ready(t: LogTables, i: int) -> int:
-    info = t.instrs[i]
-    if info.opcode == Opcode.DMA_ISSUE.name and info.dma_id in t.dma_complete:
-        return t.dma_complete[info.dma_id]
-    return info.retire
+# bytes per bucket of the memory-hazard index
+_HAZARD_PAGE = 256
 
 
-def _block_constraints(block: Set[int], d: int, t: LogTables, graph) -> List[int]:
-    """Stream indices that must stay before the moved block: RAW producers,
-    WAR/WAW reg and memory hazards, and slot reuse order."""
-    cands: List[int] = []
+class _Hazards:
+    """What the hazard clamps of one backtail pass read: each instruction's
+    data-ready cycle (a DMA issue's is its completion); per register and per
+    DMA slot, the accessing stream indices beside the running maximum of their
+    data-ready cycles; per page of each space, the memory accesses that touch
+    it. All in stream order."""
+
+    def __init__(self, t: LogTables):
+        self.ready = [t.dma_complete.get(info.dma_id, info.retire)
+                      if info.opcode == _DMA_ISSUE else info.retire
+                      for info in t.instrs]
+        self.reg = {r: self._with_peaks(acc) for r, acc in t.reg_access.items()}
+        self.slot = {s: self._with_peaks(acc) for s, acc in t.slot_access.items()}
+        self.mem_pages: Dict[MemSpace, Dict[int, List[Tuple[int, int, int]]]] = {}
+        for space, acc in t.mem_access.items():
+            pages = self.mem_pages[space] = {}
+            for a in acc:
+                for page in range(a[1] // _HAZARD_PAGE, (a[2] - 1) // _HAZARD_PAGE + 1):
+                    pages.setdefault(page, []).append(a)
+
+    def _with_peaks(self, idx: List[int]) -> Tuple[List[int], List[int]]:
+        return idx, list(accumulate(map(self.ready.__getitem__, idx), max))
+
+    def before(self, access: Tuple[List[int], List[int]], m: int,
+               block: Set[int]) -> Tuple[int, int]:
+        """Latest index and latest data-ready cycle among the accesses before
+        stream index m that are not block members; -1 for none. Only the
+        part from the first block member on is walked."""
+        idx, peaks = access
+        p = bisect_left(idx, m)
+        lo = p
+        for b in block:
+            if b < m:
+                q = bisect_left(idx, b)
+                if q < lo and idx[q] == b:
+                    lo = q
+        last, ready = (idx[lo - 1], peaks[lo - 1]) if lo else (-1, -1)
+        for j in idx[lo:p]:
+            if j not in block:
+                last = j
+                ready = max(ready, self.ready[j])
+        return last, ready
+
+    def mem_before(self, w: MemRegion, m: int, block: Set[int]) -> Tuple[int, int]:
+        """`before` for the memory accesses that overlap region w, read from
+        the pages w touches (an access on several pages is seen on each)."""
+        start, end = w.offset, w.end
+        pages = self.mem_pages[w.space]
+        last = ready = -1
+        for page in range(start // _HAZARD_PAGE, (end - 1) // _HAZARD_PAGE + 1):
+            for j, s, e in pages.get(page, ()):
+                if j >= m:
+                    break
+                if s < end and start < e and j not in block:
+                    last, ready = max(last, j), max(ready, self.ready[j])
+        return last, ready
+
+
+def _block_constraints(block: Set[int], d: int, t: LogTables, graph,
+                       hz: _Hazards) -> Tuple[int, Optional[int]]:
+    """Insertion point of the moved block - one past the latest stream index
+    that must stay before it: RAW producers, WAR/WAW reg and memory hazards,
+    and slot reuse order - and the latest data-ready cycle among those
+    indices (None when nothing constrains the block)."""
+    last = ready = -1
     for m in block:
-        for r in t.reads_reg[m]:
-            p = graph.reg_producer[m].get(r)
-            if p is not None and p not in block:
-                cands.append(p)
-        for e in graph.mem_producers[m]:
-            if e.producer not in block:
-                cands.append(e.producer)
+        for e in graph.edges_of(m):
+            p = e.producer
+            if p not in block:
+                last, ready = max(last, p), max(ready, hz.ready[p])
         for r in t.writes_reg[m]:
-            for j, _kind in t.reg_access.get(r, ()):
-                if j < m and j not in block:
-                    cands.append(j)
+            j, c = hz.before(hz.reg[r], m, block)
+            last, ready = max(last, j), max(ready, c)
         for w in t.writes_mem[m]:
-            for j, s, e, _kind in t.mem_access[w.space]:
-                if j < m and j not in block and s < w.end and w.offset < e:
-                    cands.append(j)
+            j, c = hz.mem_before(w, m, block)
+            last, ready = max(last, j), max(ready, c)
     slot = t.instrs[d].slot
     if slot is not None:
-        for j in t.slot_access.get(slot, ()):
-            if j < d and j not in block:
-                cands.append(j)
-    return cands
+        j, c = hz.before(hz.slot[slot], d, block)
+        last, ready = max(last, j), max(ready, c)
+    return last + 1, (ready if last >= 0 else None)
 
 
 def compute_backtails(graph: DependencyGraph,
@@ -286,20 +369,19 @@ def compute_backtails(graph: DependencyGraph,
     t = tables or graph.tables
     if t is None:
         raise AnalysisError("compute_backtails needs log tables")
+    hz = _Hazards(t)
     out: Dict[int, Backtail] = {}
     for d, info in enumerate(t.instrs):
-        if info.opcode != Opcode.DMA_ISSUE.name or info.annulled:
+        if info.opcode != _DMA_ISSUE or info.annulled:
             continue
         chain = set() if d in graph.relaxed_fallback else set(graph.chains.get(d, ()))
-        block, cands, target = _minimize_block(d, chain, t, graph)
+        block, target, ready = _minimize_block(d, chain, t, graph, hz)
         if any(m != d and m < target for m in block):
             # could not keep every moved member ahead of its hazards: fall
             # back to the no-chain conservative placement
             block = {d}
-            cands = _block_constraints(block, d, t, graph)
-            target = max(cands) + 1 if cands else 0
-        earliest_cycle = max((_data_ready(t, c) for c in cands),
-                             default=t.window_start)
+            target, ready = _block_constraints(block, d, t, graph, hz)
+        earliest_cycle = t.window_start if ready is None else ready
         issue_cycle = info.issue
         out[info.dma_id] = Backtail(info.dma_id, d, issue_cycle, target,
                                     earliest_cycle,
@@ -308,7 +390,7 @@ def compute_backtails(graph: DependencyGraph,
     return out
 
 
-def _minimize_block(d: int, chain: Set[int], t: LogTables, graph):
+def _minimize_block(d: int, chain: Set[int], t: LogTables, graph, hz: _Hazards):
     """Trim the moved block down to the chain members that actually need to
     travel: members whose position already precedes the insertion point stay
     behind (becoming plain RAW constraints), including shared producers that
@@ -316,16 +398,15 @@ def _minimize_block(d: int, chain: Set[int], t: LogTables, graph):
     block: Set[int] = {d} | chain
 
     def measure(b):
-        cands = _block_constraints(b, d, t, graph)
-        return cands, (max(cands) + 1 if cands else 0)
+        return _block_constraints(b, d, t, graph, hz)
 
-    cands, target = measure(block)
+    target, ready = measure(block)
     for _ in range(len(chain) + 2):
         drop = {m for m in block if m != d and m < target}
         if not drop:
             break
         block = block - drop
-        cands, target = measure(block)
+        target, ready = measure(block)
     # peel shared leading producers that sit at the insertion point, but only
     # while the remaining block still moves up (otherwise the chain itself is
     # the earliest-possible schedule and stays whole)
@@ -334,9 +415,9 @@ def _minimize_block(d: int, chain: Set[int], t: LogTables, graph):
         if lead == d or lead > target:
             break
         trial = block - {lead}
-        t_cands, t_target = measure(trial)
+        t_target, t_ready = measure(trial)
         if t_target < min(trial):
-            block, cands, target = trial, t_cands, t_target
+            block, target, ready = trial, t_target, t_ready
         else:
             break
-    return block, cands, target
+    return block, target, ready

@@ -27,7 +27,8 @@ from .recorder import TraceError, read_trace, record, write_trace
 from .replayer import ReplayDivergence, replay
 from .sim import (RecordingTracker, SimConfig, events_from_jsonl,
                   events_to_jsonl, run_program, state_digest)
-from .workloads import AsmError, apply_images, assemble, load_bundle, save_bundle
+from .workloads import (AsmError, assemble, initial_state, load_bundle,
+                        save_bundle)
 
 
 class CliError(Exception):
@@ -114,20 +115,16 @@ def cmd_asm(args, config):
 
 def _make_session(bundle_path, config, tracker=None):
     bundle = _load_bundle(bundle_path)
-    state = config.make_state()
-    apply_images(bundle, state)
-    session = DebugSession(bundle.program, config, state, tracker)
-    session.state.pc = bundle.program.entry_pc
+    session = DebugSession(bundle.program, config,
+                           initial_state(bundle, config), tracker)
     return bundle, session
 
 
 def cmd_run(args, config):
     bundle = _load_bundle(args.program)
-    state = config.make_state()
-    apply_images(bundle, state)
     tracker = RecordingTracker() if args.output else None
-    result = run_program(bundle.program, config, state, tracker,
-                         max_cycles=args.max_cycles)
+    result = run_program(bundle.program, config, initial_state(bundle, config),
+                         tracker, max_cycles=args.max_cycles)
     digest = state_digest(result.state)
     if args.output:
         _write_events(args.output, tracker, _summary(result, digest))

@@ -1,8 +1,11 @@
 """Byte-granular interval sets and last-writer interval maps.
 
-Intervals are half-open [start, end) over a single address space. The set
-keeps a sorted list of disjoint, non-adjacent spans; operations are
-O(n) worst case, which is fine at the sizes traces produce.
+Intervals are half-open [start, end) over a single address space. Both
+classes keep a sorted list of disjoint spans. `IntervalSet` merges touching
+spans; its add/covers/overlaps bisect, remove/uncovered walk the list.
+`IntervalMap` keeps touching spans apart (each span is one store's value);
+store and lookup bisect to the first span they overlap and visit only the
+spans they overlap, and store splices its pieces into the list in place.
 """
 
 from __future__ import annotations
@@ -105,26 +108,33 @@ class IntervalMap:
     def store(self, start: int, end: int, value: int):
         if start >= end:
             return
-        out = []
-        for s, e, v in self._spans:
-            if e <= start or s >= end:
-                out.append((s, e, v))
-                continue
+        spans = self._spans
+        i = self._first_overlap(start)
+        j = bisect.bisect_left(spans, (end,), i)     # first span at/after end
+        pieces = [(start, end, value)]
+        if i < j:
+            s, _, v = spans[i]
             if s < start:
-                out.append((s, start, v))
+                pieces.insert(0, (s, start, v))
+            _, e, v = spans[j - 1]
             if e > end:
-                out.append((end, e, v))
-        out.append((start, end, value))
-        out.sort()
-        self._spans = out
+                pieces.append((end, e, v))
+        spans[i:j] = pieces
 
     def lookup(self, start: int, end: int) -> List[Tuple[int, int, int]]:
         """Spans of [start, end) that have a value, with their values."""
         out = []
-        for s, e, v in self._spans:
-            if e <= start:
-                continue
+        spans = self._spans
+        for k in range(self._first_overlap(start), len(spans)):
+            s, e, v = spans[k]
             if s >= end:
                 break
             out.append((max(s, start), min(e, end), v))
         return out
+
+    def _first_overlap(self, start: int) -> int:
+        """Index of the first span that ends after `start`."""
+        i = bisect.bisect_left(self._spans, (start,))
+        if i and self._spans[i - 1][1] > start:
+            i -= 1
+        return i

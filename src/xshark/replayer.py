@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from .intervals import IntervalSet
-from .isa import (Fault, MachineState, MemSpace, decode_instruction,
-                  instruction_io_sets)
-from .recorder import ExecutionTrace, RecordResult
+from .isa import (EncodingError, Fault, MachineState, MemSpace,
+                  decode_instruction, instruction_io_sets)
+from .recorder import ExecutionTrace, RecordResult, TraceError
 from .sim import PerfTracker, SimConfig, Simulator, state_digest
 
 
@@ -69,7 +69,11 @@ def _replay_stream(trace: ExecutionTrace, config: SimConfig,
     last = len(entries) - 1
     fault = None
     for k, (pc, raw) in enumerate(entries):
-        instr = decode_instruction(raw)
+        try:
+            instr = decode_instruction(raw)
+        except EncodingError as e:
+            raise TraceError("TRACE_FORMAT", f"instruction record {order[k]} "
+                             f"does not decode: {e}") from None
         if check_pc_chain and k > 0 and state.pc != pc:
             raise ReplayDivergence(k, f"control flow reached pc {state.pc}, "
                                       f"trace recorded pc {pc}")

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..isa import (CMP_MODES, ISA_VERSION, EncodingError, Instruction,
-                   Opcode, Program, RegClass, RegisterId, decode_instruction,
-                   encode_instruction)
+                   MemRegion, MemSpace, Opcode, Program, RegClass, RegisterId,
+                   decode_instruction, encode_instruction)
 
 DIRECTIONS = {"hbm>vmem": 0, "vmem>hbm": 1, "vmem>vmem": 2, "hbm>hbm": 3}
 _DIR_NAMES = {v: k for k, v in DIRECTIONS.items()}
@@ -354,7 +354,19 @@ def load_bundle(path: str) -> AssembledKernel:
 
 
 def apply_images(kernel: AssembledKernel, state):
-    for off, blob in kernel.hbm_image:
-        state.hbm.write(off, blob)
-    for off, blob in kernel.vmem_image:
-        state.vmem[off:off + len(blob)] = blob
+    """Writes the kernel's HBM and VMEM images into `state`; an image past
+    either capacity raises Fault("mem_oob")."""
+    for space, image in ((MemSpace.HBM, kernel.hbm_image),
+                         (MemSpace.VMEM, kernel.vmem_image)):
+        for off, blob in image:
+            if blob:
+                state.write_mem(MemRegion(space, off, len(blob)), blob)
+
+
+def initial_state(kernel: AssembledKernel, config):
+    """A fresh machine for `config` with the kernel's images applied and the
+    pc at the program's entry."""
+    state = config.make_state()
+    apply_images(kernel, state)
+    state.pc = kernel.program.entry_pc
+    return state

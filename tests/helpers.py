@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from xshark.debugger import DebugSession
 from xshark.sim import NullTracker, RecordingTracker, SimConfig, run_program
-from xshark.workloads import apply_images, assemble
+from xshark.workloads import assemble, initial_state
 
 
 def mk_config(**over) -> SimConfig:
@@ -15,9 +15,7 @@ def mk_config(**over) -> SimConfig:
 
 def asm_state(src: str, config: SimConfig):
     kernel = assemble(src)
-    state = config.make_state()
-    apply_images(kernel, state)
-    return kernel, state
+    return kernel, initial_state(kernel, config)
 
 
 def asm_run(src: str, config: SimConfig = None, record_events: bool = True,
@@ -32,6 +30,4 @@ def asm_run(src: str, config: SimConfig = None, record_events: bool = True,
 def asm_session(src: str, config: SimConfig = None, tracker=None):
     config = config or SimConfig()
     kernel, state = asm_state(src, config)
-    session = DebugSession(kernel.program, config, state, tracker)
-    session.state.pc = kernel.program.entry_pc
-    return kernel, session
+    return kernel, DebugSession(kernel.program, config, state, tracker)

@@ -208,3 +208,30 @@ class ByteSetOracle:
         if run is not None:
             out.append((run, prev + 1))
         return out
+
+
+class ByteMapOracle:
+    """Per-byte reference model for IntervalMap: each byte remembers the
+    store that wrote it last. A lookup reports one span per run of bytes
+    from the same store, so two touching stores of one value stay apart."""
+
+    def __init__(self):
+        self.bytes: dict = {}               # byte -> (store number, value)
+        self.stores = 0
+
+    def store(self, start, end, value):
+        self.stores += 1
+        for b in range(start, end):
+            self.bytes[b] = (self.stores, value)
+
+    def lookup(self, start, end):
+        out = []
+        for b in range(start, end):
+            hit = self.bytes.get(b)
+            if hit is None:
+                continue
+            if out and out[-1][1] == b and out[-1][3] == hit[0]:
+                out[-1][1] = b + 1
+            else:
+                out.append([b, b + 1, hit[1], hit[0]])
+        return [(s, e, v) for s, e, v, _ in out]

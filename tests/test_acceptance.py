@@ -17,9 +17,9 @@ from xshark.sim import (NullTracker, RecordingTracker, SimConfig,
 from xshark.analyzer import (analyze_dma, analyze_utilization, analyze_vmem,
                              apply_and_verify, build_dependency_graph,
                              compute_backtails, suggest)
-from xshark.workloads import (apply_images, assemble, gen_allgather_kernel,
+from xshark.workloads import (assemble, gen_allgather_kernel,
                               gen_checkerboard_kernel, gen_random_kernel,
-                              gen_starvation_kernel)
+                              gen_starvation_kernel, initial_state)
 
 from helpers import asm_session
 from oracles import bruteforce_dep_oracle, dma_oracle, naive_record
@@ -61,10 +61,8 @@ def corpus():
         size, count, skip = _kernel_params(seed)
         gen = gen_random_kernel(seed, size=size)
         kernel = assemble(gen.text)
-        state = config.make_state()
-        apply_images(kernel, state)
-        session = DebugSession(kernel.program, config, state)
-        session.state.pc = kernel.program.entry_pc
+        session = DebugSession(kernel.program, config,
+                               initial_state(kernel, config))
         for _ in range(skip):
             if session.peek() is None:
                 break
@@ -135,23 +133,19 @@ def corpus():
             run.determinism_ok = (events_to_jsonl(t2.events)
                                   == events_to_jsonl(events)
                                   and rep2.digest == rep.digest)
-            st_a = config.make_state()
-            apply_images(kernel, st_a)
-            ra = run_program(kernel.program, config, st_a, RecordingTracker(),
+            ra = run_program(kernel.program, config,
+                             initial_state(kernel, config), RecordingTracker(),
                              max_cycles=gen.estimated_max_cycles)
-            st_b = config.make_state()
-            apply_images(kernel, st_b)
-            rb = run_program(kernel.program, config, st_b, NullTracker(),
+            rb = run_program(kernel.program, config,
+                             initial_state(kernel, config), NullTracker(),
                              max_cycles=gen.estimated_max_cycles)
             run.transparency_ok = (state_digest(ra.state)
                                    == state_digest(rb.state))
 
         run.naive_ok = None
         if seed < NAIVE_REPLAY_KERNELS:
-            state2 = config.make_state()
-            apply_images(kernel, state2)
-            s2 = DebugSession(kernel.program, config, state2)
-            s2.state.pc = kernel.program.entry_pc
+            s2 = DebugSession(kernel.program, config,
+                              initial_state(kernel, config))
             for _ in range(skip):
                 if s2.peek() is None:
                     break
@@ -391,10 +385,9 @@ def test_criterion_10_transparency_and_determinism(corpus):
 
 def _run_kernel(src, config):
     kernel = assemble(src)
-    state = config.make_state()
-    apply_images(kernel, state)
     tracker = RecordingTracker()
-    result = run_program(kernel.program, config, state, tracker)
+    result = run_program(kernel.program, config, initial_state(kernel, config),
+                         tracker)
     assert result.outcome == "halted"
     return kernel, result, tracker
 
@@ -402,10 +395,8 @@ def _run_kernel(src, config):
 def _run_src(src):
     config = SimConfig()
     kernel = assemble(src)
-    state = config.make_state()
-    apply_images(kernel, state)
     tracker = RecordingTracker()
-    result = run_program(kernel.program, config, state, tracker,
-                         max_cycles=2_000_000)
+    result = run_program(kernel.program, config, initial_state(kernel, config),
+                         tracker, max_cycles=2_000_000)
     assert result.outcome == "halted"
     return kernel, result, tracker

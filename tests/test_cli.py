@@ -94,12 +94,36 @@ def test_nonpositive_numeric_argument_is_usage_error(ws, capsys, argv):
     assert "code:USAGE" in err and "Traceback" not in err
 
 
+def _resigned_binary_prefix(ws):
+    """A binary trace cut to 40 bytes and re-signed: the checksum matches."""
+    assert main(["record", str(ws / "prog.json"), "--break", "0", "--count", "50",
+                 "--binary", "-o", str(ws / "win.bin")]) == 0
+    prefix = (ws / "win.bin").read_bytes()[:40]
+    return prefix + hashlib.sha256(prefix).digest()
+
+
+def _resigned_bad_opcode(ws):
+    """The JSON trace with opcode byte 0xee in its first instruction record,
+    re-signed: the checksum matches, the record does not decode."""
+    doc = json.loads((ws / "win.trace").read_text())
+    pc, raw = doc["instr_stream"][0]
+    doc["instr_stream"][0] = [pc, "ee" + raw[2:]]
+    payload = {k: doc[k] for k in ("header", "reg_snapshots", "mem_snapshots",
+                                   "instr_stream")}
+    doc["checksum"] = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return json.dumps(doc).encode()
+
+
 MALFORMED_INPUTS = {
-    # id: (file content, argv with the file as {f}, code, exit code)
+    # id: (file content, or a function of the workspace that makes it,
+    #      argv with the file as {f}, code, exit code)
     "trace-not-utf8": (b"\xff\xfe\x00garbage", ["replay", "{f}", "-o", "{ws}/e"],
                        "TRACE_FORMAT", 2),
-    "trace-resigned-prefix": (None, ["replay", "{f}", "-o", "{ws}/e"],
-                              "TRACE_FORMAT", 2),
+    "trace-resigned-prefix": (_resigned_binary_prefix,
+                              ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-bad-opcode": (_resigned_bad_opcode, ["replay", "{f}", "-o", "{ws}/e"],
+                         "TRACE_FORMAT", 2),
     "config-string-t_base": (b'{"t_base": "x"}', ["--config", "{f}", "run", "{prog}"],
                              "CONFIG_INVALID", 1),
     "config-not-object": (b"[1]", ["--config", "{f}", "run", "{prog}"],
@@ -137,12 +161,9 @@ def test_malformed_input_is_one_code_line(ws, capsys, content, argv, want,
     _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
     _run(capsys, "record", prog, "--break", "0", "--count", "50", "-o", trace)
     _run(capsys, "run", prog, "-o", events)
-    if content is None:
-        # a binary trace cut to 40 bytes and re-signed: the checksum matches
-        _run(capsys, "record", prog, "--break", "0", "--count", "50", "--binary",
-             "-o", ws / "win.bin")
-        prefix = (ws / "win.bin").read_bytes()[:40]
-        content = prefix + hashlib.sha256(prefix).digest()
+    if callable(content):
+        content = content(ws)
+        capsys.readouterr()
     bad = ws / "bad_input"
     bad.write_bytes(content)
     code, _, err = _run(capsys, *[a.format(f=bad, ws=ws, prog=prog, trace=trace,
@@ -150,6 +171,17 @@ def test_malformed_input_is_one_code_line(ws, capsys, content, argv, want,
     assert code == exit_code
     assert [ln.split()[0] for ln in err.splitlines()
             if ln.startswith("code:")] == [f"code:{want}"]
+    assert "Traceback" not in err
+
+
+def test_vdata_past_vmem_capacity_is_mem_oob(ws, capsys):
+    src, prog = ws / "oob.xasm", ws / "oob.json"
+    src.write_text(".vdata 0x300000: 01 02\nhalt\n")
+    assert _run(capsys, "asm", src, "-o", prog)[0] == 0
+    code, _, err = _run(capsys, "run", prog)
+    assert code == 2
+    assert [ln.split()[0] for ln in err.splitlines()
+            if ln.startswith("code:")] == ["code:MEM_OOB"]
     assert "Traceback" not in err
 
 

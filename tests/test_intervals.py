@@ -6,7 +6,7 @@ import pytest
 
 from xshark.intervals import IntervalMap, IntervalSet
 
-from oracles import ByteSetOracle
+from oracles import ByteMapOracle, ByteSetOracle
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -29,6 +29,34 @@ def test_interval_set_matches_byte_oracle(seed):
             assert ivs.uncovered(a, b) == oracle.uncovered(a, b)
         assert list(ivs) == oracle.spans()
         assert ivs.total == len(oracle.bytes)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_interval_map_matches_byte_oracle(seed):
+    r = random.Random(seed)
+    m, oracle = IntervalMap(), ByteMapOracle()
+    prev = (0, 0)
+    for _ in range(200):
+        shape = r.random()
+        if shape < 0.2:                       # touch the previous store
+            if r.random() < 0.5:
+                a, b = prev[1], prev[1] + r.randrange(0, 20)
+            else:
+                a, b = max(0, prev[0] - r.randrange(0, 20)), prev[0]
+        elif shape < 0.35:                    # nest inside the previous store
+            a = r.randrange(prev[0], prev[1] + 1)
+            b = r.randrange(a, prev[1] + 1)
+        else:
+            a = r.randrange(0, 300)
+            b = a + r.randrange(0, 40)
+        value = r.randrange(0, 6)             # repeats: touching equal values
+        if r.random() < 0.6:
+            m.store(a, b, value)
+            oracle.store(a, b, value)
+            prev = (a, b)
+        if a < b:
+            assert m.lookup(a, b) == oracle.lookup(a, b)
+        assert m.lookup(0, 400) == oracle.lookup(0, 400)
 
 
 def test_adjacent_spans_merge():

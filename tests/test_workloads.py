@@ -3,11 +3,12 @@
 import pytest
 
 from xshark.analyzer import analyze_dma
-from xshark.isa import Opcode
+from xshark.isa import Fault, Opcode
 from xshark.sim import SimConfig
 from xshark.workloads import (AsmError, assemble, disassemble,
                               gen_allgather_kernel, gen_checkerboard_kernel,
-                              gen_random_kernel, gen_starvation_kernel)
+                              gen_random_kernel, gen_starvation_kernel,
+                              initial_state)
 from xshark.workloads.asm import load_bundle, save_bundle
 
 from helpers import asm_run
@@ -75,6 +76,24 @@ def test_data_directives_build_images():
     assert hbm[0x100] == b"\xde\xad"
     assert hbm[0x200] == (1).to_bytes(4, "little") + (16).to_bytes(4, "little")
     assert dict(k.vmem_image)[0x40] == (7).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("directive", [".vdata 0x1ffffe: 01 02 03",
+                                       ".data 0xfffe: 01 02 03"])
+def test_image_past_capacity_is_mem_oob(directive):
+    config = SimConfig.from_json({"hbm_capacity": 0x10000})
+    with pytest.raises(Fault) as exc:
+        initial_state(assemble(directive + "\nhalt\n"), config)
+    assert exc.value.kind == "mem_oob"
+
+
+def test_initial_state_applies_images_at_entry():
+    k = assemble(".data 0x10: 0a 0b\n.vdata 0x20: 0c\n.entry go\nhalt\ngo: halt\n")
+    state = initial_state(k, SimConfig())
+    assert state.hbm.read(0x10, 2) == b"\x0a\x0b"
+    assert bytes(state.vmem[0x20:0x21]) == b"\x0c"
+    assert len(state.vmem) == SimConfig().vmem_capacity
+    assert state.pc == 1
 
 
 ROUND_TRIP = """
