@@ -150,10 +150,6 @@ def apply_and_verify(trace: ExecutionTrace,
             s.speedup_cycles = speedup
             s.stall_reduction = stall_red
 
-    if order == list(range(n)):
-        mark(VERIFIED_EQUAL_STATE, "identity schedule")
-        return suggestions, baseline
-
     try:
         applied = replay_with_schedule(trace, order, config, tracker=tracker)
     except ReplayDivergence as e:

@@ -74,8 +74,14 @@ def _read_events(path):
 
 
 def _read_summary(path) -> dict:
-    _, summary = _read_events(path)
-    if summary is None:
+    """The summary of an event log: its last non-empty line, the only line
+    read (the event lines before it are not checked)."""
+    try:
+        last = _read(path).rstrip().rpartition("\n")[2]
+        summary = json.loads(last) if last else None
+    except (ValueError, RecursionError) as e:
+        raise CliError("EVENTS_INVALID", f"bad event log {path!r}: {e}", 1)
+    if not (isinstance(summary, dict) and summary.get("kind") == "summary"):
         raise CliError("NO_SUMMARY", f"event log {path!r} lacks a summary line", 1)
     for key, kind in (("cycles", int), ("total_stall", int), ("digest", str)):
         if not isinstance(summary.get(key), kind):

@@ -122,8 +122,11 @@ class IntervalMap:
         spans[i:j] = pieces
 
     def lookup(self, start: int, end: int) -> List[Tuple[int, int, int]]:
-        """Spans of [start, end) that have a value, with their values."""
+        """Spans of [start, end) that have a value, with their values; none
+        for an empty range."""
         out = []
+        if start >= end:
+            return out
         spans = self._spans
         for k in range(self._first_overlap(start), len(spans)):
             s, e, v = spans[k]

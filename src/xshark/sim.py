@@ -23,6 +23,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import List, Optional
 
 from . import _kernels
@@ -165,25 +166,29 @@ class PerfEvent:
     annulled: Optional[bool] = None
 
     def to_json(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if isinstance(v, MemRegion):
-                v = v.to_json()
-            d[f.name] = v
-        return d
+        """The set fields in name order, regions as {"len", "offset",
+        "space"}: plain json.dumps of it is the event's log line."""
+        return {k: _region_json(v) if type(v) is MemRegion else v
+                for k, v in zip(_EVENT_FIELDS, _event_values(self))
+                if v is not None}
 
     @staticmethod
     def from_json(d: dict) -> "PerfEvent":
-        kw = dict(d)
-        if kw["kind"] not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kw['kind']!r}")
-        for name in ("region", "src_region", "dst_region"):
-            if name in kw:
-                kw[name] = MemRegion.from_json(kw[name])
-        return PerfEvent(**kw)
+        if d["kind"] not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {d['kind']!r}")
+        ev = PerfEvent(**d)
+        for name in _REGION_FIELDS.intersection(d):
+            setattr(ev, name, MemRegion.from_json(d[name]))
+        return ev
+
+
+_EVENT_FIELDS = tuple(sorted(f.name for f in fields(PerfEvent)))
+_event_values = attrgetter(*_EVENT_FIELDS)
+_REGION_FIELDS = frozenset({"region", "src_region", "dst_region"})
+
+
+def _region_json(r: MemRegion) -> dict:
+    return {"len": r.length, "offset": r.offset, "space": r.space.value}
 
 
 class PerfTracker:
@@ -207,7 +212,9 @@ class RecordingTracker(PerfTracker):
 
 
 def events_to_jsonl(events, summary: Optional[dict] = None) -> str:
-    lines = [json.dumps(ev.to_json(), sort_keys=True) for ev in events]
+    """One JSON object per line with sorted keys (docs/events.md); the
+    summary line, when given, comes last."""
+    lines = list(map(json.dumps, map(PerfEvent.to_json, events)))
     if summary is not None:
         lines.append(json.dumps({"kind": "summary", **summary}, sort_keys=True))
     return "\n".join(lines) + "\n"
@@ -217,17 +224,19 @@ def events_from_jsonl(text: str):
     """Returns (events, summary_or_None). A line that is not JSON, or not an
     object with a known `kind` and known fields, raises ValueError."""
     events, summary = [], None
+    loads, from_json, append = json.loads, PerfEvent.from_json, events.append
     try:
         for line in text.splitlines():
-            line = line.strip()
-            if not line:
+            if not line or line.isspace():
                 continue
-            d = json.loads(line)
+            d = loads(line)
             if d.get("kind") == "summary":
                 summary = d
             else:
-                events.append(PerfEvent.from_json(d))
-    except (ValueError, KeyError, TypeError, AttributeError, Fault) as e:
+                append(from_json(d))
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+            Fault) as e:
+        line = line.strip()
         raise ValueError(f"bad event line {line[:80]!r}: {e!r}") from None
     return events, summary
 

@@ -374,7 +374,9 @@ def test_suggestion_suppressed_when_vmem_full():
     assert suggest(records, graph, vmem) != []
 
 
-def test_apply_identity_suggestion_verifies_equal_state():
+def test_apply_identity_suggestion_is_unverified():
+    # a list that moves nothing replays like any other: equal state, but no
+    # fewer stall cycles, so it is not verified
     config, res, rep, records, graph, vmem = _starvation_pipeline(tiles=6)
     rec = records[3]                       # a tile DMA: contiguous block
     bt = compute_backtails(graph)[rec.dma_id]
@@ -382,9 +384,14 @@ def test_apply_identity_suggestion_verifies_equal_state():
     identity = Suggestion(rec.dma_id, bt.issue_index, min(bt.block),
                           0, rec.stall_total, rec.size, None,
                           list(bt.block))
-    (out,), applied = apply_and_verify(res.trace, identity, config, baseline=rep)
-    assert out.verified == "verified_equal_state"
-    assert out.speedup_cycles == 0
+    tracker = RecordingTracker()
+    (out,), applied = apply_and_verify(res.trace, identity, config, baseline=rep,
+                                       tracker=tracker)
+    assert out.verified == "unverified"
+    assert out.diagnostic == "no stall reduction (delta 0)"
+    assert out.speedup_cycles == 0 and out.stall_reduction == 0
+    assert applied.digest == rep.digest and applied.cycles == rep.cycles
+    assert len(tracker.events) > 0
 
 
 def test_apply_adversarial_suggestion_past_true_dependency():

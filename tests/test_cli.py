@@ -59,6 +59,30 @@ def test_full_pipeline_state_equal_and_halved(ws, capsys):
     assert after <= before // 2            # >= 50% cycle reduction
 
 
+def test_apply_verify_identity_list_is_verify_failed(tmp_path, capsys):
+    # a suggestion that moves nothing is replayed, logged and not verified
+    (tmp_path / "k.xasm").write_text(gen_starvation_kernel(tiles=4, prefetch_depth=1))
+    prog, trace = tmp_path / "prog.json", tmp_path / "win.trace"
+    ev1, ev2, sug = tmp_path / "e1.jsonl", tmp_path / "e2.jsonl", tmp_path / "s.json"
+    _run(capsys, "asm", tmp_path / "k.xasm", "-o", prog)
+    _run(capsys, "record", prog, "--break", "0", "--count", "100000", "-o", trace)
+    assert _run(capsys, "replay", trace, "-o", ev1)[0] == 0
+    issue = next(json.loads(ln)["idx"] for ln in ev1.read_text().splitlines()
+                 if json.loads(ln)["kind"] == "dma_issue")
+    sug.write_text(json.dumps([{"dma_id": 0, "issue_index": issue,
+                                "proposed_position": issue, "push_limit": 1,
+                                "stall_duration": 1, "required_vmem": 64,
+                                "block": [issue]}]))
+    code, out, err = _run(capsys, "apply", trace, sug, "--verify", "-o", ev2)
+    assert code == 2
+    assert [ln.split()[0] for ln in err.splitlines()
+            if ln.startswith("code:")] == ["code:VERIFY_FAILED"]
+    assert "no stall reduction (delta 0)" in out
+    replayed, applied = ev1.read_text().splitlines(), ev2.read_text().splitlines()
+    assert len(applied) == len(replayed) > 1
+    assert _run(capsys, "compare", ev1, ev2)[1].splitlines()[-1] == "state: equal"
+
+
 def test_record_unreachable_breakpoint_exit_2(ws, capsys):
     prog = ws / "prog.json"
     _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)

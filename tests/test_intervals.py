@@ -54,8 +54,8 @@ def test_interval_map_matches_byte_oracle(seed):
             m.store(a, b, value)
             oracle.store(a, b, value)
             prev = (a, b)
-        if a < b:
-            assert m.lookup(a, b) == oracle.lookup(a, b)
+        assert m.lookup(a, b) == oracle.lookup(a, b)    # empty when a == b
+        assert m.lookup(b, a) == oracle.lookup(b, a)
         assert m.lookup(0, 400) == oracle.lookup(0, 400)
 
 
@@ -72,3 +72,10 @@ def test_interval_map_last_writer():
     m.store(50, 60, 2)
     m.store(90, 150, 3)
     assert m.lookup(0, 100) == [(0, 50, 1), (50, 60, 2), (60, 90, 1), (90, 100, 3)]
+
+
+def test_interval_map_empty_range_has_no_spans():
+    m = IntervalMap()
+    m.store(100, 200, 1)
+    assert [m.lookup(a, a) for a in (50, 100, 150, 199, 200)] == [[]] * 5
+    assert m.lookup(150, 120) == []
