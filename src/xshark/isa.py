@@ -14,23 +14,8 @@ Single source of truth for the instruction set. Every instruction is a fixed
 Register bytes carry the class in bits 7:6 (00=scalar, 01=vector,
 10=predicate) and the index in bits 5:0.
 
-Execution units and semantics:
-
-  SALU   S_LDI rd, imm          rd = imm (32-bit)
-         S_ADD rd, ra, rb       rd = ra + rb  (wrapping int32)
-         S_MUL rd, ra, rb       rd = ra * rb  (wrapping int32)
-         S_CMP pd, ra, rb, m    pd = signed compare, m in {eq,ne,lt,le,gt,ge}
-         S_MOV rd, ra           rd = ra
-         S_MOV rd, va, lane     rd = 32-bit lane of vector register
-  VALU   V_ADD/V_MUL vd, va, vb 16-lane IEEE-754 f32 elementwise
-  LSU    V_LOAD vd, [ra]        64 B from VMEM, 64-byte aligned
-         V_STORE [ra], vb       64 B to VMEM, 64-byte aligned
-  MXU    MXU_MM rd, ra, rb      16x16x16 f32 tile multiply-accumulate on
-                                three page-aligned 1024 B VMEM tiles
-                                (dst += a @ b, dst read-modify-write)
-  DMA    DMA_ISSUE slot, dir, rs, rd, rl   start async copy of rl bytes
-         DMA_WAIT slot                     block until slot completes
-  CTRL   BR target / BRZ p, target / HALT  (targets are instruction indices)
+OPCODES below gives each opcode's unit and operand forms, the one copy of
+the operand syntax; docs/isa.md gives their semantics.
 
 Any instruction may carry a guard predicate; when the guard is false the
 instruction is annulled and its only architectural input is the guard itself.
@@ -38,10 +23,12 @@ instruction is annulled and its only architectural input is the guard itself.
 
 from __future__ import annotations
 
+import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 ISA_VERSION = 1
 
@@ -90,8 +77,8 @@ class RegClass(Enum):
 
 _REG_LIMIT = {RegClass.SCALAR: SCALAR_REGS, RegClass.VECTOR: VECTOR_REGS,
               RegClass.PREDICATE: PRED_REGS}
-_REG_TAG = {RegClass.SCALAR: 0, RegClass.VECTOR: 1, RegClass.PREDICATE: 2}
-_TAG_REG = {v: k for k, v in _REG_TAG.items()}
+_REG_TAG = {cls: tag for tag, cls in enumerate(RegClass)}   # encoding bits 7:6
+_REG_WIDTH = {RegClass.SCALAR: 4, RegClass.VECTOR: VLEN_BYTES, RegClass.PREDICATE: 1}
 
 
 @dataclass(frozen=True)
@@ -108,31 +95,33 @@ class RegisterId:
 
     @property
     def width_bytes(self) -> int:
-        if self.cls is RegClass.SCALAR:
-            return 4
-        if self.cls is RegClass.VECTOR:
-            return VLEN_BYTES
-        return 1
+        return _REG_WIDTH[self.cls]
 
     @staticmethod
     def parse(text: str) -> "RegisterId":
-        text = text.strip()
-        for rc in RegClass:
-            if text.startswith(rc.value) and text[1:].isdigit():
-                return RegisterId(rc, int(text[1:]))
-        raise EncodingError(f"bad register name {text!r}")
+        """The register named exactly `s0`..`s31`, `v0`..`v31` or `p0`..`p7`."""
+        r = _REG_BY_NAME.get(text)
+        if r is not None:
+            return r
+        m = _REG_NAME_RE.fullmatch(text)
+        if m is None:
+            raise EncodingError(f"bad register name {text!r}")
+        return RegisterId(RegClass(m[1]), int(m[2]))   # out of range: raises
 
 
-def sreg(i: int) -> RegisterId:
-    return RegisterId(RegClass.SCALAR, i)
+# the 72 registers, interned by name and by encoding byte (0xff: none)
+_REG_NAME_RE = re.compile(r"([svp])(0|[1-9][0-9]*)")
+_REG_BY_NAME = {}
+_REG_BY_BYTE = {0xFF: None}
+for _cls, _tag in _REG_TAG.items():
+    for _i in range(_REG_LIMIT[_cls]):
+        _REG_BY_BYTE[_tag << 6 | _i] = _REG_BY_NAME[f"{_cls.value}{_i}"] = \
+            RegisterId(_cls, _i)
 
 
-def vreg(i: int) -> RegisterId:
-    return RegisterId(RegClass.VECTOR, i)
-
-
-def preg(i: int) -> RegisterId:
-    return RegisterId(RegClass.PREDICATE, i)
+sreg = partial(RegisterId, RegClass.SCALAR)
+vreg = partial(RegisterId, RegClass.VECTOR)
+preg = partial(RegisterId, RegClass.PREDICATE)
 
 
 class MemSpace(Enum):
@@ -198,16 +187,6 @@ class Unit(Enum):
     CTRL = "CTRL"
 
 
-UNIT_OF = {
-    Opcode.S_LDI: Unit.SALU, Opcode.S_ADD: Unit.SALU, Opcode.S_MUL: Unit.SALU,
-    Opcode.S_CMP: Unit.SALU, Opcode.S_MOV: Unit.SALU,
-    Opcode.V_ADD: Unit.VALU, Opcode.V_MUL: Unit.VALU,
-    Opcode.V_LOAD: Unit.LSU, Opcode.V_STORE: Unit.LSU,
-    Opcode.MXU_MM: Unit.MXU,
-    Opcode.DMA_ISSUE: Unit.DMA, Opcode.DMA_WAIT: Unit.DMA,
-    Opcode.BR: Unit.CTRL, Opcode.BRZ: Unit.CTRL, Opcode.HALT: Unit.CTRL,
-}
-
 CMP_MODES = ("eq", "ne", "lt", "le", "gt", "ge")
 
 # DMA direction immediate -> (src space, dst space)
@@ -217,31 +196,86 @@ DMA_DIRS = {
     2: (MemSpace.VMEM, MemSpace.VMEM),
     3: (MemSpace.HBM, MemSpace.HBM),
 }
+# DMA direction immediate -> its text, also the event logs' `link`
+DMA_DIR_NAMES = {d: f"{src.value}>{dst.value}" for d, (src, dst) in DMA_DIRS.items()}
 
 S = RegClass.SCALAR
 V = RegClass.VECTOR
 P = RegClass.PREDICATE
 
-# opcode -> (dst classes, src classes, imm count). S_MOV is validated by hand.
-_SIGNATURES = {
-    Opcode.S_LDI: ((S,), (), 1),
-    Opcode.S_ADD: ((S,), (S, S), 0),
-    Opcode.S_MUL: ((S,), (S, S), 0),
-    Opcode.S_CMP: ((P,), (S, S), 1),
-    Opcode.S_MOV: None,
-    Opcode.V_ADD: ((V,), (V, V), 0),
-    Opcode.V_MUL: ((V,), (V, V), 0),
-    Opcode.V_LOAD: ((V,), (S,), 0),
-    Opcode.V_STORE: ((), (S, V), 0),
-    Opcode.MXU_MM: ((), (S, S, S), 0),
-    Opcode.DMA_ISSUE: ((), (S, S, S), 2),
-    Opcode.DMA_WAIT: ((), (), 1),
-    Opcode.BR: ((), (), 1),
-    Opcode.BRZ: ((), (P,), 1),
-    Opcode.HALT: ((), (), 0),
+# The opcode table: each opcode's unit and operand forms, the one place that
+# lists the operand syntax (docs/isa.md shows it). A form lists its operands
+# in text order as `name:kind`, or just `kind` when the two agree.
+# Register kinds read (`s`, `v`, `p`, `[s]`: a scalar in brackets) or write
+# (`sd`, `vd`, `pd`) a register of that class; the other kinds are
+# immediates. Registers and immediates fill Instruction's dst_regs, src_regs
+# and immediates in text order.
+OPCODES = {
+    Opcode.S_LDI:     (Unit.SALU, "rd:sd, imm"),
+    Opcode.S_ADD:     (Unit.SALU, "rd:sd, ra:s, rb:s"),
+    Opcode.S_MUL:     (Unit.SALU, "rd:sd, ra:s, rb:s"),
+    Opcode.S_CMP:     (Unit.SALU, "pd:pd, ra:s, rb:s, m:mode"),
+    Opcode.S_MOV:     (Unit.SALU, "rd:sd, ra:s", "rd:sd, va:v, lane"),
+    Opcode.V_ADD:     (Unit.VALU, "vd:vd, va:v, vb:v"),
+    Opcode.V_MUL:     (Unit.VALU, "vd:vd, va:v, vb:v"),
+    Opcode.V_LOAD:    (Unit.LSU, "vd:vd, [ra]:[s]"),
+    Opcode.V_STORE:   (Unit.LSU, "[ra]:[s], vb:v"),
+    Opcode.MXU_MM:    (Unit.MXU, "rd:s, ra:s, rb:s"),
+    Opcode.DMA_ISSUE: (Unit.DMA, "slot, dir, rs:s, rd:s, rl:s"),
+    Opcode.DMA_WAIT:  (Unit.DMA, "slot"),
+    Opcode.BR:        (Unit.CTRL, "target"),
+    Opcode.BRZ:       (Unit.CTRL, "p:p, target"),
+    Opcode.HALT:      (Unit.CTRL, ""),
 }
 
+# register kind -> (Instruction field, register class)
+REG_KINDS = {"s": ("src", S), "v": ("src", V), "p": ("src", P), "[s]": ("src", S),
+             "sd": ("dst", S), "vd": ("dst", V), "pd": ("dst", P)}
+
 _I32_MIN, _I32_MAX = -(1 << 31), (1 << 31) - 1
+_WIDE = "immediate {} exceeds 32 bits"
+
+# immediate kind -> (lowest value, end, message for a 32-bit value outside)
+IMM_KINDS = {
+    "imm": (_I32_MIN, _I32_MAX + 1, _WIDE),
+    "target": (_I32_MIN, _I32_MAX + 1, _WIDE),
+    "lane": (0, VLEN_BYTES // 4, "vector-lane S_MOV needs lane immediate in [0,16)"),
+    "mode": (0, len(CMP_MODES), "S_CMP mode {} unknown"),
+    "slot": (0, DMA_SLOTS, f"DMA slot {{}} out of range [0,{DMA_SLOTS})"),
+    "dir": (0, len(DMA_DIRS), "DMA direction {} unknown"),
+}
+
+
+class Form(NamedTuple):
+    """One operand form of an opcode, read from OPCODES."""
+    unit: Unit
+    operands: tuple          # ((name, kind), ...) in text order
+    dst: list                # classes of the written registers; lists, as
+    src: list                # _form_of compares them with lists (no hashing)
+    imms: tuple              # immediate kinds
+    target: Optional[int]    # index of the branch target in imms
+
+
+def _form(unit: Unit, text: str) -> Form:
+    operands = tuple((name, kind or name) for name, _, kind in
+                     (op.partition(":") for op in text.split(", ") if op))
+    regs = [REG_KINDS[k] for _, k in operands if k in REG_KINDS]
+    imms = tuple(k for _, k in operands if k not in REG_KINDS)
+    return Form(unit, operands, [c for f, c in regs if f == "dst"],
+                [c for f, c in regs if f == "src"], imms,
+                imms.index("target") if "target" in imms else None)
+
+
+FORMS = {op: tuple(_form(unit, text) for text in texts)
+         for op, (unit, *texts) in OPCODES.items()}
+
+
+def _form_of(opcode: Opcode, dst_regs: tuple, src_regs: tuple) -> Optional[Form]:
+    dst, src = [r.cls for r in dst_regs], [r.cls for r in src_regs]
+    for form in FORMS[opcode]:
+        if form.dst == dst and form.src == src:
+            return form
+    return None
 
 
 @dataclass(frozen=True)
@@ -251,98 +285,75 @@ class Instruction:
     src_regs: tuple = ()
     immediates: tuple = ()
     predicate: Optional[RegisterId] = None
+    form: Form = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sig = _SIGNATURES[self.opcode]
-        if self.opcode is Opcode.S_MOV:
-            if len(self.dst_regs) != 1 or self.dst_regs[0].cls is not S or len(self.src_regs) != 1:
-                raise EncodingError("S_MOV needs one scalar dst and one src")
-            src = self.src_regs[0]
-            if src.cls is S:
-                if self.immediates:
-                    raise EncodingError("scalar S_MOV takes no immediate")
-            elif src.cls is V:
-                if len(self.immediates) != 1 or not 0 <= self.immediates[0] < MXU_TILE_DIM:
-                    raise EncodingError("vector-lane S_MOV needs lane immediate in [0,16)")
-            else:
-                raise EncodingError("S_MOV source must be scalar or vector")
-        else:
-            dcls, scls, nimm = sig
-            if tuple(r.cls for r in self.dst_regs) != dcls:
-                raise EncodingError(f"{self.opcode.name}: bad destination operands")
-            if tuple(r.cls for r in self.src_regs) != scls:
-                raise EncodingError(f"{self.opcode.name}: bad source operands")
-            if len(self.immediates) != nimm:
-                raise EncodingError(f"{self.opcode.name}: expected {nimm} immediates")
-        for imm in self.immediates:
-            if not _I32_MIN <= imm <= _I32_MAX:
-                raise EncodingError(f"immediate {imm} exceeds 32 bits")
-        if self.opcode is Opcode.S_CMP and not 0 <= self.immediates[0] < len(CMP_MODES):
-            raise EncodingError(f"S_CMP mode {self.immediates[0]} unknown")
-        if self.opcode in (Opcode.DMA_ISSUE, Opcode.DMA_WAIT):
-            slot = self.immediates[0]
-            if not 0 <= slot < DMA_SLOTS:
-                raise EncodingError(f"DMA slot {slot} out of range [0,{DMA_SLOTS})")
-        if self.opcode is Opcode.DMA_ISSUE and self.immediates[1] not in DMA_DIRS:
-            raise EncodingError(f"DMA direction {self.immediates[1]} unknown")
+        form = _form_of(self.opcode, self.dst_regs, self.src_regs)
+        if form is None or len(self.immediates) != len(form.imms):
+            raise EncodingError(self._shape_error())
+        for imm, kind in zip(self.immediates, form.imms):
+            lo, end, message = IMM_KINDS[kind]
+            if not lo <= imm < end:
+                raise EncodingError((message if _I32_MIN <= imm <= _I32_MAX
+                                     else _WIDE).format(imm))
         if self.predicate is not None and self.predicate.cls is not P:
             raise EncodingError("guard must be a predicate register")
+        object.__setattr__(self, "form", form)
+
+    def _shape_error(self) -> str:
+        name, dst = self.opcode.name, [r.cls for r in self.dst_regs]
+        if all(f.dst != dst for f in FORMS[self.opcode]):
+            return f"{name}: bad destination operands"
+        form = _form_of(self.opcode, self.dst_regs, self.src_regs)
+        if form is None:
+            return f"{name}: bad source operands"
+        return f"{name}: expected {len(form.imms)} immediates"
 
     @property
     def unit(self) -> Unit:
-        return UNIT_OF[self.opcode]
+        return self.form.unit
 
 
 def _enc_reg(r: Optional[RegisterId]) -> int:
-    if r is None:
-        return 0xFF
-    return (_REG_TAG[r.cls] << 6) | r.index
+    return 0xFF if r is None else _REG_TAG[r.cls] << 6 | r.index
 
 
 def _dec_reg(b: int) -> Optional[RegisterId]:
-    if b == 0xFF:
-        return None
-    tag, idx = b >> 6, b & 0x3F
-    if tag not in _TAG_REG:
+    if b in _REG_BY_BYTE:
+        return _REG_BY_BYTE[b]
+    if b >> 6 == 3:
         raise EncodingError(f"bad register byte {b:#04x}")
-    return RegisterId(_TAG_REG[tag], idx)
+    return RegisterId(list(RegClass)[b >> 6], b & 0x3F)   # out of range: raises
+
+
+_RECORD = struct.Struct("<BBBBBBii2x")
 
 
 def encode_instruction(instr: Instruction) -> bytes:
-    srcs = list(instr.src_regs) + [None] * (3 - len(instr.src_regs))
-    imms = list(instr.immediates) + [0] * (2 - len(instr.immediates))
-    return struct.pack(
-        "<BBBBBBii2x",
-        instr.opcode,
-        _enc_reg(instr.predicate),
-        _enc_reg(instr.dst_regs[0] if instr.dst_regs else None),
-        _enc_reg(srcs[0]), _enc_reg(srcs[1]), _enc_reg(srcs[2]),
-        imms[0], imms[1],
-    )
+    regs = (instr.predicate, *(instr.dst_regs or (None,)),
+            *instr.src_regs, *(None,) * (3 - len(instr.src_regs)))
+    return _RECORD.pack(instr.opcode, *map(_enc_reg, regs), *instr.immediates,
+                        *(0,) * (2 - len(instr.immediates)))
+
+
+_OPCODE_BY_BYTE = {op.value: op for op in Opcode}
 
 
 def decode_instruction(raw: bytes) -> Instruction:
     if len(raw) != INSTR_BYTES:
         raise EncodingError(f"instruction record must be {INSTR_BYTES} bytes, got {len(raw)}")
-    op_b, pred_b, dst_b, s0, s1, s2, imm0, imm1 = struct.unpack("<BBBBBBii2x", raw)
+    op_b, pred_b, dst_b, s0, s1, s2, imm0, imm1 = _RECORD.unpack(raw)
     if raw[14:16] != b"\x00\x00":
         raise EncodingError("reserved bytes must be zero")
-    try:
-        opcode = Opcode(op_b)
-    except ValueError:
-        raise EncodingError(f"unknown opcode byte {op_b:#04x}") from None
-    try:
-        dst = _dec_reg(dst_b)
-        srcs = tuple(r for r in (_dec_reg(s0), _dec_reg(s1), _dec_reg(s2)) if r is not None)
-        pred = _dec_reg(pred_b)
-        nimm = 1 if (opcode is Opcode.S_MOV and srcs and srcs[0].cls is V) \
-            else (_SIGNATURES[opcode][2] if _SIGNATURES[opcode] else 0)
-        imms = (imm0, imm1)[:nimm]
-        return Instruction(opcode, (dst,) if dst else (), srcs, imms, pred)
-    except EncodingError:
-        raise
-    except Fault as f:
-        raise EncodingError(str(f)) from None
+    opcode = _OPCODE_BY_BYTE.get(op_b)
+    if opcode is None:
+        raise EncodingError(f"unknown opcode byte {op_b:#04x}")
+    dst = _dec_reg(dst_b)
+    dsts = (dst,) if dst else ()
+    srcs = tuple(r for r in (_dec_reg(s0), _dec_reg(s1), _dec_reg(s2)) if r is not None)
+    form = _form_of(opcode, dsts, srcs)
+    imms = (imm0, imm1)[:len(form.imms) if form else 0]
+    return Instruction(opcode, dsts, srcs, imms, _dec_reg(pred_b))
 
 
 @dataclass(frozen=True)
@@ -357,8 +368,8 @@ class Program:
         if not 0 <= self.entry_pc <= n:
             raise EncodingError(f"entry pc {self.entry_pc} out of bounds")
         for i, ins in enumerate(self.instructions):
-            if ins.opcode in (Opcode.BR, Opcode.BRZ):
-                tgt = ins.immediates[0]
+            if ins.form.target is not None:
+                tgt = ins.immediates[ins.form.target]
                 if not 0 <= tgt < n:
                     raise EncodingError(f"branch target {tgt} at index {i} out of bounds")
 
@@ -581,11 +592,6 @@ def instruction_io_sets(instr: Instruction, state: MachineState,
             return IoSets(tuple(in_regs), (), (), ())
     in_regs.extend(instr.src_regs)
 
-    if op in (Opcode.S_LDI, Opcode.S_ADD, Opcode.S_MUL, Opcode.S_CMP,
-              Opcode.S_MOV, Opcode.V_ADD, Opcode.V_MUL, Opcode.BR,
-              Opcode.BRZ, Opcode.HALT, Opcode.DMA_WAIT):
-        return IoSets(tuple(in_regs), instr.dst_regs, (), ())
-
     if op is Opcode.V_LOAD:
         region = _aligned_region(state, instr.src_regs[0], VLEN_BYTES, MemSpace.VMEM, pc)
         return IoSets(tuple(in_regs), instr.dst_regs, (region,), ())
@@ -614,5 +620,5 @@ def instruction_io_sets(instr: Instruction, state: MachineState,
         state.check_region(dst, rd, pc)
         return IoSets(tuple(in_regs), (), (src,), (dst,))
 
-    raise Fault("decode", f"unhandled opcode {op!r}", pc)
+    return IoSets(tuple(in_regs), instr.dst_regs, (), ())   # registers only
 

@@ -27,15 +27,12 @@ from operator import attrgetter
 from typing import List, Optional
 
 from . import _kernels
-from .isa import (CMP_MODES, PAGE_BYTES, VLEN_BYTES, VMEM_BUCKETS,
-                  DEFAULT_HBM_CAPACITY, DEFAULT_VMEM_CAPACITY, Fault,
+from .isa import (CMP_MODES, DMA_DIR_NAMES, DMA_DIRS, PAGE_BYTES, VLEN_BYTES,
+                  VMEM_BUCKETS, DEFAULT_HBM_CAPACITY, DEFAULT_VMEM_CAPACITY, Fault,
                   Instruction, MachineState, MemRegion, MemSpace, Opcode,
                   Program, RegClass, Unit, instruction_io_sets)
 
-_LINK_NAMES = {(MemSpace.HBM, MemSpace.VMEM): "hbm>vmem",
-               (MemSpace.VMEM, MemSpace.HBM): "vmem>hbm",
-               (MemSpace.VMEM, MemSpace.VMEM): "vmem>vmem",
-               (MemSpace.HBM, MemSpace.HBM): "hbm>hbm"}
+_LINK_NAMES = {DMA_DIRS[d]: name for d, name in DMA_DIR_NAMES.items()}
 _NAME_LINKS = {v: k for k, v in _LINK_NAMES.items()}
 
 
@@ -176,6 +173,13 @@ class PerfEvent:
     def from_json(d: dict) -> "PerfEvent":
         if d["kind"] not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {d['kind']!r}")
+        for name, value in d.items():
+            want = _FIELD_TYPES.get(name)
+            if want is None:
+                raise ValueError(f"unknown event field {name!r}")
+            if type(value) is not want or (want is int and value < 0):
+                raise ValueError(f"event field {name!r} must be {_MUST[want]}, "
+                                 f"got {value!r}")
         ev = PerfEvent(**d)
         for name in _REGION_FIELDS.intersection(d):
             setattr(ev, name, MemRegion.from_json(d[name]))
@@ -185,6 +189,13 @@ class PerfEvent:
 _EVENT_FIELDS = tuple(sorted(f.name for f in fields(PerfEvent)))
 _event_values = attrgetter(*_EVENT_FIELDS)
 _REGION_FIELDS = frozenset({"region", "src_region", "dst_region"})
+# field -> the type of its JSON value: a region is an object, and an int
+# field holds an int >= 0, never a bool (docs/events.md)
+_FIELD_TYPES = {f.name: {"int": int, "str": str, "bool": bool, "MemRegion": dict}[
+    f.type.removeprefix("Optional[").rstrip("]")] for f in fields(PerfEvent)}
+_MUST = {int: "an int >= 0", str: "a string", bool: "a boolean", dict: "a region object"}
+# the DMA engine's events, each after the dma_issue of its dma_id
+_DMA_ENGINE_KINDS = frozenset({DMA_BASE_DONE, DMA_TRANSFER_START, DMA_COMPLETE})
 
 
 def _region_json(r: MemRegion) -> dict:
@@ -222,8 +233,9 @@ def events_to_jsonl(events, summary: Optional[dict] = None) -> str:
 
 def events_from_jsonl(text: str):
     """Returns (events, summary_or_None). A line that is not JSON, or not an
-    object with a known `kind` and known fields, raises ValueError."""
-    events, summary = [], None
+    object with a known `kind` and known fields of the right types, and a
+    DMA engine event before the dma_issue of its dma_id, raise ValueError."""
+    events, summary, issued = [], None, set()
     loads, from_json, append = json.loads, PerfEvent.from_json, events.append
     try:
         for line in text.splitlines():
@@ -232,8 +244,13 @@ def events_from_jsonl(text: str):
             d = loads(line)
             if d.get("kind") == "summary":
                 summary = d
-            else:
-                append(from_json(d))
+                continue
+            ev = from_json(d)
+            if ev.kind == DMA_ISSUE_EV:
+                issued.add(ev.dma_id)
+            elif ev.kind in _DMA_ENGINE_KINDS and ev.dma_id not in issued:
+                raise ValueError(f"dma_id {ev.dma_id} has no earlier dma_issue")
+            append(ev)
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
             Fault) as e:
         line = line.strip()

@@ -16,12 +16,18 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..isa import (CMP_MODES, ISA_VERSION, EncodingError, Instruction,
-                   MemRegion, MemSpace, Opcode, Program, RegClass, RegisterId,
-                   decode_instruction, encode_instruction)
+from ..isa import (CMP_MODES, DMA_DIR_NAMES, FORMS, IMM_KINDS, ISA_VERSION,
+                   REG_KINDS, EncodingError, Instruction, MemRegion, MemSpace,
+                   Program, RegClass, RegisterId)
 
-DIRECTIONS = {"hbm>vmem": 0, "vmem>hbm": 1, "vmem>vmem": 2, "hbm>hbm": 3}
-_DIR_NAMES = {v: k for k, v in DIRECTIONS.items()}
+_DIRECTIONS = {name: d for d, name in DMA_DIR_NAMES.items()}
+_OPCODES = {op.name.lower(): op for op in FORMS}
+_MNEMONICS = {op: name for name, op in _OPCODES.items()}
+# operand kind -> (the Instruction field it fills, its text from its value)
+_KINDS = {kind: (field_name, str) for kind, (field_name, _) in REG_KINDS.items()}
+_KINDS.update({kind: ("imm", str) for kind in IMM_KINDS}, **{
+    "[s]": ("src", "[{}]".format), "mode": ("imm", CMP_MODES.__getitem__),
+    "dir": ("imm", DMA_DIR_NAMES.__getitem__), "target": ("imm", "L{}".format)})
 
 
 class AsmError(Exception):
@@ -49,21 +55,25 @@ class AssembledKernel:
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):")
-_NUM_RE = re.compile(r"^-?(0[xX][0-9a-fA-F]+|\d+)$")
+_NUM_RE = re.compile(r"-?(0[xX][0-9a-fA-F]+|0|[1-9][0-9]*)")
+_HLO_RE = re.compile(r"^\s*;;\s*hlo:\s*(\S+)\s*$")
+_DATA_RE = re.compile(r"^(0[xX][0-9a-fA-F]+|[0-9]+)\s*:\s*(.*)$")
+_MEM_RE = re.compile(r"^\[\s*(s[0-9]+)\s*\]$")
+_HEX_BYTE_RE = re.compile(r"[0-9a-fA-F]{1,2}")
 
 
 def _num(tok: str, line: int, col: int) -> int:
-    if not _NUM_RE.match(tok):
+    if not _NUM_RE.fullmatch(tok):
         raise AsmError(line, col, f"expected number, got {tok!r}")
     return int(tok, 0)
 
 
-def _parse_reg(tok: str, line: int, col: int, want: Optional[RegClass] = None) -> RegisterId:
+def _parse_reg(tok: str, line: int, col: int, want: RegClass) -> RegisterId:
     try:
         r = RegisterId.parse(tok)
     except EncodingError as e:
         raise AsmError(line, col, str(e)) from None
-    if want is not None and r.cls is not want:
+    if r.cls is not want:
         raise AsmError(line, col, f"expected {want.value}-register, got {tok}")
     return r
 
@@ -71,27 +81,17 @@ def _parse_reg(tok: str, line: int, col: int, want: Optional[RegClass] = None) -
 def assemble(source: str) -> AssembledKernel:
     """Deterministic two-pass assembly; diagnostics carry line and column."""
     labels: Dict[str, int] = {}
-    pending: List[dict] = []
+    pending: List[tuple] = []          # (line, col, mnemonic, operands, guard)
     hbm_image: List[Tuple[int, bytes]] = []
     vmem_image: List[Tuple[int, bytes]] = []
-    regions: List[Tuple[str, int, int]] = []
-    region_name: Optional[str] = None
-    region_start = 0
+    opened: List[Tuple[str, int]] = []          # (region name, start)
     entry_label: Optional[Tuple[str, int]] = None
-
-    def close_region(at: int):
-        nonlocal region_name
-        if region_name is not None and at > region_start:
-            regions.append((region_name, region_start, at))
-        region_name = None
 
     for lineno, raw_line in enumerate(source.splitlines(), 1):
         line = raw_line
-        hlo = re.match(r"^\s*;;\s*hlo:\s*(\S+)\s*$", line)
+        hlo = ";;" in line and _HLO_RE.match(line)
         if hlo:
-            close_region(len(pending))
-            region_name = hlo.group(1)
-            region_start = len(pending)
+            opened.append((hlo.group(1), len(pending)))
             continue
         if ";" in line:
             line = line[:line.index(";")]
@@ -109,33 +109,31 @@ def assemble(source: str) -> AssembledKernel:
             if not line:
                 continue
 
-        col = raw_line.index(line.split()[0]) + 1 if line.split() else 1
+        col = raw_line.index(line.split(None, 1)[0]) + 1
         if line.startswith("."):
-            parts = line.split(None, 1)
-            directive = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
+            directive, rest = (line.split(None, 1) + [""])[:2]
             if directive == ".entry":
                 entry_label = (rest.strip(), lineno)
                 continue
-            m2 = re.match(r"^(0[xX][0-9a-fA-F]+|\d+)\s*:\s*(.*)$", rest)
+            m2 = _DATA_RE.match(rest)
             if directive in (".data", ".data32", ".dataf", ".vdata", ".vdata32", ".vdataf"):
                 if not m2:
                     raise AsmError(lineno, col, f"{directive} needs '<addr>: <values>'")
-                addr = int(m2.group(1), 0)
+                addr = _num(m2.group(1), lineno, col)
                 toks = m2.group(2).split()
                 if directive.endswith("32"):
                     blob = b"".join(struct.pack("<I", _num(t, lineno, col) & 0xFFFFFFFF)
                                     for t in toks)
                 elif directive.endswith("f"):
-                    try:
-                        blob = b"".join(struct.pack("<f", float(t)) for t in toks)
-                    except ValueError:
+                    try:   # ASCII only: encoding anything else raises ValueError
+                        blob = b"".join(struct.pack("<f", float(t.encode("ascii")))
+                                        for t in toks)
+                    except (ValueError, OverflowError):
                         raise AsmError(lineno, col, "bad float literal") from None
                 else:
-                    try:
-                        blob = bytes(int(t, 16) for t in toks)
-                    except ValueError:
-                        raise AsmError(lineno, col, "bad hex byte") from None
+                    if not all(_HEX_BYTE_RE.fullmatch(t) for t in toks):
+                        raise AsmError(lineno, col, "bad hex byte")
+                    blob = bytes(int(t, 16) for t in toks)
                 (vmem_image if directive.startswith(".v") else hbm_image).append((addr, blob))
                 continue
             raise AsmError(lineno, col, f"unknown directive {directive}")
@@ -146,16 +144,14 @@ def assemble(source: str) -> AssembledKernel:
             pred = _parse_reg(ptok[1:], lineno, col, RegClass.PREDICATE)
             line = line.strip()
         toks = line.split(None, 1)
-        mnemonic = toks[0].lower()
         ops = [o.strip() for o in toks[1].split(",")] if len(toks) > 1 else []
-        pending.append({"line": lineno, "col": col, "mnemonic": mnemonic,
-                        "ops": ops, "pred": pred})
+        pending.append((lineno, col, toks[0].lower(), ops, pred))
 
-    close_region(len(pending))
-
-    instructions = []
-    for idx, ent in enumerate(pending):
-        instructions.append(_build(ent, idx, labels, len(pending)))
+    # a region ends where the next opens; one that holds no instruction is dropped
+    ends = [start for _, start in opened[1:]] + [len(pending)]
+    regions = [(name, start, end) for (name, start), end in zip(opened, ends)
+               if end > start]
+    instructions = [_build(*ent, labels, len(pending)) for ent in pending]
     entry_pc = 0
     if entry_label is not None:
         name, lineno = entry_label
@@ -170,8 +166,8 @@ def assemble(source: str) -> AssembledKernel:
 
 
 def _target(tok: str, labels, n: int, line: int, col: int) -> int:
-    if _NUM_RE.match(tok):
-        t = int(tok, 0)
+    if tok[:1].isdigit() or tok[:1] == "-":
+        t = _num(tok, line, col)
     elif tok in labels:
         t = labels[tok]
     else:
@@ -181,95 +177,48 @@ def _target(tok: str, labels, n: int, line: int, col: int) -> int:
     return t
 
 
-def _build(ent: dict, idx: int, labels, n: int) -> Instruction:
-    line, col = ent["line"], ent["col"]
-    m, ops, pred = ent["mnemonic"], ent["ops"], ent["pred"]
-
-    def need(k):
-        if len(ops) != k:
-            raise AsmError(line, col, f"{m} expects {k} operands, got {len(ops)}")
-
-    def reg(i, want):
-        return _parse_reg(ops[i], line, col, want)
-
-    def mem(i):
-        mm = re.match(r"^\[\s*(s\d+)\s*\]$", ops[i])
-        if not mm:
-            raise AsmError(line, col, f"expected [sN] operand, got {ops[i]!r}")
-        return _parse_reg(mm.group(1), line, col, RegClass.SCALAR)
-
+def _build(line: int, col: int, m: str, ops: list, pred, labels, n: int) -> Instruction:
+    """One instruction from its mnemonic and operand texts, read by the
+    opcode's forms in isa.OPCODES."""
+    op = _OPCODES.get(m)
+    if op is None:
+        raise AsmError(line, col, f"unknown mnemonic {m!r}")
+    forms = FORMS[op]
+    form = next((f for f in forms if len(f.operands) == len(ops)), None)
+    if form is None:
+        raise AsmError(line, col, f"{m} expects {len(forms[-1].operands)} operands, "
+                                  f"got {len(ops)}")
+    values = {"dst": [], "src": [], "imm": []}
+    for (_, kind), tok in zip(form.operands, ops):
+        if kind == "[s]":
+            mm = _MEM_RE.match(tok)
+            if not mm:
+                raise AsmError(line, col, f"expected [sN] operand, got {tok!r}")
+            tok = mm.group(1)
+        if kind in REG_KINDS:
+            value = _parse_reg(tok, line, col, REG_KINDS[kind][1])
+        elif kind == "mode" and tok.lower() in CMP_MODES:
+            value = CMP_MODES.index(tok.lower())
+        elif kind == "dir":
+            if tok not in _DIRECTIONS:
+                raise AsmError(line, col, f"unknown DMA direction {tok!r}")
+            value = _DIRECTIONS[tok]
+        elif kind == "target":
+            value = _target(tok, labels, n, line, col)
+        else:
+            value = _num(tok, line, col)
+        values[_KINDS[kind][0]].append(value)
     try:
-        if m == "s_ldi":
-            need(2)
-            return Instruction(Opcode.S_LDI, (reg(0, RegClass.SCALAR),), (),
-                               (_num(ops[1], line, col),), pred)
-        if m in ("s_add", "s_mul"):
-            need(3)
-            return Instruction(Opcode[m.upper()], (reg(0, RegClass.SCALAR),),
-                               (reg(1, RegClass.SCALAR), reg(2, RegClass.SCALAR)), (), pred)
-        if m == "s_cmp":
-            need(4)
-            mode = ops[3].lower()
-            mode_i = CMP_MODES.index(mode) if mode in CMP_MODES else _num(ops[3], line, col)
-            return Instruction(Opcode.S_CMP, (reg(0, RegClass.PREDICATE),),
-                               (reg(1, RegClass.SCALAR), reg(2, RegClass.SCALAR)),
-                               (mode_i,), pred)
-        if m == "s_mov":
-            if len(ops) == 2:
-                return Instruction(Opcode.S_MOV, (reg(0, RegClass.SCALAR),),
-                                   (reg(1, RegClass.SCALAR),), (), pred)
-            need(3)
-            return Instruction(Opcode.S_MOV, (reg(0, RegClass.SCALAR),),
-                               (reg(1, RegClass.VECTOR),), (_num(ops[2], line, col),), pred)
-        if m in ("v_add", "v_mul"):
-            need(3)
-            return Instruction(Opcode[m.upper()], (reg(0, RegClass.VECTOR),),
-                               (reg(1, RegClass.VECTOR), reg(2, RegClass.VECTOR)), (), pred)
-        if m == "v_load":
-            need(2)
-            return Instruction(Opcode.V_LOAD, (reg(0, RegClass.VECTOR),),
-                               (mem(1),), (), pred)
-        if m == "v_store":
-            need(2)
-            return Instruction(Opcode.V_STORE, (),
-                               (mem(0), reg(1, RegClass.VECTOR)), (), pred)
-        if m == "mxu_mm":
-            need(3)
-            return Instruction(Opcode.MXU_MM, (),
-                               (reg(0, RegClass.SCALAR), reg(1, RegClass.SCALAR),
-                                reg(2, RegClass.SCALAR)), (), pred)
-        if m == "dma_issue":
-            need(5)
-            if ops[1] not in DIRECTIONS:
-                raise AsmError(line, col, f"unknown DMA direction {ops[1]!r}")
-            return Instruction(Opcode.DMA_ISSUE, (),
-                               (reg(2, RegClass.SCALAR), reg(3, RegClass.SCALAR),
-                                reg(4, RegClass.SCALAR)),
-                               (_num(ops[0], line, col), DIRECTIONS[ops[1]]), pred)
-        if m == "dma_wait":
-            need(1)
-            return Instruction(Opcode.DMA_WAIT, (), (),
-                               (_num(ops[0], line, col),), pred)
-        if m == "br":
-            need(1)
-            return Instruction(Opcode.BR, (), (),
-                               (_target(ops[0], labels, n, line, col),), pred)
-        if m == "brz":
-            need(2)
-            return Instruction(Opcode.BRZ, (), (reg(0, RegClass.PREDICATE),),
-                               (_target(ops[1], labels, n, line, col),), pred)
-        if m == "halt":
-            need(0)
-            return Instruction(Opcode.HALT, (), (), (), pred)
+        return Instruction(op, tuple(values["dst"]), tuple(values["src"]),
+                           tuple(values["imm"]), pred)
     except EncodingError as e:
         raise AsmError(line, col, str(e)) from None
-    raise AsmError(line, col, f"unknown mnemonic {m!r}")
 
 
 def disassemble(program: Program) -> str:
     """Canonical text that reassembles to an identical program."""
-    targets = {i.immediates[0] for i in program.instructions
-               if i.opcode in (Opcode.BR, Opcode.BRZ)}
+    targets = {i.immediates[i.form.target] for i in program.instructions
+               if i.form.target is not None}
     targets.add(program.entry_pc)
     lines = [".entry L%d" % program.entry_pc] if program.entry_pc else []
     for idx, ins in enumerate(program.instructions):
@@ -280,36 +229,15 @@ def disassemble(program: Program) -> str:
 
 
 def _format(ins: Instruction) -> str:
+    values = {"dst": iter(ins.dst_regs), "src": iter(ins.src_regs),
+              "imm": iter(ins.immediates)}
+    texts = []
+    for _, kind in ins.form.operands:
+        field_name, show = _KINDS[kind]
+        texts.append(show(next(values[field_name])))
     guard = f"@{ins.predicate} " if ins.predicate is not None else ""
-    op = ins.opcode
-    d, s, imm = ins.dst_regs, ins.src_regs, ins.immediates
-    if op is Opcode.S_LDI:
-        body = f"s_ldi {d[0]}, {imm[0]}"
-    elif op in (Opcode.S_ADD, Opcode.S_MUL):
-        body = f"{op.name.lower()} {d[0]}, {s[0]}, {s[1]}"
-    elif op is Opcode.S_CMP:
-        body = f"s_cmp {d[0]}, {s[0]}, {s[1]}, {CMP_MODES[imm[0]]}"
-    elif op is Opcode.S_MOV:
-        body = f"s_mov {d[0]}, {s[0]}" + (f", {imm[0]}" if imm else "")
-    elif op in (Opcode.V_ADD, Opcode.V_MUL):
-        body = f"{op.name.lower()} {d[0]}, {s[0]}, {s[1]}"
-    elif op is Opcode.V_LOAD:
-        body = f"v_load {d[0]}, [{s[0]}]"
-    elif op is Opcode.V_STORE:
-        body = f"v_store [{s[0]}], {s[1]}"
-    elif op is Opcode.MXU_MM:
-        body = f"mxu_mm {s[0]}, {s[1]}, {s[2]}"
-    elif op is Opcode.DMA_ISSUE:
-        body = f"dma_issue {imm[0]}, {_DIR_NAMES[imm[1]]}, {s[0]}, {s[1]}, {s[2]}"
-    elif op is Opcode.DMA_WAIT:
-        body = f"dma_wait {imm[0]}"
-    elif op is Opcode.BR:
-        body = f"br L{imm[0]}"
-    elif op is Opcode.BRZ:
-        body = f"brz {s[0]}, L{imm[0]}"
-    else:
-        body = "halt"
-    return guard + body
+    body = _MNEMONICS[ins.opcode]
+    return guard + (f"{body} {', '.join(texts)}" if texts else body)
 
 
 # -- program bundle (CLI `asm` output) ------------------------------------

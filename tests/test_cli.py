@@ -139,6 +139,20 @@ def _resigned_bad_opcode(ws):
     return json.dumps(doc).encode()
 
 
+def _edited_event(kind, field, value):
+    """The run log of the workspace kernel with `field` of its first `kind`
+    event set to `value`."""
+    def make(ws):
+        lines = (ws / "events.jsonl").read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if json.loads(ln)["kind"] == kind)
+        lines[i] = json.dumps({**json.loads(lines[i]), field: value}, sort_keys=True)
+        return ("\n".join(lines) + "\n").encode()
+    return make
+
+
+_ASM = ["asm", "{f}", "-o", "{ws}/p.json"]
+_ANALYZE = ["analyze", "{f}", "-o", "{ws}/r"]
+
 MALFORMED_INPUTS = {
     # id: (file content, or a function of the workspace that makes it,
     #      argv with the file as {f}, code, exit code)
@@ -174,6 +188,20 @@ MALFORMED_INPUTS = {
     "bundle-not-json": (b"zz", ["run", "{f}"], "BUNDLE_INVALID", 1),
     "bundle-no-isa-version": (b'{"format":"xshark-program"}', ["run", "{f}"],
                               "BUNDLE_INVALID", 1),
+    "asm-leading-zero-immediate": (b"s_ldi s0, 007\nhalt\n", _ASM, "ASM_ERROR", 2),
+    "asm-leading-zero-target": (b"br 08\nhalt\n", _ASM, "ASM_ERROR", 2),
+    "asm-leading-zero-address": (b".data 010: 01\nhalt\n", _ASM, "ASM_ERROR", 2),
+    "asm-unicode-digit-register": ("s_ldi s\u00b2, 1\nhalt\n".encode(), _ASM,
+                                   "ASM_ERROR", 2),
+    "asm-f32-overflow": (b".dataf 0: 1e39\nhalt\n", _ASM, "ASM_ERROR", 2),
+    "events-issue-idx-null": (_edited_event("instr_issue", "idx", None), _ANALYZE,
+                              "EVENTS_INVALID", 1),
+    "events-reg-read-idx-string": (_edited_event("reg_read", "idx", "x"), _ANALYZE,
+                                   "EVENTS_INVALID", 1),
+    "events-dma-never-issued": (_edited_event("dma_base_done", "dma_id", 999),
+                                _ANALYZE, "EVENTS_INVALID", 1),
+    "events-negative-cycle": (_edited_event("instr_retire", "cycle", -5), _ANALYZE,
+                              "EVENTS_INVALID", 1),
 }
 
 

@@ -11,3 +11,20 @@ def test_docs_named_in_src_exist():
              for name in re.findall(r"docs/[\w.-]+\.md", path.read_text())}
     assert named
     assert sorted(n for n in named if not (ROOT / n).is_file()) == []
+
+
+def test_isa_opcode_table_matches_code():
+    """Each row of the opcode table in docs/isa.md gives the opcode, byte,
+    unit and operand forms that isa.OPCODES gives."""
+    from xshark.isa import FORMS
+    text = (ROOT / "docs" / "isa.md").read_text()
+    rows = {}
+    for line in text[text.index("## Opcodes"):].splitlines()[4:]:
+        if not line.startswith("|"):
+            break
+        name, byte, unit, operands = (c.strip() for c in line.split("|")[1:5])
+        rows[name] = (int(byte, 16), unit, operands)
+    assert rows == {op.name: (op.value, forms[0].unit.value,
+                              " or ".join("`" + ", ".join(n for n, _ in f.operands) + "`"
+                                          for f in forms if f.operands))
+                    for op, forms in FORMS.items()}

@@ -11,6 +11,7 @@ from xshark.isa import (EncodingError, Fault, Instruction, MachineState,
                         RegisterId, decode_instruction, encode_instruction,
                         instruction_io_sets, preg, sreg, vreg)
 from xshark.sim import SimConfig, Simulator
+from xshark.workloads import assemble, disassemble
 
 from helpers import asm_run
 
@@ -94,6 +95,9 @@ def test_encode_decode_round_trip_random(seed):
         ins = Instruction(ins.opcode, ins.dst_regs, ins.src_regs,
                           ins.immediates, preg(r.randrange(8)))
     assert decode_instruction(encode_instruction(ins)) == ins
+    # and through the text: branch targets are drawn below 4
+    prog = Program((ins,) + (Instruction(Opcode.HALT),) * 3)
+    assert assemble(disassemble(prog)).program == prog
 
 
 # ----------------------------------------------------------- IO-set parsing
