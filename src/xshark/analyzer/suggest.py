@@ -157,8 +157,7 @@ def apply_and_verify(trace: ExecutionTrace,
         return suggestions, None
 
     state_equal = (applied.digest == baseline.digest
-                   and applied.written_regs == baseline.written_regs
-                   and applied.written_mem == baseline.written_mem)
+                   and applied.footprint == baseline.footprint)
     if not state_equal:
         mark(UNVERIFIED, "state mismatch after reorder")
         return suggestions, applied

@@ -1,11 +1,11 @@
 """Command-line pipeline: asm -> run/record -> replay -> analyze -> suggest
 -> apply -> compare.
 
-Every subcommand exits 0 on success, 1 on usage errors and 2 on
+Every subcommand exits 0 on success, 1 on unusable inputs and 2 on
 faults/divergence; failures print one `code:<CODE> <message>` line on
-stderr. Timing comes from one config file (--config, or the XSHARK_CONFIG
-environment variable), whose hash is embedded in traces so `replay` refuses
-a mismatched clock.
+stderr (docs/cli.md lists every code). Timing comes from one config file
+(--config, or the XSHARK_CONFIG environment variable), whose hash is
+embedded in traces so `replay` refuses a mismatched clock.
 """
 
 from __future__ import annotations
@@ -119,13 +119,6 @@ def cmd_asm(args, config):
     return 0
 
 
-def _make_session(bundle_path, config, tracker=None):
-    bundle = _load_bundle(bundle_path)
-    session = DebugSession(bundle.program, config,
-                           initial_state(bundle, config), tracker)
-    return bundle, session
-
-
 def cmd_run(args, config):
     bundle = _load_bundle(args.program)
     tracker = RecordingTracker() if args.output else None
@@ -151,7 +144,8 @@ def _resolve_break(bundle, spec: str) -> int:
 
 
 def cmd_record(args, config):
-    bundle, session = _make_session(args.program, config)
+    bundle = _load_bundle(args.program)
+    session = DebugSession(bundle.program, config, initial_state(bundle, config))
     bp = Breakpoint(_resolve_break(bundle, args.break_at), args.hit)
     result = record(session, bp, args.count, fast_forward_dma=args.fast_forward,
                     max_cycles=args.max_cycles)
@@ -369,9 +363,11 @@ def main(argv=None) -> int:
     except ReplayDivergence as e:
         print(f"code:REPLAY_DIVERGENCE {e}", file=sys.stderr)
         return 2
-    except (Fault, AnalysisError) as e:
-        code = e.kind.upper() if isinstance(e, Fault) else "ANALYSIS_ERROR"
-        print(f"code:{code} {e}", file=sys.stderr)
+    except Fault as e:
+        print(f"code:{e.kind.upper()} {e}", file=sys.stderr)
+        return 2
+    except AnalysisError as e:
+        print(f"code:ANALYSIS_ERROR {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"code:IO_ERROR {e}", file=sys.stderr)

@@ -11,26 +11,15 @@ spans they overlap, and store splices its pieces into the list in place.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 
 class IntervalSet:
-    def __init__(self, spans: Iterable[Tuple[int, int]] = ()):
+    def __init__(self):
         self._spans: List[Tuple[int, int]] = []
-        for s, e in spans:
-            self.add(s, e)
-
-    def __bool__(self):
-        return bool(self._spans)
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(self._spans)
-
-    def __eq__(self, other):
-        return isinstance(other, IntervalSet) and self._spans == other._spans
-
-    def __repr__(self):
-        return f"IntervalSet({self._spans!r})"
 
     @property
     def total(self) -> int:

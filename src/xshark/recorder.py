@@ -1,13 +1,10 @@
 """Execution recorder: captures a replayable window as first-use inputs plus
 the executed instruction stream.
 
-Per dynamic instruction, in this order: parse the input registers and memory
-regions; save the value of every input register not yet used as an output
-(and not already saved) and the still-uncovered byte sub-intervals of every
-input region; then add the instruction's outputs to the used sets; then step.
-Intermediate results are never captured - the replayer reconstructs them.
-An instruction that both reads and writes a location therefore snapshots the
-pre-step value.
+Per dynamic instruction: parse its inputs and outputs, snapshot the inputs
+that are first uses, step, then (if the step succeeded) count its outputs as
+written. The rule, shared with the replayer through `WindowLedger`, is
+docs/trace-format.md, "Window footprint and the `window:` digest".
 
 The trace container is a single JSON file (header + base64 snapshot blobs +
 hex instruction stream + sha256 checksum); a compact binary variant sits
@@ -20,14 +17,14 @@ import base64
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import List, Optional, Tuple
 
 from .debugger import Breakpoint, DebugSession
-from .intervals import IntervalSet
-from .isa import (INSTR_BYTES, ISA_VERSION, Fault, MemRegion, MemSpace,
-                  RegClass, RegisterId, decode_instruction, encode_instruction,
-                  instruction_io_sets)
+from .isa import (INSTR_BYTES, ISA_VERSION, EncodingError, Fault, Instruction,
+                  MemRegion, MemSpace, RegClass, RegisterId, decode_instruction,
+                  encode_instruction, instruction_io_sets)
+from .window import Footprint, WindowLedger
 
 TRACE_MAGIC = b"XTRC"
 TRACE_VERSION = 1
@@ -53,12 +50,7 @@ class TraceHeader:
     fault_kind: Optional[str] = None
 
     def to_json(self):
-        return {"isa_version": self.isa_version,
-                "sim_config_hash": self.sim_config_hash,
-                "start_pc": self.start_pc, "start_cycle": self.start_cycle,
-                "instruction_count": self.instruction_count,
-                "ended_at_halt": self.ended_at_halt,
-                "fault_kind": self.fault_kind}
+        return asdict(self)                # the fields in declaration order
 
     @staticmethod
     def from_json(d):
@@ -78,6 +70,8 @@ class ExecutionTrace:
     reg_snapshots: List[Tuple[RegisterId, bytes]]
     mem_snapshots: List[Tuple[MemRegion, bytes]]
     instr_stream: List[Tuple[int, bytes]]      # (pc, 16-byte encoding)
+    _decoded: Optional[list] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def check_config_hash(self, config_hash: str):
         """The config-hash gate: a trace replays only under the SimConfig
@@ -87,41 +81,50 @@ class ExecutionTrace:
                              "trace was recorded under a different SimConfig; replay "
                              "fidelity requires identical timing parameters")
 
-    def validate(self):
-        seen = set()
+    def validate(self) -> WindowLedger:
+        """Check the container's invariants; returns the ledger in which
+        exactly the snapshotted locations are defined."""
+        ledger = WindowLedger()
         for r, data in self.reg_snapshots:
-            if r in seen:
+            if r in ledger.regs:
                 raise TraceError("TRACE_FORMAT", f"duplicate register snapshot {r}")
-            seen.add(r)
+            ledger.regs.add(r)
             if len(data) != r.width_bytes:
                 raise TraceError("TRACE_FORMAT", f"snapshot width mismatch for {r}")
-        cover = {MemSpace.VMEM: IntervalSet(), MemSpace.HBM: IntervalSet()}
         for region, data in self.mem_snapshots:
             if len(data) != region.length:
                 raise TraceError("TRACE_FORMAT", f"snapshot width mismatch for {region}")
-            if cover[region.space].overlaps(region.offset, region.end):
+            if not ledger.define(region):
                 raise TraceError("TRACE_FORMAT", f"overlapping memory snapshot {region}")
-            cover[region.space].add(region.offset, region.end)
         if self.header.instruction_count != len(self.instr_stream):
             raise TraceError("TRACE_FORMAT", "instruction count mismatch")
-        for _, raw in self.instr_stream:
-            if len(raw) != INSTR_BYTES:
-                raise TraceError("TRACE_FORMAT", "bad instruction record length")
+        if any(len(raw) != INSTR_BYTES for _, raw in self.instr_stream):
+            raise TraceError("TRACE_FORMAT", "bad instruction record length")
+        return ledger
 
     @property
     def snapshot_bytes(self) -> int:
         return (sum(len(d) for _, d in self.reg_snapshots)
                 + sum(len(d) for _, d in self.mem_snapshots))
 
-    def decoded_stream(self):
-        return [(pc, decode_instruction(raw)) for pc, raw in self.instr_stream]
+    def decoded_stream(self) -> List[Tuple[int, Instruction]]:
+        """The stream as (pc, Instruction), decoded on the first call only."""
+        if self._decoded is None:
+            decoded = []
+            for i, (pc, raw) in enumerate(self.instr_stream):
+                try:
+                    decoded.append((pc, decode_instruction(raw)))
+                except EncodingError as e:
+                    raise TraceError("TRACE_FORMAT", f"instruction record {i} "
+                                     f"does not decode: {e}") from None
+            self._decoded = decoded
+        return self._decoded
 
 
 @dataclass
 class RecordResult:
     trace: ExecutionTrace
-    written_regs: frozenset                    # live write footprint (the used sets)
-    written_mem: Dict[MemSpace, list]          # space -> [(start, end)]
+    footprint: Footprint                       # what the live window wrote
     recorded: int = 0
     ended_at_halt: bool = False
     fault: Optional[Fault] = None
@@ -159,15 +162,9 @@ def record(session: DebugSession, breakpoint: Optional[Breakpoint],
 
     state = session.state
     start_pc, start_cycle = state.pc, state.cycle
-    used_regs = set()                            # R: output registers so far
-    covered = {MemSpace.VMEM: IntervalSet(), MemSpace.HBM: IntervalSet()}
-    written = {MemSpace.VMEM: IntervalSet(), MemSpace.HBM: IntervalSet()}
-    reg_snaps: List[Tuple[RegisterId, bytes]] = []
-    snapped_regs = set()
-    mem_snaps: List[Tuple[MemRegion, bytes]] = []
-    stream: List[Tuple[int, bytes]] = []
-    ended_at_halt = False
-    fault = None
+    ledger = WindowLedger()
+    reg_snaps, mem_snaps, stream = [], [], []
+    ended_at_halt, fault = False, None
 
     for _ in range(n_instructions):
         instr = session.peek()
@@ -178,47 +175,34 @@ def record(session: DebugSession, breakpoint: Optional[Breakpoint],
         try:
             ios = instruction_io_sets(instr, state, pc)
         except Fault as f:
+            state.halted = True          # any fault halts, as in Simulator.step
             fault = f
             break
-        for r in ios.input_regs:
-            if r not in used_regs and r not in snapped_regs:
-                reg_snaps.append((r, session.read_register(r)))
-                snapped_regs.add(r)
-        for m in ios.input_mem:
-            for s, e in covered[m.space].uncovered(m.offset, m.end):
+        for r in ledger.first_reg_uses(ios):
+            reg_snaps.append((r, session.read_register(r)))
+        for m, missing in ledger.first_mem_uses(ios):
+            for s, e in missing:
                 piece = MemRegion(m.space, s, e - s)
                 mem_snaps.append((piece, session.read_memory(piece)))
-                covered[m.space].add(s, e)
-        for r in ios.output_regs:
-            used_regs.add(r)
-        for m in ios.output_mem:
-            covered[m.space].add(m.offset, m.end)
-            written[m.space].add(m.offset, m.end)
 
-        out = session.step()
+        out = session.sim.exec_instruction(instr, pc, ios)
         if out.fault is not None:
             fault = out.fault
             break
+        ledger.wrote(ios)
         stream.append((pc, encode_instruction(instr)))
         if out.halted:
             ended_at_halt = True
             break
 
     session.sim.sync()
-    # bytes an in-flight DMA has not materialized yet are not part of the
-    # window's architectural delta
-    for slot in state.dma_slots:
-        if slot.active and not slot.applied:
-            written[slot.dst.space].remove(slot.dst.offset, slot.dst.end)
-
     header = TraceHeader(ISA_VERSION, session.config.config_hash(), start_pc,
                          start_cycle, len(stream), ended_at_halt,
                          fault.kind if fault else None)
     trace = ExecutionTrace(header, reg_snaps, mem_snaps, stream)
     trace.validate()
-    return RecordResult(trace, frozenset(used_regs),
-                        {sp: list(iv) for sp, iv in written.items()},
-                        len(stream), ended_at_halt, fault)
+    return RecordResult(trace, ledger.close(state.dma_slots), len(stream),
+                        ended_at_halt, fault)
 
 
 # -- container formats ---------------------------------------------------
@@ -266,12 +250,8 @@ def trace_to_binary(trace: ExecutionTrace) -> bytes:
 
 
 def write_trace(trace: ExecutionTrace, destination: str, binary: bool = False):
-    if binary:
-        with open(destination, "wb") as fh:
-            fh.write(trace_to_binary(trace))
-    else:
-        with open(destination, "w") as fh:
-            fh.write(trace_to_json(trace))
+    with open(destination, "wb") as fh:      # the JSON text is ASCII
+        fh.write(trace_to_binary(trace) if binary else trace_to_json(trace).encode())
 
 
 def _trace_from_json(text: str) -> ExecutionTrace:

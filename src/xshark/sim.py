@@ -29,15 +29,11 @@ from typing import List, Optional
 from . import _kernels
 from .isa import (CMP_MODES, DMA_DIR_NAMES, DMA_DIRS, PAGE_BYTES, VLEN_BYTES,
                   VMEM_BUCKETS, DEFAULT_HBM_CAPACITY, DEFAULT_VMEM_CAPACITY, Fault,
-                  Instruction, MachineState, MemRegion, MemSpace, Opcode,
+                  Instruction, IoSets, MachineState, MemRegion, Opcode,
                   Program, RegClass, Unit, instruction_io_sets)
 
 _LINK_NAMES = {DMA_DIRS[d]: name for d, name in DMA_DIR_NAMES.items()}
 _NAME_LINKS = {v: k for k, v in _LINK_NAMES.items()}
-
-
-def link_name(link) -> str:
-    return _LINK_NAMES[link]
 
 
 @dataclass
@@ -194,8 +190,10 @@ _REGION_FIELDS = frozenset({"region", "src_region", "dst_region"})
 _FIELD_TYPES = {f.name: {"int": int, "str": str, "bool": bool, "MemRegion": dict}[
     f.type.removeprefix("Optional[").rstrip("]")] for f in fields(PerfEvent)}
 _MUST = {int: "an int >= 0", str: "a string", bool: "a boolean", dict: "a region object"}
-# the DMA engine's events, each after the dma_issue of its dma_id
+# the DMA engine's events and a DMA_WAIT's issue, each after the dma_issue
+# of its dma_id
 _DMA_ENGINE_KINDS = frozenset({DMA_BASE_DONE, DMA_TRANSFER_START, DMA_COMPLETE})
+_DMA_WAIT = Opcode.DMA_WAIT.name
 
 
 def _region_json(r: MemRegion) -> dict:
@@ -233,9 +231,10 @@ def events_to_jsonl(events, summary: Optional[dict] = None) -> str:
 
 def events_from_jsonl(text: str):
     """Returns (events, summary_or_None). A line that is not JSON, or not an
-    object with a known `kind` and known fields of the right types, and a
-    DMA engine event before the dma_issue of its dma_id, raise ValueError."""
-    events, summary, issued = [], None, set()
+    object with a known `kind` and known fields of the right types, raises
+    ValueError, and so does a line that breaks a reference rule of
+    docs/events.md (`idx` and `dma_id` refer to earlier lines)."""
+    events, summary, issued, issues = [], None, set(), 0
     loads, from_json, append = json.loads, PerfEvent.from_json, events.append
     try:
         for line in text.splitlines():
@@ -246,9 +245,16 @@ def events_from_jsonl(text: str):
                 summary = d
                 continue
             ev = from_json(d)
+            if ev.kind == INSTR_ISSUE:
+                if ev.idx != issues:
+                    raise ValueError(f"instr_issue idx {ev.idx} is not {issues}")
+                issues += 1
+            elif ev.idx is not None and ev.idx > issues:
+                raise ValueError(f"idx {ev.idx} is past the next instr_issue")
             if ev.kind == DMA_ISSUE_EV:
                 issued.add(ev.dma_id)
-            elif ev.kind in _DMA_ENGINE_KINDS and ev.dma_id not in issued:
+            elif (ev.kind in _DMA_ENGINE_KINDS or ev.opcode == _DMA_WAIT
+                  and not ev.annulled) and ev.dma_id not in issued:
                 raise ValueError(f"dma_id {ev.dma_id} has no earlier dma_issue")
             append(ev)
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
@@ -345,32 +351,29 @@ class Simulator:
     def run(self, max_cycles: int) -> RunResult:
         if max_cycles <= 0:
             raise ValueError("max_cycles must be positive")
-        fault = None
-        while not self.state.halted:
-            if self.state.cycle >= max_cycles:
-                self.sync()
-                return RunResult("budget", self.state, self.state.cycle,
-                                 self.stream_index, dict(self.stall_cycles))
-            out = self.step()
-            if out.fault is not None:
-                fault = out.fault
-                break
+        state, fault = self.state, None
+        while fault is None and not state.halted and state.cycle < max_cycles:
+            fault = self.step().fault
         self.sync()
-        outcome = "fault" if fault is not None else "halted"
-        return RunResult(outcome, self.state, self.state.cycle,
+        outcome = ("fault" if fault is not None
+                   else "halted" if state.halted else "budget")
+        return RunResult(outcome, state, state.cycle,
                          self.stream_index, dict(self.stall_cycles), fault)
 
-    def exec_instruction(self, instr: Instruction, pc: int) -> StepOutcome:
+    def exec_instruction(self, instr: Instruction, pc: int,
+                         ios: Optional[IoSets] = None) -> StepOutcome:
         """Execute one instruction to retirement; advances cycle by
-        issue-wait plus unit latency."""
+        issue-wait plus unit latency. `ios` is its instruction_io_sets from
+        the current state, parsed here when the caller has not."""
         state = self.state
         idx = self.stream_index
         start = state.cycle
-        try:
-            ios = instruction_io_sets(instr, state, pc)
-        except Fault as f:
-            state.halted = True
-            return StepOutcome(pc, idx, instr, fault=f, halted=True)
+        if ios is None:
+            try:
+                ios = instruction_io_sets(instr, state, pc)
+            except Fault as f:
+                state.halted = True
+                return StepOutcome(pc, idx, instr, fault=f, halted=True)
 
         annulled = instr.predicate is not None and not state.pregs[instr.predicate.index]
         op = instr.opcode
@@ -393,15 +396,12 @@ class Simulator:
         # Hazard interlock: touching bytes an in-flight DMA will write blocks
         # until that DMA completes (keeps results timing-independent).
         issue = start
-        if ios.input_mem or ios.output_mem:
+        touched = ios.input_mem + ios.output_mem
+        if touched:
             for slot in state.dma_slots:
-                if slot.active and not slot.applied:
-                    for r in ios.input_mem:
-                        if r.overlaps(slot.dst):
-                            issue = max(issue, slot.complete_cycle)
-                    for r in ios.output_mem:
-                        if r.overlaps(slot.dst):
-                            issue = max(issue, slot.complete_cycle)
+                if (slot.active and not slot.applied
+                        and any(r.overlaps(slot.dst) for r in touched)):
+                    issue = max(issue, slot.complete_cycle)
         if issue > start:
             self._stall(STALL_HAZARD, start, issue, pc, idx)
         self._advance_engine(issue)
@@ -545,7 +545,7 @@ class Simulator:
             self._issue(instr, pc, idx, issue, ios, slot_no, dma_id)
             self._send(PerfEvent(issue, DMA_ISSUE_EV, pc=pc, idx=idx,
                                  slot=slot_no, dma_id=dma_id,
-                                 link=link_name(link), size=src.length,
+                                 link=_LINK_NAMES[link], size=src.length,
                                  src_region=src, dst_region=dst))
             for cycle, kind in ((base_done, DMA_BASE_DONE),
                                 (t_start, DMA_TRANSFER_START),
@@ -604,13 +604,14 @@ def run_program(program: Program, config: SimConfig,
     return sim.run(max_cycles)
 
 
-def state_digest(state: MachineState, written_regs=None, written_mem=None) -> str:
-    """Digest of architectural state. With footprints given, only the written
-    locations (plus pc/halted) contribute, which lets a replay that starts
-    from a zeroed machine be compared against the live run it mirrors."""
+def state_digest(state: MachineState, footprint=None) -> str:
+    """Digest of architectural state. With a window's footprint given, only
+    its written locations (plus pc/halted) contribute, which lets a replay
+    that starts from a zeroed machine be compared against the live run it
+    mirrors (docs/trace-format.md gives the byte recipe)."""
     h = hashlib.sha256()
     h.update(struct.pack("<I?", state.pc & 0xFFFFFFFF, state.halted))
-    if written_regs is None and written_mem is None:
+    if footprint is None:
         h.update(struct.pack("<32I", *state.sregs))
         h.update(bytes(state.vregs))
         h.update(bytes(state.pregs))
@@ -619,13 +620,10 @@ def state_digest(state: MachineState, written_regs=None, written_mem=None) -> st
             h.update(struct.pack("<Q", page))
             h.update(bytes(state.hbm._pages[page]))
         return "full:" + h.hexdigest()
-    for r in sorted(written_regs or (), key=str):
+    for r in sorted(footprint.regs, key=str):
         h.update(str(r).encode())
         h.update(state.read_reg_bytes(r))
-    for space in (MemSpace.VMEM, MemSpace.HBM):
-        spans = (written_mem or {}).get(space)
-        if not spans:
-            continue
+    for space, spans in footprint.mem:
         for s, e in spans:
             h.update(f"{space.value}:{s}:{e}".encode())
             h.update(state.read_mem(MemRegion(space, s, e - s)))

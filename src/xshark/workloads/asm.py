@@ -98,6 +98,7 @@ def assemble(source: str) -> AssembledKernel:
         line = line.strip()
         if not line:
             continue
+        col = raw_line.index(line) + 1             # where the text starts
 
         m = _LABEL_RE.match(line)
         if m:
@@ -105,11 +106,11 @@ def assemble(source: str) -> AssembledKernel:
             if name in labels:
                 raise AsmError(lineno, 1, f"duplicate label {name!r}")
             labels[name] = len(pending)
-            line = line[m.end():].strip()
+            rest = line[m.end():]
+            line = rest.strip()
             if not line:
                 continue
-
-        col = raw_line.index(line.split(None, 1)[0]) + 1
+            col += m.end() + len(rest) - len(rest.lstrip())
         if line.startswith("."):
             directive, rest = (line.split(None, 1) + [""])[:2]
             if directive == ".entry":

@@ -72,6 +72,8 @@ CASES = {
     "unicode-digit-immediate": "s_ldi s0, \u0663\n",
     "unicode-digit-hex-byte": ".data 0: \u0663\n",
     "f32-overflow": ".dataf 0: 1e39\n",
+    # the column is where the mnemonic starts, after its label
+    "label-starts-with-mnemonic": "halting: halt s0\n",
 }
 
 

@@ -139,12 +139,14 @@ def _resigned_bad_opcode(ws):
     return json.dumps(doc).encode()
 
 
-def _edited_event(kind, field, value):
+def _edited_event(kind, field, value, opcode=None):
     """The run log of the workspace kernel with `field` of its first `kind`
-    event set to `value`."""
+    event (of `opcode`, if given) set to `value`."""
     def make(ws):
         lines = (ws / "events.jsonl").read_text().splitlines()
-        i = next(i for i, ln in enumerate(lines) if json.loads(ln)["kind"] == kind)
+        i = next(i for i, ln in enumerate(lines)
+                 if json.loads(ln)["kind"] == kind
+                 and opcode in (None, json.loads(ln).get("opcode")))
         lines[i] = json.dumps({**json.loads(lines[i]), field: value}, sort_keys=True)
         return ("\n".join(lines) + "\n").encode()
     return make
@@ -202,6 +204,11 @@ MALFORMED_INPUTS = {
                                 _ANALYZE, "EVENTS_INVALID", 1),
     "events-negative-cycle": (_edited_event("instr_retire", "cycle", -5), _ANALYZE,
                               "EVENTS_INVALID", 1),
+    "events-idx-huge": (_edited_event("reg_read", "idx", 300000), _ANALYZE,
+                        "EVENTS_INVALID", 1),
+    "events-wait-never-issued": (_edited_event("instr_issue", "dma_id", 999,
+                                               "DMA_WAIT"),
+                                 _ANALYZE, "EVENTS_INVALID", 1),
 }
 
 

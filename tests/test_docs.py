@@ -28,3 +28,21 @@ def test_isa_opcode_table_matches_code():
                               " or ".join("`" + ", ".join(n for n, _ in f.operands) + "`"
                                           for f in forms if f.operands))
                     for op, forms in FORMS.items()}
+
+
+def test_cli_codes_are_documented():
+    """docs/cli.md has one table row per `code:` the CLI can print: its own
+    codes, the trace reader's and every Fault kind in upper case."""
+    src = ROOT / "src" / "xshark"
+    cli = (src / "cli.py").read_text()
+    codes = set(re.findall(r'CliError\("([A-Z_]+)"', cli))
+    codes |= set(re.findall(r"code:([A-Z_]+)", cli))
+    codes |= set(re.findall(r'TraceError\("([A-Z_]+)"',
+                            (src / "recorder.py").read_text()))
+    codes |= {kind.upper() for path in src.rglob("*.py")
+              for kind in re.findall(r'Fault\("([a-z_]+)"', path.read_text())}
+    assert {"USAGE", "ANALYSIS_ERROR", "TRACE_FORMAT", "DMA_BUSY"} <= codes
+    doc = (ROOT / "docs" / "cli.md").read_text()
+    rows = set(re.findall(r"^\| `([A-Z_]+)` \| [12] \|", doc, re.MULTILINE))
+    assert sorted(codes - rows) == []
+    assert sorted(rows - codes) == []

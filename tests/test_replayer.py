@@ -1,14 +1,23 @@
 """Replay fidelity, divergence detection, and schedule permutation."""
 
+import hashlib
+import struct
+from dataclasses import replace
+
 import pytest
 
+from xshark import recorder, replayer, sim
+from xshark.analyzer import apply_and_verify
+from xshark.analyzer.suggest import Suggestion
 from xshark.debugger import Breakpoint
-from xshark.recorder import TraceError, record
+from xshark.isa import (MemRegion, MemSpace, decode_instruction,
+                        encode_instruction, instruction_io_sets, sreg)
+from xshark.recorder import ExecutionTrace, TraceError, record
 from xshark.replayer import (ReplayDivergence, compare_window, replay,
                              replay_with_schedule)
 from xshark.sim import RecordingTracker, SimConfig, events_to_jsonl
 
-from helpers import asm_session, mk_config
+from helpers import asm_run, asm_session, mk_config
 
 KERNEL = """
   .data 0x1000: 01 02 03 04 05 06 07 08
@@ -78,16 +87,19 @@ def test_replay_config_hash_gate():
 
 def test_timing_config_independence_of_architecture():
     """Replaying under a different T_b/bandwidth changes event timings but
-    never architectural results."""
+    never architectural results. Each replay reads a copy of the trace whose
+    header carries the other config's hash, so the config-hash gate passes."""
     _, res, config = _record()
     base = replay(res.trace, config)
+    t = res.trace
     for other in (mk_config(t_base=13),
                   mk_config(link_bandwidth={"hbm>vmem": 4}),
                   mk_config(unit_latency={"MXU": 5, "LSU": 9})):
-        rep = replay(res.trace, other, strict_config=False)
+        header = replace(t.header, sim_config_hash=other.config_hash())
+        rep = replay(ExecutionTrace(header, t.reg_snapshots, t.mem_snapshots,
+                                    t.instr_stream), other)
         assert rep.digest == base.digest
-        assert rep.written_regs == base.written_regs
-        assert rep.written_mem == base.written_mem
+        assert rep.footprint == base.footprint
         assert rep.cycles != base.cycles or other.to_json() == config.to_json()
 
 
@@ -113,7 +125,6 @@ def test_trace_ending_mid_dma_is_not_an_error():
     session, res, config = _record(src, n=4)
     assert res.recorded == 4
     rep = replay(res.trace, config)
-    assert rep.fault is None
     slot = rep.state.dma_slots[0]
     assert slot.active and not slot.applied          # still in flight at cut
     assert compare_window(session.state, res, rep)["equal"]
@@ -161,3 +172,127 @@ def test_non_permutation_rejected():
     _, res, config = _record()
     with pytest.raises(ValueError):
         replay_with_schedule(res.trace, [0, 0, 1], config)
+
+
+def test_unlanded_dma_destination_is_not_in_the_footprint():
+    # the live destination holds other bytes than the replay's zeroed one,
+    # so counting it as written would also break the digests' equality
+    src = """
+      .vdata 0x200: ff ff ff ff
+      s_ldi s1, 0x1000
+      s_ldi s2, 0x200
+      s_ldi s3, 64
+      dma_issue 0, hbm>vmem, s1, s2, s3
+      dma_wait 0
+      halt
+    """
+    session, res, config = _record(src, n=4)
+    assert dict(res.footprint.mem) == {MemSpace.VMEM: (), MemSpace.HBM: ()}
+    assert res.footprint.regs == {sreg(1), sreg(2), sreg(3)}
+    assert compare_window(session.state, res, replay(res.trace, config))["equal"]
+
+
+def test_window_digest_follows_the_documented_recipe():
+    """docs/trace-format.md, "Window footprint and the `window:` digest"."""
+    _, res, config = _record()
+    rep = replay(res.trace, config)
+    state, fp = rep.state, rep.footprint
+    assert fp.regs and any(spans for _, spans in fp.mem)
+    h = hashlib.sha256(struct.pack("<I", state.pc) + bytes([state.halted]))
+    for r in sorted(fp.regs, key=str):
+        h.update(str(r).encode() + state.read_reg_bytes(r))
+    for space, spans in fp.mem:
+        for s, e in spans:
+            h.update(f"{space.value}:{s}:{e}".encode()
+                     + state.read_mem(MemRegion(space, s, e - s)))
+    assert [sp for sp, _ in fp.mem] == [MemSpace.VMEM, MemSpace.HBM]
+    assert rep.digest == "window:" + h.hexdigest()
+
+
+# ------------------------------------------------------ faulting windows
+
+FAULTING_WINDOWS = {
+    # the second issue finds slot 0 busy while the first DMA is in flight
+    "dma_busy": """
+      s_ldi s0, 0x1000
+      s_ldi s1, 0x200
+      s_ldi s2, 64
+      s_ldi s3, 0x400
+      dma_issue 0, hbm>vmem, s0, s1, s2
+      dma_issue 0, hbm>vmem, s0, s3, s2
+      halt
+    """,
+    "dma_wait_idle": """
+      s_ldi s1, 0x200
+      v_load v1, [s1]
+      dma_wait 3
+      halt
+    """,
+    # faults while its footprint is parsed, before it steps
+    "mem_align": """
+      s_ldi s0, 0x1000
+      s_ldi s1, 0x203
+      v_load v1, [s0]
+      v_load v2, [s1]
+      halt
+    """,
+}
+
+
+@pytest.mark.parametrize("kind", FAULTING_WINDOWS)
+def test_window_ending_in_a_fault_replays_bit_exact(kind):
+    session, res, config = _record(FAULTING_WINDOWS[kind])
+    assert res.fault.kind == kind and res.trace.header.fault_kind == kind
+    rep = replay(res.trace, config)
+    assert rep.footprint == res.footprint
+    assert compare_window(session.state, res, rep)["equal"] is True
+
+
+def test_trace_whose_last_record_faults_diverges():
+    # the recorder never keeps the faulting instruction; a stream that holds
+    # it is tampered, whatever the header's fault_kind says
+    session, res, config = _record(FAULTING_WINDOWS["dma_busy"])
+    t = res.trace
+    pc = session.state.pc
+    stream = t.instr_stream + [(pc, encode_instruction(session.program.instructions[pc]))]
+    header = replace(t.header, instruction_count=len(stream))
+    with pytest.raises(ReplayDivergence, match="dma_busy"):
+        replay(ExecutionTrace(header, t.reg_snapshots, t.mem_snapshots, stream),
+               config)
+
+
+def test_footprint_parsed_once_per_instruction(monkeypatch):
+    """run, record and replay each parse an executed instruction's
+    footprint once; the simulator takes it from the caller."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return instruction_io_sets(*args)
+
+    for module in (sim, recorder, replayer):
+        monkeypatch.setattr(module, "instruction_io_sets", counting)
+    kernel, result, _ = asm_run(KERNEL)
+    assert len(calls) == result.executed > 0
+    calls.clear()
+    _, res, config = _record()
+    assert len(calls) == res.recorded > 0
+    calls.clear()
+    rep = replay(res.trace, config)
+    assert len(calls) == rep.executed == res.recorded
+
+
+def test_apply_decodes_the_stream_once(monkeypatch):
+    decoded = []
+
+    def counting(raw):
+        decoded.append(raw)
+        return decode_instruction(raw)
+
+    monkeypatch.setattr(recorder, "decode_instruction", counting)
+    _, res, config = _record()
+    order = list(range(len(res.trace.instr_stream)))
+    apply_and_verify(res.trace, Suggestion(0, 0, 0, 0, 0, 0, None, order[:1]),
+                     config)
+    replay_with_schedule(res.trace, order, config)
+    assert len(decoded) == len(res.trace.instr_stream)
