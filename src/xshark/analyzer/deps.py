@@ -33,7 +33,6 @@ from ..intervals import IntervalMap
 from ..isa import MemRegion, MemSpace, Opcode
 from ..sim import (DMA_COMPLETE, INSTR_ISSUE, INSTR_RETIRE, MEM_READ,
                    MEM_WRITE, REG_READ, REG_WRITE, PerfEvent)
-from . import AnalysisError
 
 RELAXED_CHAIN_CAP = 8
 _DMA_ISSUE = Opcode.DMA_ISSUE.name
@@ -169,8 +168,7 @@ class DependencyGraph:
         return 1 + max(deps) if deps else 0
 
 
-def build_dependency_graph(events: List[PerfEvent],
-                           chain_cap: int = RELAXED_CHAIN_CAP) -> DependencyGraph:
+def build_dependency_graph(events: List[PerfEvent]) -> DependencyGraph:
     t = build_tables(events)
     n = t.n
     last_reg: Dict[str, int] = {}
@@ -208,7 +206,7 @@ def build_dependency_graph(events: List[PerfEvent],
             chain: Set[int] = set()
             # the src-region RAW edges
             edges: Set[Edge] = {e for e in own if e.label != "register"}
-            if _walk_chain(i, i, t, producers, chain, edges, chain_cap):
+            if _walk_chain(i, i, t, producers, chain, edges):
                 chains[i] = tuple(sorted(chain))
                 own = _sorted_unique([Edge(i, e.producer, e.label, e.resource)
                                       for e in edges])
@@ -232,10 +230,11 @@ def _sorted_unique(edges: List[Edge]) -> List[Edge]:
 
 def _walk_chain(root: int, at: int, t: LogTables,
                 producers: Callable[[int], List[Edge]], chain: Set[int],
-                edges: Set[Edge], cap: int) -> bool:
+                edges: Set[Edge]) -> bool:
     """Chase register producers of `at` back through transforms; collect
-    memory-materializer edges for `root`. False when the chain blows the cap.
-    A register read without an edge has its value from before the window."""
+    memory-materializer edges for `root`. False when the chain grows past
+    RELAXED_CHAIN_CAP. A register read without an edge has its value from
+    before the window."""
     for e in producers(at):
         p = e.producer
         if e.label != "register" or p in chain:
@@ -245,12 +244,12 @@ def _walk_chain(root: int, at: int, t: LogTables,
             edges.add(Edge(root, p, "register", e.resource))
             continue
         chain.add(p)
-        if len(chain) > cap:
+        if len(chain) > RELAXED_CHAIN_CAP:
             return False
         if t.instrs[p].opcode == "V_LOAD":
             edges.update(Edge(root, m.producer, m.label, m.resource)
                          for m in producers(p) if m.label != "register")
-        if not _walk_chain(root, p, t, producers, chain, edges, cap):
+        if not _walk_chain(root, p, t, producers, chain, edges):
             return False
     return True
 
@@ -361,14 +360,11 @@ def _block_constraints(block: Set[int], d: int, t: LogTables, graph,
     return last + 1, (ready if last >= 0 else None)
 
 
-def compute_backtails(graph: DependencyGraph,
-                      tables: Optional[LogTables] = None) -> Dict[int, Backtail]:
+def compute_backtails(graph: DependencyGraph) -> Dict[int, Backtail]:
     """Earliest feasible issue position/cycle per DMA under the relaxed model,
     clamped by every hazard that would change architectural results (register
     and memory anti/output dependencies of the moved block, slot reuse)."""
-    t = tables or graph.tables
-    if t is None:
-        raise AnalysisError("compute_backtails needs log tables")
+    t = graph.tables
     hz = _Hazards(t)
     out: Dict[int, Backtail] = {}
     for d, info in enumerate(t.instrs):

@@ -1,16 +1,14 @@
 """Report bundle writer.
 
 Layout of the output directory (documented in docs/reports.md):
-  report.json        all records, series, graph edges and suggestions
+  report.json        all records, series and graph edges
   dma_timeline.svg   one row per DMA with stall/slack segments + backtails
   util_<unit>.csv    per-bucket busy fraction per unit
   vmem_heatmap.svg   128 buckets x time
-  suggestions.json   the suggestion list on its own, for `apply`
 """
 
 from __future__ import annotations
 
-import json
 import os
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -18,7 +16,6 @@ from typing import Dict, List, Optional
 
 from .deps import Backtail, DependencyGraph
 from .dma import DmaRecord
-from .suggest import Suggestion
 from .svg import render_dma_timeline, render_vmem_heatmap
 from .utilization import UtilizationSeries
 from .vmem import VmemPageStats
@@ -30,7 +27,6 @@ def write_report(outdir: str,
                  vmem: Optional[VmemPageStats] = None,
                  graph: Optional[DependencyGraph] = None,
                  backtails: Optional[Dict[int, Backtail]] = None,
-                 suggestions: Optional[List[Suggestion]] = None,
                  regions: Optional[dict] = None) -> List[str]:
     os.makedirs(outdir, exist_ok=True)
     written = []
@@ -66,12 +62,6 @@ def write_report(outdir: str,
         doc["backtails"] = [b.to_json() for _, b in sorted(backtails.items())]
     if regions:
         doc["regions"] = regions
-    if suggestions is not None:
-        doc["suggestions"] = [s.to_json() for s in suggestions]
-        path = os.path.join(outdir, "suggestions.json")
-        with open(path, "w") as fh:
-            json.dump([s.to_json() for s in suggestions], fh, indent=1)
-        written.append(path)
     path = os.path.join(outdir, "report.json")
     with open(path, "w") as fh:
         for batch in _json_batches(doc, "\n"):

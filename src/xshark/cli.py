@@ -100,6 +100,13 @@ def _read_suggestions(path):
         raise CliError("SUGGESTIONS_INVALID", f"bad suggestions {path!r}: {e}", 1)
 
 
+def _write_suggestions(path, suggestions):
+    """The suggestion file format (docs/reports.md), read by
+    _read_suggestions."""
+    with open(path, "w") as fh:
+        json.dump([s.to_json() for s in suggestions], fh, indent=1)
+
+
 def _summary(result, digest: str) -> dict:
     return {"cycles": result.cycles, "executed": result.executed,
             "outcome": getattr(result, "outcome", "replayed"),
@@ -203,8 +210,7 @@ def cmd_suggest(args, config):
                        f"{len(trace.instr_stream)}")
     vmem = analyze_vmem(events, capacity=config.vmem_capacity)
     suggestions = make_suggestions(records, graph, vmem)
-    with open(args.output, "w") as fh:
-        json.dump([s.to_json() for s in suggestions], fh, indent=1)
+    _write_suggestions(args.output, suggestions)
     stalled = sum(1 for r in records if r.stall_total > 0)
     print(f"{len(suggestions)} suggestions for {stalled} stalled DMAs "
           f"-> {args.output}")
@@ -219,9 +225,7 @@ def cmd_apply(args, config):
     tracker = RecordingTracker()
     updated, applied = apply_and_verify(trace, suggestions, config,
                                         tracker=tracker)
-    out_suggestions = args.output + ".suggestions.json"
-    with open(out_suggestions, "w") as fh:
-        json.dump([s.to_json() for s in updated], fh, indent=1)
+    _write_suggestions(args.output + ".suggestions.json", updated)
     if applied is None:
         raise CliError("REPLAY_DIVERGENCE",
                        f"reorder diverged: {updated[0].diagnostic}")

@@ -1,18 +1,18 @@
 """Step-debugger facade over the simulator.
 
 Provides exactly the primitives the execution recorder needs: single step,
-register/memory reads, and pc breakpoints with optional hit counting.
-Breakpoints are plain pc compares in the session loop; reads are pure and
-never disturb architectural state.
+a look at the next instruction, and running to the Nth arrival at a pc.
+The breakpoint is a plain pc compare in the session loop; the recorder
+reads registers and memory through the pure reads of `MachineState`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from .isa import Fault, Instruction, MachineState, MemRegion, Program, RegisterId
-from .sim import PerfTracker, SimConfig, Simulator, StepOutcome
+from .isa import Fault, Instruction, MachineState, Program
+from .sim import PerfTracker, SimConfig, Simulator
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,6 @@ class Breakpoint:
     def __post_init__(self):
         if self.hit_count_target < 1:
             raise ValueError("hit_count_target must be >= 1")
-
-
-@dataclass
-class ContinueResult:
-    hit: bool                      # False: ran to HALT/budget/fault
-    breakpoint_id: Optional[int] = None
-    outcome: Optional[str] = None  # set when not hit
-    fault: Optional[Fault] = None
 
 
 class DebugSession:
@@ -44,26 +36,10 @@ class DebugSession:
         self.sim = Simulator(config, state, program, tracker)
         if state is None:
             self.sim.state.pc = program.entry_pc
-        self._breakpoints: Dict[int, Breakpoint] = {}
-        self._hits: Dict[int, int] = {}
-        self._next_bp = 0
 
     @property
     def state(self) -> MachineState:
         return self.sim.state
-
-    def set_breakpoint(self, bp: Breakpoint) -> int:
-        if not 0 <= bp.pc < len(self.program):
-            raise Fault("bp_oob", f"breakpoint pc {bp.pc} outside program")
-        bp_id = self._next_bp
-        self._next_bp += 1
-        self._breakpoints[bp_id] = bp
-        self._hits[bp_id] = 0
-        return bp_id
-
-    def clear_breakpoint(self, bp_id: int):
-        self._breakpoints.pop(bp_id, None)
-        self._hits.pop(bp_id, None)
 
     def peek(self) -> Optional[Instruction]:
         """Instruction about to execute, decoded, without stepping."""
@@ -72,30 +48,23 @@ class DebugSession:
             return None
         return self.program.instructions[pc]
 
-    def step(self) -> StepOutcome:
+    def step(self) -> Optional[Fault]:
         return self.sim.step()
 
-    def continue_until_break(self, max_cycles: int = 10_000_000) -> ContinueResult:
-        """Run until some breakpoint's hit count is reached; halts *before*
-        executing the instruction at the breakpoint pc."""
-        state = self.state
+    def run_to(self, bp: Breakpoint, max_cycles: int = 10_000_000) -> str:
+        """Step until the machine reaches bp.pc for the hit_count_target-th
+        time, stopping *before* that instruction executes. Returns "hit",
+        or how the run ended instead: "halted", "budget" or "fault"."""
+        if not 0 <= bp.pc < len(self.program):
+            raise Fault("bp_oob", f"breakpoint pc {bp.pc} outside program")
+        state, hits = self.state, 0
         while not state.halted:
             if state.cycle >= max_cycles:
-                return ContinueResult(False, outcome="budget")
-            for bp_id, bp in self._breakpoints.items():
-                if state.pc == bp.pc:
-                    self._hits[bp_id] += 1
-                    if self._hits[bp_id] == bp.hit_count_target:
-                        return ContinueResult(True, breakpoint_id=bp_id)
-            out = self.sim.step()
-            if out.fault is not None:
-                return ContinueResult(False, outcome="fault", fault=out.fault)
-        return ContinueResult(False, outcome="halted")
-
-    # -- pure reads ----------------------------------------------------------
-
-    def read_register(self, r: RegisterId) -> bytes:
-        return self.state.read_reg_bytes(r)
-
-    def read_memory(self, region: MemRegion) -> bytes:
-        return self.state.read_mem(region)
+                return "budget"
+            if state.pc == bp.pc:
+                hits += 1
+                if hits == bp.hit_count_target:
+                    return "hit"
+            if self.sim.step() is not None:
+                return "fault"
+        return "halted"

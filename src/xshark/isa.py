@@ -430,26 +430,22 @@ class SparseBytes:
 
 
 class DmaSlotState:
-    """One DMA engine slot.
+    """One DMA engine slot: what the machine needs of its transfer.
 
-    The transfer schedule is fully determined at issue time (base latency is
+    The schedule is fully determined at issue time (base latency is
     constant; the per-link queue is FIFO in base-done order, which equals
-    issue order), so all four timeline cycles are recorded eagerly.
-    `applied` flips when the destination bytes become architecturally visible
-    at complete_cycle.
+    issue order), so a DMA_WAIT reads its stall bounds from here. `applied`
+    flips when the destination bytes become visible at complete_cycle. The
+    full timeline is in the event log only (docs/events.md).
     """
 
-    __slots__ = ("active", "src", "dst", "issue_cycle", "base_done_cycle",
-                 "transfer_start_cycle", "complete_cycle", "buffer", "applied",
-                 "dma_id")
+    __slots__ = ("active", "dst", "base_done_cycle", "complete_cycle", "buffer",
+                 "applied", "dma_id")
 
     def __init__(self):
         self.active = False
-        self.src = None
         self.dst = None
-        self.issue_cycle = 0
         self.base_done_cycle = 0
-        self.transfer_start_cycle = 0
         self.complete_cycle = 0
         self.buffer = b""
         self.applied = False

@@ -137,65 +137,59 @@ def record(session: DebugSession, breakpoint: Optional[Breakpoint],
 
     Recording refuses to start while a DMA is in flight unless
     fast_forward_dma is set, in which case the session steps on until the
-    engine is quiescent. Traces must be self-contained.
+    engine is quiescent. Traces must be self-contained. A pc outside the
+    program ends the window as it ends Simulator.step: with a pc_oob fault.
     """
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
     if breakpoint is not None:
-        bp_id = session.set_breakpoint(breakpoint)
-        res = session.continue_until_break(max_cycles)
-        session.clear_breakpoint(bp_id)
-        if not res.hit:
+        outcome = session.run_to(breakpoint, max_cycles)
+        if outcome != "hit":
             raise Fault("bp_not_hit",
-                        f"breakpoint at pc={breakpoint.pc} not reached ({res.outcome})")
+                        f"breakpoint at pc={breakpoint.pc} not reached ({outcome})")
 
-    inflight = [i for i, s in enumerate(session.state.dma_slots) if s.active]
+    sim, state = session.sim, session.state
+    inflight = [i for i, s in enumerate(state.dma_slots) if s.active]
     if inflight:
         if not fast_forward_dma:
             raise Fault("dma_inflight",
                         f"recording with DMAs in flight on slots {inflight}; "
                         "pass fast_forward_dma to run to quiescence")
-        while any(s.active for s in session.state.dma_slots):
-            out = session.step()
-            if out.fault is not None or out.halted or session.state.cycle >= max_cycles:
+        while any(s.active for s in state.dma_slots):
+            sim.step()
+            if state.halted or state.cycle >= max_cycles:
                 raise Fault("dma_inflight", "could not reach DMA quiescence")
 
-    state = session.state
     start_pc, start_cycle = state.pc, state.cycle
     ledger = WindowLedger()
     reg_snaps, mem_snaps, stream = [], [], []
-    ended_at_halt, fault = False, None
+    fault = None
 
     for _ in range(n_instructions):
-        instr = session.peek()
-        if instr is None:
-            ended_at_halt = True
+        if state.halted:
             break
         pc = state.pc
         try:
+            instr = sim.fetch()
             ios = instruction_io_sets(instr, state, pc)
         except Fault as f:
             state.halted = True          # any fault halts, as in Simulator.step
             fault = f
             break
         for r in ledger.first_reg_uses(ios):
-            reg_snaps.append((r, session.read_register(r)))
+            reg_snaps.append((r, state.read_reg_bytes(r)))
         for m, missing in ledger.first_mem_uses(ios):
             for s, e in missing:
                 piece = MemRegion(m.space, s, e - s)
-                mem_snaps.append((piece, session.read_memory(piece)))
-
-        out = session.sim.exec_instruction(instr, pc, ios)
-        if out.fault is not None:
-            fault = out.fault
+                mem_snaps.append((piece, state.read_mem(piece)))
+        fault = sim.exec_instruction(instr, pc, ios)
+        if fault is not None:
             break
         ledger.wrote(ios)
         stream.append((pc, encode_instruction(instr)))
-        if out.halted:
-            ended_at_halt = True
-            break
 
-    session.sim.sync()
+    sim.sync()
+    ended_at_halt = state.halted and fault is None
     header = TraceHeader(ISA_VERSION, session.config.config_hash(), start_pc,
                          start_cycle, len(stream), ended_at_halt,
                          fault.kind if fault else None)

@@ -75,9 +75,9 @@ def _replay_stream(trace: ExecutionTrace, config: SimConfig,
             raise ReplayDivergence(
                 k, f"{instr.opcode.name} at pc {pc} reads {m} with "
                    f"uncovered bytes {missing}")
-        out = sim.exec_instruction(instr, pc, ios)
-        if out.fault is not None:
-            raise ReplayDivergence(k, f"unexpected fault: {out.fault.describe()}")
+        fault = sim.exec_instruction(instr, pc, ios)
+        if fault is not None:
+            raise ReplayDivergence(k, f"unexpected fault: {fault.describe()}")
         ledger.wrote(ios)
         state.halted = False      # a recorded HALT must not stop the stream
 

@@ -132,10 +132,28 @@ STALL_HAZARD = "hazard"
 STALL_DMA_BASE = "dma_base"
 STALL_DMA_TRANSFER = "dma_transfer"
 
-EVENT_KINDS = frozenset({INSTR_ISSUE, INSTR_RETIRE, UNIT_BUSY, STALL_BEGIN,
-                         STALL_END, DMA_ISSUE_EV, DMA_BASE_DONE,
-                         DMA_TRANSFER_START, DMA_COMPLETE, REG_READ,
-                         REG_WRITE, MEM_READ, MEM_WRITE})
+# kind -> (required payload fields, optional ones): the rows of
+# docs/events.md, "Event kinds"; every line also has `cycle` and `kind`
+EVENT_FIELDS = {
+    INSTR_ISSUE: ("pc idx opcode unit", "slot dma_id annulled"),
+    INSTR_RETIRE: ("pc idx", ""),
+    UNIT_BUSY: ("pc idx unit until", ""),
+    STALL_BEGIN: ("pc idx reason", "slot dma_id"),
+    STALL_END: ("pc idx reason", "slot dma_id"),
+    DMA_ISSUE_EV: ("pc idx slot dma_id link size src_region dst_region", ""),
+    DMA_BASE_DONE: ("idx slot dma_id", ""),
+    DMA_TRANSFER_START: ("idx slot dma_id", ""),
+    DMA_COMPLETE: ("idx slot dma_id", ""),
+    REG_READ: ("pc idx reg", ""),
+    REG_WRITE: ("pc idx reg", ""),
+    MEM_READ: ("pc idx region", "dma_id"),
+    MEM_WRITE: ("pc idx region", "dma_id"),
+}
+EVENT_KINDS = frozenset(EVENT_FIELDS)
+# kind -> (the keys a line of that kind must have, the keys it may have)
+_KIND_KEYS = {kind: (frozenset(f"cycle kind {req}".split()),
+                     frozenset(f"cycle kind {req} {opt}".split()))
+              for kind, (req, opt) in EVENT_FIELDS.items()}
 
 
 @dataclass(slots=True)
@@ -167,12 +185,15 @@ class PerfEvent:
 
     @staticmethod
     def from_json(d: dict) -> "PerfEvent":
-        if d["kind"] not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {d['kind']!r}")
+        kind = d["kind"]
+        if kind not in _KIND_KEYS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        required, allowed = _KIND_KEYS[kind]
+        if not required <= d.keys() <= allowed:
+            raise ValueError(f"{kind} event lacks {sorted(required - d.keys())} "
+                             f"or has unlisted {sorted(d.keys() - allowed)}")
         for name, value in d.items():
-            want = _FIELD_TYPES.get(name)
-            if want is None:
-                raise ValueError(f"unknown event field {name!r}")
+            want = _FIELD_TYPES[name]
             if type(value) is not want or (want is int and value < 0):
                 raise ValueError(f"event field {name!r} must be {_MUST[want]}, "
                                  f"got {value!r}")
@@ -265,18 +286,6 @@ def events_from_jsonl(text: str):
 
 
 @dataclass
-class StepOutcome:
-    pc: int
-    index: int
-    instr: Optional[Instruction]
-    issue_cycle: int = 0
-    retire_cycle: int = 0
-    annulled: bool = False
-    halted: bool = False
-    fault: Optional[Fault] = None
-
-
-@dataclass
 class RunResult:
     outcome: str                  # "halted" | "budget" | "fault"
     state: MachineState
@@ -338,22 +347,34 @@ class Simulator:
 
     # -- execution -----------------------------------------------------------
 
-    def step(self) -> StepOutcome:
+    def fetch(self) -> Instruction:
+        """The instruction at pc; a pc outside the program is a Fault."""
+        pc = self.state.pc
+        if self.program is None or not 0 <= pc < len(self.program):
+            raise Fault("pc_oob", f"pc {pc} outside program", pc)
+        return self.program.instructions[pc]
+
+    def step(self) -> Optional[Fault]:
+        """Execute the instruction at pc: returns its Fault, which halts the
+        machine, or None. A halted machine does not step."""
         state = self.state
         if state.halted:
-            return StepOutcome(state.pc, self.stream_index, None, halted=True)
-        if self.program is None or not 0 <= state.pc < len(self.program):
-            f = Fault("pc_oob", f"pc {state.pc} outside program", state.pc)
+            return None
+        pc = state.pc
+        try:
+            instr = self.fetch()
+            ios = instruction_io_sets(instr, state, pc)
+        except Fault as f:
             state.halted = True
-            return StepOutcome(state.pc, self.stream_index, None, fault=f, halted=True)
-        return self.exec_instruction(self.program.instructions[state.pc], state.pc)
+            return f
+        return self.exec_instruction(instr, pc, ios)
 
     def run(self, max_cycles: int) -> RunResult:
         if max_cycles <= 0:
             raise ValueError("max_cycles must be positive")
         state, fault = self.state, None
         while fault is None and not state.halted and state.cycle < max_cycles:
-            fault = self.step().fault
+            fault = self.step()
         self.sync()
         outcome = ("fault" if fault is not None
                    else "halted" if state.halted else "budget")
@@ -361,58 +382,45 @@ class Simulator:
                          self.stream_index, dict(self.stall_cycles), fault)
 
     def exec_instruction(self, instr: Instruction, pc: int,
-                         ios: Optional[IoSets] = None) -> StepOutcome:
-        """Execute one instruction to retirement; advances cycle by
-        issue-wait plus unit latency. `ios` is its instruction_io_sets from
-        the current state, parsed here when the caller has not."""
+                         ios: IoSets) -> Optional[Fault]:
+        """Execute one instruction to retirement, given its footprint `ios`
+        (instruction_io_sets from the current state); advances the cycle by
+        issue-wait plus unit latency. Returns the step's Fault, which halts
+        the machine, or None."""
         state = self.state
         idx = self.stream_index
         start = state.cycle
-        if ios is None:
+        if instr.predicate is not None and not state.pregs[instr.predicate.index]:
+            retire, next_pc = start + 1, pc + 1
+            if self._emit:
+                self._send(PerfEvent(start, REG_READ, pc=pc, idx=idx,
+                                     reg=str(instr.predicate)))
+                self._send(PerfEvent(start, INSTR_ISSUE, pc=pc, idx=idx,
+                                     opcode=instr.opcode.name,
+                                     unit=instr.unit.value, annulled=True))
+                self._send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
+        else:
+            # Hazard interlock: touching bytes an in-flight DMA will write
+            # blocks until that DMA completes (keeps results timing-independent).
+            issue = start
+            touched = ios.input_mem + ios.output_mem
+            if touched:
+                for slot in state.dma_slots:
+                    if (slot.active and not slot.applied
+                            and any(r.overlaps(slot.dst) for r in touched)):
+                        issue = max(issue, slot.complete_cycle)
+            if issue > start:
+                self._stall(STALL_HAZARD, start, issue, pc, idx)
+            self._advance_engine(issue)
             try:
-                ios = instruction_io_sets(instr, state, pc)
+                retire, next_pc = self._execute(instr, pc, idx, issue, ios)
             except Fault as f:
                 state.halted = True
-                return StepOutcome(pc, idx, instr, fault=f, halted=True)
-
-        annulled = instr.predicate is not None and not state.pregs[instr.predicate.index]
-        op = instr.opcode
-
-        if annulled:
-            issue = start
-            retire = issue + 1
-            if self._emit:
-                self._send(PerfEvent(issue, REG_READ, pc=pc, idx=idx,
-                                     reg=str(instr.predicate)))
-                self._send(PerfEvent(issue, INSTR_ISSUE, pc=pc, idx=idx,
-                                     opcode=op.name, unit=instr.unit.value,
-                                     annulled=True))
-                self._send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
-            state.cycle = retire
-            state.pc = pc + 1
-            self.stream_index += 1
-            return StepOutcome(pc, idx, instr, issue, retire, annulled=True)
-
-        # Hazard interlock: touching bytes an in-flight DMA will write blocks
-        # until that DMA completes (keeps results timing-independent).
-        issue = start
-        touched = ios.input_mem + ios.output_mem
-        if touched:
-            for slot in state.dma_slots:
-                if (slot.active and not slot.applied
-                        and any(r.overlaps(slot.dst) for r in touched)):
-                    issue = max(issue, slot.complete_cycle)
-        if issue > start:
-            self._stall(STALL_HAZARD, start, issue, pc, idx)
-        self._advance_engine(issue)
-
-        try:
-            out = self._execute(instr, pc, idx, issue, ios)
-        except Fault as f:
-            state.halted = True
-            return StepOutcome(pc, idx, instr, issue, fault=f, halted=True)
-        self.stream_index += 1
-        return out
+                return f
+        state.cycle = retire
+        state.pc = next_pc
+        self.stream_index = idx + 1
+        return None
 
     # -- per-instruction events (callers of _issue/_retire check _emit) -----
 
@@ -449,7 +457,8 @@ class Simulator:
 
     # -- instruction semantics -----------------------------------------------
 
-    def _execute(self, instr, pc, idx, issue, ios) -> StepOutcome:
+    def _execute(self, instr, pc, idx, issue, ios):
+        """Semantics and events of one instruction: (retire cycle, next pc)."""
         state = self.state
         op = instr.opcode
         next_pc = pc + 1
@@ -500,9 +509,9 @@ class Simulator:
         elif op is Opcode.HALT:
             state.halted = True
         elif op is Opcode.DMA_ISSUE:
-            return self._exec_dma_issue(instr, pc, idx, issue, ios)
+            return self._exec_dma_issue(instr, pc, idx, issue, ios), next_pc
         elif op is Opcode.DMA_WAIT:
-            return self._exec_dma_wait(instr, pc, idx, issue, ios)
+            return self._exec_dma_wait(instr, pc, idx, issue, ios), next_pc
         else:
             raise Fault("decode", f"unhandled opcode {op!r}", pc)
 
@@ -513,11 +522,9 @@ class Simulator:
             self._issue(instr, pc, idx, issue, ios)
             self._retire(pc, idx, instr.unit, issue, retire,
                          ios.output_regs, ios.output_mem)
-        state.cycle = retire
-        state.pc = next_pc
-        return StepOutcome(pc, idx, instr, issue, retire, halted=state.halted)
+        return retire, next_pc
 
-    def _exec_dma_issue(self, instr, pc, idx, issue, ios) -> StepOutcome:
+    def _exec_dma_issue(self, instr, pc, idx, issue, ios) -> int:
         state = self.state
         cfg = self.config
         slot_no = instr.immediates[0]
@@ -533,9 +540,8 @@ class Simulator:
 
         slot.active = True
         slot.applied = False
-        slot.src, slot.dst = src, dst
-        slot.issue_cycle, slot.base_done_cycle = issue, base_done
-        slot.transfer_start_cycle, slot.complete_cycle = t_start, complete
+        slot.dst = dst
+        slot.base_done_cycle, slot.complete_cycle = base_done, complete
         slot.buffer = state.read_mem(src)
         slot.dma_id = dma_id = state.dma_seq
         state.dma_seq += 1
@@ -554,14 +560,11 @@ class Simulator:
                                       dma_id=dma_id))
             self._queue(_mem_write(complete, pc, idx, dst, dma_id))
             self._retire(pc, idx, Unit.DMA, issue, retire)
-        state.cycle = retire
-        state.pc = pc + 1
-        return StepOutcome(pc, idx, instr, issue, retire)
+        return retire
 
-    def _exec_dma_wait(self, instr, pc, idx, issue, ios) -> StepOutcome:
-        state = self.state
+    def _exec_dma_wait(self, instr, pc, idx, issue, ios) -> int:
         slot_no = instr.immediates[0]
-        slot = state.dma_slots[slot_no]
+        slot = self.state.dma_slots[slot_no]
         dma_id = slot.dma_id
         if dma_id < 0:
             raise Fault("dma_wait_idle", f"DMA_WAIT on idle slot {slot_no}", pc)
@@ -583,9 +586,7 @@ class Simulator:
         retire = exec_at + self.config.latency(Unit.DMA)
         if self._emit:
             self._retire(pc, idx, Unit.DMA, exec_at, retire)
-        state.cycle = retire
-        state.pc = pc + 1
-        return StepOutcome(pc, idx, instr, issue, retire)
+        return retire
 
 
 def _mem_write(cycle, pc, idx, region, dma_id=None) -> PerfEvent:

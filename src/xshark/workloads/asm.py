@@ -45,7 +45,6 @@ class AssembledKernel:
     vmem_image: List[Tuple[int, bytes]] = field(default_factory=list)
     labels: Dict[str, int] = field(default_factory=dict)
     regions: List[Tuple[str, int, int]] = field(default_factory=list)  # (name, start, end)
-    source: str = ""
 
     def region_of(self, pc: int) -> Optional[str]:
         for name, start, end in self.regions:
@@ -163,7 +162,7 @@ def assemble(source: str) -> AssembledKernel:
         program = Program(tuple(instructions), entry_pc)
     except EncodingError as e:
         raise AsmError(0, 0, str(e)) from None
-    return AssembledKernel(program, hbm_image, vmem_image, labels, regions, source)
+    return AssembledKernel(program, hbm_image, vmem_image, labels, regions)
 
 
 def _target(tok: str, labels, n: int, line: int, col: int) -> int:

@@ -108,11 +108,10 @@ def naive_record(session, n_instructions: int):
         pc = state.pc
         ios = instruction_io_sets(instr, state, pc)
         hbm_reads.extend(m for m in ios.input_mem if m.space is MemSpace.HBM)
-        out = session.step()
-        if out.fault is not None:
+        if session.step() is not None:
             break
         stream.append((pc, encode_instruction(instr)))
-        if out.halted:
+        if state.halted:
             ended_at_halt = True
             break
     session.sim.sync()
@@ -152,8 +151,8 @@ def bruteforce_dep_oracle(trace, config) -> set:
                 p = last_byte.get((m.space.value, b))
                 if p is not None:
                     edges.add((idx, p, m.space.value))
-        out = sim.exec_instruction(instr, pc)
-        assert out.fault is None, f"oracle replay fault: {out.fault}"
+        fault = sim.exec_instruction(instr, pc, ios)
+        assert fault is None, f"oracle replay fault: {fault}"
         for r in ios.output_regs:
             last_reg[str(r)] = idx
         for m in ios.output_mem:

@@ -139,15 +139,21 @@ def _resigned_bad_opcode(ws):
     return json.dumps(doc).encode()
 
 
+_DROP = object()
+
+
 def _edited_event(kind, field, value, opcode=None):
     """The run log of the workspace kernel with `field` of its first `kind`
-    event (of `opcode`, if given) set to `value`."""
+    event (of `opcode`, if given) set to `value`, or deleted for _DROP."""
     def make(ws):
         lines = (ws / "events.jsonl").read_text().splitlines()
         i = next(i for i, ln in enumerate(lines)
                  if json.loads(ln)["kind"] == kind
                  and opcode in (None, json.loads(ln).get("opcode")))
-        lines[i] = json.dumps({**json.loads(lines[i]), field: value}, sort_keys=True)
+        event = {**json.loads(lines[i]), field: value}
+        if value is _DROP:
+            del event[field]
+        lines[i] = json.dumps(event, sort_keys=True)
         return ("\n".join(lines) + "\n").encode()
     return make
 
@@ -209,6 +215,20 @@ MALFORMED_INPUTS = {
     "events-wait-never-issued": (_edited_event("instr_issue", "dma_id", 999,
                                                "DMA_WAIT"),
                                  _ANALYZE, "EVENTS_INVALID", 1),
+    "events-dma-issue-no-src-region": (_edited_event("dma_issue", "src_region", _DROP),
+                                       _ANALYZE, "EVENTS_INVALID", 1),
+    "events-mem-write-no-region": (_edited_event("mem_write", "region", _DROP),
+                                   _ANALYZE, "EVENTS_INVALID", 1),
+    "events-unit-busy-no-until": (_edited_event("unit_busy", "until", _DROP),
+                                  _ANALYZE, "EVENTS_INVALID", 1),
+    "events-reg-read-no-reg": (_edited_event("reg_read", "reg", _DROP), _ANALYZE,
+                               "EVENTS_INVALID", 1),
+    "events-issue-no-opcode": (_edited_event("instr_issue", "opcode", _DROP),
+                               _ANALYZE, "EVENTS_INVALID", 1),
+    "events-retire-no-pc": (_edited_event("instr_retire", "pc", _DROP), _ANALYZE,
+                            "EVENTS_INVALID", 1),
+    "events-reg-read-unlisted-until": (_edited_event("reg_read", "until", 5),
+                                       _ANALYZE, "EVENTS_INVALID", 1),
 }
 
 

@@ -22,17 +22,14 @@ COUNTDOWN = """
 
 def test_breakpoint_at_entry_breaks_before_first_instruction():
     _, session = asm_session(COUNTDOWN)
-    session.set_breakpoint(Breakpoint(0))
-    res = session.continue_until_break()
-    assert res.hit and session.state.pc == 0 and session.state.cycle == 0
+    assert session.run_to(Breakpoint(0)) == "hit"
+    assert session.state.pc == 0 and session.state.cycle == 0
 
 
 def test_breakpoint_hit_count_breaks_on_nth_iteration():
     kernel, session = asm_session(COUNTDOWN)
     body = kernel.labels["top"]
-    session.set_breakpoint(Breakpoint(body, hit_count_target=3))
-    res = session.continue_until_break()
-    assert res.hit
+    assert session.run_to(Breakpoint(body, hit_count_target=3)) == "hit"
     assert session.state.pc == body
     # counter decremented twice before the third arrival at the loop head
     assert session.state.sregs[0] == 3
@@ -47,31 +44,35 @@ def test_breakpoint_hit_count_breaks_on_nth_iteration():
 def test_unreachable_breakpoint_runs_to_halt():
     kernel, session = asm_session(COUNTDOWN)
     halt_pc = len(kernel.program) - 1
-    session.set_breakpoint(Breakpoint(halt_pc - 1, hit_count_target=99))
-    res = session.continue_until_break()
-    assert not res.hit and res.outcome == "halted"
+    assert session.run_to(Breakpoint(halt_pc - 1, hit_count_target=99)) == "halted"
+    assert session.state.halted
 
 
 def test_out_of_bounds_breakpoint_rejected():
     _, session = asm_session(COUNTDOWN)
-    with pytest.raises(Fault):
-        session.set_breakpoint(Breakpoint(1000))
+    with pytest.raises(Fault) as exc:
+        session.run_to(Breakpoint(1000))
+    assert exc.value.kind == "bp_oob"
+    assert session.state.cycle == 0 and session.sim.stream_index == 0
 
 
 def test_step_returns_decoded_instruction_before_executing():
     kernel, session = asm_session(COUNTDOWN)
     nxt = session.peek()
     assert nxt is kernel.program.instructions[0]
-    out = session.step()
-    assert out.instr is nxt and out.pc == 0
+    assert session.state.pc == 0
+    assert session.step() is None
+    assert session.state.pc == 1 and session.sim.stream_index == 1
     assert session.state.sregs[0] == 5
 
 
 def test_step_at_halt_reports_halted():
     _, session = asm_session("halt\n")
     session.step()
-    out = session.step()
-    assert out.halted and out.instr is None
+    assert session.state.halted
+    before = (session.state.cycle, session.state.pc, session.sim.stream_index)
+    assert session.step() is None
+    assert (session.state.cycle, session.state.pc, session.sim.stream_index) == before
     assert session.peek() is None
 
 
@@ -79,25 +80,25 @@ def test_reads_are_pure():
     _, session = asm_session(COUNTDOWN)
     session.step()
     baseline = state_digest(session.state.clone())
+    state = session.state
     for _ in range(4):
-        session.read_register(sreg(0))
-        session.read_memory(MemRegion(MemSpace.VMEM, 0, 64))
-        session.read_memory(MemRegion(MemSpace.HBM, 0x5000, 128))
+        state.read_reg_bytes(sreg(0))
+        state.read_mem(MemRegion(MemSpace.VMEM, 0, 64))
+        state.read_mem(MemRegion(MemSpace.HBM, 0x5000, 128))
     assert state_digest(session.state) == baseline
     with pytest.raises(Fault):
-        session.read_memory(MemRegion(MemSpace.VMEM, session.state.vmem_capacity - 32, 64))
+        state.read_mem(MemRegion(MemSpace.VMEM, state.vmem_capacity - 32, 64))
 
 
 def test_reset_state_reads_zeroed():
     _, session = asm_session(COUNTDOWN)
-    assert session.read_memory(MemRegion(MemSpace.VMEM, 0, 64)) == bytes(64)
-    assert session.read_register(sreg(7)) == bytes(4)
+    assert session.state.read_mem(MemRegion(MemSpace.VMEM, 0, 64)) == bytes(64)
+    assert session.state.read_reg_bytes(sreg(7)) == bytes(4)
 
 
 def test_break_then_step_composes_with_plain_run():
     kernel, session = asm_session(COUNTDOWN)
-    session.set_breakpoint(Breakpoint(kernel.labels["top"], hit_count_target=2))
-    assert session.continue_until_break().hit
+    assert session.run_to(Breakpoint(kernel.labels["top"], hit_count_target=2)) == "hit"
     for _ in range(3):
         session.step()
     # a plain run truncated after the same dynamic instruction count

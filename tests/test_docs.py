@@ -30,6 +30,26 @@ def test_isa_opcode_table_matches_code():
                     for op, forms in FORMS.items()}
 
 
+def test_event_kinds_table_matches_code():
+    """Each row of the event-kinds table in docs/events.md gives the
+    required fields (before the parentheses) and the optional ones (inside
+    them) that sim.EVENT_FIELDS gives its kinds."""
+    from xshark.sim import EVENT_FIELDS
+    text = (ROOT / "docs" / "events.md").read_text()
+    rows = {}
+    for line in text[text.index("## Event kinds"):].splitlines()[4:]:
+        if not line.startswith("|"):
+            break
+        kinds, payload = line.split("|")[1:3]
+        required, _, optional = payload.partition("(+")
+        fields = tuple(sorted(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", part))))
+                       for part in (required, optional))
+        for kind in re.findall(r"`(\w+)`", kinds):
+            rows[kind] = fields
+    assert rows == {kind: (sorted(req.split()), sorted(opt.split()))
+                    for kind, (req, opt) in EVENT_FIELDS.items()}
+
+
 def test_cli_codes_are_documented():
     """docs/cli.md has one table row per `code:` the CLI can print: its own
     codes, the trace reader's and every Fault kind in upper case."""

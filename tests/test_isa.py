@@ -253,8 +253,7 @@ def test_io_sets_sound_writes_within_outputs(seed):
 
     work = st_.clone()
     sim = Simulator(config, work)
-    out = sim.exec_instruction(ins, 0)
-    assert out.fault is None
+    assert sim.exec_instruction(ins, 0, ios) is None
     sim._advance_engine(10 ** 9)       # settle any in-flight DMA
     changed = _locations_changed(_arch_snapshot(st_), _arch_snapshot(work))
     assert changed <= declared_out, f"{ins}: wrote outside outputs: {changed - declared_out}"
@@ -269,8 +268,8 @@ def test_io_sets_sound_writes_within_outputs(seed):
         mutated.sregs[r.choice(candidates)] ^= 0xDEADBEEF
         work2 = mutated.clone()
         sim2 = Simulator(config, work2)
-        out2 = sim2.exec_instruction(ins, 0)
-        assert out2.fault is None
+        ios2 = instruction_io_sets(ins, work2, 0)
+        assert sim2.exec_instruction(ins, 0, ios2) is None
         sim2._advance_engine(10 ** 9)
         delta2 = _locations_changed(_arch_snapshot(mutated), _arch_snapshot(work2))
         assert delta2 == changed

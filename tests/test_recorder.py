@@ -87,6 +87,17 @@ def test_recording_stops_at_halt_with_flag():
     assert res.recorded == 2
 
 
+def test_window_that_runs_off_the_program_is_pc_oob_and_compares_equal():
+    config = SimConfig()
+    _, session = asm_session("s_ldi s0, 1\ns_ldi s1, 2\n", config)
+    res = record(session, None, 10)
+    assert res.recorded == 2 and res.fault.kind == "pc_oob"
+    assert res.trace.header.fault_kind == "pc_oob"
+    assert not res.ended_at_halt and not res.trace.header.ended_at_halt
+    assert session.state.halted and session.state.pc == 2
+    assert compare_window(session.state, res, replay(res.trace, config))["equal"]
+
+
 def test_recording_with_inflight_dma_refuses_without_flag():
     src = """
       s_ldi s0, 0x1000
