@@ -19,8 +19,11 @@ class UtilizationSeries:
     annotations: List[Tuple[int, int]] = field(default_factory=list)  # (cycle, dma_id)
 
     def to_json(self):
+        # a series holds few distinct fractions (two at bucket width 1), so
+        # each is rounded once
+        rounded = {f: round(f, 6) for f in {f for _, f in self.samples}}
         return {"unit": self.unit, "bucket_width": self.bucket_width,
-                "samples": [[c, round(f, 6)] for c, f in self.samples],
+                "samples": [[c, rounded[f]] for c, f in self.samples],
                 "annotations": self.annotations}
 
 

@@ -1,4 +1,4 @@
-"""VMEM page usage and fragmentation.
+"""VMEM page usage and fragmentation (docs/reports.md, "VMEM pages").
 
 Pages are 64 bytes; the scratchpad is viewed as 128 equal buckets of whole
 pages (256 pages each at the default 2 MiB; SimConfig rejects a capacity
@@ -8,14 +8,17 @@ series a page is live from its first write to its last read inside the
 window (written-never-read pages stay live to the window end; read-only
 pages are live from the window start to their last read - the conservative
 choices for suggesting where a transfer could land).
+
+The sweep visits only the pages the log touches: a window touches hundreds
+of the 32,768 pages, and the live set changes only at their first and last
+uses, not at every sample.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List
-
-import numpy as np
 
 from ..isa import DEFAULT_VMEM_CAPACITY, MemSpace, PAGE_BYTES, VMEM_BUCKETS
 from ..sim import MEM_READ, MEM_WRITE, PerfEvent
@@ -57,71 +60,96 @@ class VmemPageStats:
                 "bucket_written": self.bucket_written}
 
 
-def _longest_run(free: np.ndarray) -> int:
-    if not free.any():
-        return 0
-    # boundaries of runs of True
-    padded = np.concatenate(([False], free, [False]))
-    diff = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(diff == 1)
-    ends = np.flatnonzero(diff == -1)
-    return int((ends - starts).max())
-
-
 def analyze_vmem(events: List[PerfEvent], sample_interval: int = 64,
                  capacity: int = DEFAULT_VMEM_CAPACITY) -> VmemPageStats:
     if sample_interval < 1:
         raise ValueError("sample_interval must be >= 1")
     n_pages = capacity // PAGE_BYTES
-    big = np.iinfo(np.int64).max
-    first_write = np.full(n_pages, big, dtype=np.int64)
-    first_read = np.full(n_pages, big, dtype=np.int64)
-    used_since = np.full(n_pages, big, dtype=np.int64)   # first read-after-write
-    last_read = np.full(n_pages, -1, dtype=np.int64)
+    # page -> cycle, for the pages touched; used_since is the first read (in
+    # log order) at or after a write already seen
+    first_write, first_read, last_read, used_since = {}, {}, {}, {}
     end = 0
 
     for ev in events:
-        end = max(end, ev.cycle)
+        cycle = ev.cycle
+        end = max(end, cycle)
         if ev.kind != MEM_READ and ev.kind != MEM_WRITE:
             continue
         m = ev.region
         if m is None or m.space is not MemSpace.VMEM:
             continue
-        lo = m.offset // PAGE_BYTES
-        hi = (m.end + PAGE_BYTES - 1) // PAGE_BYTES
+        pages = range(m.offset // PAGE_BYTES,
+                      min((m.end + PAGE_BYTES - 1) // PAGE_BYTES, n_pages))
         if ev.kind == MEM_WRITE:
-            first_write[lo:hi] = np.minimum(first_write[lo:hi], ev.cycle)
-        else:
-            first_read[lo:hi] = np.minimum(first_read[lo:hi], ev.cycle)
-            last_read[lo:hi] = np.maximum(last_read[lo:hi], ev.cycle)
-            seg = used_since[lo:hi]
-            seg[(first_write[lo:hi] <= ev.cycle) & (seg == big)] = ev.cycle
+            for p in pages:
+                if first_write.get(p, cycle) >= cycle:
+                    first_write[p] = cycle
+            continue
+        for p in pages:
+            if first_read.get(p, cycle) >= cycle:
+                first_read[p] = cycle
+            if last_read.get(p, cycle) <= cycle:
+                last_read[p] = cycle
+            if p not in used_since and first_write.get(p, cycle + 1) <= cycle:
+                used_since[p] = cycle
 
-    written_pages = first_write < big
-    any_read = first_read < big
-    used_pages = used_since < big
-    touched = written_pages | any_read
-    # liveness interval per page (conservative on partial information)
-    live_start = np.minimum(first_write, first_read)
-    live_end = np.where(written_pages & ~used_pages, end, last_read)
+    # liveness interval per touched page (conservative on partial
+    # information); no cycle in the log is past `end`
+    opens, closes = [], []
+    touched = first_write.keys() | first_read.keys()
+    for p in touched:
+        start = min(first_write.get(p, end), first_read.get(p, end))
+        stop = (end if p in first_write and p not in used_since
+                else last_read[p])
+        if start <= stop:
+            opens.append((start, p))
+            closes.append((stop, p))
+    opens.sort()
+    closes.sort()
 
     samples = list(range(0, end + 1, sample_interval)) if end else [0]
-    total_free, largest, bucket_used, bucket_written = [], [], [], []
+    total_free, largest = [], []
+    live: List[int] = []        # sorted live pages
+    i = j = 0
     for t in samples:
-        live = touched & (live_start <= t) & (t <= live_end)
-        free = ~live
-        total_free.append(int(free.sum()) * PAGE_BYTES)
-        largest.append(_longest_run(free) * PAGE_BYTES)
-        used_now = (used_since <= t).reshape(VMEM_BUCKETS, -1).sum(axis=1)
-        written_now = (first_write <= t).reshape(VMEM_BUCKETS, -1).sum(axis=1)
-        bucket_used.append(used_now.astype(int).tolist())
-        bucket_written.append(written_now.astype(int).tolist())
+        changed = not total_free
+        while i < len(opens) and opens[i][0] <= t:
+            insort(live, opens[i][1])
+            i += 1
+            changed = True
+        while j < len(closes) and closes[j][0] < t:
+            del live[bisect_left(live, closes[j][1])]
+            j += 1
+            changed = True
+        if changed:
+            free = n_pages - len(live)
+            run = max(b - a for a, b in zip([-1] + live, live + [n_pages])) - 1
+        total_free.append(free * PAGE_BYTES)
+        largest.append(run * PAGE_BYTES)
 
+    bucket_pages = n_pages // VMEM_BUCKETS
     states = {
-        "never_touched": int((~touched).sum()),
-        "used": int(used_pages.sum()),
-        "unused": int((written_pages & ~used_pages).sum()),
-        "read_only": int((any_read & ~written_pages).sum()),
+        "never_touched": n_pages - len(touched),
+        "used": len(used_since),
+        "unused": len(first_write.keys() - used_since.keys()),
+        "read_only": len(first_read.keys() - first_write.keys()),
     }
-    return VmemPageStats(capacity, sample_interval, samples, total_free,
-                         largest, bucket_used, bucket_written, states)
+    return VmemPageStats(capacity, sample_interval, samples, total_free, largest,
+                         _bucket_counts(used_since, samples, bucket_pages),
+                         _bucket_counts(first_write, samples, bucket_pages),
+                         states)
+
+
+def _bucket_counts(since: Dict[int, int], samples: List[int],
+                   bucket_pages: int) -> List[List[int]]:
+    """Per sample t, the pages of each bucket whose `since` cycle is <= t.
+    A sample that adds no page repeats the previous sample's list."""
+    order = sorted((cycle, p // bucket_pages) for p, cycle in since.items())
+    counts, rows, k = [0] * VMEM_BUCKETS, [], 0
+    for t in samples:
+        k0 = k
+        while k < len(order) and order[k][0] <= t:
+            counts[order[k][1]] += 1
+            k += 1
+        rows.append(list(counts) if k > k0 or not rows else rows[-1])
+    return rows

@@ -11,24 +11,46 @@ embedded in traces so `replay` refuses a mismatched clock.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 
 from . import __version__
-from .analyzer import (analyze_dma, analyze_utilization, analyze_vmem,
-                       apply_and_verify, build_dependency_graph,
-                       compute_backtails, suggest as make_suggestions,
-                       write_report, AnalysisError)
-from .analyzer.suggest import Suggestion
-from .debugger import Breakpoint, DebugSession
-from .isa import EncodingError, Fault
-from .recorder import TraceError, read_trace, record, write_trace
-from .replayer import ReplayDivergence, replay
-from .sim import (RecordingTracker, SimConfig, events_from_jsonl,
-                  events_to_jsonl, run_program, state_digest)
-from .workloads import (AsmError, assemble, initial_state, load_bundle,
-                        save_bundle)
+
+# Where each library name the subcommands use lives, as (module, name). A
+# step imports only the modules it runs, on first use (`_library`), so that
+# `asm`, `analyze`, `suggest` and `compare` never load numpy; the names become
+# attributes of this module then, as if imported at the top, and tools that
+# time a step may wrap them here.
+_LIBRARY = {name: (module, name) for module, names in (
+    ("workloads", "AsmError assemble initial_state load_bundle save_bundle"),
+    ("sim", "RecordingTracker SimConfig events_from_jsonl events_to_jsonl "
+            "run_program state_digest"),
+    ("isa", "EncodingError Fault"),
+    ("debugger", "Breakpoint DebugSession"),
+    ("recorder", "TraceError read_trace record write_trace"),
+    ("replayer", "ReplayDivergence replay"),
+    ("analyzer", "AnalysisError Suggestion analyze_dma analyze_utilization "
+                 "analyze_vmem apply_and_verify build_dependency_graph "
+                 "compute_backtails write_report"),
+) for name in names.split()}
+_LIBRARY["make_suggestions"] = ("analyzer", "suggest")
+
+
+def __getattr__(name):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LIBRARY[name]
+    value = getattr(importlib.import_module("." + module, __package__), attr)
+    globals()[name] = value
+    return value
+
+
+def _library(*names):
+    """The library objects `names`, each imported on its first use."""
+    namespace = globals()
+    return [namespace[n] if n in namespace else __getattr__(n) for n in names]
 
 
 class CliError(Exception):
@@ -38,8 +60,10 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _load_config(path) -> SimConfig:
-    path = path or os.environ.get("XSHARK_CONFIG")
+def _load_config(path):
+    """The SimConfig in file `path`, or the default one when `path` is
+    empty."""
+    [SimConfig] = _library("SimConfig")
     if not path:
         return SimConfig()
     try:
@@ -60,6 +84,7 @@ def _read(path, mode="r"):
 
 
 def _load_bundle(path):
+    load_bundle, EncodingError = _library("load_bundle", "EncodingError")
     try:
         return load_bundle(path)
     except EncodingError as e:
@@ -67,6 +92,7 @@ def _load_bundle(path):
 
 
 def _read_events(path):
+    [events_from_jsonl] = _library("events_from_jsonl")
     try:
         return events_from_jsonl(_read(path))
     except ValueError as e:
@@ -91,6 +117,7 @@ def _read_summary(path) -> dict:
 
 
 def _read_suggestions(path):
+    [Suggestion] = _library("Suggestion")
     try:
         doc = json.loads(_read(path))
         if not isinstance(doc, list):
@@ -115,11 +142,13 @@ def _summary(result, digest: str) -> dict:
 
 
 def _write_events(path, tracker, summary):
+    [events_to_jsonl] = _library("events_to_jsonl")
     with open(path, "w") as fh:
         fh.write(events_to_jsonl(tracker.events, summary))
 
 
 def cmd_asm(args, config):
+    assemble, save_bundle = _library("assemble", "save_bundle")
     kernel = assemble(_read(args.source))
     save_bundle(kernel, args.output)
     print(f"assembled {len(kernel.program)} instructions -> {args.output}")
@@ -127,6 +156,8 @@ def cmd_asm(args, config):
 
 
 def cmd_run(args, config):
+    RecordingTracker, initial_state, run_program, state_digest = _library(
+        "RecordingTracker", "initial_state", "run_program", "state_digest")
     bundle = _load_bundle(args.program)
     tracker = RecordingTracker() if args.output else None
     result = run_program(bundle.program, config, initial_state(bundle, config),
@@ -151,6 +182,8 @@ def _resolve_break(bundle, spec: str) -> int:
 
 
 def cmd_record(args, config):
+    Breakpoint, DebugSession, initial_state, record, write_trace = _library(
+        "Breakpoint", "DebugSession", "initial_state", "record", "write_trace")
     bundle = _load_bundle(args.program)
     session = DebugSession(bundle.program, config, initial_state(bundle, config))
     bp = Breakpoint(_resolve_break(bundle, args.break_at), args.hit)
@@ -166,6 +199,8 @@ def cmd_record(args, config):
 
 
 def cmd_replay(args, config):
+    RecordingTracker, read_trace, replay = _library(
+        "RecordingTracker", "read_trace", "replay")
     trace = read_trace(args.trace, expected_config_hash=config.config_hash())
     tracker = RecordingTracker()
     result = replay(trace, config, tracker)
@@ -176,6 +211,10 @@ def cmd_replay(args, config):
 
 
 def cmd_analyze(args, config):
+    (analyze_dma, analyze_utilization, analyze_vmem, build_dependency_graph,
+     compute_backtails, write_report) = _library(
+        "analyze_dma", "analyze_utilization", "analyze_vmem",
+        "build_dependency_graph", "compute_backtails", "write_report")
     events, _ = _read_events(args.events)
     want_all = not (args.dma or args.util or args.vmem or args.deps)
     regions = None
@@ -200,6 +239,10 @@ def cmd_analyze(args, config):
 
 
 def cmd_suggest(args, config):
+    (read_trace, analyze_dma, analyze_vmem, build_dependency_graph,
+     make_suggestions) = _library(
+        "read_trace", "analyze_dma", "analyze_vmem", "build_dependency_graph",
+        "make_suggestions")
     trace = read_trace(args.trace, expected_config_hash=config.config_hash())
     events, _ = _read_events(args.events)
     records = analyze_dma(events)
@@ -218,6 +261,8 @@ def cmd_suggest(args, config):
 
 
 def cmd_apply(args, config):
+    RecordingTracker, apply_and_verify, read_trace = _library(
+        "RecordingTracker", "apply_and_verify", "read_trace")
     trace = read_trace(args.trace, expected_config_hash=config.config_hash())
     suggestions = _read_suggestions(args.suggestions)
     if not suggestions:
@@ -353,29 +398,33 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        config = _load_config(args.config)
+        path = args.config or os.environ.get("XSHARK_CONFIG")
+        # compare reads two summaries and no config, but checks one it is given
+        config = (_load_config(path) if path or args.handler is not cmd_compare
+                  else None)
         return args.handler(args, config)
     except CliError as e:
         print(f"code:{e.code} {e}", file=sys.stderr)
         return e.exit_code
-    except AsmError as e:
-        print(f"code:ASM_ERROR {e}", file=sys.stderr)
-        return 2
-    except TraceError as e:
-        print(f"code:{e.code} {e}", file=sys.stderr)
-        return 2
-    except ReplayDivergence as e:
-        print(f"code:REPLAY_DIVERGENCE {e}", file=sys.stderr)
-        return 2
-    except Fault as e:
-        print(f"code:{e.kind.upper()} {e}", file=sys.stderr)
-        return 2
-    except AnalysisError as e:
-        print(f"code:ANALYSIS_ERROR {e}", file=sys.stderr)
-        return 2
     except OSError as e:
         print(f"code:IO_ERROR {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        AsmError, TraceError, ReplayDivergence, Fault, AnalysisError = _library(
+            "AsmError", "TraceError", "ReplayDivergence", "Fault", "AnalysisError")
+        if isinstance(e, AsmError):
+            print(f"code:ASM_ERROR {e}", file=sys.stderr)
+        elif isinstance(e, TraceError):
+            print(f"code:{e.code} {e}", file=sys.stderr)
+        elif isinstance(e, ReplayDivergence):
+            print(f"code:REPLAY_DIVERGENCE {e}", file=sys.stderr)
+        elif isinstance(e, Fault):
+            print(f"code:{e.kind.upper()} {e}", file=sys.stderr)
+        elif isinstance(e, AnalysisError):
+            print(f"code:ANALYSIS_ERROR {e}", file=sys.stderr)
+        else:
+            raise
+        return 2
 
 
 if __name__ == "__main__":

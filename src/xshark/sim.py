@@ -197,6 +197,9 @@ class PerfEvent:
             if type(value) is not want or (want is int and value < 0):
                 raise ValueError(f"event field {name!r} must be {_MUST[want]}, "
                                  f"got {value!r}")
+            if name in _FIELD_VALUES and value not in _FIELD_VALUES[name]:
+                raise ValueError(f"event field {name!r} must be one of "
+                                 f"{sorted(_FIELD_VALUES[name])}, got {value!r}")
         ev = PerfEvent(**d)
         for name in _REGION_FIELDS.intersection(d):
             setattr(ev, name, MemRegion.from_json(d[name]))
@@ -211,6 +214,12 @@ _REGION_FIELDS = frozenset({"region", "src_region", "dst_region"})
 _FIELD_TYPES = {f.name: {"int": int, "str": str, "bool": bool, "MemRegion": dict}[
     f.type.removeprefix("Optional[").rstrip("]")] for f in fields(PerfEvent)}
 _MUST = {int: "an int >= 0", str: "a string", bool: "a boolean", dict: "a region object"}
+# field -> its values, for the fields that name a member of a closed set
+_FIELD_VALUES = {"unit": frozenset(u.value for u in Unit),
+                 "reason": frozenset({STALL_HAZARD, STALL_DMA_BASE,
+                                      STALL_DMA_TRANSFER}),
+                 "opcode": frozenset(Opcode.__members__),
+                 "link": frozenset(DMA_DIR_NAMES.values())}
 # the DMA engine's events and a DMA_WAIT's issue, each after the dma_issue
 # of its dma_id
 _DMA_ENGINE_KINDS = frozenset({DMA_BASE_DONE, DMA_TRANSFER_START, DMA_COMPLETE})

@@ -9,6 +9,9 @@ These deliberately avoid the production code paths they validate:
   bruteforce_dep_oracle per-byte/per-register read-after-write tracker run
                         over a decoded instruction stream
   ByteSetOracle         per-byte model of the interval set
+  analyze_vmem          the earlier numpy form of the VMEM page analysis: a
+                        whole-capacity array per page field and a full pass
+                        per sample
 """
 
 from __future__ import annotations
@@ -17,9 +20,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from xshark.isa import (ISA_VERSION, MemSpace, Opcode, encode_instruction,
+import numpy as np
+
+from xshark.analyzer.vmem import VmemPageStats
+from xshark.isa import (DEFAULT_VMEM_CAPACITY, ISA_VERSION, PAGE_BYTES,
+                        VMEM_BUCKETS, MemSpace, Opcode, encode_instruction,
                         instruction_io_sets)
 from xshark.recorder import ExecutionTrace, TraceHeader
+from xshark.sim import MEM_READ, MEM_WRITE, PerfEvent
 
 
 # --------------------------------------------------------------- dma oracle
@@ -234,3 +242,75 @@ class ByteMapOracle:
             else:
                 out.append([b, b + 1, hit[1], hit[0]])
         return [(s, e, v) for s, e, v, _ in out]
+
+
+# ------------------------------------------------------ numpy VMEM pages
+
+def _longest_run(free: np.ndarray) -> int:
+    if not free.any():
+        return 0
+    # boundaries of runs of True
+    padded = np.concatenate(([False], free, [False]))
+    diff = np.diff(padded.astype(np.int8))
+    starts = np.flatnonzero(diff == 1)
+    ends = np.flatnonzero(diff == -1)
+    return int((ends - starts).max())
+
+
+def analyze_vmem(events: List[PerfEvent], sample_interval: int = 64,
+                 capacity: int = DEFAULT_VMEM_CAPACITY) -> VmemPageStats:
+    if sample_interval < 1:
+        raise ValueError("sample_interval must be >= 1")
+    n_pages = capacity // PAGE_BYTES
+    big = np.iinfo(np.int64).max
+    first_write = np.full(n_pages, big, dtype=np.int64)
+    first_read = np.full(n_pages, big, dtype=np.int64)
+    used_since = np.full(n_pages, big, dtype=np.int64)   # first read-after-write
+    last_read = np.full(n_pages, -1, dtype=np.int64)
+    end = 0
+
+    for ev in events:
+        end = max(end, ev.cycle)
+        if ev.kind != MEM_READ and ev.kind != MEM_WRITE:
+            continue
+        m = ev.region
+        if m is None or m.space is not MemSpace.VMEM:
+            continue
+        lo = m.offset // PAGE_BYTES
+        hi = (m.end + PAGE_BYTES - 1) // PAGE_BYTES
+        if ev.kind == MEM_WRITE:
+            first_write[lo:hi] = np.minimum(first_write[lo:hi], ev.cycle)
+        else:
+            first_read[lo:hi] = np.minimum(first_read[lo:hi], ev.cycle)
+            last_read[lo:hi] = np.maximum(last_read[lo:hi], ev.cycle)
+            seg = used_since[lo:hi]
+            seg[(first_write[lo:hi] <= ev.cycle) & (seg == big)] = ev.cycle
+
+    written_pages = first_write < big
+    any_read = first_read < big
+    used_pages = used_since < big
+    touched = written_pages | any_read
+    # liveness interval per page (conservative on partial information)
+    live_start = np.minimum(first_write, first_read)
+    live_end = np.where(written_pages & ~used_pages, end, last_read)
+
+    samples = list(range(0, end + 1, sample_interval)) if end else [0]
+    total_free, largest, bucket_used, bucket_written = [], [], [], []
+    for t in samples:
+        live = touched & (live_start <= t) & (t <= live_end)
+        free = ~live
+        total_free.append(int(free.sum()) * PAGE_BYTES)
+        largest.append(_longest_run(free) * PAGE_BYTES)
+        used_now = (used_since <= t).reshape(VMEM_BUCKETS, -1).sum(axis=1)
+        written_now = (first_write <= t).reshape(VMEM_BUCKETS, -1).sum(axis=1)
+        bucket_used.append(used_now.astype(int).tolist())
+        bucket_written.append(written_now.astype(int).tolist())
+
+    states = {
+        "never_touched": int((~touched).sum()),
+        "used": int(used_pages.sum()),
+        "unused": int((written_pages & ~used_pages).sum()),
+        "read_only": int((any_read & ~written_pages).sum()),
+    }
+    return VmemPageStats(capacity, sample_interval, samples, total_free,
+                         largest, bucket_used, bucket_written, states)

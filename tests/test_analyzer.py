@@ -1,11 +1,15 @@
 """Analyzer passes against spec examples and the independent oracles."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xshark.debugger import Breakpoint
+from xshark.isa import PAGE_BYTES, VMEM_BUCKETS, MemRegion, MemSpace
 from xshark.recorder import record
 from xshark.replayer import replay
-from xshark.sim import RecordingTracker, SimConfig
+from xshark.sim import (INSTR_RETIRE, MEM_READ, MEM_WRITE, PerfEvent,
+                        RecordingTracker, SimConfig)
 from xshark.analyzer import (AnalysisError, analyze_dma, analyze_utilization,
                              analyze_vmem, apply_and_verify,
                              build_dependency_graph, compute_backtails,
@@ -16,6 +20,7 @@ from xshark.workloads import (gen_allgather_kernel, gen_checkerboard_kernel,
                               gen_random_kernel, gen_starvation_kernel)
 
 from helpers import asm_run, asm_session
+from oracles import analyze_vmem as vmem_oracle
 from oracles import bruteforce_dep_oracle, dma_oracle
 
 
@@ -200,6 +205,56 @@ def test_heatmap_geometry_128_buckets():
     assert sum(stats.page_states.values()) == 32768
     svg = render_vmem_heatmap(stats)
     assert svg.startswith("<svg") and "xshark" in svg
+
+
+def _vmem_events(capacity):
+    """Generated VMEM and HBM memory events and other events, in any cycle
+    order: reads before writes, regions across or past `capacity`. Most
+    regions start in the first pages or near `capacity`, and cycles are
+    few, so that pages see several events, some in the same cycle."""
+    offset = st.one_of(st.integers(0, 8 * PAGE_BYTES),
+                       st.integers(capacity - 4 * PAGE_BYTES,
+                                   capacity + 2 * PAGE_BYTES),
+                       st.integers(0, capacity))
+    region = st.builds(MemRegion, st.sampled_from([MemSpace.VMEM] * 3 + [MemSpace.HBM]),
+                       offset, st.integers(1, 6 * PAGE_BYTES))
+    mem = st.builds(PerfEvent, st.integers(0, 120),
+                    st.sampled_from([MEM_READ, MEM_WRITE]), pc=st.just(0),
+                    idx=st.just(0), region=region)
+    other = st.builds(PerfEvent, st.integers(0, 160), st.just(INSTR_RETIRE),
+                      pc=st.just(0), idx=st.just(0))
+    return st.integers(0, 80).flatmap(lambda n: st.lists(
+        st.one_of(mem, mem, mem, other), min_size=n, max_size=n))
+
+
+@st.composite
+def _vmem_cases(draw):
+    capacity = draw(st.sampled_from([1, 2, 5]).map(
+        lambda k: k * VMEM_BUCKETS * PAGE_BYTES))
+    return draw(_vmem_events(capacity)), draw(st.integers(1, 100)), capacity
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vmem_cases())
+@example(([], 64, VMEM_BUCKETS * PAGE_BYTES))
+def test_vmem_matches_numpy_oracle_on_generated_logs(case):
+    events, interval, capacity = case
+    assert (analyze_vmem(events, interval, capacity).to_json()
+            == vmem_oracle(events, interval, capacity).to_json())
+
+
+def test_vmem_matches_numpy_oracle_on_corpus_replays():
+    """The first ten kernels of the acceptance corpus, at its program sizes
+    and window lengths."""
+    config = SimConfig()
+    for seed in range(10):
+        src = gen_random_kernel(seed, size=50 + (seed * 991) % 4951).text
+        _, _, events, _ = _record_and_replay(src, config,
+                                             n=80 + (seed * 37) % 520)
+        assert any(ev.kind == MEM_WRITE for ev in events)
+        for interval in (1, 7, 64):
+            assert (analyze_vmem(events, interval).to_json()
+                    == vmem_oracle(events, interval).to_json()), (seed, interval)
 
 
 # ------------------------------------------------------------ dependencies

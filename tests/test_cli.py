@@ -229,6 +229,14 @@ MALFORMED_INPUTS = {
                             "EVENTS_INVALID", 1),
     "events-reg-read-unlisted-until": (_edited_event("reg_read", "until", 5),
                                        _ANALYZE, "EVENTS_INVALID", 1),
+    "events-unit-busy-unknown-unit": (_edited_event("unit_busy", "unit", "FOO"),
+                                      _ANALYZE, "EVENTS_INVALID", 1),
+    "events-stall-unknown-reason": (_edited_event("stall_begin", "reason", "bogus"),
+                                    _ANALYZE, "EVENTS_INVALID", 1),
+    "events-issue-unknown-opcode": (_edited_event("instr_issue", "opcode", "NOPE"),
+                                    _ANALYZE, "EVENTS_INVALID", 1),
+    "events-dma-issue-unknown-link": (_edited_event("dma_issue", "link", "x>y"),
+                                      _ANALYZE, "EVENTS_INVALID", 1),
 }
 
 
@@ -345,3 +353,43 @@ def test_asm_error_reports_location(ws, capsys):
     bad.write_text("halt\nbogus s0\n")
     code, _, err = _run(capsys, "asm", bad, "-o", ws / "p.json")
     assert code == 2 and "code:ASM_ERROR" in err and "line 2" in err
+
+
+# Runs `xshark <argv>` in a fresh interpreter and prints, last, whether it
+# imported numpy.
+_CLI_REPORTING_NUMPY = """import runpy, sys
+sys.argv = ["xshark"] + sys.argv[1:]
+try:
+    runpy.run_module("xshark.cli", run_name="__main__")
+finally:
+    print("numpy imported:", "numpy" in sys.modules)
+"""
+
+# sha256 of the `run` event log of the 4-tile starvation kernel
+_RUN_LOG_4X1 = "3384d3ac4aaeb4e3ea1668fb516e2eb39bb70bdfd2802c01710efee8dd428421"
+
+
+def test_only_steps_that_run_a_kernel_import_numpy(tmp_path):
+    (tmp_path / "k.xasm").write_text(gen_starvation_kernel(tiles=4,
+                                                           prefetch_depth=1))
+    f = {name: str(tmp_path / name) for name in (
+        "k.xasm", "p.json", "run.jsonl", "t.json", "r.jsonl", "report",
+        "s.json", "a.jsonl")}
+    steps = [
+        (["asm", f["k.xasm"], "-o", f["p.json"]], False),
+        (["run", f["p.json"], "-o", f["run.jsonl"]], True),
+        (["record", f["p.json"], "--break", "0", "--count", "1000",
+          "-o", f["t.json"]], True),
+        (["replay", f["t.json"], "-o", f["r.jsonl"]], True),
+        (["analyze", f["r.jsonl"], "-o", f["report"]], False),
+        (["suggest", f["t.json"], f["r.jsonl"], "-o", f["s.json"]], False),
+        (["apply", f["t.json"], f["s.json"], "-o", f["a.jsonl"]], True),
+        (["compare", f["r.jsonl"], f["a.jsonl"]], False),
+    ]
+    for argv, runs_a_kernel in steps:
+        out = subprocess.run([sys.executable, "-c", _CLI_REPORTING_NUMPY, *argv],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, (argv, out.stderr)
+        assert out.stdout.splitlines()[-1] == f"numpy imported: {runs_a_kernel}", argv
+    with open(f["run.jsonl"], "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == _RUN_LOG_4X1
