@@ -4,20 +4,22 @@ Pages are 64 bytes; the scratchpad is viewed as 128 equal buckets of whole
 pages (256 pages each at the default 2 MiB; SimConfig rejects a capacity
 that does not split this way). A page is "used" once something reads it
 after a write; written-but-never-read pages are "unused". For the free-space
-series a page is live from its first write to its last read inside the
-window (written-never-read pages stay live to the window end; read-only
-pages are live from the window start to their last read - the conservative
-choices for suggesting where a transfer could land).
+series a page is live from the first of its first write and first read to
+its last read inside the window (written-never-read pages stay live to the
+window end) - the conservative choice for suggesting where a transfer could
+land.
 
-The sweep visits only the pages the log touches: a window touches hundreds
-of the 32,768 pages, and the live set changes only at their first and last
-uses, not at every sample.
+The sweep visits only the pages the log touches, and only when one opens or
+closes: its cost grows with the touched pages and events, not with the
+32,768 pages or the samples (a starvation window touches 128 pages, the
+checkerboard kernel 16,384).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List
 
 from ..isa import DEFAULT_VMEM_CAPACITY, MemSpace, PAGE_BYTES, VMEM_BUCKETS
@@ -109,23 +111,17 @@ def analyze_vmem(events: List[PerfEvent], sample_interval: int = 64,
 
     samples = list(range(0, end + 1, sample_interval)) if end else [0]
     total_free, largest = [], []
-    live: List[int] = []        # sorted live pages
+    runs = _FreeRuns(n_pages)
     i = j = 0
     for t in samples:
-        changed = not total_free
         while i < len(opens) and opens[i][0] <= t:
-            insort(live, opens[i][1])
+            runs.occupy(opens[i][1])
             i += 1
-            changed = True
         while j < len(closes) and closes[j][0] < t:
-            del live[bisect_left(live, closes[j][1])]
+            runs.release(closes[j][1])
             j += 1
-            changed = True
-        if changed:
-            free = n_pages - len(live)
-            run = max(b - a for a, b in zip([-1] + live, live + [n_pages])) - 1
-        total_free.append(free * PAGE_BYTES)
-        largest.append(run * PAGE_BYTES)
+        total_free.append((n_pages - len(runs.live)) * PAGE_BYTES)
+        largest.append(runs.longest() * PAGE_BYTES)
 
     bucket_pages = n_pages // VMEM_BUCKETS
     states = {
@@ -153,3 +149,50 @@ def _bucket_counts(since: Dict[int, int], samples: List[int],
             k += 1
         rows.append(list(counts) if k > k0 or not rows else rows[-1])
     return rows
+
+
+class _FreeRuns:
+    """The free runs between the live pages of [0, n_pages): a sorted live
+    list, a count of the runs of each length and a max-heap of lengths. A
+    page that opens or closes changes only the runs next to it, so neither
+    costs a scan of the live list; a heap entry whose count fell to zero is
+    dropped when it reaches the top."""
+
+    def __init__(self, n_pages: int):
+        self.n_pages = n_pages
+        self.live: List[int] = []
+        self.count = {n_pages: 1}
+        self.heap = [-n_pages]
+
+    def _neighbours(self, k: int):
+        live = self.live
+        return (live[k - 1] if k else -1,
+                live[k] if k < len(live) else self.n_pages)
+
+    def _add(self, run: int, n: int) -> None:
+        c = self.count.get(run, 0) + n
+        self.count[run] = c
+        if n > 0 and c == n:
+            heappush(self.heap, -run)
+
+    def occupy(self, p: int) -> None:
+        k = bisect_left(self.live, p)
+        a, b = self._neighbours(k)
+        self.live.insert(k, p)
+        self._add(b - a - 1, -1)
+        self._add(p - a - 1, 1)
+        self._add(b - p - 1, 1)
+
+    def release(self, p: int) -> None:
+        k = bisect_left(self.live, p)
+        del self.live[k]
+        a, b = self._neighbours(k)
+        self._add(p - a - 1, -1)
+        self._add(b - p - 1, -1)
+        self._add(b - a - 1, 1)
+
+    def longest(self) -> int:
+        heap = self.heap
+        while not self.count[-heap[0]]:
+            heappop(heap)
+        return -heap[0]

@@ -196,6 +196,8 @@ def test_checkerboard_exact_fifty_percent_one_page_runs():
     assert all(l <= t for l, t in zip(stats.largest_contiguous_free,
                                       stats.total_free))
     assert len(stats.bucket_used[0]) == 128
+    # half the pages touched: the sweep's worst case, checked against numpy
+    assert stats.to_json() == vmem_oracle(tracker.events, 4096).to_json()
 
 
 def test_heatmap_geometry_128_buckets():
