@@ -11,8 +11,8 @@ land.
 
 The sweep visits only the pages the log touches, and only when one opens or
 closes: its cost grows with the touched pages and events, not with the
-32,768 pages or the samples (a starvation window touches 128 pages, the
-checkerboard kernel 16,384).
+32,768 pages or the samples (the 64-tile starvation replay touches 1,088
+pages, the checkerboard kernel 16,384).
 """
 
 from __future__ import annotations
