@@ -14,18 +14,18 @@ edges start, so the relaxed pass, the chain walk and `edges_of` slice one
 instruction's edges instead of scanning all of them. The edges are also the
 only record of each read's producer.
 
-Backtails clamp the moved block by hazards through the tables' access lists,
-which are in stream order: per register and DMA slot, a bisect finds the
-part before a block member and prefix maxima of the data-ready cycle stand
-for everything before the first block member; memory accesses are bucketed
-by page, so a clamp visits only the earlier accesses that share a page with
-the region.
+Backtails clamp the moved block by hazards through the hazard indices that
+`build_tables` fills, which are in stream order: per register and DMA slot,
+a bisect finds the part before a block member and prefix maxima of the
+data-ready cycle stand for everything before the first block member; memory
+accesses are bucketed by page, so a clamp visits only the earlier accesses
+that share a page with the region.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -46,9 +46,7 @@ _TRANSFORMS = {"S_LDI", "S_ADD", "S_MUL", "S_MOV", "S_CMP", "V_ADD", "V_MUL",
 @dataclass
 class InstrInfo:
     idx: int
-    pc: int = -1
     opcode: str = ""
-    unit: str = ""
     slot: Optional[int] = None
     dma_id: Optional[int] = None
     annulled: bool = False
@@ -56,11 +54,22 @@ class InstrInfo:
     retire: int = 0
 
 
+# bytes per page of the memory-hazard index
+_HAZARD_PAGE = 256
+
+# stream indices in order, beside the running maximum of their ready cycles
+Accesses = Tuple[List[int], List[int]]
+
+
 @dataclass
 class LogTables:
-    """Per-instruction access tables reconstructed from an event log. An
-    instruction without accesses of a kind shares the empty tuple. The access
-    lists (`reg_access`, `mem_access`, `slot_access`) are in stream order."""
+    """Per-instruction access tables reconstructed from an event log, and the
+    hazard indices the backtail clamps read. An instruction without accesses
+    of a kind shares the empty tuple. `ready` is each instruction's
+    data-ready cycle (a DMA issue's is its completion); `reg` and `slot` hold
+    the accesses of each register and DMA slot; `mem_pages` holds, per
+    256-byte page of each space, the memory accesses (idx, start, end) that
+    touch it. All in stream order."""
 
     n: int
     instrs: List[InstrInfo]
@@ -68,57 +77,66 @@ class LogTables:
     writes_reg: List[Sequence[str]]
     reads_mem: List[Sequence[MemRegion]]
     writes_mem: List[Sequence[MemRegion]]
-    reg_access: Dict[str, List[int]]                      # reg -> [idx]
-    mem_access: Dict[MemSpace, List[Tuple[int, int, int]]]  # [(idx, start, end)]
-    slot_access: Dict[int, List[int]]                     # slot -> [idx]
     dma_complete: Dict[int, int]                          # dma_id -> cycle
-    window_start: int = 0
-    window_end: int = 0
+    window_start: int
+    ready: List[int]
+    reg: Dict[str, Accesses]
+    slot: Dict[int, Accesses]
+    mem_pages: Dict[MemSpace, Dict[int, List[Tuple[int, int, int]]]]
 
 
 def build_tables(events: List[PerfEvent]) -> LogTables:
     n = 1 + max((ev.idx for ev in events if ev.idx is not None), default=-1)
-    t = LogTables(n, [InstrInfo(i) for i in range(n)],
-                  [()] * n, [()] * n, [()] * n, [()] * n,
-                  {}, {MemSpace.VMEM: [], MemSpace.HBM: []}, {}, {})
-    instrs, slot_access = t.instrs, t.slot_access
-    start, end = None, 0
+    instrs = [InstrInfo(i) for i in range(n)]
+    reads_reg, writes_reg, reads_mem, writes_mem = ([()] * n for _ in range(4))
+    by_slot: Dict[int, List[int]] = {}
+    dma_complete: Dict[int, int] = {}
+    start = None
     for ev in events:
-        if ev.cycle > end:
-            end = ev.cycle
         k = ev.kind
         if k == INSTR_ISSUE:
             info = instrs[ev.idx]
-            info.pc, info.opcode, info.unit = ev.pc, ev.opcode, ev.unit
+            info.opcode = ev.opcode
             info.issue = ev.cycle
             info.annulled = bool(ev.annulled)
             if ev.slot is not None:
                 info.slot = ev.slot
                 info.dma_id = ev.dma_id
-                slot_access.setdefault(ev.slot, []).append(ev.idx)
+                by_slot.setdefault(ev.slot, []).append(ev.idx)
             if start is None:
                 start = ev.cycle
         elif k == INSTR_RETIRE:
             instrs[ev.idx].retire = ev.cycle
         elif k == REG_READ:
-            _push(t.reads_reg, ev.idx, ev.reg)
+            _push(reads_reg, ev.idx, ev.reg)
         elif k == REG_WRITE:
-            _push(t.writes_reg, ev.idx, ev.reg)
+            _push(writes_reg, ev.idx, ev.reg)
         elif k == MEM_READ:
-            _push(t.reads_mem, ev.idx, ev.region)
+            _push(reads_mem, ev.idx, ev.region)
         elif k == MEM_WRITE:
-            _push(t.writes_mem, ev.idx, ev.region)
+            _push(writes_mem, ev.idx, ev.region)
         elif k == DMA_COMPLETE:
-            t.dma_complete[ev.dma_id] = ev.cycle
-    reg_access, mem_access = t.reg_access, t.mem_access
+            dma_complete[ev.dma_id] = ev.cycle
+    ready = [dma_complete.get(info.dma_id, info.retire)
+             if info.opcode == _DMA_ISSUE else info.retire for info in instrs]
+    by_reg: Dict[str, List[int]] = {}
+    mem_pages = {MemSpace.VMEM: {}, MemSpace.HBM: {}}
     for i in range(n):
-        for r in (*t.reads_reg[i], *t.writes_reg[i]):
-            reg_access.setdefault(r, []).append(i)
-        for m in (*t.reads_mem[i], *t.writes_mem[i]):
-            mem_access[m.space].append((i, m.offset, m.end))
-    t.window_start = start or 0
-    t.window_end = end
-    return t
+        for r in (*reads_reg[i], *writes_reg[i]):
+            by_reg.setdefault(r, []).append(i)
+        for m in (*reads_mem[i], *writes_mem[i]):
+            pages, a = mem_pages[m.space], (i, m.offset, m.end)
+            for page in range(m.offset // _HAZARD_PAGE, (m.end - 1) // _HAZARD_PAGE + 1):
+                pages.setdefault(page, []).append(a)
+
+    def with_peaks(idx: List[int]) -> Accesses:
+        return idx, list(accumulate(map(ready.__getitem__, idx), max))
+
+    return LogTables(n, instrs, reads_reg, writes_reg, reads_mem, writes_mem,
+                     dma_complete, start or 0, ready,
+                     {r: with_peaks(a) for r, a in by_reg.items()},
+                     {s: with_peaks(a) for s, a in by_slot.items()},
+                     mem_pages)
 
 
 def _push(table: list, i: int, item):
@@ -265,78 +283,48 @@ class Backtail:
     block: Tuple[int, ...]            # chain members + the issue, stream order
 
     def to_json(self):
-        return {"dma_id": self.dma_id, "issue_index": self.issue_index,
-                "issue_cycle": self.issue_cycle,
-                "earliest_index": self.earliest_index,
-                "earliest_cycle": self.earliest_cycle,
-                "backtail_cycles": self.backtail_cycles,
-                "block": list(self.block)}
+        return {**asdict(self), "block": list(self.block)}
 
 
-# bytes per bucket of the memory-hazard index
-_HAZARD_PAGE = 256
+def _before(access: Accesses, m: int, block: Set[int],
+            ready: List[int]) -> Tuple[int, int]:
+    """Latest index and latest data-ready cycle among the accesses before
+    stream index m that are not block members; -1 for none. Only the part
+    from the first block member on is walked."""
+    idx, peaks = access
+    p = bisect_left(idx, m)
+    lo = p
+    for b in block:
+        if b < m:
+            q = bisect_left(idx, b)
+            if q < lo and idx[q] == b:
+                lo = q
+    last, latest = (idx[lo - 1], peaks[lo - 1]) if lo else (-1, -1)
+    for j in idx[lo:p]:
+        if j not in block:
+            last = j
+            latest = max(latest, ready[j])
+    return last, latest
 
 
-class _Hazards:
-    """What the hazard clamps of one backtail pass read: each instruction's
-    data-ready cycle (a DMA issue's is its completion); per register and per
-    DMA slot, the accessing stream indices beside the running maximum of their
-    data-ready cycles; per page of each space, the memory accesses that touch
-    it. All in stream order."""
-
-    def __init__(self, t: LogTables):
-        self.ready = [t.dma_complete.get(info.dma_id, info.retire)
-                      if info.opcode == _DMA_ISSUE else info.retire
-                      for info in t.instrs]
-        self.reg = {r: self._with_peaks(acc) for r, acc in t.reg_access.items()}
-        self.slot = {s: self._with_peaks(acc) for s, acc in t.slot_access.items()}
-        self.mem_pages: Dict[MemSpace, Dict[int, List[Tuple[int, int, int]]]] = {}
-        for space, acc in t.mem_access.items():
-            pages = self.mem_pages[space] = {}
-            for a in acc:
-                for page in range(a[1] // _HAZARD_PAGE, (a[2] - 1) // _HAZARD_PAGE + 1):
-                    pages.setdefault(page, []).append(a)
-
-    def _with_peaks(self, idx: List[int]) -> Tuple[List[int], List[int]]:
-        return idx, list(accumulate(map(self.ready.__getitem__, idx), max))
-
-    def before(self, access: Tuple[List[int], List[int]], m: int,
-               block: Set[int]) -> Tuple[int, int]:
-        """Latest index and latest data-ready cycle among the accesses before
-        stream index m that are not block members; -1 for none. Only the
-        part from the first block member on is walked."""
-        idx, peaks = access
-        p = bisect_left(idx, m)
-        lo = p
-        for b in block:
-            if b < m:
-                q = bisect_left(idx, b)
-                if q < lo and idx[q] == b:
-                    lo = q
-        last, ready = (idx[lo - 1], peaks[lo - 1]) if lo else (-1, -1)
-        for j in idx[lo:p]:
-            if j not in block:
-                last = j
-                ready = max(ready, self.ready[j])
-        return last, ready
-
-    def mem_before(self, w: MemRegion, m: int, block: Set[int]) -> Tuple[int, int]:
-        """`before` for the memory accesses that overlap region w, read from
-        the pages w touches (an access on several pages is seen on each)."""
-        start, end = w.offset, w.end
-        pages = self.mem_pages[w.space]
-        last = ready = -1
-        for page in range(start // _HAZARD_PAGE, (end - 1) // _HAZARD_PAGE + 1):
-            for j, s, e in pages.get(page, ()):
-                if j >= m:
-                    break
-                if s < end and start < e and j not in block:
-                    last, ready = max(last, j), max(ready, self.ready[j])
-        return last, ready
+def _mem_before(t: LogTables, w: MemRegion, m: int,
+                block: Set[int]) -> Tuple[int, int]:
+    """`_before` for the memory accesses that overlap region w, read from
+    the pages w touches (an access on several pages is seen on each)."""
+    start, end = w.offset, w.end
+    pages = t.mem_pages[w.space]
+    last = latest = -1
+    for page in range(start // _HAZARD_PAGE, (end - 1) // _HAZARD_PAGE + 1):
+        for j, s, e in pages.get(page, ()):
+            if j >= m:
+                break
+            if s < end and start < e and j not in block:
+                last, latest = max(last, j), max(latest, t.ready[j])
+    return last, latest
 
 
-def _block_constraints(block: Set[int], d: int, t: LogTables, graph,
-                       hz: _Hazards) -> Tuple[int, Optional[int]]:
+def _block_constraints(block: Set[int], d: int, t: LogTables,
+                       graph) -> Tuple[int, Optional[int]]:
     """Insertion point of the moved block - one past the latest stream index
     that must stay before it: RAW producers, WAR/WAW reg and memory hazards,
     and slot reuse order - and the latest data-ready cycle among those
@@ -346,16 +334,16 @@ def _block_constraints(block: Set[int], d: int, t: LogTables, graph,
         for e in graph.edges_of(m):
             p = e.producer
             if p not in block:
-                last, ready = max(last, p), max(ready, hz.ready[p])
+                last, ready = max(last, p), max(ready, t.ready[p])
         for r in t.writes_reg[m]:
-            j, c = hz.before(hz.reg[r], m, block)
+            j, c = _before(t.reg[r], m, block, t.ready)
             last, ready = max(last, j), max(ready, c)
         for w in t.writes_mem[m]:
-            j, c = hz.mem_before(w, m, block)
+            j, c = _mem_before(t, w, m, block)
             last, ready = max(last, j), max(ready, c)
     slot = t.instrs[d].slot
     if slot is not None:
-        j, c = hz.before(hz.slot[slot], d, block)
+        j, c = _before(t.slot[slot], d, block, t.ready)
         last, ready = max(last, j), max(ready, c)
     return last + 1, (ready if last >= 0 else None)
 
@@ -365,18 +353,17 @@ def compute_backtails(graph: DependencyGraph) -> Dict[int, Backtail]:
     clamped by every hazard that would change architectural results (register
     and memory anti/output dependencies of the moved block, slot reuse)."""
     t = graph.tables
-    hz = _Hazards(t)
     out: Dict[int, Backtail] = {}
     for d, info in enumerate(t.instrs):
         if info.opcode != _DMA_ISSUE or info.annulled:
             continue
         chain = set() if d in graph.relaxed_fallback else set(graph.chains.get(d, ()))
-        block, target, ready = _minimize_block(d, chain, t, graph, hz)
+        block, target, ready = _minimize_block(d, chain, t, graph)
         if any(m != d and m < target for m in block):
             # could not keep every moved member ahead of its hazards: fall
             # back to the no-chain conservative placement
             block = {d}
-            target, ready = _block_constraints(block, d, t, graph, hz)
+            target, ready = _block_constraints(block, d, t, graph)
         earliest_cycle = t.window_start if ready is None else ready
         issue_cycle = info.issue
         out[info.dma_id] = Backtail(info.dma_id, d, issue_cycle, target,
@@ -386,7 +373,7 @@ def compute_backtails(graph: DependencyGraph) -> Dict[int, Backtail]:
     return out
 
 
-def _minimize_block(d: int, chain: Set[int], t: LogTables, graph, hz: _Hazards):
+def _minimize_block(d: int, chain: Set[int], t: LogTables, graph):
     """Trim the moved block down to the chain members that actually need to
     travel: members whose position already precedes the insertion point stay
     behind (becoming plain RAW constraints), including shared producers that
@@ -394,7 +381,7 @@ def _minimize_block(d: int, chain: Set[int], t: LogTables, graph, hz: _Hazards):
     block: Set[int] = {d} | chain
 
     def measure(b):
-        return _block_constraints(b, d, t, graph, hz)
+        return _block_constraints(b, d, t, graph)
 
     target, ready = measure(block)
     for _ in range(len(chain) + 2):

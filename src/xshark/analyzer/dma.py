@@ -10,7 +10,7 @@ the window are flagged instead of classified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 from ..isa import MemRegion, Opcode
@@ -45,17 +45,7 @@ class DmaRecord:
         return self.stall_base + self.stall_transfer
 
     def to_json(self):
-        return {"dma_id": self.dma_id, "index": self.index, "pc": self.pc,
-                "slot": self.slot, "link": self.link, "size": self.size,
-                "src": self.src.to_json(), "dst": self.dst.to_json(),
-                "issue_cycle": self.issue_cycle,
-                "base_done_cycle": self.base_done_cycle,
-                "transfer_start_cycle": self.transfer_start_cycle,
-                "complete_cycle": self.complete_cycle,
-                "wait_cycle": self.wait_cycle, "wait_index": self.wait_index,
-                "stall_base": self.stall_base,
-                "stall_transfer": self.stall_transfer, "slack": self.slack,
-                "scenario": self.scenario}
+        return {**asdict(self), "src": self.src.to_json(), "dst": self.dst.to_json()}
 
 
 def classify(rec: DmaRecord):

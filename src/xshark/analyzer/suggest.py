@@ -12,7 +12,7 @@ diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..isa import MemSpace
@@ -48,16 +48,7 @@ class Suggestion:
     diagnostic: Optional[str] = None
 
     def to_json(self):
-        return {"dma_id": self.dma_id, "issue_index": self.issue_index,
-                "proposed_position": self.proposed_position,
-                "push_limit": self.push_limit,
-                "stall_duration": self.stall_duration,
-                "required_vmem": self.required_vmem,
-                "largest_contiguous_at_target": self.largest_contiguous_at_target,
-                "block": self.block, "verified": self.verified,
-                "speedup_cycles": self.speedup_cycles,
-                "stall_reduction": self.stall_reduction,
-                "diagnostic": self.diagnostic}
+        return asdict(self)
 
     @staticmethod
     def from_json(d) -> "Suggestion":

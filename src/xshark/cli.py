@@ -333,7 +333,7 @@ COMMANDS = [
         (["--fast-forward"], {"action": "store_true",
                               "help": "step to DMA quiescence before recording"}),
         (["--binary"], {"action": "store_true", "help": "compact trace container"}),
-        (["--max-cycles"], {"type": int, "default": 10_000_000}),
+        (["--max-cycles"], {"type": _positive_int, "default": 10_000_000}),
         (["-o", "--output"], {"required": True, "help": "trace path"}),
     ]),
     ("replay", "replay a trace and emit the event log", cmd_replay, [

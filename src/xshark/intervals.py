@@ -21,10 +21,6 @@ class IntervalSet:
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(self._spans)
 
-    @property
-    def total(self) -> int:
-        return sum(e - s for s, e in self._spans)
-
     def add(self, start: int, end: int):
         if start >= end:
             return

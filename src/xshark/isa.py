@@ -117,6 +117,7 @@ for _cls, _tag in _REG_TAG.items():
     for _i in range(_REG_LIMIT[_cls]):
         _REG_BY_BYTE[_tag << 6 | _i] = _REG_BY_NAME[f"{_cls.value}{_i}"] = \
             RegisterId(_cls, _i)
+REGISTER_NAMES = frozenset(_REG_BY_NAME)
 
 
 sreg = partial(RegisterId, RegClass.SCALAR)
@@ -423,11 +424,6 @@ class SparseBytes:
     def backed_bytes(self) -> int:
         return len(self._pages) * self.PAGE
 
-    def clone(self) -> "SparseBytes":
-        c = SparseBytes(self.capacity)
-        c._pages = {k: bytearray(v) for k, v in self._pages.items()}
-        return c
-
 
 class DmaSlotState:
     """One DMA engine slot: what the machine needs of its transfer.
@@ -450,12 +446,6 @@ class DmaSlotState:
         self.buffer = b""
         self.applied = False
         self.dma_id = -1
-
-    def clone(self) -> "DmaSlotState":
-        c = DmaSlotState()
-        for f in self.__slots__:
-            setattr(c, f, getattr(self, f))
-        return c
 
 
 class MachineState:
@@ -480,21 +470,6 @@ class MachineState:
         self.dma_seq = 0
         self.vmem_capacity = vmem_capacity
         self.hbm_capacity = hbm_capacity
-
-    def clone(self) -> "MachineState":
-        c = MachineState.__new__(MachineState)
-        c.pc, c.cycle, c.halted = self.pc, self.cycle, self.halted
-        c.sregs = list(self.sregs)
-        c.vregs = bytearray(self.vregs)
-        c.pregs = list(self.pregs)
-        c.vmem = bytearray(self.vmem)
-        c.hbm = self.hbm.clone()
-        c.dma_slots = [s.clone() for s in self.dma_slots]
-        c.link_free = dict(self.link_free)
-        c.dma_seq = self.dma_seq
-        c.vmem_capacity = self.vmem_capacity
-        c.hbm_capacity = self.hbm_capacity
-        return c
 
     # -- register access ---------------------------------------------------
 

@@ -17,7 +17,7 @@ import base64
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 from .debugger import Breakpoint, DebugSession
@@ -61,6 +61,9 @@ class TraceHeader:
         if not all(type(v) is int for v in (h.isa_version, h.start_pc, h.start_cycle,
                                             h.instruction_count)):
             raise ValueError("trace header counters must be integers")
+        if h.isa_version != ISA_VERSION:
+            raise TraceError("TRACE_VERSION",
+                             f"trace ISA version {h.isa_version} != {ISA_VERSION}")
         return h
 
 
@@ -69,9 +72,7 @@ class ExecutionTrace:
     header: TraceHeader
     reg_snapshots: List[Tuple[RegisterId, bytes]]
     mem_snapshots: List[Tuple[MemRegion, bytes]]
-    instr_stream: List[Tuple[int, bytes]]      # (pc, 16-byte encoding)
-    _decoded: Optional[list] = field(default=None, init=False, repr=False,
-                                     compare=False)
+    instr_stream: List[Tuple[int, Instruction]]    # (pc, instruction) as executed
 
     def check_config_hash(self, config_hash: str):
         """The config-hash gate: a trace replays only under the SimConfig
@@ -98,27 +99,12 @@ class ExecutionTrace:
                 raise TraceError("TRACE_FORMAT", f"overlapping memory snapshot {region}")
         if self.header.instruction_count != len(self.instr_stream):
             raise TraceError("TRACE_FORMAT", "instruction count mismatch")
-        if any(len(raw) != INSTR_BYTES for _, raw in self.instr_stream):
-            raise TraceError("TRACE_FORMAT", "bad instruction record length")
         return ledger
 
     @property
     def snapshot_bytes(self) -> int:
         return (sum(len(d) for _, d in self.reg_snapshots)
                 + sum(len(d) for _, d in self.mem_snapshots))
-
-    def decoded_stream(self) -> List[Tuple[int, Instruction]]:
-        """The stream as (pc, Instruction), decoded on the first call only."""
-        if self._decoded is None:
-            decoded = []
-            for i, (pc, raw) in enumerate(self.instr_stream):
-                try:
-                    decoded.append((pc, decode_instruction(raw)))
-                except EncodingError as e:
-                    raise TraceError("TRACE_FORMAT", f"instruction record {i} "
-                                     f"does not decode: {e}") from None
-            self._decoded = decoded
-        return self._decoded
 
 
 @dataclass
@@ -186,7 +172,7 @@ def record(session: DebugSession, breakpoint: Optional[Breakpoint],
         if fault is not None:
             break
         ledger.wrote(ios)
-        stream.append((pc, encode_instruction(instr)))
+        stream.append((pc, instr))
 
     sim.sync()
     ended_at_halt = state.halted and fault is None
@@ -208,7 +194,8 @@ def _trace_payload(trace: ExecutionTrace) -> dict:
                           for r, d in trace.reg_snapshots],
         "mem_snapshots": [[m.to_json(), base64.b64encode(d).decode()]
                           for m, d in trace.mem_snapshots],
-        "instr_stream": [[pc, raw.hex()] for pc, raw in trace.instr_stream],
+        "instr_stream": [[pc, encode_instruction(i).hex()]
+                         for pc, i in trace.instr_stream],
     }
 
 
@@ -237,8 +224,8 @@ def trace_to_binary(trace: ExecutionTrace) -> bytes:
         out += struct.pack("<BQI", 0 if m.space is MemSpace.HBM else 1,
                            m.offset, m.length) + d
     out += struct.pack("<I", len(trace.instr_stream))
-    for pc, raw in trace.instr_stream:
-        out += struct.pack("<I", pc) + raw
+    for pc, instr in trace.instr_stream:
+        out += struct.pack("<I", pc) + encode_instruction(instr)
     out += hashlib.sha256(bytes(out)).digest()
     return bytes(out)
 
@@ -262,7 +249,7 @@ def _trace_from_json(text: str) -> ExecutionTrace:
         TraceHeader.from_json(doc["header"]),
         [(RegisterId.parse(r), base64.b64decode(d)) for r, d in doc["reg_snapshots"]],
         [(MemRegion.from_json(m), base64.b64decode(d)) for m, d in doc["mem_snapshots"]],
-        [(pc, bytes.fromhex(raw)) for pc, raw in doc["instr_stream"]],
+        _decode_stream((pc, bytes.fromhex(raw)) for pc, raw in doc["instr_stream"]),
     )
 
 
@@ -298,7 +285,22 @@ def _trace_from_binary(blob: bytes) -> ExecutionTrace:
         stream.append((pc, blob[pos:pos + INSTR_BYTES])); pos += INSTR_BYTES
     if pos != len(blob):
         raise ValueError(f"{len(blob) - pos} bytes past the instruction stream")
-    return ExecutionTrace(header, regs, mems, stream)
+    return ExecutionTrace(header, regs, mems, _decode_stream(stream))
+
+
+def _decode_stream(records) -> List[Tuple[int, Instruction]]:
+    """(pc, Instruction) per (pc, 16-byte record); a record that does not
+    decode, or whose pc is not an integer, is TRACE_FORMAT naming its index."""
+    stream = []
+    for i, (pc, raw) in enumerate(records):
+        try:
+            if type(pc) is not int:
+                raise EncodingError(f"pc {pc!r} is not an integer")
+            stream.append((pc, decode_instruction(raw)))
+        except EncodingError as e:
+            raise TraceError("TRACE_FORMAT",
+                             f"instruction record {i} does not decode: {e}") from None
+    return stream
 
 
 def read_trace(source: str, expected_config_hash: Optional[str] = None) -> ExecutionTrace:
@@ -314,9 +316,6 @@ def read_trace(source: str, expected_config_hash: Optional[str] = None) -> Execu
         # undecodable text, bad JSON/base64/hex, missing fields, short
         # binary records, bad register bytes, empty regions
         raise TraceError("TRACE_FORMAT", f"malformed trace: {e!r}") from None
-    if trace.header.isa_version != ISA_VERSION:
-        raise TraceError("TRACE_VERSION",
-                         f"trace ISA version {trace.header.isa_version} != {ISA_VERSION}")
     if expected_config_hash is not None:
         trace.check_config_hash(expected_config_hash)
     trace.validate()

@@ -54,7 +54,7 @@ def _replay_stream(trace: ExecutionTrace, config: SimConfig,
                    check_pc_chain: bool) -> ReplayResult:
     trace.check_config_hash(config.config_hash())
     ledger = trace.validate()
-    stream = trace.decoded_stream()
+    stream = trace.instr_stream
     state = _restore(trace, config)
     sim = Simulator(config, state, None, tracker)
     for k, i in enumerate(order):

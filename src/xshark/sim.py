@@ -27,10 +27,10 @@ from operator import attrgetter
 from typing import List, Optional
 
 from . import _kernels
-from .isa import (CMP_MODES, DMA_DIR_NAMES, DMA_DIRS, PAGE_BYTES, VLEN_BYTES,
-                  VMEM_BUCKETS, DEFAULT_HBM_CAPACITY, DEFAULT_VMEM_CAPACITY, Fault,
-                  Instruction, IoSets, MachineState, MemRegion, Opcode,
-                  Program, RegClass, Unit, instruction_io_sets)
+from .isa import (CMP_MODES, DMA_DIR_NAMES, DMA_DIRS, PAGE_BYTES, REGISTER_NAMES,
+                  VLEN_BYTES, VMEM_BUCKETS, DEFAULT_HBM_CAPACITY,
+                  DEFAULT_VMEM_CAPACITY, Fault, Instruction, IoSets, MachineState,
+                  MemRegion, Opcode, Program, RegClass, Unit, instruction_io_sets)
 
 _LINK_NAMES = {DMA_DIRS[d]: name for d, name in DMA_DIR_NAMES.items()}
 _NAME_LINKS = {v: k for k, v in _LINK_NAMES.items()}
@@ -219,7 +219,8 @@ _FIELD_VALUES = {"unit": frozenset(u.value for u in Unit),
                  "reason": frozenset({STALL_HAZARD, STALL_DMA_BASE,
                                       STALL_DMA_TRANSFER}),
                  "opcode": frozenset(Opcode.__members__),
-                 "link": frozenset(DMA_DIR_NAMES.values())}
+                 "link": frozenset(DMA_DIR_NAMES.values()),
+                 "reg": REGISTER_NAMES}
 # the DMA engine's events and a DMA_WAIT's issue, each after the dma_issue
 # of its dma_id
 _DMA_ENGINE_KINDS = frozenset({DMA_BASE_DONE, DMA_TRANSFER_START, DMA_COMPLETE})

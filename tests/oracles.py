@@ -24,8 +24,7 @@ import numpy as np
 
 from xshark.analyzer.vmem import VmemPageStats
 from xshark.isa import (DEFAULT_VMEM_CAPACITY, ISA_VERSION, PAGE_BYTES,
-                        VMEM_BUCKETS, MemSpace, Opcode, encode_instruction,
-                        instruction_io_sets)
+                        VMEM_BUCKETS, MemSpace, Opcode, instruction_io_sets)
 from xshark.recorder import ExecutionTrace, TraceHeader
 from xshark.sim import MEM_READ, MEM_WRITE, PerfEvent
 
@@ -118,7 +117,7 @@ def naive_record(session, n_instructions: int):
         hbm_reads.extend(m for m in ios.input_mem if m.space is MemSpace.HBM)
         if session.step() is not None:
             break
-        stream.append((pc, encode_instruction(instr)))
+        stream.append((pc, instr))
         if state.halted:
             ended_at_halt = True
             break
@@ -147,7 +146,7 @@ def bruteforce_dep_oracle(trace, config) -> set:
     last_reg: Dict[str, int] = {}
     last_byte: Dict[Tuple[str, int], int] = {}
     edges = set()
-    for idx, (pc, instr) in enumerate(trace.decoded_stream()):
+    for idx, (pc, instr) in enumerate(trace.instr_stream):
         state.pc = pc
         ios = instruction_io_sets(instr, state, pc)
         for r in ios.input_regs:

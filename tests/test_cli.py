@@ -104,9 +104,12 @@ def test_usage_error_exit_1(ws, capsys):
     ["record", "{prog}", "--break", "0", "--count", "5", "--hit", "0",
      "-o", "{ws}/t"],
     ["run", "{prog}", "--max-cycles", "0"],
+    ["record", "{prog}", "--break", "0", "--count", "5", "--max-cycles", "-5",
+     "-o", "{ws}/t"],
     ["analyze", "{events}", "--bucket-width", "0", "-o", "{ws}/r"],
     ["analyze", "{events}", "--sample-interval", "0", "-o", "{ws}/r"],
-], ids=["count", "hit", "max-cycles", "bucket-width", "sample-interval"])
+], ids=["count", "hit", "max-cycles", "record-max-cycles", "bucket-width",
+        "sample-interval"])
 def test_nonpositive_numeric_argument_is_usage_error(ws, capsys, argv):
     prog, events = ws / "prog.json", ws / "events.jsonl"
     _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
@@ -126,17 +129,29 @@ def _resigned_binary_prefix(ws):
     return prefix + hashlib.sha256(prefix).digest()
 
 
-def _resigned_bad_opcode(ws):
-    """The JSON trace with opcode byte 0xee in its first instruction record,
-    re-signed: the checksum matches, the record does not decode."""
-    doc = json.loads((ws / "win.trace").read_text())
-    pc, raw = doc["instr_stream"][0]
-    doc["instr_stream"][0] = [pc, "ee" + raw[2:]]
-    payload = {k: doc[k] for k in ("header", "reg_snapshots", "mem_snapshots",
-                                   "instr_stream")}
-    doc["checksum"] = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    return json.dumps(doc).encode()
+def _resigned_first_record(edit):
+    """The JSON trace of the workspace with its first instruction record
+    [pc, hex] replaced by edit(pc, hex), re-signed: the checksum matches."""
+    def make(ws):
+        doc = json.loads((ws / "win.trace").read_text())
+        doc["instr_stream"][0] = edit(*doc["instr_stream"][0])
+        payload = {k: doc[k] for k in ("header", "reg_snapshots", "mem_snapshots",
+                                       "instr_stream")}
+        doc["checksum"] = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        return json.dumps(doc).encode()
+    return make
+
+
+# opcode byte 0xee: the record does not decode
+_resigned_bad_opcode = _resigned_first_record(lambda pc, raw: [pc, "ee" + raw[2:]])
+
+
+def _replay_log_and_bad_opcode(ws):
+    """`_resigned_bad_opcode`, after writing the replay log of the workspace
+    trace to replay.jsonl."""
+    assert main(["replay", str(ws / "win.trace"), "-o", str(ws / "replay.jsonl")]) == 0
+    return _resigned_bad_opcode(ws)
 
 
 _DROP = object()
@@ -170,6 +185,11 @@ MALFORMED_INPUTS = {
                               ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
     "trace-bad-opcode": (_resigned_bad_opcode, ["replay", "{f}", "-o", "{ws}/e"],
                          "TRACE_FORMAT", 2),
+    "trace-bad-opcode-suggest": (_replay_log_and_bad_opcode,
+                                 ["suggest", "{f}", "{ws}/replay.jsonl",
+                                  "-o", "{ws}/s.json"], "TRACE_FORMAT", 2),
+    "trace-pc-not-int": (_resigned_first_record(lambda pc, raw: ["x", raw]),
+                         ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
     "config-string-t_base": (b'{"t_base": "x"}', ["--config", "{f}", "run", "{prog}"],
                              "CONFIG_INVALID", 1),
     "config-not-object": (b"[1]", ["--config", "{f}", "run", "{prog}"],
@@ -237,6 +257,8 @@ MALFORMED_INPUTS = {
                                     _ANALYZE, "EVENTS_INVALID", 1),
     "events-dma-issue-unknown-link": (_edited_event("dma_issue", "link", "x>y"),
                                       _ANALYZE, "EVENTS_INVALID", 1),
+    "events-reg-read-unknown-reg": (_edited_event("reg_read", "reg", "zz9"),
+                                    _ANALYZE, "EVENTS_INVALID", 1),
 }
 
 

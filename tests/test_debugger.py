@@ -1,5 +1,7 @@
 """Breakpoints, stepping, and read purity."""
 
+import copy
+
 import pytest
 
 from xshark.debugger import Breakpoint
@@ -79,7 +81,7 @@ def test_step_at_halt_reports_halted():
 def test_reads_are_pure():
     _, session = asm_session(COUNTDOWN)
     session.step()
-    baseline = state_digest(session.state.clone())
+    baseline = state_digest(copy.deepcopy(session.state))
     state = session.state
     for _ in range(4):
         state.read_reg_bytes(sreg(0))

@@ -1,5 +1,6 @@
 """Encoding round-trips, IO-set parsing, and IO-set soundness fuzzing."""
 
+import copy
 import random
 
 import pytest
@@ -251,7 +252,7 @@ def test_io_sets_sound_writes_within_outputs(seed):
             declared_out.update(("hbm", p) for p in
                                 range(m.offset // 4096, (m.end + 4095) // 4096))
 
-    work = st_.clone()
+    work = copy.deepcopy(st_)
     sim = Simulator(config, work)
     assert sim.exec_instruction(ins, 0, ios) is None
     sim._advance_engine(10 ** 9)       # settle any in-flight DMA
@@ -264,9 +265,9 @@ def test_io_sets_sound_writes_within_outputs(seed):
                   if ("s", i) not in declared_in_regs
                   and ("reg", "s", i) not in declared_out]
     if candidates:
-        mutated = st_.clone()
+        mutated = copy.deepcopy(st_)
         mutated.sregs[r.choice(candidates)] ^= 0xDEADBEEF
-        work2 = mutated.clone()
+        work2 = copy.deepcopy(mutated)
         sim2 = Simulator(config, work2)
         ios2 = instruction_io_sets(ins, work2, 0)
         assert sim2.exec_instruction(ins, 0, ios2) is None

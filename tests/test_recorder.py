@@ -1,13 +1,18 @@
 """First-use recording semantics, trace containers, and minimality."""
 
+import hashlib
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xshark.debugger import Breakpoint
 from xshark.isa import Fault, MemRegion, MemSpace, sreg
 from xshark.recorder import (ExecutionTrace, TraceError, read_trace, record,
-                             trace_to_json, write_trace)
+                             trace_to_binary, trace_to_json, write_trace)
 from xshark.replayer import compare_window, replay
 from xshark.sim import SimConfig, state_digest
 
@@ -218,6 +223,89 @@ def test_overlapping_mem_snapshots_rejected():
                            (MemRegion(MemSpace.VMEM, 32, 64), bytes(64))]
     with pytest.raises(TraceError):
         trace.validate()
+
+
+# ------------------------------------------------------------- fuzzing
+
+_PAYLOAD_KEYS = ("header", "reg_snapshots", "mem_snapshots", "instr_stream")
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 2 ** 40),
+              st.text(max_size=8)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+
+
+def _resigned_json(doc) -> bytes:
+    payload = {k: doc[k] for k in _PAYLOAD_KEYS}
+    doc["checksum"] = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return json.dumps(doc).encode()
+
+
+def _mutated_json(text: str, data) -> bytes:
+    """The JSON container with one record's byte flipped, one value anywhere
+    in the payload replaced, or a section cut short, re-signed; or its text
+    cut short."""
+    doc = json.loads(text)
+    how = data.draw(st.sampled_from(["flip", "replace", "cut", "cut text"]))
+    if how == "cut text":
+        return text.encode()[:data.draw(st.integers(0, len(text) - 1))]
+    node, key = doc, data.draw(st.sampled_from(_PAYLOAD_KEYS))
+    if how == "flip":
+        j = data.draw(st.integers(0, len(doc["instr_stream"]) - 1))
+        raw = bytearray.fromhex(doc["instr_stream"][j][1])
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        doc["instr_stream"][j][1] = raw.hex()
+    elif how == "cut":
+        section = doc[key]
+        keep = data.draw(st.integers(0, len(section)))
+        doc[key] = (dict(list(section.items())[:keep]) if key == "header"
+                    else section[:keep])
+    else:
+        while (node[key] and isinstance(node[key], (list, dict))
+               and data.draw(st.booleans())):
+            node = node[key]
+            key = data.draw(st.sampled_from(sorted(node)) if isinstance(node, dict)
+                            else st.integers(0, len(node) - 1))
+        node[key] = data.draw(_json_values)
+    return _resigned_json(doc)
+
+
+def _mutated_binary(blob: bytes, data) -> bytes:
+    """The binary container with a few bytes after the magic flipped and cut
+    short (either, both or neither), re-signed."""
+    body = bytearray(blob[:-32])
+    for _ in range(data.draw(st.integers(0, 3))):
+        body[data.draw(st.integers(4, len(body) - 1))] ^= data.draw(st.integers(1, 255))
+    if data.draw(st.booleans()):
+        body = body[:data.draw(st.integers(4, len(body)))]
+    return bytes(body) + hashlib.sha256(body).digest()
+
+
+@pytest.fixture(scope="module")
+def containers():
+    trace = _ref_trace()
+    return trace_to_json(trace), trace_to_binary(trace)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_read_trace_of_a_damaged_container_raises_only_trace_error(containers, data):
+    """A damaged container whose checksum matches reaches the decoders,
+    instruction decoding included; read_trace then returns a trace or raises
+    TraceError, never another exception."""
+    text, blob = containers
+    content = (_mutated_binary(blob, data) if data.draw(st.booleans())
+               else _mutated_json(text, data))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        try:
+            read_trace(path)
+        except TraceError:
+            pass
 
 
 # ------------------------------------------------------------- minimality

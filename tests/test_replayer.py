@@ -11,7 +11,7 @@ from xshark.analyzer import apply_and_verify
 from xshark.analyzer.suggest import Suggestion
 from xshark.debugger import Breakpoint
 from xshark.isa import (MemRegion, MemSpace, decode_instruction,
-                        encode_instruction, instruction_io_sets, sreg)
+                        instruction_io_sets, sreg)
 from xshark.recorder import ExecutionTrace, TraceError, record
 from xshark.replayer import (ReplayDivergence, compare_window, replay,
                              replay_with_schedule)
@@ -254,7 +254,7 @@ def test_trace_whose_last_record_faults_diverges():
     session, res, config = _record(FAULTING_WINDOWS["dma_busy"])
     t = res.trace
     pc = session.state.pc
-    stream = t.instr_stream + [(pc, encode_instruction(session.program.instructions[pc]))]
+    stream = t.instr_stream + [(pc, session.program.instructions[pc])]
     header = replace(t.header, instruction_count=len(stream))
     with pytest.raises(ReplayDivergence, match="dma_busy"):
         replay(ExecutionTrace(header, t.reg_snapshots, t.mem_snapshots, stream),
@@ -282,7 +282,9 @@ def test_footprint_parsed_once_per_instruction(monkeypatch):
     assert len(calls) == rep.executed == res.recorded
 
 
-def test_apply_decodes_the_stream_once(monkeypatch):
+def test_only_read_trace_decodes_the_stream(monkeypatch, tmp_path):
+    """read_trace decodes each record once, for either container; replay,
+    apply_and_verify and replay_with_schedule decode none."""
     decoded = []
 
     def counting(raw):
@@ -291,8 +293,17 @@ def test_apply_decodes_the_stream_once(monkeypatch):
 
     monkeypatch.setattr(recorder, "decode_instruction", counting)
     _, res, config = _record()
-    order = list(range(len(res.trace.instr_stream)))
-    apply_and_verify(res.trace, Suggestion(0, 0, 0, 0, 0, 0, None, order[:1]),
-                     config)
-    replay_with_schedule(res.trace, order, config)
-    assert len(decoded) == len(res.trace.instr_stream)
+    n = len(res.trace.instr_stream)
+    for binary in (False, True):
+        path = str(tmp_path / f"t{binary}")
+        recorder.write_trace(res.trace, path, binary=binary)
+        decoded.clear()
+        trace = recorder.read_trace(path)
+        assert len(decoded) == n
+        assert trace.instr_stream == res.trace.instr_stream
+    decoded.clear()
+    order = list(range(n))
+    replay(trace, config)
+    apply_and_verify(trace, Suggestion(0, 0, 0, 0, 0, 0, None, order[:1]), config)
+    replay_with_schedule(trace, order, config)
+    assert decoded == []
