@@ -45,7 +45,6 @@ _TRANSFORMS = {"S_LDI", "S_ADD", "S_MUL", "S_MOV", "S_CMP", "V_ADD", "V_MUL",
 
 @dataclass
 class InstrInfo:
-    idx: int
     opcode: str = ""
     slot: Optional[int] = None
     dma_id: Optional[int] = None
@@ -87,7 +86,7 @@ class LogTables:
 
 def build_tables(events: List[PerfEvent]) -> LogTables:
     n = 1 + max((ev.idx for ev in events if ev.idx is not None), default=-1)
-    instrs = [InstrInfo(i) for i in range(n)]
+    instrs = [InstrInfo() for _ in range(n)]
     reads_reg, writes_reg, reads_mem, writes_mem = ([()] * n for _ in range(4))
     by_slot: Dict[int, List[int]] = {}
     dma_complete: Dict[int, int] = {}
@@ -359,11 +358,6 @@ def compute_backtails(graph: DependencyGraph) -> Dict[int, Backtail]:
             continue
         chain = set() if d in graph.relaxed_fallback else set(graph.chains.get(d, ()))
         block, target, ready = _minimize_block(d, chain, t, graph)
-        if any(m != d and m < target for m in block):
-            # could not keep every moved member ahead of its hazards: fall
-            # back to the no-chain conservative placement
-            block = {d}
-            target, ready = _block_constraints(block, d, t, graph)
         earliest_cycle = t.window_start if ready is None else ready
         issue_cycle = info.issue
         out[info.dma_id] = Backtail(info.dma_id, d, issue_cycle, target,
@@ -377,17 +371,15 @@ def _minimize_block(d: int, chain: Set[int], t: LogTables, graph):
     """Trim the moved block down to the chain members that actually need to
     travel: members whose position already precedes the insertion point stay
     behind (becoming plain RAW constraints), including shared producers that
-    happen to sit right at the target."""
+    happen to sit right at the target. Every returned member other than d is
+    at or after the returned target."""
     block: Set[int] = {d} | chain
 
     def measure(b):
         return _block_constraints(b, d, t, graph)
 
     target, ready = measure(block)
-    for _ in range(len(chain) + 2):
-        drop = {m for m in block if m != d and m < target}
-        if not drop:
-            break
+    while drop := {m for m in block if m != d and m < target}:
         block = block - drop
         target, ready = measure(block)
     # peel shared leading producers that sit at the insertion point, but only

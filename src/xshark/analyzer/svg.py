@@ -22,6 +22,7 @@ COLOR_TRANSFER_STALL = "#7d3c98"    # purple
 COLOR_SLACK = "#9e9e9e"             # gray, hatched
 COLOR_TRANSFER = "#c8d6e5"
 COLOR_BACKTAIL = "#000000"
+_WIDTH = 960                        # pixels, both artifacts
 
 _HATCH = ('<pattern id="hatch" width="6" height="6" patternUnits="userSpaceOnUse" '
           'patternTransform="rotate(45)"><rect width="6" height="6" fill="%s"/>'
@@ -29,19 +30,18 @@ _HATCH = ('<pattern id="hatch" width="6" height="6" patternUnits="userSpaceOnUse
           '</pattern>') % COLOR_SLACK
 
 
-def _doc(width: int, height: int, body: List[str]) -> str:
-    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
+def _doc(height: int, body: List[str]) -> str:
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{height}" viewBox="0 0 {_WIDTH} {height}">',
             f"<!-- xshark {__version__} -->",
             f"<defs>{_HATCH}</defs>"]
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
 def render_dma_timeline(records: List[DmaRecord],
-                        backtails: Optional[Dict[int, Backtail]] = None,
-                        width: int = 960) -> str:
+                        backtails: Optional[Dict[int, Backtail]] = None) -> str:
     if not records:
-        return _doc(width, 40, ['<text x="8" y="24" font-size="12">no DMAs</text>'])
+        return _doc(40, ['<text x="8" y="24" font-size="12">no DMAs</text>'])
     t0 = min(r.issue_cycle for r in records)
     if backtails:
         t0 = min([t0] + [b.earliest_cycle for b in backtails.values()])
@@ -49,7 +49,7 @@ def render_dma_timeline(records: List[DmaRecord],
              for r in records) + 1
     span = max(1, t1 - t0)
     row_h, pad_l, pad_t = 18, 120, 24
-    scale = (width - pad_l - 16) / span
+    scale = (_WIDTH - pad_l - 16) / span
 
     def x(c):
         return pad_l + (c - t0) * scale
@@ -89,13 +89,13 @@ def render_dma_timeline(records: List[DmaRecord],
             body.append(f'<line x1="{x(b.earliest_cycle):.1f}" y1="{mid + 1}" '
                         f'x2="{x(b.earliest_cycle):.1f}" y2="{mid + 9}" '
                         f'stroke="{COLOR_BACKTAIL}" stroke-width="1.2"/>')
-    return _doc(width, pad_t + len(records) * row_h + 12, body)
+    return _doc(pad_t + len(records) * row_h + 12, body)
 
 
-def render_vmem_heatmap(stats: VmemPageStats, width: int = 960) -> str:
+def render_vmem_heatmap(stats: VmemPageStats) -> str:
     """128 bucket rows x sample columns; cell shade = used pages in bucket."""
     n_samples = len(stats.samples)
-    cell_w = max(1.0, (width - 140) / max(1, n_samples))
+    cell_w = max(1.0, (_WIDTH - 140) / max(1, n_samples))
     cell_h = 4
     body = [f'<text x="8" y="16" font-size="12">VMEM heatmap: {VMEM_BUCKETS} buckets '
             f'x {n_samples} samples (interval {stats.sample_interval})</text>']
@@ -111,4 +111,4 @@ def render_vmem_heatmap(stats: VmemPageStats, width: int = 960) -> str:
                         f'fill="rgb({shade},{shade // 2},{255 - shade})"/>')
         if b % 16 == 0:
             body.append(f'<text x="8" y="{y + 4}" font-size="8">bucket {b}</text>')
-    return _doc(width, 24 + VMEM_BUCKETS * cell_h + 12, body)
+    return _doc(24 + VMEM_BUCKETS * cell_h + 12, body)

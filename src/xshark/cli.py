@@ -75,9 +75,9 @@ def _load_config(path):
         raise CliError("CONFIG_INVALID", f"bad config {path!r}: {e}", 1)
 
 
-def _read(path, mode="r"):
+def _read(path):
     try:
-        with open(path, mode) as fh:
+        with open(path) as fh:
             return fh.read()
     except OSError as e:
         raise CliError("IO_ERROR", str(e), 1)

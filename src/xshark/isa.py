@@ -394,8 +394,7 @@ class SparseBytes:
 
     PAGE = 4096
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
+    def __init__(self):
         self._pages: dict = {}
 
     def read(self, offset: int, length: int) -> bytes:
@@ -463,10 +462,10 @@ class MachineState:
         self.vregs = bytearray(VECTOR_REGS * VLEN_BYTES)
         self.pregs = [0] * PRED_REGS
         self.vmem = bytearray(vmem_capacity)
-        self.hbm = SparseBytes(hbm_capacity)
+        self.hbm = SparseBytes()
         self.dma_slots = [DmaSlotState() for _ in range(DMA_SLOTS)]
         self.halted = False
-        self.link_free = {}                      # (src space, dst space) -> cycle
+        self.link_free = {}                      # link name -> cycle
         self.dma_seq = 0
         self.vmem_capacity = vmem_capacity
         self.hbm_capacity = hbm_capacity

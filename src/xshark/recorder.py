@@ -187,6 +187,9 @@ def record(session: DebugSession, breakpoint: Optional[Breakpoint],
 
 # -- container formats ---------------------------------------------------
 
+_REG_CLASSES = tuple(RegClass)   # a binary register snapshot's class tag: index here
+
+
 def _trace_payload(trace: ExecutionTrace) -> dict:
     return {
         "header": trace.header.to_json(),
@@ -218,7 +221,7 @@ def trace_to_binary(trace: ExecutionTrace) -> bytes:
     out += struct.pack("<I", len(hdr)) + hdr
     out += struct.pack("<I", len(trace.reg_snapshots))
     for r, d in trace.reg_snapshots:
-        out += struct.pack("<BBH", "svp".index(r.cls.value), r.index, len(d)) + d
+        out += struct.pack("<BBH", _REG_CLASSES.index(r.cls), r.index, len(d)) + d
     out += struct.pack("<I", len(trace.mem_snapshots))
     for m, d in trace.mem_snapshots:
         out += struct.pack("<BQI", 0 if m.space is MemSpace.HBM else 1,
@@ -267,10 +270,9 @@ def _trace_from_binary(blob: bytes) -> ExecutionTrace:
     header = TraceHeader.from_json(json.loads(blob[pos:pos + hlen])); pos += hlen
     (nreg,) = struct.unpack_from("<I", blob, pos); pos += 4
     regs = []
-    classes = [RegClass.SCALAR, RegClass.VECTOR, RegClass.PREDICATE]
     for _ in range(nreg):
         tag, idx, ln = struct.unpack_from("<BBH", blob, pos); pos += 4
-        regs.append((RegisterId(classes[tag], idx), blob[pos:pos + ln])); pos += ln
+        regs.append((RegisterId(_REG_CLASSES[tag], idx), blob[pos:pos + ln])); pos += ln
     (nmem,) = struct.unpack_from("<I", blob, pos); pos += 4
     mems = []
     for _ in range(nmem):

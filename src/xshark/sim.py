@@ -21,19 +21,16 @@ import heapq
 import hashlib
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 from typing import List, Optional
 
 from . import _kernels
-from .isa import (CMP_MODES, DMA_DIR_NAMES, DMA_DIRS, PAGE_BYTES, REGISTER_NAMES,
+from .isa import (CMP_MODES, DMA_DIR_NAMES, PAGE_BYTES, REGISTER_NAMES,
                   VLEN_BYTES, VMEM_BUCKETS, DEFAULT_HBM_CAPACITY,
                   DEFAULT_VMEM_CAPACITY, Fault, Instruction, IoSets, MachineState,
                   MemRegion, Opcode, Program, RegClass, Unit, instruction_io_sets)
-
-_LINK_NAMES = {DMA_DIRS[d]: name for d, name in DMA_DIR_NAMES.items()}
-_NAME_LINKS = {v: k for k, v in _LINK_NAMES.items()}
 
 
 @dataclass
@@ -53,30 +50,22 @@ class SimConfig:
         for name in ("t_base", "vmem_capacity", "hbm_capacity"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer")
-        for name in ("link_bandwidth", "unit_latency"):
+        # the link and unit names are those of the event logs
+        for name, names in (("link_bandwidth", _FIELD_VALUES["link"]),
+                            ("unit_latency", _FIELD_VALUES["unit"])):
             table = getattr(self, name)
-            if not (isinstance(table, dict)
-                    and all(type(v) is int for v in table.values())):
-                raise ValueError(f"{name} must be an object of integers")
+            if not (isinstance(table, dict) and table.keys() == names
+                    and all(type(v) is int and v > 0 for v in table.values())):
+                raise ValueError(f"{name} must map each of {sorted(names)}, "
+                                 f"and nothing else, to a positive integer")
         if self.t_base <= 0:
             raise ValueError("t_base must be positive")
         if self.hbm_capacity <= 0:
             raise ValueError("hbm_capacity must be positive")
-        for k, v in self.link_bandwidth.items():
-            if k not in _NAME_LINKS:
-                raise ValueError(f"unknown link {k!r}")
-            if v <= 0:
-                raise ValueError(f"bandwidth for {k} must be positive")
-        for u in Unit:
-            if self.unit_latency.get(u.value, 0) <= 0:
-                raise ValueError(f"missing/invalid latency for {u.value}")
         bucket = VMEM_BUCKETS * PAGE_BYTES
         if self.vmem_capacity <= 0 or self.vmem_capacity % bucket:
             raise ValueError(f"vmem_capacity must be a positive multiple of "
                              f"{bucket} bytes ({VMEM_BUCKETS} whole-page buckets)")
-
-    def bandwidth(self, link) -> int:
-        return self.link_bandwidth[_LINK_NAMES[link]]
 
     def latency(self, unit: Unit) -> int:
         return self.unit_latency[unit.value]
@@ -92,6 +81,8 @@ class SimConfig:
     def from_json(d: dict) -> "SimConfig":
         if not isinstance(d, dict):
             raise ValueError("config must be a JSON object")
+        if unknown := d.keys() - {f.name for f in fields(SimConfig)}:
+            raise ValueError(f"unknown config fields {sorted(unknown)}")
         base = SimConfig()
         tables = {}
         for name in ("link_bandwidth", "unit_latency"):
@@ -207,7 +198,7 @@ class PerfEvent:
 
 
 _EVENT_FIELDS = tuple(sorted(f.name for f in fields(PerfEvent)))
-_event_values = attrgetter(*_EVENT_FIELDS)
+_event_values = operator.attrgetter(*_EVENT_FIELDS)
 _REGION_FIELDS = frozenset({"region", "src_region", "dst_region"})
 # field -> the type of its JSON value: a region is an object, and an int
 # field holds an int >= 0, never a bool (docs/events.md)
@@ -225,6 +216,9 @@ _FIELD_VALUES = {"unit": frozenset(u.value for u in Unit),
 # of its dma_id
 _DMA_ENGINE_KINDS = frozenset({DMA_BASE_DONE, DMA_TRANSFER_START, DMA_COMPLETE})
 _DMA_WAIT = Opcode.DMA_WAIT.name
+
+
+_CMP_OPS = tuple(getattr(operator, mode) for mode in CMP_MODES)   # by S_CMP mode
 
 
 def _region_json(r: MemRegion) -> dict:
@@ -483,10 +477,8 @@ class Simulator:
         elif op is Opcode.S_CMP:
             a = state.read_sreg_signed(instr.src_regs[0].index)
             b = state.read_sreg_signed(instr.src_regs[1].index)
-            mode = CMP_MODES[instr.immediates[0]]
-            res = {"eq": a == b, "ne": a != b, "lt": a < b,
-                   "le": a <= b, "gt": a > b, "ge": a >= b}[mode]
-            state.pregs[instr.dst_regs[0].index] = int(res)
+            cmp = _CMP_OPS[instr.immediates[0]]
+            state.pregs[instr.dst_regs[0].index] = int(cmp(a, b))
         elif op is Opcode.S_MOV:
             src = instr.src_regs[0]
             if src.cls is RegClass.SCALAR:
@@ -542,10 +534,10 @@ class Simulator:
         if slot.active:
             raise Fault("dma_busy", f"DMA_ISSUE on busy slot {slot_no}", pc)
         src, dst = ios.input_mem[0], ios.output_mem[0]
-        link = (src.space, dst.space)
+        link = DMA_DIR_NAMES[instr.immediates[1]]
         base_done = issue + cfg.t_base
         t_start = max(base_done, state.link_free.get(link, 0))
-        complete = t_start + math.ceil(src.length / cfg.bandwidth(link))
+        complete = t_start + math.ceil(src.length / cfg.link_bandwidth[link])
         state.link_free[link] = complete
 
         slot.active = True
@@ -561,7 +553,7 @@ class Simulator:
             self._issue(instr, pc, idx, issue, ios, slot_no, dma_id)
             self._send(PerfEvent(issue, DMA_ISSUE_EV, pc=pc, idx=idx,
                                  slot=slot_no, dma_id=dma_id,
-                                 link=_LINK_NAMES[link], size=src.length,
+                                 link=link, size=src.length,
                                  src_region=src, dst_region=dst))
             for cycle, kind in ((base_done, DMA_BASE_DONE),
                                 (t_start, DMA_TRANSFER_START),

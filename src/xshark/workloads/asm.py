@@ -158,11 +158,9 @@ def assemble(source: str) -> AssembledKernel:
         if name not in labels:
             raise AsmError(lineno, 1, f"entry label {name!r} undefined")
         entry_pc = labels[name]
-    try:
-        program = Program(tuple(instructions), entry_pc)
-    except EncodingError as e:
-        raise AsmError(0, 0, str(e)) from None
-    return AssembledKernel(program, hbm_image, vmem_image, labels, regions)
+    # _target and the entry check keep Program's bounds checks from firing
+    return AssembledKernel(Program(tuple(instructions), entry_pc), hbm_image,
+                           vmem_image, labels, regions)
 
 
 def _target(tok: str, labels, n: int, line: int, col: int) -> int:

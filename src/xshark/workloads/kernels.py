@@ -17,7 +17,7 @@ gen_random_kernel        seeded, always-terminating fuzz kernels covering
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa import PAGE_BYTES, DEFAULT_VMEM_CAPACITY
 
@@ -30,18 +30,18 @@ _AG_VMETA = 0x0000       # VMEM: landed group metadata
 _AG_VDEP = 0x1000        # VMEM: landed node-address pages
 _AG_LOCAL = 0x2000       # VMEM: local shard (preloaded)
 _AG_SEND = 0x8000        # VMEM: send staging buffers
+_AG_GROUPS = 3           # metadata groups
+_AG_DEPS = 2             # dependent node-address pages per group
+_AG_ADDR_BYTES = 64      # bytes of one node-address DMA
+_AG_PAYLOAD = 1024       # bytes sent to each node
+_AG_COMPUTE = 2          # vector ops per payload page
 
 
-def gen_allgather_kernel(groups: int = 3, deps_per_group: int = 2,
-                         node_addr_bytes: int = 64, payload_bytes: int = 1024,
-                         pinned: bool = False, parallel_setup: bool = False,
-                         compute_per_page: int = 2) -> str:
+def gen_allgather_kernel(pinned: bool = False, parallel_setup: bool = False) -> str:
     """All-gather analog. Baseline: 9 serialized setup DMAs (stall-dominated
     by base latency) then the data phase. Tuned so the baseline spends
     roughly 40% of its cycles stalled under the default config."""
-    assert groups >= 1 and deps_per_group >= 1 and groups * deps_per_group <= 6
-    assert payload_bytes % PAGE_BYTES == 0 and payload_bytes > 0
-    assert 4 * deps_per_group <= node_addr_bytes <= 4096
+    groups, deps_per_group, payload_bytes = _AG_GROUPS, _AG_DEPS, _AG_PAYLOAD
     nxfer = groups * deps_per_group
     L = []
     emit = L.append
@@ -63,7 +63,7 @@ def gen_allgather_kernel(groups: int = 3, deps_per_group: int = 2,
 
     if not pinned:
         emit(";; hlo: ag.setup")
-        emit(f"  s_ldi s2, {node_addr_bytes}")
+        emit(f"  s_ldi s2, {_AG_ADDR_BYTES}")
         if not parallel_setup:
             for g in range(groups):
                 emit(f"  s_ldi s0, {hex(_AG_META + g * 0x1000)}")
@@ -111,7 +111,7 @@ def gen_allgather_kernel(groups: int = 3, deps_per_group: int = 2,
         emit(f"  s_ldi s8, {hex(_AG_SEND + k * payload_bytes)}")
         for _ in range(pages):
             emit("  v_load v2, [s7]")
-            for c in range(compute_per_page):
+            for c in range(_AG_COMPUTE):
                 emit("  v_add v2, v2, v3" if c % 2 == 0 else "  v_mul v2, v2, v3")
             emit("  v_store [s8], v2")
             emit("  s_add s7, s7, s12")
@@ -193,13 +193,13 @@ def gen_starvation_kernel(tiles: int = 32, prefetch_depth: int = 1) -> str:
 
 # -------------------------------------------------------------- checkerboard
 
-def gen_checkerboard_kernel(vmem_capacity: int = DEFAULT_VMEM_CAPACITY) -> str:
+def gen_checkerboard_kernel() -> str:
     """Writes every other VMEM page: total free stays at exactly 50% while
     the largest contiguous free run is a single page."""
     L = ["; checkerboard allocation: every other page written",
          "  s_ldi s0, 0",
          "  s_ldi s1, 128",
-         f"  s_ldi s2, {vmem_capacity}",
+         f"  s_ldi s2, {DEFAULT_VMEM_CAPACITY}",
          "top:",
          "  v_store [s0], v0",
          "  s_add s0, s0, s1",
@@ -214,9 +214,7 @@ def gen_checkerboard_kernel(vmem_capacity: int = DEFAULT_VMEM_CAPACITY) -> str:
 @dataclass
 class GeneratedKernel:
     text: str
-    estimated_executed: int
     estimated_max_cycles: int
-    features: dict = field(default_factory=dict)
 
 
 _RK_VPAGES = 0x0000      # 64-aligned vector load/store pool
@@ -225,11 +223,10 @@ _RK_DMADST = 0x20000     # DMA destination pool (VMEM)
 _RK_META = 0x30000       # metadata pages for the DMA-address pattern
 _RK_HBM_DATA = 0x1000    # initialized HBM blob
 _RK_HBM_POOL = 0x200000  # DMA src/dst pool (HBM)
+_RK_DMA_DENSITY = 0.08   # share of steps that issue a DMA
 
 
-def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
-                      predication: bool = True,
-                      dma_density: float = 0.08) -> GeneratedKernel:
+def gen_random_kernel(seed: int, size: int = 200) -> GeneratedKernel:
     """Seeded random kernel: always terminates, never faults, and across
     seeds exercises every opcode, addressing form and DMA direction."""
     rng = random.Random(seed)
@@ -260,7 +257,6 @@ def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
 
     slots_busy: dict = {}        # slot -> countdown to WAIT
     n_dmas = 0
-    features = set()
 
     def rand_sreg():
         return f"s{rng.randrange(0, 24)}"
@@ -269,11 +265,10 @@ def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
         return f"v{rng.randrange(0, 14)}"
 
     def guard():
-        if predication and rng.random() < 0.25:
+        if rng.random() < 0.25:
             p = rng.randrange(0, 6)
             op(f"s_cmp p{p}, {rand_sreg()}, {rand_sreg()}, "
                f"{rng.choice(['eq', 'ne', 'lt', 'le', 'gt', 'ge'])}")
-            features.add("predication")
             return f"@p{p} "
         return ""
 
@@ -292,7 +287,7 @@ def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
             op(f"dma_wait {slot}")
         slots_busy.clear()
 
-    def emit_dma(allow_pattern=True):
+    def emit_dma():
         nonlocal n_dmas
         free = [s for s in range(12) if s not in slots_busy]
         if not free:
@@ -301,7 +296,7 @@ def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
         direction = rng.choice(["hbm>vmem", "hbm>vmem", "vmem>hbm",
                                 "vmem>vmem", "hbm>hbm"])
         length = rng.choice([16, 64, 100, 256, 321, 512])
-        if allow_pattern and direction == "hbm>vmem" and rng.random() < 0.3:
+        if direction == "hbm>vmem" and rng.random() < 0.3:
             # metadata pattern: address loaded from VMEM, transformed, used
             lane = rng.randrange(0, 8)
             op(f"s_ldi s24, {hex(meta_vmem)}")
@@ -309,9 +304,7 @@ def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
             op(f"s_mov s25, v15, {lane}")
             op("s_add s25, s25, s28")
             src = "s25"
-            features.add("dma_meta_pattern")
         else:
-            src_base = _RK_HBM_DATA if direction.startswith("hbm") else _RK_DMADST
             if direction.startswith("hbm"):
                 src_addr = rng.choice([_RK_HBM_DATA, _RK_HBM_POOL + rng.randrange(0, 0x8000)])
             else:
@@ -327,14 +320,12 @@ def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
         op(f"dma_issue {slot}, {direction}, {src}, s26, s23", 2)
         slots_busy[slot] = rng.randrange(1, 6)
         n_dmas += 1
-        features.add(f"dma_{direction}")
         if direction == "hbm>vmem" and dst_addr % 64 == 0 and length >= 64 \
                 and rng.random() < 0.5:
             slots_busy[slot] = 1   # wait soon, then read what landed
             tick_waits()
             op(f"s_ldi s24, {dst_addr}")
             op(f"v_load {rand_vreg()}, [s24]", 3)
-            features.add("read_after_dma")
 
     def emit_loop():
         nonlocal executed
@@ -350,7 +341,6 @@ def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
         op("s_cmp p6, s30, s28, le")
         op(f"brz p6, {label}", 2)
         executed += (executed - before + 4) * (trips - 1)
-        features.add("loop")
 
     def emit_simple():
         kind = rng.random()
@@ -364,7 +354,6 @@ def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
                 op(f"{g}s_mov {rand_sreg()}, {rand_sreg()}")
             else:
                 op(f"{g}s_mov {rand_sreg()}, {rand_vreg()}, {rng.randrange(0, 16)}")
-                features.add("lane_extract")
         elif kind < 0.50:
             op(f"{g}s_ldi {rand_sreg()}, {rng.randrange(-1000, 100000)}")
         elif kind < 0.68:
@@ -387,22 +376,20 @@ def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
             op(f"s_ldi s25, {hex(_RK_TILES + a * 1024)}")
             op(f"s_ldi s26, {hex(_RK_TILES + b * 1024)}")
             op("mxu_mm s24, s25, s26", 32)
-            features.add("mxu")
 
     while count < size - 16:
         r = rng.random()
-        if r < dma_density:
+        if r < _RK_DMA_DENSITY:
             emit_dma()
-        elif loops and r < dma_density + 0.05 and not slots_busy:
+        elif r < _RK_DMA_DENSITY + 0.05 and not slots_busy:
             emit_loop()
-        elif r < dma_density + 0.08:
+        elif r < _RK_DMA_DENSITY + 0.08:
             skip = rng.randrange(1, 3)
             tgt = f"skip{count}"
             op(f"br {tgt}", 1)
             for _ in range(skip):
                 op(f"s_ldi {rand_sreg()}, 0", 0)   # dead code, never executed
             emit(f"{tgt}:")
-            features.add("fwd_branch")
         else:
             emit_simple()
         tick_waits()
@@ -410,5 +397,4 @@ def gen_random_kernel(seed: int, size: int = 200, loops: bool = True,
     op("halt")
 
     est_cycles = executed * 40 + n_dmas * 500 + 2000
-    return GeneratedKernel("\n".join(L) + "\n", executed, est_cycles,
-                           {"opcodes": sorted(features), "dmas": n_dmas})
+    return GeneratedKernel("\n".join(L) + "\n", est_cycles)

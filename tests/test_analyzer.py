@@ -395,6 +395,54 @@ def test_starvation_backtails_exceed_stalls():
     assert all(bts[r.dma_id].backtail_cycles > r.stall_total for r in eligible)
 
 
+# s5 is a chain register of the DMA: index 1 writes it and index 7 reads and
+# rewrites it. Index 2 reads it between the two and is not in the chain, so
+# hoisting index 7 above it would change what it reads.
+WAR_READER_KERNEL = """
+  s_ldi s10, 0x2000
+  s_ldi s5, 0x800
+  s_add s9, s5, s5
+  mxu_mm s10, s10, s10
+  mxu_mm s10, s10, s10
+  mxu_mm s10, s10, s10
+  mxu_mm s10, s10, s10
+  s_add s5, s5, s5
+  s_ldi s1, 0x400
+  s_ldi s2, 256
+  dma_issue 0, hbm>vmem, s5, s1, s2
+  dma_wait 0
+  v_load v0, [s1]
+  halt
+"""
+
+
+def test_backtail_keeps_a_chain_register_reader_before_the_block():
+    res, rep, events, config = _record_and_replay(WAR_READER_KERNEL)
+    graph = build_dependency_graph(events)
+    assert {1, 7} <= set(graph.chains[10]) and 2 not in graph.chains[10]
+    bt = compute_backtails(graph)[0]
+    assert bt.earliest_index == 3 and bt.block == (7, 8, 9, 10)
+    (sug,) = suggest(analyze_dma(events), graph,
+                     analyze_vmem(events, capacity=config.vmem_capacity))
+    assert sug.proposed_position == 3
+    (out,), applied = apply_and_verify(res.trace, sug, config, baseline=rep)
+    assert out.verified == "verified_speedup"
+    assert applied.digest == rep.digest and applied.total_stall < rep.total_stall
+    # the same block hoisted above the reader changes state: never verified
+    early = Suggestion(0, 10, 2, 9999, 1, 256, None, [7, 8, 9, 10])
+    (out,), applied = apply_and_verify(res.trace, early, config, baseline=rep)
+    assert out.verified == "unverified"
+    assert applied is None or applied.digest != rep.digest
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(40, 400))
+def test_backtail_block_members_are_at_or_after_the_insertion_point(seed, size):
+    _, _, events, _ = _record_and_replay(gen_random_kernel(seed, size=size).text)
+    for bt in compute_backtails(build_dependency_graph(events)).values():
+        assert all(m >= bt.earliest_index for m in bt.block if m != bt.issue_index)
+
+
 # ------------------------------------------------------------- suggestions
 
 def _starvation_pipeline(tiles=16):

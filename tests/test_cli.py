@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from xshark.cli import main
-from xshark.workloads import gen_starvation_kernel
+from xshark.workloads import gen_checkerboard_kernel, gen_starvation_kernel
 
 from helpers import mk_config
 
@@ -93,6 +93,31 @@ def test_record_unreachable_breakpoint_exit_2(ws, capsys):
     assert "code:BP_NOT_HIT" in err
 
 
+def test_record_breaks_at_a_label_as_at_its_pc(tmp_path, capsys):
+    (tmp_path / "k.xasm").write_text(gen_checkerboard_kernel())
+    prog = tmp_path / "prog.json"
+    _run(capsys, "asm", tmp_path / "k.xasm", "-o", prog)
+    top = json.loads(prog.read_text())["labels"]["top"]
+    for at, out in (("top", "a.trace"), (str(top), "b.trace")):
+        assert _run(capsys, "record", prog, "--break", at, "--hit", "2",
+                    "--count", "4", "-o", tmp_path / out)[0] == 0
+    trace = (tmp_path / "a.trace").read_text()
+    assert json.loads(trace)["header"]["start_pc"] == top > 0
+    assert trace == (tmp_path / "b.trace").read_text()
+
+
+def test_compare_run_log_with_replay_log_is_incomparable(ws, capsys):
+    prog, trace = ws / "prog.json", ws / "win.trace"
+    run_log, replay_log = ws / "run.jsonl", ws / "replay.jsonl"
+    _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
+    _run(capsys, "run", prog, "-o", run_log)
+    _run(capsys, "record", prog, "--break", "0", "--count", "50", "-o", trace)
+    _run(capsys, "replay", trace, "-o", replay_log)
+    code, out, err = _run(capsys, "compare", run_log, replay_log)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "state: incomparable"
+
+
 def test_usage_error_exit_1(ws, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["record", "--count", "5"])
@@ -173,6 +198,17 @@ def _edited_event(kind, field, value, opcode=None):
     return make
 
 
+def _suggestion_moving_first_wait(ws):
+    """A suggestion list that hoists the first DMA_WAIT of the run log of the
+    workspace to the front of the window, before its DMA_ISSUE."""
+    wait = next(e["idx"] for e in map(json.loads,
+                                      (ws / "events.jsonl").read_text().splitlines())
+                if e.get("opcode") == "DMA_WAIT")
+    return json.dumps([{"dma_id": 0, "issue_index": wait, "proposed_position": 0,
+                        "push_limit": 1, "stall_duration": 1, "required_vmem": 64,
+                        "block": [wait]}]).encode()
+
+
 _ASM = ["asm", "{f}", "-o", "{ws}/p.json"]
 _ANALYZE = ["analyze", "{f}", "-o", "{ws}/r"]
 
@@ -197,6 +233,22 @@ MALFORMED_INPUTS = {
     "config-int-link_bandwidth": (b'{"link_bandwidth": 5}',
                                   ["--config", "{f}", "run", "{prog}"],
                                   "CONFIG_INVALID", 1),
+    "config-unknown-unit": (b'{"unit_latency": {"XYZ": -1}}',
+                            ["--config", "{f}", "run", "{prog}"], "CONFIG_INVALID", 1),
+    "config-unknown-field": (b'{"t_bse": 5}', ["--config", "{f}", "run", "{prog}"],
+                             "CONFIG_INVALID", 1),
+    "config-missing": (b"", ["--config", "{ws}/none.json", "run", "{prog}"],
+                       "CONFIG_NOT_FOUND", 1),
+    "asm-source-is-a-directory": (b"", ["asm", "{ws}", "-o", "{ws}/p.json"],
+                                  "IO_ERROR", 1),
+    "record-unknown-label": (b"", ["record", "{prog}", "--break", "nowhere",
+                                   "--count", "5", "-o", "{ws}/t"],
+                             "BAD_BREAKPOINT", 1),
+    "suggest-log-of-another-window": (b"", ["suggest", "{trace}", "{events}",
+                                            "-o", "{ws}/s.json"],
+                                      "EVENTS_TRACE_MISMATCH", 2),
+    "events-last-line-not-summary": (b'{"cycle": 1, "kind": "bogus"}\n',
+                                     ["compare", "{f}", "{events}"], "NO_SUMMARY", 1),
     "events-not-json": (b"not json", ["analyze", "{f}", "-o", "{ws}/r"],
                         "EVENTS_INVALID", 1),
     "events-unknown-kind": (b'{"kind":"bogus","cycle":1}',
@@ -213,6 +265,11 @@ MALFORMED_INPUTS = {
                              "SUGGESTIONS_INVALID", 1),
     "suggestions-not-json": (b"{", ["apply", "{trace}", "{f}", "-o", "{ws}/e"],
                              "SUGGESTIONS_INVALID", 1),
+    "suggestions-empty": (b"[]", ["apply", "{trace}", "{f}", "-o", "{ws}/e"],
+                          "NO_SUGGESTIONS", 1),
+    "suggestions-wait-before-issue": (_suggestion_moving_first_wait,
+                                      ["apply", "{trace}", "{f}", "-o", "{ws}/e"],
+                                      "REPLAY_DIVERGENCE", 2),
     "bundle-not-json": (b"zz", ["run", "{f}"], "BUNDLE_INVALID", 1),
     "bundle-no-isa-version": (b'{"format":"xshark-program"}', ["run", "{f}"],
                               "BUNDLE_INVALID", 1),

@@ -66,3 +66,17 @@ def test_cli_codes_are_documented():
     rows = set(re.findall(r"^\| `([A-Z_]+)` \| [12] \|", doc, re.MULTILINE))
     assert sorted(codes - rows) == []
     assert sorted(rows - codes) == []
+
+
+def test_every_cli_error_code_is_expected_by_a_test():
+    """Each `CliError("<CODE>", ...)` in cli.py is the expected code of a
+    case of test_cli.MALFORMED_INPUTS or of a test that asserts it is the
+    only `code:` line a command printed."""
+    from test_cli import MALFORMED_INPUTS
+    raised = set(re.findall(r'CliError\("([A-Z_]+)"',
+                            (ROOT / "src" / "xshark" / "cli.py").read_text()))
+    assert {"CONFIG_NOT_FOUND", "NO_SUGGESTIONS", "VERIFY_FAILED"} <= raised
+    expected = {want for _, _, want, _ in MALFORMED_INPUTS.values()}
+    expected |= {code for path in (ROOT / "tests").glob("test_*.py")
+                 for code in re.findall(r'== \["code:([A-Z_]+)"\]', path.read_text())}
+    assert sorted(raised - expected) == []

@@ -168,6 +168,45 @@ def test_trace_round_trip_json_and_binary(tmp_path):
         assert back.instr_stream == trace.instr_stream
 
 
+# the window starts at pc 6 (the @p1 add): it reads s, v and p registers
+# and VMEM that the prologue set
+MID_SRC = """
+  .vdata32 0x240: 1 2 3 4
+  s_ldi s0, 7
+  s_ldi s1, 5
+  s_cmp p1, s0, s1, gt
+  s_ldi s3, 0x200
+  s_ldi s5, 0x240
+  v_load v2, [s5]
+  @p1 s_add s2, s0, s1
+  v_add v4, v2, v2
+  v_store [s3], v4
+  v_load v6, [s5]
+  halt
+"""
+
+
+def _mid_trace():
+    _, session = asm_session(MID_SRC, SimConfig())
+    return record(session, Breakpoint(6), 100).trace
+
+
+def test_mid_program_window_round_trips_with_every_register_class(tmp_path):
+    trace = _mid_trace()
+    assert trace.header.start_pc == 6
+    assert {r.cls.value for r, _ in trace.reg_snapshots} == {"s", "v", "p"}
+    assert trace.mem_snapshots
+    for binary in (False, True):
+        p = str(tmp_path / ("t.bin" if binary else "t.json"))
+        write_trace(trace, p, binary=binary)
+        back = read_trace(p)
+        assert back.header.to_json() == trace.header.to_json()
+        assert back.reg_snapshots == trace.reg_snapshots
+        assert back.mem_snapshots == trace.mem_snapshots
+        assert back.instr_stream == trace.instr_stream
+        assert trace_to_binary(back) == trace_to_binary(trace)
+
+
 def test_corrupted_byte_fails_checksum(tmp_path):
     trace = _ref_trace()
     p = str(tmp_path / "t.json")
@@ -285,7 +324,7 @@ def _mutated_binary(blob: bytes, data) -> bytes:
 
 @pytest.fixture(scope="module")
 def containers():
-    trace = _ref_trace()
+    trace = _mid_trace()
     return trace_to_json(trace), trace_to_binary(trace)
 
 
