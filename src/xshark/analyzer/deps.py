@@ -356,7 +356,7 @@ def compute_backtails(graph: DependencyGraph) -> Dict[int, Backtail]:
     for d, info in enumerate(t.instrs):
         if info.opcode != _DMA_ISSUE or info.annulled:
             continue
-        chain = set() if d in graph.relaxed_fallback else set(graph.chains.get(d, ()))
+        chain = set(graph.chains.get(d, ()))   # none for a relaxed_fallback DMA
         block, target, ready = _minimize_block(d, chain, t, graph)
         earliest_cycle = t.window_start if ready is None else ready
         issue_cycle = info.issue

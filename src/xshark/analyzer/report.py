@@ -9,9 +9,12 @@ Layout of the output directory (documented in docs/reports.md):
 
 from __future__ import annotations
 
+import json
 import os
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from .deps import Backtail, DependencyGraph
@@ -64,133 +67,84 @@ def write_report(outdir: str,
         doc["regions"] = regions
     path = os.path.join(outdir, "report.json")
     with open(path, "w") as fh:
-        for batch in _json_batches(doc, "\n"):
-            fh.writelines(batch)
+        _write_json(fh, doc, "\n")
     written.append(path)
     return written
 
 
-# report.json is the text of json.dump(doc, fh, indent=1, sort_keys=True),
-# written without that encoder's generator step per token: a container of
-# scalars is one join, a list of equal-length number lists is one format
-# string per batch of rows, and the items of a larger container go out in
-# lists of at most _BATCH strings (rows of numbers in strings of about
-# _BATCH numbers), so the text is never whole in memory.
+# report.json is the text of json.dump(doc, fh, indent=1, sort_keys=True).
+# That encoder holds the whole text in memory or spends a generator step per
+# token, so a dict is written key by key, a list of equally shaped rows of
+# scalars (utilization samples and annotations, VMEM bucket rows, graph
+# edges) goes out as one %-format string per batch of about _BATCH values,
+# and any other value is its own json.dumps text.
 _BATCH = 1000
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_NUMBERS = frozenset({int, float})
-_SEQUENCES = frozenset({list, tuple})
 _STR = frozenset({str})
+_DICT = frozenset({dict})
+_SEQUENCES = frozenset({list, tuple})
+_INT = frozenset({int})
 
 
-def _numbers(text: str) -> str:
-    """JSON spelling of the non-finite floats in text made of number reprs
-    (no other number repr holds an "n")."""
-    if "n" in text:
-        return text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
-
-
-def _scalar(v) -> str:
+def _scalar(v):
+    """v as a %s argument that formats to v's JSON text."""
     t = type(v)
     if t is str:
         return _quote(v)
-    if t is int or t is float:
-        return _numbers(repr(v))
-    if v is None:
-        return "null"
-    if t is bool:
-        return "true" if v else "false"
-    raise TypeError(f"report.json cannot hold a {t.__name__}")
+    if t is int or t is float and isfinite(v):
+        return v
+    return json.dumps(v)
 
 
-def _sorted_items(d: dict) -> list:
-    if not _STR.issuperset(map(type, d)):
-        raise TypeError("report.json keys must be str")
-    return sorted(d.items())
-
-
-def _flat(v, nl: str):
-    """The text of `v` when it is a scalar or a container of scalars, else
-    None; `nl` is the newline and indent of v's own line."""
-    t = type(v)
-    if t is list or t is tuple:
-        if not v:
-            return "[]"
-        types = set(map(type, v))
-        if not types <= _SCALARS:
+def _table(rows, nl: str):
+    """(row format, row getter, values per row) when `rows` is a non-empty
+    list of non-empty rows of scalars that all have one shape, else None;
+    `nl` is the newline and indent of each row's own line."""
+    if type(rows) not in _SEQUENCES or not rows or not rows[0]:
+        return None
+    first, inner = rows[0], nl + " "
+    if type(first) is dict:
+        if not (_DICT.issuperset(map(type, rows)) and _STR.issuperset(map(type, first))
+                and all(map(first.keys().__eq__, map(dict.keys, rows)))):
             return None
-        inner = nl + " "
-        if types <= _NUMBERS:
-            return "[" + inner + _numbers(("," + inner).join(map(repr, v))) + nl + "]"
-        return "[" + inner + ("," + inner).join(map(_scalar, v)) + nl + "]"
-    if t is dict:
-        if not v:
-            return "{}"
-        if not _SCALARS.issuperset(map(type, v.values())):
-            return None
-        inner = nl + " "
-        return "{" + inner + ("," + inner).join(
-            [_quote(k) + ": " + _scalar(x) for k, x in _sorted_items(v)]) + nl + "}"
-    return _scalar(v)
-
-
-def _number_rows(o, nl: str):
-    """(row format, rows per batch) when the items of list `o` are non-empty
-    lists of numbers, all of one length, else None; `nl` is the rows'
-    newline."""
-    if not _SEQUENCES.issuperset(map(type, o)):
-        return None
-    lengths = set(map(len, o))
-    if len(lengths) != 1 or 0 in lengths:
-        return None
-    if not _NUMBERS.issuperset(map(type, chain.from_iterable(o))):
-        return None
-    inner = nl + " "
-    n = lengths.pop()
-    return ("[" + inner + ("," + inner).join(["%s"] * n) + nl + "]",
-            max(1, _BATCH // n))
-
-
-def _json_batches(o, nl: str):
-    """Yields the text of `o` as lists of at most _BATCH strings; `nl` is
-    the newline and indent of o's own line."""
-    text = _flat(o, nl)
-    if text is not None:
-        yield [text]
-        return
-    inner = nl + " "
-    sep = "," + inner
-    if type(o) is dict:
-        yield ["{" + inner]
-        items = ((_quote(k) + ": ", v) for k, v in _sorted_items(o))
-        close = nl + "}"
+        keys = sorted(first)
+        get = itemgetter(*keys) if len(keys) > 1 else lambda r, k=keys[0]: (r[k],)
+        cells, row = [_quote(k).replace("%", "%%") + ": %s" for k in keys], "{}"
+    elif _SEQUENCES.issuperset(map(type, rows)) and set(map(len, rows)) == {len(first)}:
+        get, cells, row = tuple, ["%s"] * len(first), "[]"
     else:
-        yield ["[" + inner]
-        close = nl + "]"
-        fmt = _number_rows(o, inner)
-        if fmt is not None:
-            row, step = fmt
-            for i in range(0, len(o), step):
-                part = o[i:i + step]
-                text = sep.join([row] * len(part)) % tuple(chain.from_iterable(part))
-                yield [sep + _numbers(text) if i else _numbers(text)]
-            yield [close]
-            return
-        items = zip(repeat(""), o)
-    buf = []
-    for i, (key, v) in enumerate(items):
-        lead = sep + key if i else key
-        text = _flat(v, inner)
-        if text is None:
-            buf.append(lead)
-            yield buf
-            yield from _json_batches(v, inner)
-            buf = []
-        else:
-            buf.append(lead + text)
-            if len(buf) >= _BATCH:
-                yield buf
-                buf = []
-    buf.append(close)
-    yield buf
+        return None
+    if not _SCALARS.issuperset(map(type, chain.from_iterable(map(get, rows)))):
+        return None
+    return (row[0] + inner + ("," + inner).join(cells) + nl + row[1],
+            get, len(cells))
+
+
+def _write_json(fh, value, nl: str) -> None:
+    """Writes the text of json.dumps(value, indent=1, sort_keys=True) to fh;
+    `nl` is the newline and indent of value's own line."""
+    inner = nl + " "
+    if type(value) is dict and value:
+        if not _STR.issuperset(map(type, value)):
+            raise TypeError("report.json keys must be str")
+        lead = "{" + inner
+        for key, v in sorted(value.items()):
+            fh.write(lead + _quote(key) + ": ")
+            _write_json(fh, v, inner)
+            lead = "," + inner
+        fh.write(nl + "}")
+        return
+    table = _table(value, inner)
+    if table is None:   # JSON text holds no raw newline inside a string
+        fh.write(json.dumps(value, indent=1, sort_keys=True).replace("\n", nl))
+        return
+    row, get, n = table
+    step, sep, lead = max(1, _BATCH // n), "," + inner, "[" + inner
+    for i in range(0, len(value), step):
+        part = value[i:i + step]
+        values = tuple(chain.from_iterable(map(get, part)))
+        if not _INT.issuperset(map(type, values)):
+            values = tuple(map(_scalar, values))
+        fh.write(lead + sep.join([row] * len(part)) % values)
+        lead = sep
+    fh.write(nl + "]")

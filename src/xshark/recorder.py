@@ -61,6 +61,10 @@ class TraceHeader:
         if not all(type(v) is int for v in (h.isa_version, h.start_pc, h.start_cycle,
                                             h.instruction_count)):
             raise ValueError("trace header counters must be integers")
+        if (type(h.sim_config_hash) is not str or type(h.ended_at_halt) is not bool
+                or type(h.fault_kind) not in (str, type(None))):
+            raise ValueError("trace header sim_config_hash, ended_at_halt or "
+                             "fault_kind has the wrong type")
         if h.isa_version != ISA_VERSION:
             raise TraceError("TRACE_VERSION",
                              f"trace ISA version {h.isa_version} != {ISA_VERSION}")

@@ -255,6 +255,14 @@ def save_bundle(kernel: AssembledKernel, path: str):
         json.dump(doc, fh, indent=1)
 
 
+def _rows_of(value, *types) -> bool:
+    """value is a JSON array of arrays whose items have exactly `types`, in
+    order (a bool is not an int)."""
+    return type(value) is list and all(
+        type(row) is list and len(row) == len(types)
+        and all(type(v) is t for v, t in zip(row, types)) for row in value)
+
+
 def load_bundle(path: str) -> AssembledKernel:
     """Reads a `save_bundle` file; one that does not decode raises
     EncodingError (docs/asm.md)."""
@@ -264,15 +272,27 @@ def load_bundle(path: str) -> AssembledKernel:
         doc = json.loads(blob)
         if doc.get("format") != "xshark-program":
             raise EncodingError("not an xshark program bundle")
-        if doc.get("isa_version") != ISA_VERSION:
+        if type(doc.get("isa_version")) is not int or doc["isa_version"] != ISA_VERSION:
             raise EncodingError(f"program bundle ISA version {doc.get('isa_version')}")
+        labels, regions = doc.get("labels", {}), doc.get("regions", [])
+        for key, ok in (
+                ("entry_pc", type(doc["entry_pc"]) is int),
+                ("hbm_image", _rows_of(doc["hbm_image"], int, str)
+                 and all(off >= 0 for off, _ in doc["hbm_image"])),
+                ("vmem_image", _rows_of(doc["vmem_image"], int, str)
+                 and all(off >= 0 for off, _ in doc["vmem_image"])),
+                ("labels", type(labels) is dict
+                 and all(type(v) is int for v in labels.values())),
+                ("regions", _rows_of(regions, str, int, int))):
+            if not ok:
+                raise EncodingError(f"bundle field {key} is malformed")
         program = Program.from_bytes(bytes.fromhex(doc["instructions"]), doc["entry_pc"])
         return AssembledKernel(
             program,
             [(off, base64.b64decode(b)) for off, b in doc["hbm_image"]],
             [(off, base64.b64decode(b)) for off, b in doc["vmem_image"]],
-            doc.get("labels", {}),
-            [tuple(r) for r in doc.get("regions", [])],
+            labels,
+            [tuple(r) for r in regions],
         )
     except (ValueError, LookupError, TypeError, AttributeError) as e:
         # EncodingError is a ValueError, as are bad JSON, hex and base64

@@ -14,6 +14,7 @@ from xshark.analyzer import (AnalysisError, analyze_dma, analyze_utilization,
                              analyze_vmem, apply_and_verify,
                              build_dependency_graph, compute_backtails,
                              suggest)
+from xshark.analyzer.deps import RELAXED_CHAIN_CAP
 from xshark.analyzer.suggest import Suggestion, build_schedule
 from xshark.analyzer.svg import render_dma_timeline, render_vmem_heatmap
 from xshark.workloads import (gen_allgather_kernel, gen_checkerboard_kernel,
@@ -356,6 +357,35 @@ def test_backtail_of_independent_dma_reaches_window_start():
     assert bt.earliest_index == 0
     assert bt.earliest_cycle == g.tables.window_start
     assert set(bt.block) == {0, 1, 2, 3}
+
+
+def test_dma_past_the_chain_cap_keeps_its_conservative_edges_and_moves_alone():
+    # RELAXED_CHAIN_CAP + 1 chained s_adds compute the source address, so the
+    # chain walk gives up: the DMA has no chain and its backtail stops right
+    # after the last s_add
+    adds = "\n".join("  s_add s0, s0, s3" for _ in range(RELAXED_CHAIN_CAP + 1))
+    src = f"""
+      s_ldi s0, 0x1000
+      s_ldi s3, 0
+      s_ldi s1, 0x200
+      s_ldi s2, 64
+    {adds}
+      s_ldi s5, 7
+      dma_issue 0, hbm>vmem, s0, s1, s2
+      dma_wait 0
+      halt
+    """
+    _, _, events, _ = _record_and_replay(src)
+    g = build_dependency_graph(events)
+    d = 4 + RELAXED_CHAIN_CAP + 2          # after 4 s_ldi, the s_adds and s_ldi s5
+    assert g.relaxed_fallback == {d} and g.chains == {}
+    assert g.edges_of(d, relaxed=True) == g.edges_of(d)
+    bt = compute_backtails(g)[0]
+    assert (bt.issue_index, bt.earliest_index, bt.block) == (d, d - 1, (d,))
+    last_add_retire = next(e.cycle for e in events if e.kind == INSTR_RETIRE
+                           and e.idx == d - 2)
+    assert bt.earliest_cycle == last_add_retire
+    assert bt.backtail_cycles == bt.issue_cycle - bt.earliest_cycle > 0
 
 
 def test_backtail_bounded_by_immediate_dependency():

@@ -154,18 +154,26 @@ def _resigned_binary_prefix(ws):
     return prefix + hashlib.sha256(prefix).digest()
 
 
-def _resigned_first_record(edit):
-    """The JSON trace of the workspace with its first instruction record
-    [pc, hex] replaced by edit(pc, hex), re-signed: the checksum matches."""
+def _resigned_trace(edit):
+    """The JSON trace of the workspace as edit(doc) leaves it, re-signed: the
+    checksum matches."""
     def make(ws):
         doc = json.loads((ws / "win.trace").read_text())
-        doc["instr_stream"][0] = edit(*doc["instr_stream"][0])
+        edit(doc)
         payload = {k: doc[k] for k in ("header", "reg_snapshots", "mem_snapshots",
                                        "instr_stream")}
         doc["checksum"] = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()
         return json.dumps(doc).encode()
     return make
+
+
+def _resigned_first_record(edit):
+    """`_resigned_trace` with the first instruction record [pc, hex] replaced
+    by edit(pc, hex)."""
+    def replace(doc):
+        doc["instr_stream"][0] = edit(*doc["instr_stream"][0])
+    return _resigned_trace(replace)
 
 
 # opcode byte 0xee: the record does not decode
@@ -209,8 +217,18 @@ def _suggestion_moving_first_wait(ws):
                         "block": [wait]}]).encode()
 
 
+def _edited_bundle(**fields):
+    """The workspace bundle with `fields` set to the given values."""
+    def make(ws):
+        return json.dumps({**json.loads((ws / "prog.json").read_text()),
+                           **fields}).encode()
+    return make
+
+
 _ASM = ["asm", "{f}", "-o", "{ws}/p.json"]
 _ANALYZE = ["analyze", "{f}", "-o", "{ws}/r"]
+_BREAK_X = ["record", "{f}", "--break", "x", "--count", "5", "-o", "{ws}/t"]
+_WITH_REGIONS = ["analyze", "{events}", "--program", "{f}", "-o", "{ws}/r"]
 
 MALFORMED_INPUTS = {
     # id: (file content, or a function of the workspace that makes it,
@@ -224,6 +242,9 @@ MALFORMED_INPUTS = {
     "trace-bad-opcode-suggest": (_replay_log_and_bad_opcode,
                                  ["suggest", "{f}", "{ws}/replay.jsonl",
                                   "-o", "{ws}/s.json"], "TRACE_FORMAT", 2),
+    "trace-first-mem-snapshot-dropped": (
+        _resigned_trace(lambda doc: doc["mem_snapshots"].pop(0)),
+        ["replay", "{f}", "-o", "{ws}/e"], "REPLAY_DIVERGENCE", 2),
     "trace-pc-not-int": (_resigned_first_record(lambda pc, raw: ["x", raw]),
                          ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
     "config-string-t_base": (b'{"t_base": "x"}', ["--config", "{f}", "run", "{prog}"],
@@ -270,9 +291,32 @@ MALFORMED_INPUTS = {
     "suggestions-wait-before-issue": (_suggestion_moving_first_wait,
                                       ["apply", "{trace}", "{f}", "-o", "{ws}/e"],
                                       "REPLAY_DIVERGENCE", 2),
+    "suggestions-block-out-of-range": (
+        json.dumps([{"dma_id": 0, "issue_index": 5, "proposed_position": 0,
+                     "push_limit": 1, "stall_duration": 1, "required_vmem": 64,
+                     "block": [1000000]}]).encode(),
+        ["apply", "{trace}", "{f}", "-o", "{ws}/e"], "ANALYSIS_ERROR", 2),
     "bundle-not-json": (b"zz", ["run", "{f}"], "BUNDLE_INVALID", 1),
     "bundle-no-isa-version": (b'{"format":"xshark-program"}', ["run", "{f}"],
                               "BUNDLE_INVALID", 1),
+    "bundle-labels-not-object": (_edited_bundle(labels=["x"]), _BREAK_X,
+                                 "BUNDLE_INVALID", 1),
+    "bundle-label-not-int": (_edited_bundle(labels={"x": "zero"}), _BREAK_X,
+                             "BUNDLE_INVALID", 1),
+    "bundle-region-short": (_edited_bundle(regions=[[1, 2]]), _WITH_REGIONS,
+                            "BUNDLE_INVALID", 1),
+    "bundle-region-start-string": (_edited_bundle(regions=[["a", "0", 5]]),
+                                   _WITH_REGIONS, "BUNDLE_INVALID", 1),
+    "bundle-image-offset-string": (_edited_bundle(hbm_image=[["5", "AAAA"]]),
+                                   ["run", "{f}"], "BUNDLE_INVALID", 1),
+    "bundle-image-offset-bool": (_edited_bundle(hbm_image=[[True, "AAAA"]]),
+                                 ["run", "{f}"], "BUNDLE_INVALID", 1),
+    "bundle-image-offset-negative": (_edited_bundle(vmem_image=[[-64, "AAAA"]]),
+                                     ["run", "{f}"], "BUNDLE_INVALID", 1),
+    "bundle-isa-version-bool": (_edited_bundle(isa_version=True), ["run", "{f}"],
+                               "BUNDLE_INVALID", 1),
+    "bundle-entry-pc-bool": (_edited_bundle(entry_pc=True), ["run", "{f}"],
+                             "BUNDLE_INVALID", 1),
     "asm-leading-zero-immediate": (b"s_ldi s0, 007\nhalt\n", _ASM, "ASM_ERROR", 2),
     "asm-leading-zero-target": (b"br 08\nhalt\n", _ASM, "ASM_ERROR", 2),
     "asm-leading-zero-address": (b".data 010: 01\nhalt\n", _ASM, "ASM_ERROR", 2),

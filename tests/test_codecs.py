@@ -8,13 +8,12 @@ import json
 import math
 import os
 import tempfile
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xshark.analyzer.report import _BATCH, _json_batches
+from xshark.analyzer.report import _write_json
 from xshark.cli import main
 from xshark.sim import (EVENT_KINDS, RecordingTracker, SimConfig,
                         events_from_jsonl, events_to_jsonl, run_program)
@@ -24,7 +23,9 @@ from helpers import asm_state
 
 
 def report_text(obj) -> str:
-    return "".join(chain.from_iterable(_json_batches(obj, "\n")))
+    fh = io.StringIO()
+    _write_json(fh, obj, "\n")
+    return fh.getvalue()
 
 
 EDGE_VALUES = [
@@ -45,16 +46,21 @@ def test_report_writer_matches_json_dump(value):
         assert report_text(doc) == json.dumps(doc, indent=1, sort_keys=True)
 
 
+class _Writes(list):
+    write = list.append
+
+
 def test_report_writer_streams_in_bounded_batches():
-    doc = {"rows": [[i, i / 7] for i in range(3 * _BATCH + 5)],
-           "dicts": [{"from": i, "label": "x"} for i in range(3 * _BATCH)],
+    # int-only batches, then batches with floats, then one with a NaN
+    doc = {"rows": [[i, i / 7 if i > 1500 else i] for i in range(3000)]
+                   + [[0, math.nan]],
+           "dicts": [{"from": i, "label": "x"} for i in range(3000)],
            "ints": list(range(2000))}
-    batches = list(_json_batches(doc, "\n"))
-    assert max(map(len, batches)) <= _BATCH
-    # rows go out about _BATCH numbers at a time, not all 3,005 in one string
-    assert max(len(s) for s in chain.from_iterable(batches)) < 50_000
-    assert "".join(chain.from_iterable(batches)) == json.dumps(
-        doc, indent=1, sort_keys=True)
+    writes = _Writes()
+    _write_json(writes, doc, "\n")
+    # rows go out about 1,000 values at a time, not all 3,000 in one string
+    assert max(map(len, writes)) < 50_000
+    assert "".join(writes) == json.dumps(doc, indent=1, sort_keys=True)
 
 
 @pytest.mark.parametrize("doc", [
@@ -80,6 +86,39 @@ json_trees = st.recursive(
 @given(json_trees)
 @settings(max_examples=200, deadline=None)
 def test_report_writer_matches_json_dump_on_any_tree(doc):
+    assert report_text(doc) == json.dumps(doc, indent=1, sort_keys=True)
+
+
+# scalars that the table path formats itself; strings that look like a
+# format directive, a number or a quote
+_cells = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 10 ** 30]),
+    st.sampled_from(["%", "%s", "%%", "100%", '"', "nan", "-inf", "Infinity"]),
+    st.text(alphabet='%s"\\nafi é', max_size=6))
+
+
+@st.composite
+def _tables(draw):
+    """A list of equally shaped rows of scalars: list or tuple rows of one
+    length, or dict rows with one key set (keys may hold "%")."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        row = st.builds(lambda kind, cells: kind(cells),
+                        st.sampled_from([list, tuple]),
+                        st.lists(_cells, min_size=n, max_size=n))
+    else:
+        keys = draw(st.lists(st.text(alphabet='%sk"é', max_size=4),
+                             min_size=n, max_size=n, unique=True))
+        row = st.fixed_dictionaries({k: _cells for k in keys})
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+@given(_tables(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_report_writer_matches_json_dump_on_tables(rows, nested):
+    doc = {"rows%s": rows, "n": 1} if nested else rows
     assert report_text(doc) == json.dumps(doc, indent=1, sort_keys=True)
 
 

@@ -69,13 +69,16 @@ def test_cli_codes_are_documented():
 
 
 def test_every_cli_error_code_is_expected_by_a_test():
-    """Each `CliError("<CODE>", ...)` in cli.py is the expected code of a
-    case of test_cli.MALFORMED_INPUTS or of a test that asserts it is the
-    only `code:` line a command printed."""
+    """Each `CliError("<CODE>", ...)` in cli.py, and each `code:<CODE>` that
+    `main` prints, is the expected code of a case of test_cli.MALFORMED_INPUTS
+    or of a test that asserts it is the only `code:` line a command printed."""
     from test_cli import MALFORMED_INPUTS
-    raised = set(re.findall(r'CliError\("([A-Z_]+)"',
-                            (ROOT / "src" / "xshark" / "cli.py").read_text()))
+    cli = (ROOT / "src" / "xshark" / "cli.py").read_text()
+    raised = set(re.findall(r'CliError\("([A-Z_]+)"', cli))
     assert {"CONFIG_NOT_FOUND", "NO_SUGGESTIONS", "VERIFY_FAILED"} <= raised
+    printed = set(re.findall(r"code:([A-Z_]+) ", cli[cli.index("\ndef main("):]))
+    assert {"IO_ERROR", "REPLAY_DIVERGENCE", "ANALYSIS_ERROR"} <= printed
+    raised |= printed
     expected = {want for _, _, want, _ in MALFORMED_INPUTS.values()}
     expected |= {code for path in (ROOT / "tests").glob("test_*.py")
                  for code in re.findall(r'== \["code:([A-Z_]+)"\]', path.read_text())}

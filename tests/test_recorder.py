@@ -282,6 +282,20 @@ def _resigned_json(doc) -> bytes:
     return json.dumps(doc).encode()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("ended_at_halt", "false"), ("ended_at_halt", 0), ("sim_config_hash", 0),
+    ("sim_config_hash", None), ("fault_kind", 1), ("fault_kind", False)])
+def test_header_field_of_the_wrong_type_is_trace_format(tmp_path, field, value):
+    # a string "false" is truthy: replayed, it would end the window halted
+    doc = json.loads(trace_to_json(_mid_trace()))
+    doc["header"][field] = value
+    path = tmp_path / "t.json"
+    path.write_bytes(_resigned_json(doc))
+    with pytest.raises(TraceError) as exc:
+        read_trace(str(path))
+    assert exc.value.code == "TRACE_FORMAT"
+
+
 def _mutated_json(text: str, data) -> bytes:
     """The JSON container with one record's byte flipped, one value anywhere
     in the payload replaced, or a section cut short, re-signed; or its text
