@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..isa import MemSpace
 from ..recorder import ExecutionTrace
-from ..replayer import ReplayDivergence, ReplayResult, replay, replay_with_schedule
-from ..sim import SimConfig
+from ..replayer import ReplayDivergence, replay, replay_with_schedule
+from ..sim import RunResult, SimConfig
 from . import AnalysisError
 from .deps import Backtail, DependencyGraph, compute_backtails
 from .dma import DmaRecord
@@ -119,11 +119,11 @@ def build_schedule(n: int, suggestions: Sequence[Suggestion]) -> List[int]:
 def apply_and_verify(trace: ExecutionTrace,
                      suggestion: Union[Suggestion, Sequence[Suggestion]],
                      config: SimConfig,
-                     baseline: Optional[ReplayResult] = None,
+                     baseline: Optional[RunResult] = None,
                      tracker=None):
     """Re-simulate with the hoists applied and set verification status.
 
-    Returns (suggestions, applied ReplayResult or None). Divergence or any
+    Returns (suggestions, applied RunResult or None). Divergence or any
     regression downgrades the suggestion - a reorder is never reported
     verified unless the final state matches bit-exactly and total stall
     cycles strictly drop.

@@ -25,10 +25,10 @@ from . import __version__
 # time a step may wrap them here.
 _LIBRARY = {name: (module, name) for module, names in (
     ("workloads", "AsmError assemble initial_state load_bundle save_bundle"),
-    ("sim", "RecordingTracker SimConfig events_from_jsonl events_to_jsonl "
-            "run_program state_digest"),
+    ("sim", "RecordingTracker SimConfig Simulator events_from_jsonl "
+            "events_to_jsonl run_program state_digest"),
     ("isa", "EncodingError Fault"),
-    ("debugger", "Breakpoint DebugSession"),
+    ("debugger", "Breakpoint"),
     ("recorder", "TraceError read_trace record write_trace"),
     ("replayer", "ReplayDivergence replay"),
     ("analyzer", "AnalysisError Suggestion analyze_dma analyze_utilization "
@@ -110,7 +110,7 @@ def _read_summary(path) -> dict:
     if not (isinstance(summary, dict) and summary.get("kind") == "summary"):
         raise CliError("NO_SUMMARY", f"event log {path!r} lacks a summary line", 1)
     for key, kind in (("cycles", int), ("total_stall", int), ("digest", str)):
-        if not isinstance(summary.get(key), kind):
+        if type(summary.get(key)) is not kind:
             raise CliError("EVENTS_INVALID", f"summary of {path!r} lacks "
                            f"{kind.__name__} field {key!r}", 1)
     return summary
@@ -136,7 +136,7 @@ def _write_suggestions(path, suggestions):
 
 def _summary(result, digest: str) -> dict:
     return {"cycles": result.cycles, "executed": result.executed,
-            "outcome": getattr(result, "outcome", "replayed"),
+            "outcome": result.outcome,
             "stall_cycles": dict(result.stall_cycles),
             "total_stall": result.total_stall, "digest": digest}
 
@@ -182,12 +182,12 @@ def _resolve_break(bundle, spec: str) -> int:
 
 
 def cmd_record(args, config):
-    Breakpoint, DebugSession, initial_state, record, write_trace = _library(
-        "Breakpoint", "DebugSession", "initial_state", "record", "write_trace")
+    Breakpoint, Simulator, initial_state, record, write_trace = _library(
+        "Breakpoint", "Simulator", "initial_state", "record", "write_trace")
     bundle = _load_bundle(args.program)
-    session = DebugSession(bundle.program, config, initial_state(bundle, config))
+    sim = Simulator(bundle.program, config, initial_state(bundle, config))
     bp = Breakpoint(_resolve_break(bundle, args.break_at), args.hit)
-    result = record(session, bp, args.count, fast_forward_dma=args.fast_forward,
+    result = record(sim, bp, args.count, fast_forward_dma=args.fast_forward,
                     max_cycles=args.max_cycles)
     write_trace(result.trace, args.output, binary=args.binary)
     note = " (ended at HALT)" if result.ended_at_halt else ""

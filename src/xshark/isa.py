@@ -158,6 +158,9 @@ class MemRegion:
 
     @staticmethod
     def from_json(d) -> "MemRegion":
+        """A region object; its offset and len are ints, never bools."""
+        if type(d["offset"]) is not int or type(d["len"]) is not int:
+            raise ValueError(f"region offset and len must be integers: {d!r}")
         return MemRegion(MemSpace(d["space"]), d["offset"], d["len"])
 
 

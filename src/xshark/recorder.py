@@ -20,10 +20,11 @@ import struct
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
-from .debugger import Breakpoint, DebugSession
+from .debugger import Breakpoint
 from .isa import (INSTR_BYTES, ISA_VERSION, EncodingError, Fault, Instruction,
                   MemRegion, MemSpace, RegClass, RegisterId, decode_instruction,
                   encode_instruction, instruction_io_sets)
+from .sim import Simulator
 from .window import Footprint, WindowLedger
 
 TRACE_MAGIC = b"XTRC"
@@ -120,25 +121,26 @@ class RecordResult:
     fault: Optional[Fault] = None
 
 
-def record(session: DebugSession, breakpoint: Optional[Breakpoint],
+def record(sim: Simulator, breakpoint: Optional[Breakpoint],
            n_instructions: int, fast_forward_dma: bool = False,
            max_cycles: int = 10_000_000) -> RecordResult:
-    """Run to the breakpoint (if given), then record up to n_instructions.
+    """Run `sim` to the breakpoint (if given), then record up to n_instructions.
 
     Recording refuses to start while a DMA is in flight unless
-    fast_forward_dma is set, in which case the session steps on until the
-    engine is quiescent. Traces must be self-contained. A pc outside the
-    program ends the window as it ends Simulator.step: with a pc_oob fault.
+    fast_forward_dma is set: then `sim` steps on until the engine is
+    quiescent, and raises the Fault of a step that faults. Traces are
+    self-contained. A pc outside the program ends the window as it ends
+    Simulator.step: with a pc_oob fault.
     """
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
     if breakpoint is not None:
-        outcome = session.run_to(breakpoint, max_cycles)
+        outcome = sim.run_to(breakpoint, max_cycles)
         if outcome != "hit":
             raise Fault("bp_not_hit",
                         f"breakpoint at pc={breakpoint.pc} not reached ({outcome})")
 
-    sim, state = session.sim, session.state
+    state = sim.state
     inflight = [i for i, s in enumerate(state.dma_slots) if s.active]
     if inflight:
         if not fast_forward_dma:
@@ -146,7 +148,9 @@ def record(session: DebugSession, breakpoint: Optional[Breakpoint],
                         f"recording with DMAs in flight on slots {inflight}; "
                         "pass fast_forward_dma to run to quiescence")
         while any(s.active for s in state.dma_slots):
-            sim.step()
+            fault = sim.step()
+            if fault is not None:
+                raise fault
             if state.halted or state.cycle >= max_cycles:
                 raise Fault("dma_inflight", "could not reach DMA quiescence")
 
@@ -166,12 +170,11 @@ def record(session: DebugSession, breakpoint: Optional[Breakpoint],
             state.halted = True          # any fault halts, as in Simulator.step
             fault = f
             break
-        for r in ledger.first_reg_uses(ios):
+        regs, pieces = ledger.first_uses(ios)
+        for r in regs:
             reg_snaps.append((r, state.read_reg_bytes(r)))
-        for m, missing in ledger.first_mem_uses(ios):
-            for s, e in missing:
-                piece = MemRegion(m.space, s, e - s)
-                mem_snaps.append((piece, state.read_mem(piece)))
+        for m in pieces:
+            mem_snaps.append((m, state.read_mem(m)))
         fault = sim.exec_instruction(instr, pc, ios)
         if fault is not None:
             break
@@ -180,7 +183,7 @@ def record(session: DebugSession, breakpoint: Optional[Breakpoint],
 
     sim.sync()
     ended_at_halt = state.halted and fault is None
-    header = TraceHeader(ISA_VERSION, session.config.config_hash(), start_pc,
+    header = TraceHeader(ISA_VERSION, sim.config.config_hash(), start_pc,
                          start_cycle, len(stream), ended_at_halt,
                          fault.kind if fault else None)
     trace = ExecutionTrace(header, reg_snaps, mem_snaps, stream)
@@ -254,8 +257,10 @@ def _trace_from_json(text: str) -> ExecutionTrace:
         raise TraceError("TRACE_CHECKSUM", "trace payload checksum mismatch")
     return ExecutionTrace(
         TraceHeader.from_json(doc["header"]),
-        [(RegisterId.parse(r), base64.b64decode(d)) for r, d in doc["reg_snapshots"]],
-        [(MemRegion.from_json(m), base64.b64decode(d)) for m, d in doc["mem_snapshots"]],
+        [(RegisterId.parse(r), base64.b64decode(d, validate=True))
+         for r, d in doc["reg_snapshots"]],
+        [(MemRegion.from_json(m), base64.b64decode(d, validate=True))
+         for m, d in doc["mem_snapshots"]],
         _decode_stream((pc, bytes.fromhex(raw)) for pc, raw in doc["instr_stream"]),
     )
 

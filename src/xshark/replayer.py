@@ -10,33 +10,17 @@ docs/trace-format.md, "Window footprint and the `window:` digest".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .isa import Fault, MachineState, instruction_io_sets
 from .recorder import ExecutionTrace, RecordResult
-from .sim import PerfTracker, SimConfig, Simulator, state_digest
-from .window import Footprint
+from .sim import PerfTracker, RunResult, SimConfig, Simulator, state_digest
 
 
 class ReplayDivergence(Exception):
     def __init__(self, index: int, message: str):
         super().__init__(f"replay diverged at stream index {index}: {message}")
         self.index = index
-
-
-@dataclass
-class ReplayResult:
-    state: MachineState
-    cycles: int
-    executed: int
-    stall_cycles: dict
-    footprint: Footprint
-    digest: str
-
-    @property
-    def total_stall(self) -> int:
-        return sum(self.stall_cycles.values())
 
 
 def _restore(trace: ExecutionTrace, config: SimConfig) -> MachineState:
@@ -51,12 +35,12 @@ def _restore(trace: ExecutionTrace, config: SimConfig) -> MachineState:
 
 def _replay_stream(trace: ExecutionTrace, config: SimConfig,
                    order: Sequence[int], tracker: Optional[PerfTracker],
-                   check_pc_chain: bool) -> ReplayResult:
+                   check_pc_chain: bool) -> RunResult:
     trace.check_config_hash(config.config_hash())
     ledger = trace.validate()
     stream = trace.instr_stream
     state = _restore(trace, config)
-    sim = Simulator(config, state, None, tracker)
+    sim = Simulator(None, config, state, tracker)
     for k, i in enumerate(order):
         pc, instr = stream[i]
         if check_pc_chain and k > 0 and state.pc != pc:
@@ -67,14 +51,12 @@ def _replay_stream(trace: ExecutionTrace, config: SimConfig,
             ios = instruction_io_sets(instr, state, pc)
         except Fault as f:
             raise ReplayDivergence(k, f"IO parse fault: {f.describe()}") from None
-        for r in ledger.first_reg_uses(ios):
+        regs, pieces = ledger.first_uses(ios)
+        if regs or pieces:
             raise ReplayDivergence(
-                k, f"{instr.opcode.name} at pc {pc} reads {r} which has no "
-                   "snapshot and no in-window producer")
-        for m, missing in ledger.first_mem_uses(ios):
-            raise ReplayDivergence(
-                k, f"{instr.opcode.name} at pc {pc} reads {m} with "
-                   f"uncovered bytes {missing}")
+                k, f"{instr.opcode.name} at pc {pc} reads "
+                   f"{', '.join(map(str, regs + pieces))}, which no snapshot "
+                   "and no in-window producer defines")
         fault = sim.exec_instruction(instr, pc, ios)
         if fault is not None:
             raise ReplayDivergence(k, f"unexpected fault: {fault.describe()}")
@@ -85,21 +67,22 @@ def _replay_stream(trace: ExecutionTrace, config: SimConfig,
     state.halted = trace.header.ended_at_halt or trace.header.fault_kind is not None
     sim.sync()
     footprint = ledger.close(state.dma_slots)
-    return ReplayResult(state, state.cycle, len(order), dict(sim.stall_cycles),
-                        footprint, state_digest(state, footprint))
+    return RunResult("replayed", state, state.cycle, len(order),
+                     dict(sim.stall_cycles), None, footprint,
+                     state_digest(state, footprint))
 
 
 def replay(trace: ExecutionTrace, config: SimConfig,
-           tracker: Optional[PerfTracker] = None) -> ReplayResult:
+           tracker: Optional[PerfTracker] = None) -> RunResult:
     """Replay the recorded window under `config` (the config-hash gate
-    applies), emitting performance events."""
+    applies), emitting performance events, as a "replayed" RunResult."""
     return _replay_stream(trace, config, range(len(trace.instr_stream)),
                           tracker, check_pc_chain=True)
 
 
 def replay_with_schedule(trace: ExecutionTrace, order: Sequence[int],
                          config: SimConfig,
-                         tracker: Optional[PerfTracker] = None) -> ReplayResult:
+                         tracker: Optional[PerfTracker] = None) -> RunResult:
     """Replay a permuted instruction stream (used to verify reorderings).
 
     A permutation that breaks a dependency surfaces as a divergence error or
@@ -113,7 +96,7 @@ def replay_with_schedule(trace: ExecutionTrace, order: Sequence[int],
 
 
 def compare_window(live_state: MachineState, recorded: RecordResult,
-                   replayed: ReplayResult) -> dict:
+                   replayed: RunResult) -> dict:
     """Bit-exactness verdict between a live window and its replay: write
     footprints must match and all written locations must hold equal bytes."""
     footprints_equal = recorded.footprint == replayed.footprint

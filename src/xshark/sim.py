@@ -291,12 +291,14 @@ def events_from_jsonl(text: str):
 
 @dataclass
 class RunResult:
-    outcome: str                  # "halted" | "budget" | "fault"
+    outcome: str                  # "halted" | "budget" | "fault" | "replayed"
     state: MachineState
     cycles: int
     executed: int
     stall_cycles: dict
     fault: Optional[Fault] = None
+    footprint: Optional[object] = None   # a replay's window.Footprint
+    digest: Optional[str] = None         # a replay's footprint digest
 
     @property
     def total_stall(self) -> int:
@@ -305,14 +307,19 @@ class RunResult:
 
 class Simulator:
     """Executes instructions against a MachineState, reporting events to a
-    tracker. One instance per state; not thread-safe."""
+    tracker, and steps the machine for the debugger and the recorder. One
+    instance per state; not thread-safe. A state the simulator makes itself
+    starts at the program's entry; a replay runs with no program."""
 
-    def __init__(self, config: SimConfig, state: Optional[MachineState] = None,
-                 program: Optional[Program] = None,
+    def __init__(self, program: Optional[Program], config: SimConfig,
+                 state: Optional[MachineState] = None,
                  tracker: Optional[PerfTracker] = None):
-        self.config = config
-        self.state = state if state is not None else config.make_state()
         self.program = program
+        self.config = config
+        if state is None:
+            state = config.make_state()
+            state.pc = program.entry_pc
+        self.state = state
         self.tracker = tracker if tracker is not None else NullTracker()
         self._emit = not isinstance(self.tracker, NullTracker)
         self.stream_index = 0
@@ -372,6 +379,32 @@ class Simulator:
             state.halted = True
             return f
         return self.exec_instruction(instr, pc, ios)
+
+    def peek(self) -> Optional[Instruction]:
+        """Instruction about to execute, decoded, without stepping."""
+        pc = self.state.pc
+        if self.state.halted or not 0 <= pc < len(self.program):
+            return None
+        return self.program.instructions[pc]
+
+    def run_to(self, bp, max_cycles: int = 10_000_000) -> str:
+        """Step until the machine reaches bp.pc (a debugger.Breakpoint) for
+        the hit_count_target-th time, stopping *before* that instruction
+        executes. Returns "hit", or how the run ended instead: "halted",
+        "budget" or "fault"."""
+        if not 0 <= bp.pc < len(self.program):
+            raise Fault("bp_oob", f"breakpoint pc {bp.pc} outside program")
+        state, hits = self.state, 0
+        while not state.halted:
+            if state.cycle >= max_cycles:
+                return "budget"
+            if state.pc == bp.pc:
+                hits += 1
+                if hits == bp.hit_count_target:
+                    return "hit"
+            if self.step() is not None:
+                return "fault"
+        return "halted"
 
     def run(self, max_cycles: int) -> RunResult:
         if max_cycles <= 0:
@@ -602,7 +635,7 @@ def run_program(program: Program, config: SimConfig,
                 state: Optional[MachineState] = None,
                 tracker: Optional[PerfTracker] = None,
                 max_cycles: int = 10_000_000) -> RunResult:
-    sim = Simulator(config, state, program, tracker)
+    sim = Simulator(program, config, state, tracker)
     sim.state.pc = program.entry_pc
     return sim.run(max_cycles)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intervals import IntervalSet
-from .isa import MemSpace
+from .isa import MemRegion, MemSpace
 
 
 @dataclass(frozen=True)
@@ -36,23 +36,23 @@ class WindowLedger:
         spans.add(region.offset, region.end)
         return fresh
 
-    def first_reg_uses(self, ios):
-        """The input registers of `ios` not yet defined, each marked
-        defined as it is yielded (a register read twice comes once)."""
+    def first_uses(self, ios):
+        """The first uses of `ios`: its input registers, and the pieces of
+        its input regions as MemRegions, that neither a snapshot nor an
+        earlier in-window write defined. Marks them defined (a location read
+        twice comes once)."""
+        regs, pieces = [], []
         for r in ios.input_regs:
             if r not in self.regs:
                 self.regs.add(r)
-                yield r
-
-    def first_mem_uses(self, ios):
-        """Each input region of `ios` with undefined bytes, with the list of
-        those [start, end) spans, marked defined as it is yielded."""
+                regs.append(r)
         for m in ios.input_mem:
             spans = self._mem[m.space]
             if not spans.covers(m.offset, m.end):
-                missing = spans.uncovered(m.offset, m.end)
+                pieces += [MemRegion(m.space, s, e - s)
+                           for s, e in spans.uncovered(m.offset, m.end)]
                 spans.add(m.offset, m.end)
-                yield m, missing
+        return regs, pieces
 
     def wrote(self, ios):
         """Record the outputs of an instruction whose step succeeded."""

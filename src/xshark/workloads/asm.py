@@ -289,8 +289,8 @@ def load_bundle(path: str) -> AssembledKernel:
         program = Program.from_bytes(bytes.fromhex(doc["instructions"]), doc["entry_pc"])
         return AssembledKernel(
             program,
-            [(off, base64.b64decode(b)) for off, b in doc["hbm_image"]],
-            [(off, base64.b64decode(b)) for off, b in doc["vmem_image"]],
+            [(off, base64.b64decode(b, validate=True)) for off, b in doc["hbm_image"]],
+            [(off, base64.b64decode(b, validate=True)) for off, b in doc["vmem_image"]],
             labels,
             [tuple(r) for r in regions],
         )

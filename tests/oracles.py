@@ -121,7 +121,7 @@ def naive_record(session, n_instructions: int):
         if state.halted:
             ended_at_halt = True
             break
-    session.sim.sync()
+    session.sync()
     for m in hbm_reads:
         for s, e in hbm_covered.uncovered(m.offset, m.end):
             mems.append((MemRegion(MemSpace.HBM, s, e - s), bytes(e - s)))
@@ -142,7 +142,7 @@ def bruteforce_dep_oracle(trace, config) -> set:
     from xshark.sim import Simulator
 
     state = _restore(trace, config)
-    sim = Simulator(config, state)
+    sim = Simulator(None, config, state)
     last_reg: Dict[str, int] = {}
     last_byte: Dict[Tuple[str, int], int] = {}
     edges = set()

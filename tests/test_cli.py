@@ -225,6 +225,44 @@ def _edited_bundle(**fields):
     return make
 
 
+def _bundle_with_bad_base64(ws):
+    """The workspace bundle with `!!`, outside the base64 alphabet, put in
+    front of its first hbm_image string."""
+    doc = json.loads((ws / "prog.json").read_text())
+    doc["hbm_image"][0][1] = "!!" + doc["hbm_image"][0][1]
+    return json.dumps(doc).encode()
+
+
+def _first_mem_snapshot(edit):
+    """`_resigned_trace` with the first memory snapshot [region, base64]
+    replaced by edit(region, base64)."""
+    def replace(doc):
+        doc["mem_snapshots"][0] = edit(*doc["mem_snapshots"][0])
+    return _resigned_trace(replace)
+
+
+# a DMA is in flight at `here`, and the v_load there faults: address 3 is
+# not page-aligned
+_FAULT_IN_FAST_FORWARD = """
+  s_ldi s0, 0x40000
+  s_ldi s1, 0
+  s_ldi s2, 1024
+  s_ldi s3, 3
+  dma_issue 0, hbm>vmem, s0, s1, s2
+here:
+  v_load v0, [s3]
+  halt
+"""
+
+
+def _bundle_faulting_in_fast_forward(ws):
+    (ws / "ff.xasm").write_text(_FAULT_IN_FAST_FORWARD)
+    assert main(["asm", str(ws / "ff.xasm"), "-o", str(ws / "ff.json")]) == 0
+    return (ws / "ff.json").read_bytes()
+
+
+_float_offset_region = _edited_event("mem_write", "region",
+                                     {"len": 64, "offset": 1024.5, "space": "vmem"})
 _ASM = ["asm", "{f}", "-o", "{ws}/p.json"]
 _ANALYZE = ["analyze", "{f}", "-o", "{ws}/r"]
 _BREAK_X = ["record", "{f}", "--break", "x", "--count", "5", "-o", "{ws}/t"]
@@ -360,6 +398,29 @@ MALFORMED_INPUTS = {
                                       _ANALYZE, "EVENTS_INVALID", 1),
     "events-reg-read-unknown-reg": (_edited_event("reg_read", "reg", "zz9"),
                                     _ANALYZE, "EVENTS_INVALID", 1),
+    "events-region-offset-float": (_float_offset_region, _ANALYZE,
+                                   "EVENTS_INVALID", 1),
+    "events-region-offset-float-suggest": (
+        _float_offset_region, ["suggest", "{trace}", "{f}", "-o", "{ws}/s.json"],
+        "EVENTS_INVALID", 1),
+    "events-region-len-bool": (
+        _edited_event("mem_write", "region",
+                      {"len": True, "offset": 1024, "space": "vmem"}),
+        _ANALYZE, "EVENTS_INVALID", 1),
+    "trace-mem-snapshot-offset-float": (
+        _first_mem_snapshot(lambda m, data: [{**m, "offset": 1024.5}, data]),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-mem-snapshot-bad-base64": (
+        _first_mem_snapshot(lambda m, data: [m, "!!" + data]),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "bundle-image-bad-base64": (_bundle_with_bad_base64, ["run", "{f}"],
+                                "BUNDLE_INVALID", 1),
+    "summary-cycles-bool": (_edited_event("summary", "cycles", True),
+                            ["compare", "{f}", "{events}"], "EVENTS_INVALID", 1),
+    "record-fault-in-fast-forward": (
+        _bundle_faulting_in_fast_forward,
+        ["record", "{f}", "--break", "here", "--count", "5", "--fast-forward",
+         "-o", "{ws}/t"], "MEM_ALIGN", 2),
 }
 
 

@@ -55,7 +55,7 @@ def test_out_of_bounds_breakpoint_rejected():
     with pytest.raises(Fault) as exc:
         session.run_to(Breakpoint(1000))
     assert exc.value.kind == "bp_oob"
-    assert session.state.cycle == 0 and session.sim.stream_index == 0
+    assert session.state.cycle == 0 and session.stream_index == 0
 
 
 def test_step_returns_decoded_instruction_before_executing():
@@ -64,7 +64,7 @@ def test_step_returns_decoded_instruction_before_executing():
     assert nxt is kernel.program.instructions[0]
     assert session.state.pc == 0
     assert session.step() is None
-    assert session.state.pc == 1 and session.sim.stream_index == 1
+    assert session.state.pc == 1 and session.stream_index == 1
     assert session.state.sregs[0] == 5
 
 
@@ -72,9 +72,9 @@ def test_step_at_halt_reports_halted():
     _, session = asm_session("halt\n")
     session.step()
     assert session.state.halted
-    before = (session.state.cycle, session.state.pc, session.sim.stream_index)
+    before = (session.state.cycle, session.state.pc, session.stream_index)
     assert session.step() is None
-    assert (session.state.cycle, session.state.pc, session.sim.stream_index) == before
+    assert (session.state.cycle, session.state.pc, session.stream_index) == before
     assert session.peek() is None
 
 
@@ -105,6 +105,6 @@ def test_break_then_step_composes_with_plain_run():
         session.step()
     # a plain run truncated after the same dynamic instruction count
     _, ref_session = asm_session(COUNTDOWN)
-    for _ in range(session.sim.stream_index):
+    for _ in range(session.stream_index):
         ref_session.step()
     assert state_digest(ref_session.state) == state_digest(session.state)

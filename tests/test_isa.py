@@ -253,7 +253,7 @@ def test_io_sets_sound_writes_within_outputs(seed):
                                 range(m.offset // 4096, (m.end + 4095) // 4096))
 
     work = copy.deepcopy(st_)
-    sim = Simulator(config, work)
+    sim = Simulator(None, config, work)
     assert sim.exec_instruction(ins, 0, ios) is None
     sim._advance_engine(10 ** 9)       # settle any in-flight DMA
     changed = _locations_changed(_arch_snapshot(st_), _arch_snapshot(work))
@@ -268,7 +268,7 @@ def test_io_sets_sound_writes_within_outputs(seed):
         mutated = copy.deepcopy(st_)
         mutated.sregs[r.choice(candidates)] ^= 0xDEADBEEF
         work2 = copy.deepcopy(mutated)
-        sim2 = Simulator(config, work2)
+        sim2 = Simulator(None, config, work2)
         ios2 = instruction_io_sets(ins, work2, 0)
         assert sim2.exec_instruction(ins, 0, ios2) is None
         sim2._advance_engine(10 ** 9)

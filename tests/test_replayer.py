@@ -77,6 +77,21 @@ def test_replay_divergence_on_unsnapshotted_read():
     assert exc.value.index >= 0
 
 
+def test_divergence_names_every_undefined_input():
+    # the window starts at the load, so s4 and the 64 VMEM bytes at 0x200
+    # are its first uses; without their snapshots one error names both (the
+    # replay reads the address from a zeroed s4)
+    src = "  s_ldi s4, 0x200\n  v_load v1, [s4]\n  halt\n"
+    _, res, config = _record(src, bp=1)
+    t = res.trace
+    assert [str(r) for r, _ in t.reg_snapshots] == ["s4"]
+    assert [str(m) for m, _ in t.mem_snapshots] == ["vmem[0x200+64]"]
+    with pytest.raises(ReplayDivergence,
+                       match=r"V_LOAD at pc 1 reads s4, vmem\[0x0\+64\],") as exc:
+        replay(ExecutionTrace(t.header, [], [], t.instr_stream), config)
+    assert exc.value.index == 0
+
+
 def test_replay_config_hash_gate():
     _, res, _ = _record()
     other = mk_config(t_base=11)
