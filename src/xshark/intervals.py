@@ -1,11 +1,11 @@
 """Byte-granular interval sets and last-writer interval maps.
 
 Intervals are half-open [start, end) over a single address space. Both
-classes keep a sorted list of disjoint spans. `IntervalSet` merges touching
-spans; its add/covers/overlaps bisect, remove/uncovered walk the list.
-`IntervalMap` keeps touching spans apart (each span is one store's value);
-store and lookup bisect to the first span they overlap and visit only the
-spans they overlap, and store splices its pieces into the list in place.
+classes keep a sorted list of disjoint spans; every operation bisects to the
+first span it overlaps and visits only the spans it overlaps, and an update
+splices its pieces into the list in place. `IntervalSet` merges touching
+spans. `IntervalMap` keeps touching spans apart (each span is one store's
+value).
 """
 
 from __future__ import annotations
@@ -45,37 +45,38 @@ class IntervalSet:
     def overlaps(self, start: int, end: int) -> bool:
         if start >= end:
             return False
-        i = bisect.bisect_left(self._spans, (start, start))
-        if i > 0 and self._spans[i - 1][1] > start:
-            return True
-        return i < len(self._spans) and self._spans[i][0] < end
+        spans = self._spans
+        i = _first_overlap(spans, start)
+        return i < len(spans) and spans[i][0] < end
 
     def remove(self, start: int, end: int):
         if start >= end:
             return
-        out = []
-        for s, e in self._spans:
-            if e <= start or s >= end:
-                out.append((s, e))
-                continue
+        spans = self._spans
+        i = _first_overlap(spans, start)
+        j = bisect.bisect_left(spans, (end,), i)     # first span at/after end
+        pieces = []
+        if i < j:
+            s, _ = spans[i]
             if s < start:
-                out.append((s, start))
+                pieces.append((s, start))
+            _, e = spans[j - 1]
             if e > end:
-                out.append((end, e))
-        self._spans = out
+                pieces.append((end, e))
+        spans[i:j] = pieces
 
     def uncovered(self, start: int, end: int) -> List[Tuple[int, int]]:
         """Sub-spans of [start, end) not present in the set."""
         out = []
         pos = start
-        for s, e in self._spans:
-            if e <= start:
-                continue
+        spans = self._spans
+        for k in range(_first_overlap(spans, start), len(spans)):
+            s, e = spans[k]
             if s >= end:
                 break
             if s > pos:
                 out.append((pos, s))
-            pos = max(pos, e)
+            pos = e
         if pos < end:
             out.append((pos, end))
         return out
@@ -94,7 +95,7 @@ class IntervalMap:
         if start >= end:
             return
         spans = self._spans
-        i = self._first_overlap(start)
+        i = _first_overlap(spans, start)
         j = bisect.bisect_left(spans, (end,), i)     # first span at/after end
         pieces = [(start, end, value)]
         if i < j:
@@ -113,16 +114,18 @@ class IntervalMap:
         if start >= end:
             return out
         spans = self._spans
-        for k in range(self._first_overlap(start), len(spans)):
+        for k in range(_first_overlap(spans, start), len(spans)):
             s, e, v = spans[k]
             if s >= end:
                 break
             out.append((max(s, start), min(e, end), v))
         return out
 
-    def _first_overlap(self, start: int) -> int:
-        """Index of the first span that ends after `start`."""
-        i = bisect.bisect_left(self._spans, (start,))
-        if i and self._spans[i - 1][1] > start:
-            i -= 1
-        return i
+
+def _first_overlap(spans, start: int) -> int:
+    """Index of the first of the sorted disjoint `spans` that ends after
+    `start`."""
+    i = bisect.bisect_left(spans, (start,))
+    if i and spans[i - 1][1] > start:
+        i -= 1
+    return i

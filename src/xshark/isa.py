@@ -27,7 +27,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple, Optional
 
 ISA_VERSION = 1
@@ -85,13 +85,18 @@ _REG_WIDTH = {RegClass.SCALAR: 4, RegClass.VECTOR: VLEN_BYTES, RegClass.PREDICAT
 class RegisterId:
     cls: RegClass
     index: int
+    name: str = field(init=False, repr=False, compare=False)   # `s0`, `v3`, ...
 
     def __post_init__(self):
         if not 0 <= self.index < _REG_LIMIT[self.cls]:
             raise EncodingError(f"register index {self.index} out of range for {self.cls.value}")
+        object.__setattr__(self, "name", f"{self.cls.value}{self.index}")
+
+    def __hash__(self):
+        return hash(self.name)          # a str caches its hash; an Enum does not
 
     def __str__(self):
-        return f"{self.cls.value}{self.index}"
+        return self.name
 
     @property
     def width_bytes(self) -> int:
@@ -282,6 +287,15 @@ def _form_of(opcode: Opcode, dst_regs: tuple, src_regs: tuple) -> Optional[Form]
     return None
 
 
+class IoSets(NamedTuple):
+    """Exact architectural read/write footprint of one dynamic instruction."""
+
+    input_regs: tuple = ()
+    output_regs: tuple = ()
+    input_mem: tuple = ()
+    output_mem: tuple = ()
+
+
 @dataclass(frozen=True)
 class Instruction:
     opcode: Opcode
@@ -304,6 +318,14 @@ class Instruction:
             raise EncodingError("guard must be a predicate register")
         object.__setattr__(self, "form", form)
 
+    @cached_property
+    def io(self) -> IoSets:
+        """The footprint that does not depend on the state, computed on the
+        first parse: all of it for a register-only opcode, the registers of
+        one that addresses memory (instruction_io_sets)."""
+        guard = () if self.predicate is None else (self.predicate,)
+        return IoSets(guard + self.src_regs, self.dst_regs)
+
     def _shape_error(self) -> str:
         name, dst = self.opcode.name, [r.cls for r in self.dst_regs]
         if all(f.dst != dst for f in FORMS[self.opcode]):
@@ -312,10 +334,6 @@ class Instruction:
         if form is None:
             return f"{name}: bad source operands"
         return f"{name}: expected {len(form.imms)} immediates"
-
-    @property
-    def unit(self) -> Unit:
-        return self.form.unit
 
 
 def _enc_reg(r: Optional[RegisterId]) -> int:
@@ -503,12 +521,10 @@ class MachineState:
 
     # -- memory access -----------------------------------------------------
 
-    def space_capacity(self, space: MemSpace) -> int:
-        return self.vmem_capacity if space is MemSpace.VMEM else self.hbm_capacity
-
     def check_region(self, region: MemRegion, reg: Optional[RegisterId] = None,
                      pc: Optional[int] = None):
-        if region.end > self.space_capacity(region.space):
+        vmem = region.space is MemSpace.VMEM
+        if region.end > (self.vmem_capacity if vmem else self.hbm_capacity):
             who = f" (address register {reg}={self.sregs[reg.index]:#x})" if reg else ""
             raise Fault("mem_oob", f"region {region} exceeds {region.space.value} capacity{who}", pc)
 
@@ -528,16 +544,6 @@ class MachineState:
             self.hbm.write(region.offset, data)
 
 
-@dataclass(frozen=True)
-class IoSets:
-    """Exact architectural read/write footprint of one dynamic instruction."""
-
-    input_regs: tuple = ()
-    output_regs: tuple = ()
-    input_mem: tuple = ()
-    output_mem: tuple = ()
-
-
 def _aligned_region(state: MachineState, r: RegisterId, length: int,
                     space: MemSpace, pc=None) -> MemRegion:
     addr = state.sregs[r.index]
@@ -553,25 +559,24 @@ def instruction_io_sets(instr: Instruction, state: MachineState,
     """Parse the registers and memory regions this instruction will read and
     write when stepped from `state`.
 
-    Memory-region addresses live in scalar registers, so the footprint is a
-    function of current state. A guard that evaluates false annuls the
+    Memory-region addresses live in scalar registers, so the footprint of an
+    opcode that addresses memory is a function of current state; the rest of
+    it is the instruction's `io`. A guard that evaluates false annuls the
     instruction: the guard register is then its only input.
     """
-    op = instr.opcode
-    in_regs: list = []
-    if instr.predicate is not None:
-        in_regs.append(instr.predicate)
-        if not state.pregs[instr.predicate.index]:
-            return IoSets(tuple(in_regs), (), (), ())
-    in_regs.extend(instr.src_regs)
+    guard = instr.predicate
+    if guard is not None and not state.pregs[guard.index]:
+        return _ANNULLED[guard.index]
+    op, io = instr.opcode, instr.io
+    if op not in _MEM_OPCODES:
+        return io                                # registers only
+    in_regs = io.input_regs
 
-    if op is Opcode.V_LOAD:
+    if op is Opcode.V_LOAD or op is Opcode.V_STORE:
         region = _aligned_region(state, instr.src_regs[0], VLEN_BYTES, MemSpace.VMEM, pc)
-        return IoSets(tuple(in_regs), instr.dst_regs, (region,), ())
-
-    if op is Opcode.V_STORE:
-        region = _aligned_region(state, instr.src_regs[0], VLEN_BYTES, MemSpace.VMEM, pc)
-        return IoSets(tuple(in_regs), (), (), (region,))
+        if op is Opcode.V_LOAD:
+            return IoSets(in_regs, io.output_regs, (region,))
+        return IoSets(in_regs, (), (), (region,))
 
     if op is Opcode.MXU_MM:
         rd, ra, rb = instr.src_regs
@@ -579,19 +584,21 @@ def instruction_io_sets(instr: Instruction, state: MachineState,
         a = _aligned_region(state, ra, MXU_TILE_BYTES, MemSpace.VMEM, pc)
         b = _aligned_region(state, rb, MXU_TILE_BYTES, MemSpace.VMEM, pc)
         # accumulate: destination tile is both read and written
-        return IoSets(tuple(in_regs), (), (a, b, dst), (dst,))
+        return IoSets(in_regs, (), (a, b, dst), (dst,))
 
-    if op is Opcode.DMA_ISSUE:
-        rs, rd, rl = instr.src_regs
-        src_space, dst_space = DMA_DIRS[instr.immediates[1]]
-        length = state.sregs[rl.index]
-        if length == 0:
-            raise Fault("dma_empty", f"DMA length register {rl}=0", pc)
-        src = MemRegion(src_space, state.sregs[rs.index], length)
-        dst = MemRegion(dst_space, state.sregs[rd.index], length)
-        state.check_region(src, rs, pc)
-        state.check_region(dst, rd, pc)
-        return IoSets(tuple(in_regs), (), (src,), (dst,))
+    rs, rd, rl = instr.src_regs                  # DMA_ISSUE
+    src_space, dst_space = DMA_DIRS[instr.immediates[1]]
+    length = state.sregs[rl.index]
+    if length == 0:
+        raise Fault("dma_empty", f"DMA length register {rl}=0", pc)
+    src = MemRegion(src_space, state.sregs[rs.index], length)
+    dst = MemRegion(dst_space, state.sregs[rd.index], length)
+    state.check_region(src, rs, pc)
+    state.check_region(dst, rd, pc)
+    return IoSets(in_regs, (), (src,), (dst,))
 
-    return IoSets(tuple(in_regs), instr.dst_regs, (), ())   # registers only
 
+_MEM_OPCODES = frozenset({Opcode.V_LOAD, Opcode.V_STORE, Opcode.MXU_MM,
+                          Opcode.DMA_ISSUE})
+# guard register index -> the footprint of an instruction it annuls
+_ANNULLED = [IoSets((_REG_BY_NAME[f"p{i}"],)) for i in range(PRED_REGS)]

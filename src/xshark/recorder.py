@@ -102,8 +102,13 @@ class ExecutionTrace:
                 raise TraceError("TRACE_FORMAT", f"snapshot width mismatch for {region}")
             if not ledger.define(region):
                 raise TraceError("TRACE_FORMAT", f"overlapping memory snapshot {region}")
-        if self.header.instruction_count != len(self.instr_stream):
+        h, stream = self.header, self.instr_stream
+        if h.instruction_count != len(stream):
             raise TraceError("TRACE_FORMAT", "instruction count mismatch")
+        if (min(h.start_cycle, h.start_pc, *(pc for pc, _ in stream)) < 0
+                or stream and stream[0][0] != h.start_pc):
+            raise TraceError("TRACE_FORMAT", "a negative start_cycle or pc, or a "
+                                             "start_pc that is not the first record's pc")
         return ledger
 
     @property
@@ -300,14 +305,18 @@ def _trace_from_binary(blob: bytes) -> ExecutionTrace:
 
 
 def _decode_stream(records) -> List[Tuple[int, Instruction]]:
-    """(pc, Instruction) per (pc, 16-byte record); a record that does not
-    decode, or whose pc is not an integer, is TRACE_FORMAT naming its index."""
-    stream = []
+    """(pc, Instruction) per (pc, 16-byte record), each distinct record
+    decoded once into one shared (frozen) Instruction; a record that does
+    not decode, or whose pc is not an integer, is TRACE_FORMAT naming its
+    index."""
+    stream, decoded = [], {}
     for i, (pc, raw) in enumerate(records):
         try:
             if type(pc) is not int:
                 raise EncodingError(f"pc {pc!r} is not an integer")
-            stream.append((pc, decode_instruction(raw)))
+            if raw not in decoded:
+                decoded[raw] = decode_instruction(raw)
+            stream.append((pc, decoded[raw]))
         except EncodingError as e:
             raise TraceError("TRACE_FORMAT",
                              f"instruction record {i} does not decode: {e}") from None

@@ -13,6 +13,11 @@ Memory ordering is made timing-independent by two rules:
     visible atomically at complete_cycle.
 Together these guarantee that changing timing parameters never changes
 architectural results.
+
+Run, record and replay share one core, which executes each instruction
+through its opcode's handler (`_HANDLERS`, indexed by the int opcode) with
+the static footprint `Instruction.io` caches at the first parse; latencies
+are a table lookup, and the DMA engine is skipped while no transfer lands.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 from . import _kernels
-from .isa import (CMP_MODES, DMA_DIR_NAMES, PAGE_BYTES, REGISTER_NAMES,
+from .isa import (CMP_MODES, DMA_DIR_NAMES, OPCODES, PAGE_BYTES, REGISTER_NAMES,
                   VLEN_BYTES, VMEM_BUCKETS, DEFAULT_HBM_CAPACITY,
                   DEFAULT_VMEM_CAPACITY, Fault, Instruction, IoSets, MachineState,
                   MemRegion, Opcode, Program, RegClass, Unit, instruction_io_sets)
@@ -66,9 +71,6 @@ class SimConfig:
         if self.vmem_capacity <= 0 or self.vmem_capacity % bucket:
             raise ValueError(f"vmem_capacity must be a positive multiple of "
                              f"{bucket} bytes ({VMEM_BUCKETS} whole-page buckets)")
-
-    def latency(self, unit: Unit) -> int:
-        return self.unit_latency[unit.value]
 
     def to_json(self) -> dict:
         return {"t_base": self.t_base,
@@ -326,6 +328,13 @@ class Simulator:
         self.stall_cycles = {STALL_HAZARD: 0, STALL_DMA_BASE: 0, STALL_DMA_TRANSFER: 0}
         self._pending: list = []   # (cycle, seq, PerfEvent)
         self._pseq = 0
+        self._code = program.instructions if program is not None else ()
+        self._latency = [config.unit_latency[u] if u else 0
+                         for u in _UNIT_NAMES]               # by int opcode
+        # the earliest complete_cycle of the transfers that have not landed
+        # (_IDLE: none); a state may arrive with DMAs in flight
+        self._landing = min((s.complete_cycle for s in state.dma_slots
+                             if s.active and not s.applied), default=_IDLE)
 
     # -- event plumbing ------------------------------------------------------
 
@@ -338,17 +347,26 @@ class Simulator:
             self.tracker.on_event(heapq.heappop(self._pending)[2])
 
     def _send(self, ev: PerfEvent):
-        self._flush(ev.cycle)
+        if self._pending and self._pending[0][0] <= ev.cycle:
+            self._flush(ev.cycle)
         self.tracker.on_event(ev)
 
     # -- DMA engine ----------------------------------------------------------
 
     def _advance_engine(self, upto: int):
+        """Land the transfers that complete by `upto`."""
+        if upto < self._landing:
+            return
+        landing = _IDLE
         for slot in self.state.dma_slots:
-            if slot.active and not slot.applied and slot.complete_cycle <= upto:
-                self.state.write_mem(slot.dst, slot.buffer)
-                slot.applied = True
-                slot.buffer = b""
+            if slot.active and not slot.applied:
+                if slot.complete_cycle <= upto:
+                    self.state.write_mem(slot.dst, slot.buffer)
+                    slot.applied = True
+                    slot.buffer = b""
+                else:
+                    landing = min(landing, slot.complete_cycle)
+        self._landing = landing
 
     def sync(self):
         """Apply completed transfers and flush queued events up to now."""
@@ -361,9 +379,9 @@ class Simulator:
     def fetch(self) -> Instruction:
         """The instruction at pc; a pc outside the program is a Fault."""
         pc = self.state.pc
-        if self.program is None or not 0 <= pc < len(self.program):
+        if not 0 <= pc < len(self._code):
             raise Fault("pc_oob", f"pc {pc} outside program", pc)
-        return self.program.instructions[pc]
+        return self._code[pc]
 
     def step(self) -> Optional[Fault]:
         """Execute the instruction at pc: returns its Fault, which halts the
@@ -383,9 +401,9 @@ class Simulator:
     def peek(self) -> Optional[Instruction]:
         """Instruction about to execute, decoded, without stepping."""
         pc = self.state.pc
-        if self.state.halted or not 0 <= pc < len(self.program):
+        if self.state.halted or not 0 <= pc < len(self._code):
             return None
-        return self.program.instructions[pc]
+        return self._code[pc]
 
     def run_to(self, bp, max_cycles: int = 10_000_000) -> str:
         """Step until the machine reaches bp.pc (a debugger.Breakpoint) for
@@ -427,30 +445,44 @@ class Simulator:
         state = self.state
         idx = self.stream_index
         start = state.cycle
+        op = instr.opcode
         if instr.predicate is not None and not state.pregs[instr.predicate.index]:
             retire, next_pc = start + 1, pc + 1
             if self._emit:
                 self._send(PerfEvent(start, REG_READ, pc=pc, idx=idx,
-                                     reg=str(instr.predicate)))
+                                     reg=instr.predicate.name))
                 self._send(PerfEvent(start, INSTR_ISSUE, pc=pc, idx=idx,
-                                     opcode=instr.opcode.name,
-                                     unit=instr.unit.value, annulled=True))
+                                     opcode=_OPCODE_NAMES[op],
+                                     unit=_UNIT_NAMES[op], annulled=True))
                 self._send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
         else:
             # Hazard interlock: touching bytes an in-flight DMA will write
             # blocks until that DMA completes (keeps results timing-independent).
             issue = start
-            touched = ios.input_mem + ios.output_mem
-            if touched:
+            if self._landing is not _IDLE and (ios.input_mem or ios.output_mem):
+                touched = ios.input_mem + ios.output_mem
                 for slot in state.dma_slots:
                     if (slot.active and not slot.applied
                             and any(r.overlaps(slot.dst) for r in touched)):
                         issue = max(issue, slot.complete_cycle)
-            if issue > start:
-                self._stall(STALL_HAZARD, start, issue, pc, idx)
+                if issue > start:
+                    self._stall(STALL_HAZARD, start, issue, pc, idx)
             self._advance_engine(issue)
+            handler = _HANDLERS[op]
             try:
-                retire, next_pc = self._execute(instr, pc, idx, issue, ios)
+                if handler is None:     # the DMA engine's ops time their retire
+                    retire = (self._exec_dma_issue if op is Opcode.DMA_ISSUE
+                              else self._exec_dma_wait)(instr, pc, idx, issue, ios)
+                    next_pc = pc + 1
+                else:
+                    next_pc = handler(state, instr, pc, ios)
+                    # every write lands at retire, so the footprint's
+                    # outputs are exactly the retire-time writes
+                    retire = issue + self._latency[op]
+                    if self._emit:
+                        self._issue(instr, pc, idx, issue, ios)
+                        self._retire(pc, idx, op, issue, retire,
+                                     ios.output_regs, ios.output_mem)
             except Fault as f:
                 state.halted = True
                 return f
@@ -464,21 +496,22 @@ class Simulator:
     def _issue(self, instr, pc, idx, cycle, ios, slot=None, dma_id=None):
         """Emit instr_issue, then its reg_reads, then its mem_reads."""
         send = self._send
-        send(PerfEvent(cycle, INSTR_ISSUE, pc=pc, idx=idx, opcode=instr.opcode.name,
-                       unit=instr.unit.value, slot=slot, dma_id=dma_id))
+        op = instr.opcode
+        send(PerfEvent(cycle, INSTR_ISSUE, pc=pc, idx=idx, opcode=_OPCODE_NAMES[op],
+                       unit=_UNIT_NAMES[op], slot=slot, dma_id=dma_id))
         for r in ios.input_regs:
-            send(PerfEvent(cycle, REG_READ, pc=pc, idx=idx, reg=str(r)))
+            send(PerfEvent(cycle, REG_READ, pc=pc, idx=idx, reg=r.name))
         for m in ios.input_mem:
             send(PerfEvent(cycle, MEM_READ, pc=pc, idx=idx, region=m, dma_id=dma_id))
 
-    def _retire(self, pc, idx, unit, exec_at, retire, reg_writes=(), mem_writes=()):
+    def _retire(self, pc, idx, op, exec_at, retire, reg_writes=(), mem_writes=()):
         """Emit unit_busy, then the reg_writes and mem_writes, then
         instr_retire."""
         send = self._send
-        send(PerfEvent(exec_at, UNIT_BUSY, pc=pc, idx=idx, unit=unit.value,
+        send(PerfEvent(exec_at, UNIT_BUSY, pc=pc, idx=idx, unit=_UNIT_NAMES[op],
                        until=retire))
         for r in reg_writes:
-            send(PerfEvent(retire, REG_WRITE, pc=pc, idx=idx, reg=str(r)))
+            send(PerfEvent(retire, REG_WRITE, pc=pc, idx=idx, reg=r.name))
         for m in mem_writes:
             send(_mem_write(retire, pc, idx, m))
         send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
@@ -492,72 +525,7 @@ class Simulator:
             self._send(PerfEvent(end, STALL_END, pc=pc, idx=idx, reason=reason,
                                  slot=slot, dma_id=dma_id))
 
-    # -- instruction semantics -----------------------------------------------
-
-    def _execute(self, instr, pc, idx, issue, ios):
-        """Semantics and events of one instruction: (retire cycle, next pc)."""
-        state = self.state
-        op = instr.opcode
-        next_pc = pc + 1
-
-        if op is Opcode.S_LDI:
-            state.write_sreg(instr.dst_regs[0].index, instr.immediates[0])
-        elif op is Opcode.S_ADD or op is Opcode.S_MUL:
-            a = state.sregs[instr.src_regs[0].index]
-            b = state.sregs[instr.src_regs[1].index]
-            v = a + b if op is Opcode.S_ADD else a * b
-            state.write_sreg(instr.dst_regs[0].index, v)
-        elif op is Opcode.S_CMP:
-            a = state.read_sreg_signed(instr.src_regs[0].index)
-            b = state.read_sreg_signed(instr.src_regs[1].index)
-            cmp = _CMP_OPS[instr.immediates[0]]
-            state.pregs[instr.dst_regs[0].index] = int(cmp(a, b))
-        elif op is Opcode.S_MOV:
-            src = instr.src_regs[0]
-            if src.cls is RegClass.SCALAR:
-                state.sregs[instr.dst_regs[0].index] = state.sregs[src.index]
-            else:
-                off = src.index * VLEN_BYTES + instr.immediates[0] * 4
-                state.sregs[instr.dst_regs[0].index] = \
-                    struct.unpack_from("<I", state.vregs, off)[0]
-        elif op is Opcode.V_ADD or op is Opcode.V_MUL:
-            fn = _kernels.v_add if op is Opcode.V_ADD else _kernels.v_mul
-            fn(state.vregs,
-               instr.dst_regs[0].index * VLEN_BYTES,
-               instr.src_regs[0].index * VLEN_BYTES,
-               instr.src_regs[1].index * VLEN_BYTES)
-        elif op is Opcode.V_LOAD:
-            data = state.read_mem(ios.input_mem[0])
-            o = instr.dst_regs[0].index * VLEN_BYTES
-            state.vregs[o:o + VLEN_BYTES] = data
-        elif op is Opcode.V_STORE:
-            o = instr.src_regs[1].index * VLEN_BYTES
-            state.write_mem(ios.output_mem[0], bytes(state.vregs[o:o + VLEN_BYTES]))
-        elif op is Opcode.MXU_MM:
-            d, a, b = (state.sregs[r.index] for r in instr.src_regs)
-            _kernels.mxu_mm(state.vmem, d, a, b)
-        elif op is Opcode.BR:
-            next_pc = instr.immediates[0]
-        elif op is Opcode.BRZ:
-            if not state.pregs[instr.src_regs[0].index]:
-                next_pc = instr.immediates[0]
-        elif op is Opcode.HALT:
-            state.halted = True
-        elif op is Opcode.DMA_ISSUE:
-            return self._exec_dma_issue(instr, pc, idx, issue, ios), next_pc
-        elif op is Opcode.DMA_WAIT:
-            return self._exec_dma_wait(instr, pc, idx, issue, ios), next_pc
-        else:
-            raise Fault("decode", f"unhandled opcode {op!r}", pc)
-
-        # Outside DMA, every write lands at retire, so the footprint's
-        # outputs are exactly the retire-time writes.
-        retire = issue + self.config.latency(instr.unit)
-        if self._emit:
-            self._issue(instr, pc, idx, issue, ios)
-            self._retire(pc, idx, instr.unit, issue, retire,
-                         ios.output_regs, ios.output_mem)
-        return retire, next_pc
+    # -- the DMA engine's instructions ----------------------------------------
 
     def _exec_dma_issue(self, instr, pc, idx, issue, ios) -> int:
         state = self.state
@@ -580,8 +548,9 @@ class Simulator:
         slot.buffer = state.read_mem(src)
         slot.dma_id = dma_id = state.dma_seq
         state.dma_seq += 1
+        self._landing = min(self._landing, complete)
 
-        retire = issue + cfg.latency(Unit.DMA)
+        retire = issue + self._latency[instr.opcode]
         if self._emit:
             self._issue(instr, pc, idx, issue, ios, slot_no, dma_id)
             self._send(PerfEvent(issue, DMA_ISSUE_EV, pc=pc, idx=idx,
@@ -594,7 +563,7 @@ class Simulator:
                 self._queue(PerfEvent(cycle, kind, idx=idx, slot=slot_no,
                                       dma_id=dma_id))
             self._queue(_mem_write(complete, pc, idx, dst, dma_id))
-            self._retire(pc, idx, Unit.DMA, issue, retire)
+            self._retire(pc, idx, instr.opcode, issue, retire)
         return retire
 
     def _exec_dma_wait(self, instr, pc, idx, issue, ios) -> int:
@@ -618,10 +587,106 @@ class Simulator:
             exec_at = complete
         self._advance_engine(exec_at)
         slot.active = False         # slot stays associated until re-issued
-        retire = exec_at + self.config.latency(Unit.DMA)
+        retire = exec_at + self._latency[instr.opcode]
         if self._emit:
-            self._retire(pc, idx, Unit.DMA, exec_at, retire)
+            self._retire(pc, idx, instr.opcode, exec_at, retire)
         return retire
+
+
+# -- instruction semantics: one handler per opcode, (state, instr, pc, ios)
+# -> next pc, in _HANDLERS at the int opcode; DMA_ISSUE and DMA_WAIT, whose
+# retire cycle the DMA engine sets, are Simulator methods
+
+def _s_ldi(state, instr, pc, ios):
+    state.write_sreg(instr.dst_regs[0].index, instr.immediates[0])
+    return pc + 1
+
+
+def _s_add(state, instr, pc, ios):
+    a, b = instr.src_regs
+    state.write_sreg(instr.dst_regs[0].index, state.sregs[a.index] + state.sregs[b.index])
+    return pc + 1
+
+
+def _s_mul(state, instr, pc, ios):
+    a, b = instr.src_regs
+    state.write_sreg(instr.dst_regs[0].index, state.sregs[a.index] * state.sregs[b.index])
+    return pc + 1
+
+
+def _s_cmp(state, instr, pc, ios):
+    a, b = instr.src_regs
+    cmp = _CMP_OPS[instr.immediates[0]]
+    state.pregs[instr.dst_regs[0].index] = int(
+        cmp(state.read_sreg_signed(a.index), state.read_sreg_signed(b.index)))
+    return pc + 1
+
+
+def _s_mov(state, instr, pc, ios):
+    src = instr.src_regs[0]
+    if src.cls is RegClass.SCALAR:
+        value = state.sregs[src.index]
+    else:
+        off = src.index * VLEN_BYTES + instr.immediates[0] * 4
+        value = struct.unpack_from("<I", state.vregs, off)[0]
+    state.sregs[instr.dst_regs[0].index] = value
+    return pc + 1
+
+
+def _v_add(state, instr, pc, ios):
+    a, b = instr.src_regs
+    _kernels.v_add(state.vregs, instr.dst_regs[0].index * VLEN_BYTES,
+                   a.index * VLEN_BYTES, b.index * VLEN_BYTES)
+    return pc + 1
+
+
+def _v_mul(state, instr, pc, ios):
+    a, b = instr.src_regs
+    _kernels.v_mul(state.vregs, instr.dst_regs[0].index * VLEN_BYTES,
+                   a.index * VLEN_BYTES, b.index * VLEN_BYTES)
+    return pc + 1
+
+
+def _v_load(state, instr, pc, ios):
+    o = instr.dst_regs[0].index * VLEN_BYTES
+    state.vregs[o:o + VLEN_BYTES] = state.read_mem(ios.input_mem[0])
+    return pc + 1
+
+
+def _v_store(state, instr, pc, ios):
+    o = instr.src_regs[1].index * VLEN_BYTES
+    state.write_mem(ios.output_mem[0], bytes(state.vregs[o:o + VLEN_BYTES]))
+    return pc + 1
+
+
+def _mxu_mm(state, instr, pc, ios):
+    d, a, b = (state.sregs[r.index] for r in instr.src_regs)
+    _kernels.mxu_mm(state.vmem, d, a, b)
+    return pc + 1
+
+
+def _br(state, instr, pc, ios):
+    return instr.immediates[0]
+
+
+def _brz(state, instr, pc, ios):
+    return pc + 1 if state.pregs[instr.src_regs[0].index] else instr.immediates[0]
+
+
+def _halt(state, instr, pc, ios):
+    state.halted = True
+    return pc + 1
+
+
+_HANDLERS = [{Opcode.S_LDI: _s_ldi, Opcode.S_ADD: _s_add, Opcode.S_MUL: _s_mul,
+              Opcode.S_CMP: _s_cmp, Opcode.S_MOV: _s_mov, Opcode.V_ADD: _v_add,
+              Opcode.V_MUL: _v_mul, Opcode.V_LOAD: _v_load, Opcode.V_STORE: _v_store,
+              Opcode.MXU_MM: _mxu_mm, Opcode.BR: _br, Opcode.BRZ: _brz,
+              Opcode.HALT: _halt}.get(op) for op in range(max(Opcode) + 1)]
+# by int opcode: its name and its unit's name, as the event logs spell them
+_OPCODE_NAMES = [op in OPCODES and Opcode(op).name for op in range(len(_HANDLERS))]
+_UNIT_NAMES = [op in OPCODES and OPCODES[op][0].value for op in range(len(_HANDLERS))]
+_IDLE = math.inf       # the landing bound while no DMA is in flight
 
 
 def _mem_write(cycle, pc, idx, region, dma_id=None) -> PerfEvent:

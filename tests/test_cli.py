@@ -285,6 +285,15 @@ MALFORMED_INPUTS = {
         ["replay", "{f}", "-o", "{ws}/e"], "REPLAY_DIVERGENCE", 2),
     "trace-pc-not-int": (_resigned_first_record(lambda pc, raw: ["x", raw]),
                          ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-start-pc-negative": (
+        _resigned_trace(lambda doc: doc["header"].update(start_pc=-3)),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-start-cycle-negative": (
+        _resigned_trace(lambda doc: doc["header"].update(start_cycle=-3)),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-first-record-pc-negative": (
+        _resigned_first_record(lambda pc, raw: [-1, raw]),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
     "config-string-t_base": (b'{"t_base": "x"}', ["--config", "{f}", "run", "{prog}"],
                              "CONFIG_INVALID", 1),
     "config-not-object": (b"[1]", ["--config", "{f}", "run", "{prog}"],

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,44 @@ def test_misaligned_vector_address_faults():
 def test_branch_target_validation():
     with pytest.raises(EncodingError):
         Program((Instruction(Opcode.BR, (), (), (5,)),))
+
+
+def _instruction_of(op, r):
+    """A random instruction of opcode `op`, from _OPCODE_BUILDERS."""
+    while True:
+        ins = r.choice(_OPCODE_BUILDERS)(r)
+        if ins.opcode is op:
+            return ins
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
+def test_static_footprint_is_never_stale(op):
+    """The footprint an instruction keeps from its first parse never leaks
+    into a later one: parsed with its guard false, true, then false again,
+    it gives what a never-parsed copy gives from the same state, and the
+    regions of a memory opcode follow its address register."""
+    r = random.Random(int(op))
+    base = _instruction_of(op, r)
+    guard = preg(r.randrange(8))
+    ins = Instruction(op, base.dst_regs, base.src_regs, base.immediates, guard)
+    st_ = _random_state(r, SimConfig())
+    _constrain_addresses(r, ins, st_)
+    for value in (0, 1, 0):
+        st_.pregs[guard.index] = value
+        fresh = replace(ins)
+        assert "io" not in vars(fresh)            # never parsed
+        ios = instruction_io_sets(ins, st_, 0)
+        assert ios == instruction_io_sets(fresh, st_, 0)
+        assert ios.input_regs == ((guard, *ins.src_regs) if value else (guard,))
+    if op in (Opcode.V_LOAD, Opcode.V_STORE, Opcode.MXU_MM, Opcode.DMA_ISSUE):
+        st_.pregs[guard.index] = 1
+        before = instruction_io_sets(ins, st_, 0)
+        address = ins.src_regs[0]                 # [ra], rd of MXU_MM, rs of DMA
+        st_.sregs[address.index] += 64
+        after = instruction_io_sets(ins, st_, 0)
+        assert after == instruction_io_sets(replace(ins), st_, 0) != before
+        assert st_.sregs[address.index] in {m.offset for m in
+                                            after.input_mem + after.output_mem}
 
 
 # ------------------------------------------------- predicated-false example

@@ -1,5 +1,6 @@
 """Replay fidelity, divergence detection, and schedule permutation."""
 
+import gc
 import hashlib
 import struct
 from dataclasses import replace
@@ -10,12 +11,14 @@ from xshark import recorder, replayer, sim
 from xshark.analyzer import apply_and_verify
 from xshark.analyzer.suggest import Suggestion
 from xshark.debugger import Breakpoint
-from xshark.isa import (MemRegion, MemSpace, decode_instruction,
+from xshark.isa import (MemRegion, MemSpace, decode_instruction, encode_instruction,
                         instruction_io_sets, sreg)
 from xshark.recorder import ExecutionTrace, TraceError, record
 from xshark.replayer import (ReplayDivergence, compare_window, replay,
                              replay_with_schedule)
-from xshark.sim import RecordingTracker, SimConfig, events_to_jsonl
+from xshark.sim import (RecordingTracker, SimConfig, Simulator, events_to_jsonl,
+                        run_program)
+from xshark.workloads import assemble, gen_random_kernel, initial_state
 
 from helpers import asm_run, asm_session, mk_config
 
@@ -298,8 +301,9 @@ def test_footprint_parsed_once_per_instruction(monkeypatch):
 
 
 def test_only_read_trace_decodes_the_stream(monkeypatch, tmp_path):
-    """read_trace decodes each record once, for either container; replay,
-    apply_and_verify and replay_with_schedule decode none."""
+    """read_trace decodes each distinct record once, for either container,
+    and repeated records share one Instruction; replay, apply_and_verify and
+    replay_with_schedule decode none."""
     decoded = []
 
     def counting(raw):
@@ -309,16 +313,42 @@ def test_only_read_trace_decodes_the_stream(monkeypatch, tmp_path):
     monkeypatch.setattr(recorder, "decode_instruction", counting)
     _, res, config = _record()
     n = len(res.trace.instr_stream)
+    records = [encode_instruction(i) for _, i in res.trace.instr_stream]
+    assert len(set(records)) < n                 # the window repeats records
     for binary in (False, True):
         path = str(tmp_path / f"t{binary}")
         recorder.write_trace(res.trace, path, binary=binary)
         decoded.clear()
         trace = recorder.read_trace(path)
-        assert len(decoded) == n
+        assert len(decoded) == len(set(records))
         assert trace.instr_stream == res.trace.instr_stream
+        first = {}
+        for raw, (_, instr) in zip(records, trace.instr_stream):
+            assert first.setdefault(raw, instr) is instr
     decoded.clear()
     order = list(range(n))
     replay(trace, config)
     apply_and_verify(trace, Suggestion(0, 0, 0, 0, 0, 0, None, order[:1]), config)
     replay_with_schedule(trace, order, config)
     assert decoded == []
+
+
+def test_run_record_replay_leave_no_reference_cycle():
+    """A finished machine is freed by reference counting: run, record and
+    replay leave no reference cycle that would keep a machine's VMEM alive
+    until a full collection."""
+    config = SimConfig()
+    kernel = assemble(gen_random_kernel(3, size=200).text)
+    run_program(kernel.program, config, initial_state(kernel, config))   # warm-up
+    gc.collect()              # the first use of the kernels imports numpy
+    gc.disable()
+    try:
+        result = run_program(kernel.program, config, initial_state(kernel, config))
+        sim = Simulator(kernel.program, config, initial_state(kernel, config))
+        res = record(sim, None, 10 ** 6)
+        rep = replay(res.trace, config, RecordingTracker())
+        assert result.outcome == "halted" and rep.executed == res.recorded > 0
+        del result, sim, res, rep
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -245,6 +245,33 @@ def test_touching_inflight_destination_stalls_as_hazard():
     assert x.wait_cycle > x.complete_cycle      # the wait then sees slack
 
 
+_IN_FLIGHT_SRC = """
+  .data 0x1000: 01 02 03 04
+  s_ldi s0, 0x1000
+  s_ldi s1, 0x200
+  s_ldi s2, 64
+  dma_issue 0, hbm>vmem, s0, s1, s2
+  v_load v0, [s1]
+  dma_wait 0
+  halt
+"""
+
+
+def test_simulator_built_on_a_dma_in_flight_interlocks_and_lands_it():
+    """A state can reach a new Simulator with a DMA in flight: the v_load
+    then still waits for it and reads the bytes it lands."""
+    _, whole, _ = asm_run(_IN_FLIGHT_SRC)
+    kernel, state = asm_state(_IN_FLIGHT_SRC, SimConfig())
+    first = Simulator(kernel.program, SimConfig(), state)
+    for _ in range(4):
+        assert first.step() is None
+    assert state.dma_slots[0].active and not state.dma_slots[0].applied
+    rest = Simulator(kernel.program, SimConfig(), state).run(10 ** 6)
+    assert rest.stall_cycles == whole.stall_cycles
+    assert rest.state.vregs[:4] == bytes([1, 2, 3, 4])
+    assert state_digest(rest.state) == state_digest(whole.state)
+
+
 def test_budget_exhaustion_distinct_from_fault():
     src = """
       s_ldi s0, 1
