@@ -6,6 +6,13 @@ class AnalysisError(Exception):
     pass
 
 
+# The most samples a utilization series (per unit) or the VMEM series may
+# have, about ten times the 26,389 cycles of the longest committed workload
+# at bucket width 1 (docs/reports.md, "Size limit"). A longer series is an
+# AnalysisError, raised before any of it is built.
+MAX_SAMPLES = 250_000
+
+
 from .dma import DmaRecord, analyze_dma                      # noqa: E402
 from .utilization import UtilizationSeries, analyze_utilization  # noqa: E402
 from .vmem import VmemPageStats, analyze_vmem                # noqa: E402
@@ -14,8 +21,8 @@ from .deps import (DependencyGraph, LogTables, build_tables,  # noqa: E402
 from .suggest import Suggestion, suggest, apply_and_verify    # noqa: E402
 from .report import write_report                              # noqa: E402
 
-__all__ = ["AnalysisError", "DmaRecord", "analyze_dma", "UtilizationSeries",
-           "analyze_utilization", "VmemPageStats", "analyze_vmem",
+__all__ = ["AnalysisError", "MAX_SAMPLES", "DmaRecord", "analyze_dma",
+           "UtilizationSeries", "analyze_utilization", "VmemPageStats", "analyze_vmem",
            "DependencyGraph", "LogTables", "build_tables",
            "build_dependency_graph", "compute_backtails", "Backtail",
            "Suggestion", "suggest", "apply_and_verify", "write_report"]

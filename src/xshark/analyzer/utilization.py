@@ -9,6 +9,7 @@ from typing import Dict, List, Tuple
 
 from ..sim import DMA_COMPLETE, UNIT_BUSY, PerfEvent
 from ..isa import Unit
+from . import MAX_SAMPLES, AnalysisError
 
 
 @dataclass
@@ -43,6 +44,12 @@ def analyze_utilization(events: List[PerfEvent],
             completions.append((ev.cycle, ev.dma_id))
 
     n_buckets = max(1, -(-end // bucket_width)) if end else 0
+    if n_buckets > MAX_SAMPLES:
+        raise AnalysisError(
+            f"utilization to cycle {end} at bucket width {bucket_width} is "
+            f"{n_buckets} samples per unit, over the limit of {MAX_SAMPLES}; "
+            f"the smallest bucket width that fits is {-(-end // MAX_SAMPLES)} "
+            "(--bucket-width)")
     out = {}
     for unit, intervals in busy.items():
         frac = [0.0] * n_buckets

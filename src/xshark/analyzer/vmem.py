@@ -24,6 +24,7 @@ from typing import Dict, List
 
 from ..isa import DEFAULT_VMEM_CAPACITY, MemSpace, PAGE_BYTES, VMEM_BUCKETS
 from ..sim import MEM_READ, MEM_WRITE, PerfEvent
+from . import MAX_SAMPLES, AnalysisError
 
 
 @dataclass
@@ -94,6 +95,13 @@ def analyze_vmem(events: List[PerfEvent], sample_interval: int = 64,
                 last_read[p] = cycle
             if p not in used_since and first_write.get(p, cycle + 1) <= cycle:
                 used_since[p] = cycle
+
+    if end // sample_interval >= MAX_SAMPLES:
+        raise AnalysisError(
+            f"VMEM samples to cycle {end} at interval {sample_interval} are "
+            f"{end // sample_interval + 1}, over the limit of {MAX_SAMPLES}; "
+            f"the smallest sample interval that fits is {end // MAX_SAMPLES + 1} "
+            "(--sample-interval)")
 
     # liveness interval per touched page (conservative on partial
     # information); no cycle in the log is past `end`

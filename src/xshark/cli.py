@@ -11,6 +11,7 @@ embedded in traces so `replay` refuses a mismatched clock.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -141,6 +142,14 @@ def _summary(result, digest: str) -> dict:
             "total_stall": result.total_stall, "digest": digest}
 
 
+def _loaded():
+    """Freeze the collector once a step has loaded its inputs: they live
+    until the step ends, so no later collection needs to walk them. `main`
+    unfreezes them; a caller that froze objects itself is left as it is."""
+    if not gc.get_freeze_count():
+        gc.freeze()
+
+
 def _write_events(path, tracker, summary):
     [events_to_jsonl] = _library("events_to_jsonl")
     with open(path, "w") as fh:
@@ -202,6 +211,7 @@ def cmd_replay(args, config):
     RecordingTracker, read_trace, replay = _library(
         "RecordingTracker", "read_trace", "replay")
     trace = read_trace(args.trace, expected_config_hash=config.config_hash())
+    _loaded()
     tracker = RecordingTracker()
     result = replay(trace, config, tracker)
     _write_events(args.output, tracker, _summary(result, result.digest))
@@ -216,6 +226,7 @@ def cmd_analyze(args, config):
         "analyze_dma", "analyze_utilization", "analyze_vmem",
         "build_dependency_graph", "compute_backtails", "write_report")
     events, _ = _read_events(args.events)
+    _loaded()
     want_all = not (args.dma or args.util or args.vmem or args.deps)
     regions = None
     if args.program:
@@ -245,6 +256,7 @@ def cmd_suggest(args, config):
         "make_suggestions")
     trace = read_trace(args.trace, expected_config_hash=config.config_hash())
     events, _ = _read_events(args.events)
+    _loaded()
     records = analyze_dma(events)
     graph = build_dependency_graph(events)
     if graph.n != len(trace.instr_stream):
@@ -267,6 +279,7 @@ def cmd_apply(args, config):
     suggestions = _read_suggestions(args.suggestions)
     if not suggestions:
         raise CliError("NO_SUGGESTIONS", "suggestion list is empty", 1)
+    _loaded()
     tracker = RecordingTracker()
     updated, applied = apply_and_verify(trace, suggestions, config,
                                         tracker=tracker)
@@ -392,6 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    frozen = gc.get_freeze_count()
+    try:
+        return _main(argv)
+    finally:
+        if not frozen:
+            gc.unfreeze()      # the collector as main found it
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "handler", None):

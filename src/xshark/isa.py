@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property, partial
 from typing import NamedTuple, Optional
@@ -304,9 +304,12 @@ class Instruction:
     immediates: tuple = ()
     predicate: Optional[RegisterId] = None
     form: Form = field(init=False, repr=False, compare=False)
+    # the form the caller has matched these operands against (the assembler
+    # and decode_instruction have); without it, __post_init__ matches one
+    matched: InitVar[Optional[Form]] = None
 
-    def __post_init__(self):
-        form = _form_of(self.opcode, self.dst_regs, self.src_regs)
+    def __post_init__(self, matched):
+        form = matched or _form_of(self.opcode, self.dst_regs, self.src_regs)
         if form is None or len(self.immediates) != len(form.imms):
             raise EncodingError(self._shape_error())
         for imm, kind in zip(self.immediates, form.imms):
@@ -375,7 +378,7 @@ def decode_instruction(raw: bytes) -> Instruction:
     srcs = tuple(r for r in (_dec_reg(s0), _dec_reg(s1), _dec_reg(s2)) if r is not None)
     form = _form_of(opcode, dsts, srcs)
     imms = (imm0, imm1)[:len(form.imms) if form else 0]
-    return Instruction(opcode, dsts, srcs, imms, _dec_reg(pred_b))
+    return Instruction(opcode, dsts, srcs, imms, _dec_reg(pred_b), form)
 
 
 @dataclass(frozen=True)
@@ -602,3 +605,21 @@ _MEM_OPCODES = frozenset({Opcode.V_LOAD, Opcode.V_STORE, Opcode.MXU_MM,
                           Opcode.DMA_ISSUE})
 # guard register index -> the footprint of an instruction it annuls
 _ANNULLED = [IoSets((_REG_BY_NAME[f"p{i}"],)) for i in range(PRED_REGS)]
+
+
+def addressed_reads(instr: Instruction) -> list:
+    """The memory regions that instruction_io_sets finds `instr` reading,
+    in its order, each as (text, registers): the region named by how it is
+    addressed, e.g. ("vmem[s4+64]", (s4,)), and the registers that address
+    it. It is what a replay can name when those registers are undefined."""
+    op, srcs = instr.opcode, instr.src_regs
+    if op is Opcode.V_LOAD:
+        return [(f"vmem[{srcs[0]}+{VLEN_BYTES}]", srcs[:1])]
+    if op is Opcode.MXU_MM:
+        rd, ra, rb = srcs
+        return [(f"vmem[{r}+{MXU_TILE_BYTES}]", (r,)) for r in (ra, rb, rd)]
+    if op is Opcode.DMA_ISSUE:
+        rs, _, rl = srcs
+        space = DMA_DIRS[instr.immediates[1]][0].value
+        return [(f"{space}[{rs}+{rl}]", (rs, rl))]
+    return []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .isa import Fault, MachineState, instruction_io_sets
+from .isa import Fault, MachineState, addressed_reads, instruction_io_sets
 from .recorder import ExecutionTrace, RecordResult
 from .sim import PerfTracker, RunResult, SimConfig, Simulator, state_digest
 
@@ -33,6 +33,19 @@ def _restore(trace: ExecutionTrace, config: SimConfig) -> MachineState:
     return state
 
 
+_UNDEFINED = "which no snapshot and no in-window producer defines"
+
+
+def _undefined_registers(instr, pc: int, regs) -> str:
+    """The divergence of an instruction that reads the undefined `regs`: a
+    region addressed through one of them is named by how it is addressed,
+    since the address the replay would read is not the window's."""
+    lost = [text for text, via in addressed_reads(instr) if set(via) & set(regs)]
+    return (f"{instr.opcode.name} at pc {pc} reads {', '.join(map(str, regs))}, "
+            f"{_UNDEFINED}" + (f", so it cannot locate {', '.join(lost)}"
+                               if lost else ""))
+
+
 def _replay_stream(trace: ExecutionTrace, config: SimConfig,
                    order: Sequence[int], tracker: Optional[PerfTracker],
                    check_pc_chain: bool) -> RunResult:
@@ -47,16 +60,22 @@ def _replay_stream(trace: ExecutionTrace, config: SimConfig,
             raise ReplayDivergence(k, f"control flow reached pc {state.pc}, "
                                       f"trace recorded pc {pc}")
         state.pc = pc
+        fault = None
         try:
             ios = instruction_io_sets(instr, state, pc)
         except Fault as f:
-            raise ReplayDivergence(k, f"IO parse fault: {f.describe()}") from None
+            # only an instruction that executes parses regions: it reads
+            # its guard and all its source registers
+            ios, fault = instr.io, f
         regs, pieces = ledger.first_uses(ios)
-        if regs or pieces:
+        if regs:
+            raise ReplayDivergence(k, _undefined_registers(instr, pc, regs))
+        if fault is not None:
+            raise ReplayDivergence(k, f"IO parse fault: {fault.describe()}")
+        if pieces:
             raise ReplayDivergence(
                 k, f"{instr.opcode.name} at pc {pc} reads "
-                   f"{', '.join(map(str, regs + pieces))}, which no snapshot "
-                   "and no in-window producer defines")
+                   f"{', '.join(map(str, pieces))}, {_UNDEFINED}")
         fault = sim.exec_instruction(instr, pc, ios)
         if fault is not None:
             raise ReplayDivergence(k, f"unexpected fault: {fault.describe()}")

@@ -29,6 +29,9 @@ import math
 import operator
 import struct
 from dataclasses import dataclass, field, fields
+from itertools import compress
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.scanner import make_scanner
 from typing import List, Optional
 
 from . import _kernels
@@ -170,37 +173,19 @@ class PerfEvent:
     annulled: Optional[bool] = None
 
     def to_json(self) -> dict:
-        """The set fields in name order, regions as {"len", "offset",
-        "space"}: plain json.dumps of it is the event's log line."""
+        """The set fields of its kind's row of EVENT_FIELDS in name order,
+        regions as {"len", "offset", "space"}: plain json.dumps of it is
+        the event's log line."""
+        names, values = _KIND_VALUES[self.kind]
         return {k: _region_json(v) if type(v) is MemRegion else v
-                for k, v in zip(_EVENT_FIELDS, _event_values(self))
-                if v is not None}
-
-    @staticmethod
-    def from_json(d: dict) -> "PerfEvent":
-        kind = d["kind"]
-        if kind not in _KIND_KEYS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        required, allowed = _KIND_KEYS[kind]
-        if not required <= d.keys() <= allowed:
-            raise ValueError(f"{kind} event lacks {sorted(required - d.keys())} "
-                             f"or has unlisted {sorted(d.keys() - allowed)}")
-        for name, value in d.items():
-            want = _FIELD_TYPES[name]
-            if type(value) is not want or (want is int and value < 0):
-                raise ValueError(f"event field {name!r} must be {_MUST[want]}, "
-                                 f"got {value!r}")
-            if name in _FIELD_VALUES and value not in _FIELD_VALUES[name]:
-                raise ValueError(f"event field {name!r} must be one of "
-                                 f"{sorted(_FIELD_VALUES[name])}, got {value!r}")
-        ev = PerfEvent(**d)
-        for name in _REGION_FIELDS.intersection(d):
-            setattr(ev, name, MemRegion.from_json(d[name]))
-        return ev
+                for k, v in zip(names, values(self)) if v is not None}
 
 
-_EVENT_FIELDS = tuple(sorted(f.name for f in fields(PerfEvent)))
-_event_values = operator.attrgetter(*_EVENT_FIELDS)
+_DECLARED = [f.name for f in fields(PerfEvent)]     # PerfEvent's argument order
+_ABSENT = (None,)          # the value of each field a line lacks
+# kind -> (the fields it may have in name order, a getter of their values)
+_KIND_VALUES = {kind: (tuple(sorted(allowed)), operator.attrgetter(*sorted(allowed)))
+                for kind, (_, allowed) in _KIND_KEYS.items()}
 _REGION_FIELDS = frozenset({"region", "src_region", "dst_region"})
 # field -> the type of its JSON value: a region is an object, and an int
 # field holds an int >= 0, never a bool (docs/events.md)
@@ -249,43 +234,110 @@ class RecordingTracker(PerfTracker):
 
 def events_to_jsonl(events, summary: Optional[dict] = None) -> str:
     """One JSON object per line with sorted keys (docs/events.md); the
-    summary line, when given, comes last."""
-    lines = list(map(json.dumps, map(PerfEvent.to_json, events)))
+    summary line, when given, comes last. An event's line is
+    json.dumps(ev.to_json()), written by one C encoder made here."""
+    encode = c_make_encoder(None, json.JSONEncoder().default,
+                            encode_basestring_ascii, None, ": ", ", ",
+                            False, False, True)
+    join = "".join
+    lines = [join(encode(d, 0)) for d in map(PerfEvent.to_json, events)]
     if summary is not None:
         lines.append(json.dumps({"kind": "summary", **summary}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
+def _line_plan(kind, keys: frozenset):
+    """How events_from_jsonl checks and builds an event from a line of
+    `kind` with `keys`: a getter of its values in name order, their JSON
+    types, which of them are ints, its closed-set fields with their
+    members, a getter of PerfEvent's positional arguments from the values
+    followed by _ABSENT, and its region fields. Raises ValueError when
+    `kind` is unknown or its row of EVENT_FIELDS does not allow exactly
+    `keys`."""
+    if kind not in _KIND_KEYS:
+        raise ValueError(f"unknown event kind {kind!r}")
+    required, allowed = _KIND_KEYS[kind]
+    if not required <= keys <= allowed:
+        raise ValueError(f"{kind} event lacks {sorted(required - keys)} "
+                         f"or has unlisted {sorted(keys - allowed)}")
+    names = sorted(keys)          # at least `cycle` and `kind`
+    types = tuple(_FIELD_TYPES[n] for n in names)
+    last = max(map(_DECLARED.index, names))
+    return (operator.itemgetter(*names), types, tuple(t is int for t in types),
+            tuple((n, _FIELD_VALUES[n]) for n in names if n in _FIELD_VALUES),
+            operator.itemgetter(*(names.index(f) if f in keys else len(names)
+                                  for f in _DECLARED[:last + 1])),
+            tuple(n for n in names if n in _REGION_FIELDS))
+
+
+def _field_error(d: dict) -> ValueError:
+    """The error of the first field of event line `d` whose value breaks
+    its rule, for a line that failed its plan's type or member test."""
+    for name, value in d.items():
+        want = _FIELD_TYPES[name]
+        if type(value) is not want or (want is int and value < 0):
+            return ValueError(f"event field {name!r} must be {_MUST[want]}, "
+                              f"got {value!r}")
+        if name in _FIELD_VALUES and value not in _FIELD_VALUES[name]:
+            return ValueError(f"event field {name!r} must be one of "
+                              f"{sorted(_FIELD_VALUES[name])}, got {value!r}")
+
+
 def events_from_jsonl(text: str):
-    """Returns (events, summary_or_None). A line that is not JSON, or not an
-    object with a known `kind` and known fields of the right types, raises
-    ValueError, and so does a line that breaks a reference rule of
-    docs/events.md (`idx` and `dma_id` refer to earlier lines)."""
+    """Returns (events, summary_or_None). A line that is not one JSON value
+    (JSON whitespace around it is allowed), or not an object with a known
+    `kind` and exactly the fields its kind allows, each of the right type,
+    raises ValueError, and so does a line that breaks a reference rule of
+    docs/events.md (`idx` and `dma_id` refer to earlier lines). Each line
+    is parsed by the C scanner of the json module and checked by the plan
+    of its kind and key set (_line_plan), made once per call."""
     events, summary, issued, issues = [], None, set(), 0
-    loads, from_json, append = json.loads, PerfEvent.from_json, events.append
+    plans, append = {}, events.append
+    scan = make_scanner(json.JSONDecoder())
     try:
         for line in text.splitlines():
             if not line or line.isspace():
                 continue
-            d = loads(line)
-            if d.get("kind") == "summary":
+            value = line.strip(" \t")      # the JSON whitespace a line can hold
+            try:
+                d, end = scan(value, 0)
+            except StopIteration as e:
+                raise ValueError(f"expecting a JSON value at char {e.value}") from None
+            if end != len(value):
+                raise ValueError(f"extra data at char {end}")
+            if type(d) is not dict:
+                raise ValueError("an event line must be a JSON object")
+            kind = d.get("kind")
+            if kind == "summary":
                 summary = d
                 continue
-            ev = from_json(d)
-            if ev.kind == INSTR_ISSUE:
+            key = kind, frozenset(d)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _line_plan(*key)
+            values, types, is_int, closed, arguments, regions = plan
+            got = values(d)
+            if tuple(map(type, got)) != types or min(compress(got, is_int)) < 0:
+                raise _field_error(d)
+            for name, members in closed:
+                if d[name] not in members:
+                    raise _field_error(d)
+            ev = PerfEvent(*arguments(got + _ABSENT))
+            for name in regions:
+                setattr(ev, name, MemRegion.from_json(d[name]))
+            if kind == INSTR_ISSUE:
                 if ev.idx != issues:
                     raise ValueError(f"instr_issue idx {ev.idx} is not {issues}")
                 issues += 1
             elif ev.idx is not None and ev.idx > issues:
                 raise ValueError(f"idx {ev.idx} is past the next instr_issue")
-            if ev.kind == DMA_ISSUE_EV:
+            if kind == DMA_ISSUE_EV:
                 issued.add(ev.dma_id)
-            elif (ev.kind in _DMA_ENGINE_KINDS or ev.opcode == _DMA_WAIT
+            elif (kind in _DMA_ENGINE_KINDS or ev.opcode == _DMA_WAIT
                   and not ev.annulled) and ev.dma_id not in issued:
                 raise ValueError(f"dma_id {ev.dma_id} has no earlier dma_issue")
             append(ev)
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
-            Fault) as e:
+    except (ValueError, KeyError, TypeError, RecursionError, Fault) as e:
         line = line.strip()
         raise ValueError(f"bad event line {line[:80]!r}: {e!r}") from None
     return events, summary

@@ -208,7 +208,7 @@ def _build(line: int, col: int, m: str, ops: list, pred, labels, n: int) -> Inst
         values[_KINDS[kind][0]].append(value)
     try:
         return Instruction(op, tuple(values["dst"]), tuple(values["src"]),
-                           tuple(values["imm"]), pred)
+                           tuple(values["imm"]), pred, form)
     except EncodingError as e:
         raise AsmError(line, col, str(e)) from None
 

@@ -12,10 +12,13 @@ These deliberately avoid the production code paths they validate:
   analyze_vmem          the earlier numpy form of the VMEM page analysis: a
                         whole-capacity array per page field and a full pass
                         per sample
+  events_from_jsonl     the earlier event-log reader: json.loads per line,
+                        then each field's rule of docs/events.md in turn
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -23,10 +26,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from xshark.analyzer.vmem import VmemPageStats
-from xshark.isa import (DEFAULT_VMEM_CAPACITY, ISA_VERSION, PAGE_BYTES,
-                        VMEM_BUCKETS, MemSpace, Opcode, instruction_io_sets)
+from xshark.isa import (DEFAULT_VMEM_CAPACITY, DMA_DIR_NAMES, ISA_VERSION,
+                        PAGE_BYTES, REGISTER_NAMES, VMEM_BUCKETS, Fault,
+                        MemRegion, MemSpace, Opcode, Unit, instruction_io_sets)
 from xshark.recorder import ExecutionTrace, TraceHeader
-from xshark.sim import MEM_READ, MEM_WRITE, PerfEvent
+from xshark.sim import EVENT_FIELDS, MEM_READ, MEM_WRITE, PerfEvent
 
 
 # --------------------------------------------------------------- dma oracle
@@ -313,3 +317,72 @@ def analyze_vmem(events: List[PerfEvent], sample_interval: int = 64,
     }
     return VmemPageStats(capacity, sample_interval, samples, total_free,
                          largest, bucket_used, bucket_written, states)
+
+
+# ------------------------------------------------------ event-log reader
+
+# docs/events.md, "Malformed logs": the JSON type of each field, and the
+# members of the closed-set string fields
+_EVENT_TYPES = {**dict.fromkeys("cycle pc idx slot dma_id size until".split(), int),
+                **dict.fromkeys("kind opcode unit reg link reason".split(), str),
+                "annulled": bool,
+                **dict.fromkeys("region src_region dst_region".split(), dict)}
+_EVENT_MEMBERS = {"unit": {u.value for u in Unit},
+                  "reason": {"hazard", "dma_base", "dma_transfer"},
+                  "opcode": set(Opcode.__members__),
+                  "link": set(DMA_DIR_NAMES.values()),
+                  "reg": set(REGISTER_NAMES)}
+
+
+def _event_from_json(d: dict) -> PerfEvent:
+    kind = d["kind"]
+    if kind not in EVENT_FIELDS:
+        raise ValueError(f"unknown event kind {kind!r}")
+    required, optional = EVENT_FIELDS[kind]
+    required = {"cycle", "kind", *required.split()}
+    if not required <= d.keys() <= required | set(optional.split()):
+        raise ValueError(f"{kind} event has the wrong fields")
+    for name, value in d.items():
+        want = _EVENT_TYPES[name]
+        if type(value) is not want or (want is int and value < 0):
+            raise ValueError(f"event field {name!r} has the wrong type")
+        if name in _EVENT_MEMBERS and value not in _EVENT_MEMBERS[name]:
+            raise ValueError(f"event field {name!r} names no member")
+    ev = PerfEvent(**d)
+    for name in ("region", "src_region", "dst_region"):
+        if name in d:
+            setattr(ev, name, MemRegion.from_json(d[name]))
+    return ev
+
+
+def events_from_jsonl(text: str):
+    """(events, summary or None) of an event log, or ValueError: each
+    non-blank line through json.loads and the rules of docs/events.md one
+    field at a time, then the reference rules."""
+    events, summary, issued, issues = [], None, set(), 0
+    try:
+        for line in text.splitlines():
+            if not line or line.isspace():
+                continue
+            d = json.loads(line)
+            if d.get("kind") == "summary":
+                summary = d
+                continue
+            ev = _event_from_json(d)
+            if ev.kind == "instr_issue":
+                if ev.idx != issues:
+                    raise ValueError("instr_issue out of order")
+                issues += 1
+            elif ev.idx is not None and ev.idx > issues:
+                raise ValueError("idx past the next instr_issue")
+            if ev.kind == "dma_issue":
+                issued.add(ev.dma_id)
+            elif (ev.kind in ("dma_base_done", "dma_transfer_start", "dma_complete")
+                  or ev.opcode == "DMA_WAIT" and not ev.annulled) \
+                    and ev.dma_id not in issued:
+                raise ValueError("dma_id never issued")
+            events.append(ev)
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+            Fault) as e:
+        raise ValueError(f"bad event line {line[:80]!r}: {e!r}") from None
+    return events, summary

@@ -1,5 +1,7 @@
 """Analyzer passes against spec examples and the independent oracles."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from xshark.analyzer import (AnalysisError, analyze_dma, analyze_utilization,
                              analyze_vmem, apply_and_verify,
                              build_dependency_graph, compute_backtails,
                              suggest)
+from xshark.analyzer import utilization as utilization_module
+from xshark.analyzer import vmem as vmem_module
 from xshark.analyzer.deps import RELAXED_CHAIN_CAP
 from xshark.analyzer.suggest import Suggestion, build_schedule
 from xshark.analyzer.svg import render_dma_timeline, render_vmem_heatmap
@@ -235,6 +239,29 @@ def _vmem_cases(draw):
     capacity = draw(st.sampled_from([1, 2, 5]).map(
         lambda k: k * VMEM_BUCKETS * PAGE_BYTES))
     return draw(_vmem_events(capacity)), draw(st.integers(1, 100)), capacity
+
+
+@pytest.mark.parametrize("module,analysis", [
+    (utilization_module, analyze_utilization), (vmem_module, analyze_vmem)],
+    ids=["utilization", "vmem"])
+@pytest.mark.parametrize("end", [99, 100, 101, 1000, 12_345])
+def test_series_over_the_sample_limit_names_the_smallest_width_that_fits(
+        monkeypatch, module, analysis, end):
+    """A series longer than MAX_SAMPLES (here 100) is an AnalysisError
+    before any sample is built; the width or interval it names fits, and
+    one less does not."""
+    monkeypatch.setattr(module, "MAX_SAMPLES", 100)
+    events = [PerfEvent(0, INSTR_RETIRE, pc=0, idx=0),
+              PerfEvent(end, INSTR_RETIRE, pc=0, idx=0)]
+    try:
+        analysis(events, 1)
+        return                                  # fits at width 1
+    except AnalysisError as e:
+        smallest = int(re.search(r"fits is (\d+)", str(e))[1])
+    assert smallest > 1
+    analysis(events, smallest)
+    with pytest.raises(AnalysisError):
+        analysis(events, smallest - 1)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 """CLI pipeline: asm -> run/record -> replay -> analyze -> suggest -> apply
 -> compare, exit codes and error codes."""
 
+import gc
 import hashlib
 import json
 import os
@@ -261,6 +262,28 @@ def _bundle_faulting_in_fast_forward(ws):
     return (ws / "ff.json").read_bytes()
 
 
+def _log_of_slow_dma(ws):
+    """The run log of the 4-tile starvation kernel under a config the
+    simulator accepts, a DMA base latency of 10**9 cycles: it ends past
+    cycle 10**9."""
+    (ws / "slow.json").write_text('{"t_base": 1000000000}')
+    (ws / "tiles4.xasm").write_text(gen_starvation_kernel(tiles=4, prefetch_depth=1))
+    assert main(["asm", str(ws / "tiles4.xasm"), "-o", str(ws / "tiles4.json")]) == 0
+    assert main(["--config", str(ws / "slow.json"), "run", str(ws / "tiles4.json"),
+                 "--max-cycles", str(10 ** 12), "-o", str(ws / "slow.jsonl")]) == 0
+    return (ws / "slow.jsonl").read_bytes()
+
+
+def _replay_log_ending_late(ws):
+    """The replay log of the workspace trace with its last instr_retire
+    moved to cycle 10**9."""
+    assert main(["replay", str(ws / "win.trace"), "-o", str(ws / "late.jsonl")]) == 0
+    lines = (ws / "late.jsonl").read_text().splitlines()
+    i = max(i for i, ln in enumerate(lines) if '"instr_retire"' in ln)
+    lines[i] = json.dumps({**json.loads(lines[i]), "cycle": 10 ** 9}, sort_keys=True)
+    return ("\n".join(lines) + "\n").encode()
+
+
 _float_offset_region = _edited_event("mem_write", "region",
                                      {"len": 64, "offset": 1024.5, "space": "vmem"})
 _ASM = ["asm", "{f}", "-o", "{ws}/p.json"]
@@ -426,6 +449,13 @@ MALFORMED_INPUTS = {
                                 "BUNDLE_INVALID", 1),
     "summary-cycles-bool": (_edited_event("summary", "cycles", True),
                             ["compare", "{f}", "{events}"], "EVENTS_INVALID", 1),
+    "events-slow-dma-too-many-samples": (_log_of_slow_dma, _ANALYZE,
+                                         "ANALYSIS_ERROR", 2),
+    "events-retire-late-suggest": (
+        _replay_log_ending_late, ["suggest", "{trace}", "{f}", "-o", "{ws}/s.json"],
+        "ANALYSIS_ERROR", 2),
+    "events-unit-busy-until-huge": (_edited_event("unit_busy", "until", 10 ** 9),
+                                    _ANALYZE, "ANALYSIS_ERROR", 2),
     "record-fault-in-fast-forward": (
         _bundle_faulting_in_fast_forward,
         ["record", "{f}", "--break", "here", "--count", "5", "--fast-forward",
@@ -452,6 +482,46 @@ def test_malformed_input_is_one_code_line(ws, capsys, content, argv, want,
     assert [ln.split()[0] for ln in err.splitlines()
             if ln.startswith("code:")] == [f"code:{want}"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(ws, capsys, monkeypatch,
+                                                  enabled):
+    """Each step that loads a log or a trace freezes the collector once its
+    inputs are in, and `main` unfreezes on success and on a `code:` exit
+    alike; a collector the caller disabled stays disabled, and one the
+    caller froze is neither frozen further nor unfrozen."""
+    prog, trace, events = ws / "prog.json", ws / "win.trace", ws / "events.jsonl"
+    _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
+    _run(capsys, "record", prog, "--break", "0", "--count", "50", "-o", trace)
+    _run(capsys, "run", prog, "-o", events)
+    calls, real = [], {name: getattr(gc, name) for name in ("freeze", "unfreeze")}
+    for name, call in real.items():
+        monkeypatch.setattr(gc, name, lambda call=call, name=name:
+                            calls.append(name) or call())
+    was_enabled = gc.isenabled()
+    steps = [(["analyze", events, "-o", ws / "r"], 0, ""),
+             (["suggest", trace, events, "-o", ws / "s.json"], 2,
+              "code:EVENTS_TRACE_MISMATCH")]
+    try:
+        if not enabled:
+            gc.disable()
+        assert gc.get_freeze_count() == 0
+        for argv, want, err_start in steps:
+            code, _, err = _run(capsys, *argv)
+            assert code == want and err.startswith(err_start)
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+        assert calls == ["freeze", "unfreeze"] * 2
+        del calls[:]
+        real["freeze"]()                         # the caller freezes
+        for argv, want, _ in steps:
+            assert _run(capsys, *argv)[0] == want
+            assert gc.isenabled() == enabled and gc.get_freeze_count() > 0
+        assert calls == []
+    finally:
+        real["unfreeze"]()
+        if was_enabled:
+            gc.enable()
 
 
 def test_vdata_past_vmem_capacity_is_mem_oob(ws, capsys):

@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 
 from xshark.analyzer.report import _write_json
 from xshark.cli import main
-from xshark.sim import (EVENT_KINDS, RecordingTracker, SimConfig,
-                        events_from_jsonl, events_to_jsonl, run_program)
+from xshark.isa import (DMA_DIR_NAMES, REGISTER_NAMES, MemRegion, MemSpace,
+                        Opcode, Unit)
+from xshark.sim import (EVENT_FIELDS, EVENT_KINDS, PerfEvent, RecordingTracker,
+                        SimConfig, events_from_jsonl, events_to_jsonl, run_program)
 from xshark.workloads import gen_random_kernel, gen_starvation_kernel
 
+import oracles
 from helpers import asm_state
 
 
@@ -146,16 +149,159 @@ _lines = st.one_of(st.text(max_size=40), _event_like.map(json.dumps),
                    st.integers(1, 3000).map(lambda n: "[" * n))
 
 
+def _decoded_or_none(decode, text):
+    """decode(text), or None when it raises ValueError; any other exception
+    escapes and fails the test."""
+    try:
+        return decode(text)
+    except ValueError:
+        return None
+
+
+def _assert_reader_agrees_with_oracle(text):
+    """events_from_jsonl accepts exactly the logs the oracle reader does,
+    reads the same events and summary from them, and raises nothing but
+    ValueError."""
+    got = _decoded_or_none(events_from_jsonl, text)
+    want = _decoded_or_none(oracles.events_from_jsonl, text)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0]
+        assert repr(got[1]) == repr(want[1])      # a summary may hold a NaN
+
+
 @given(st.lists(_lines, max_size=6).map("\n".join))
 @settings(max_examples=200, deadline=None)
 def test_events_from_jsonl_only_raises_value_error(text):
-    try:
-        events_from_jsonl(text)
-    except ValueError:
-        pass
+    _assert_reader_agrees_with_oracle(text)
 
 
-def _generated_log(seed: int, size: int) -> str:
+# values that a valid event may hold, per field
+_REGION_VALUES = st.builds(MemRegion, st.sampled_from(list(MemSpace)),
+                           st.integers(0, 2 ** 40), st.integers(1, 2 ** 20))
+_MEMBERS = {"unit": sorted(u.value for u in Unit),
+            "reason": ["hazard", "dma_base", "dma_transfer"],
+            "opcode": sorted(Opcode.__members__),
+            "link": sorted(DMA_DIR_NAMES.values()),
+            "reg": sorted(REGISTER_NAMES)}
+_VALID_VALUES = {
+    **dict.fromkeys("cycle pc idx slot dma_id size until".split(),
+                    st.integers(0, 2 ** 40)),
+    **{name: st.sampled_from(members) for name, members in _MEMBERS.items()},
+    "annulled": st.booleans(),
+    **dict.fromkeys("region src_region dst_region".split(), _REGION_VALUES),
+}
+_ENGINE_KINDS = {"dma_base_done", "dma_transfer_start", "dma_complete"}
+
+
+@st.composite
+def _valid_events(draw):
+    """A list of events that satisfies every rule of docs/events.md: each
+    kind with its required fields and some of its optional ones, valid
+    values, and the reference rules of `idx` and `dma_id`."""
+    events, issues, issued = [], 0, []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(sorted(EVENT_FIELDS)))
+        required, optional = EVENT_FIELDS[kind]
+        names = required.split() + [n for n in optional.split() if draw(st.booleans())]
+        values = {n: draw(_VALID_VALUES[n]) for n in names}
+        if kind in _ENGINE_KINDS or (values.get("opcode") == "DMA_WAIT"
+                                     and not values.get("annulled")):
+            if not issued:
+                continue
+            values["dma_id"] = draw(st.sampled_from(issued))
+        if kind == "instr_issue":
+            values["idx"] = issues
+            issues += 1
+        elif "idx" in values:
+            values["idx"] = min(values["idx"], issues)
+        if kind == "dma_issue":
+            issued.append(values["dma_id"])
+        events.append(PerfEvent(draw(st.integers(0, 2 ** 40)), kind, **values))
+    return events
+
+
+_summaries = st.one_of(st.none(), st.fixed_dictionaries({
+    "cycles": st.integers(0, 2 ** 40), "total_stall": st.integers(0, 2 ** 40),
+    "digest": st.text(max_size=8)}))
+
+
+@given(_valid_events(), _summaries)
+@settings(max_examples=150, deadline=None)
+def test_event_lines_are_json_dumps_of_each_event(events, summary):
+    """Each line of a log is json.dumps of its event's to_json, with keys
+    sorted; decoding the log gives the events back, and encoding them again
+    the same bytes."""
+    log = events_to_jsonl(events, summary)
+    assert (log.splitlines()[:len(events)]
+            == [json.dumps(ev.to_json()) for ev in events]
+            == [json.dumps(ev.to_json(), sort_keys=True) for ev in events])
+    decoded, got_summary = events_from_jsonl(log)
+    assert decoded == events
+    assert events_to_jsonl(decoded, got_summary and {
+        k: v for k, v in got_summary.items() if k != "kind"}) == log
+
+
+# what a mutation may put into a field: valid values of any field, edge
+# values of every JSON type, and region objects with one part wrong
+_field_values = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 1.5, 2 ** 70, "", "summary",
+                     "DMA_WAIT", "hbm>vmem", "s0", [], {}, [1], {"len": 1}]),
+    st.sampled_from(sorted(EVENT_KINDS)),
+    *(v.map(lambda x: x if not isinstance(x, MemRegion) else x.to_json())
+      for v in _VALID_VALUES.values()),
+    _regions, _json_values)
+_PADDING = [" ", "\t", " \t ", "\xa0", "\ufeff", "x", "{}", "[", ", 1"]
+
+
+# a value of the same JSON type as a field's, or one that a reader could
+# mistake for it, per type of the field's value
+_near_values = {
+    int: st.sampled_from([-1, 0, 1, 2 ** 63, -(2 ** 70), True, False, 1.0, None]),
+    str: st.one_of(st.sampled_from(sorted(set().union(*_MEMBERS.values()))
+                                   + ["", "summary", "SALU ", "s32"]),
+                   st.text(max_size=6)),
+    bool: st.sampled_from([0, 1, None, "true", True, False]),
+    dict: _regions,
+}
+
+
+@st.composite
+def _mutated_logs(draw):
+    """A valid log with one field of one line set to another value, deleted
+    or added, or with text put before or after one line."""
+    events = draw(_valid_events().filter(bool))
+    lines = events_to_jsonl(events, {"cycles": 1, "total_stall": 0,
+                                     "digest": "x:0"}).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    mode = draw(st.sampled_from(["pad", "drop", "near", "near", "any"]))
+    if mode == "pad":
+        pad = st.sampled_from(_PADDING)
+        lines[i] = draw(pad) * draw(st.booleans()) + lines[i] + \
+            draw(pad) * draw(st.booleans())
+        return "\n".join(lines) + "\n"
+    doc = json.loads(lines[i])
+    if mode == "near":                  # a field the line has
+        name = draw(st.sampled_from(sorted(doc)))
+        doc[name] = draw(_near_values[type(doc[name])])
+    else:
+        name = draw(st.sampled_from(sorted(doc) + _FIELD_NAMES))
+        if mode == "drop":
+            doc.pop(name, None)
+        else:
+            doc[name] = draw(_field_values)
+    lines[i] = json.dumps(doc)          # an added key comes last
+    return "\n".join(lines) + "\n"
+
+
+@given(_mutated_logs())
+@settings(max_examples=400, deadline=None)
+def test_a_mutated_log_is_read_as_the_oracle_reads_it(text):
+    _assert_reader_agrees_with_oracle(text)
+
+
+def _generated_run(seed: int, size: int):
+    """The events of a run of a generated kernel, and the run's log."""
     src = (gen_starvation_kernel(tiles=2 + seed % 4, prefetch_depth=1)
            if seed % 3 == 0 else gen_random_kernel(seed, size=size).text)
     config = SimConfig()
@@ -164,23 +310,26 @@ def _generated_log(seed: int, size: int) -> str:
     result = run_program(kernel.program, config, state, tracker)
     summary = {"cycles": result.cycles, "total_stall": result.total_stall,
                "stall_cycles": dict(result.stall_cycles), "digest": "x:0"}
-    return events_to_jsonl(tracker.events, summary)
+    return tracker.events, events_to_jsonl(tracker.events, summary)
 
 
 @given(st.integers(0, 10_000), st.integers(20, 120))
 @settings(max_examples=15, deadline=None)
 def test_event_log_round_trips_byte_for_byte(seed, size):
-    log = _generated_log(seed, size)
+    """The log holds every field the simulator set: reading it back gives
+    the simulator's events, and writing those the same bytes."""
+    emitted, log = _generated_run(seed, size)
     for line in log.splitlines():              # the contractual line format
         assert line == json.dumps(json.loads(line), sort_keys=True)
     events, summary = events_from_jsonl(log)
+    assert events == emitted
     assert events_to_jsonl(events, summary) == log
 
 
 @pytest.fixture(scope="module")
 def good_log(tmp_path_factory):
     path = tmp_path_factory.mktemp("log") / "good.jsonl"
-    path.write_text(_generated_log(0, 20))
+    path.write_text(_generated_run(0, 20)[1])
     return path
 
 

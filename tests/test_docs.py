@@ -50,6 +50,31 @@ def test_event_kinds_table_matches_code():
                     for kind, (req, opt) in EVENT_FIELDS.items()}
 
 
+def test_event_field_table_matches_the_checker():
+    """The table of field values under "Malformed logs" in docs/events.md
+    gives each field the JSON type that sim._FIELD_TYPES gives it, and its
+    string fields with listed values are those of sim._FIELD_VALUES, with
+    the same members (`s0`-`s31` lists s0 to s31)."""
+    from xshark.sim import _FIELD_TYPES, _FIELD_VALUES
+    text = (ROOT / "docs" / "events.md").read_text()
+    json_types = {"integer": int, "string": str, "boolean": bool, "object": dict}
+    types, members = {}, {}
+    for line in text[text.index("| fields | type | values |"):].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        names, kind, values = (c.strip() for c in line.split("|")[1:4])
+        listed = set()
+        for prefix, lo, hi in re.findall(r"`([a-z])(\d+)`-`\1(\d+)`", values):
+            listed |= {f"{prefix}{i}" for i in range(int(lo), int(hi) + 1)}
+        listed |= set(re.findall(r"`([^`]+)`", re.sub(r"`\w+`-`\w+`", "", values)))
+        for name in re.findall(r"`(\w+)`", names):
+            types[name] = json_types[kind]
+            if kind == "string" and listed:
+                members[name] = listed
+    assert types == _FIELD_TYPES
+    assert members == {name: set(values) for name, values in _FIELD_VALUES.items()}
+
+
 def test_cli_codes_are_documented():
     """docs/cli.md has one table row per `code:` the CLI can print: its own
     codes, the trace reader's and every Fault kind in upper case."""

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from xshark.isa import (EncodingError, Fault, Instruction, MachineState,
                         MemRegion, MemSpace, Opcode, Program, RegClass,
-                        RegisterId, decode_instruction, encode_instruction,
-                        instruction_io_sets, preg, sreg, vreg)
+                        RegisterId, addressed_reads, decode_instruction,
+                        encode_instruction, instruction_io_sets, preg, sreg,
+                        vreg)
 from xshark.sim import SimConfig, Simulator
 from xshark.workloads import assemble, disassemble
 
@@ -194,6 +195,26 @@ def test_static_footprint_is_never_stale(op):
         assert after == instruction_io_sets(replace(ins), st_, 0) != before
         assert st_.sregs[address.index] in {m.offset for m in
                                             after.input_mem + after.output_mem}
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
+def test_addressed_reads_are_the_parsed_input_regions(op):
+    """addressed_reads names, in order, the regions instruction_io_sets
+    parses as the inputs of an instruction; with each register in a text
+    replaced by its value (an address in hex, a length in decimal) the two
+    agree."""
+    r = random.Random(int(op) + 100)
+    base = _instruction_of(op, r)
+    ins = Instruction(op, base.dst_regs, base.src_regs, base.immediates)
+    st_ = _random_state(r, SimConfig())
+    _constrain_addresses(r, ins, st_)
+    texts = []
+    for text, (address, *length) in addressed_reads(ins):
+        text = text.replace(f"[{address}+", f"[{st_.sregs[address.index]:#x}+")
+        for reg in length:
+            text = text.replace(f"+{reg}]", f"+{st_.sregs[reg.index]}]")
+        texts.append(text)
+    assert texts == [str(m) for m in instruction_io_sets(ins, st_, 0).input_mem]
 
 
 # ------------------------------------------------- predicated-false example

@@ -82,17 +82,42 @@ def test_replay_divergence_on_unsnapshotted_read():
 
 def test_divergence_names_every_undefined_input():
     # the window starts at the load, so s4 and the 64 VMEM bytes at 0x200
-    # are its first uses; without their snapshots one error names both (the
-    # replay reads the address from a zeroed s4)
+    # are its first uses; without their snapshots the error names s4, and
+    # the region by how it is addressed, since the replay's s4 is not the
+    # window's
     src = "  s_ldi s4, 0x200\n  v_load v1, [s4]\n  halt\n"
     _, res, config = _record(src, bp=1)
     t = res.trace
     assert [str(r) for r, _ in t.reg_snapshots] == ["s4"]
     assert [str(m) for m, _ in t.mem_snapshots] == ["vmem[0x200+64]"]
-    with pytest.raises(ReplayDivergence,
-                       match=r"V_LOAD at pc 1 reads s4, vmem\[0x0\+64\],") as exc:
+    with pytest.raises(ReplayDivergence) as exc:
         replay(ExecutionTrace(t.header, [], [], t.instr_stream), config)
+    assert str(exc.value).endswith(
+        "V_LOAD at pc 1 reads s4, which no snapshot and no in-window producer "
+        "defines, so it cannot locate vmem[s4+64]")
     assert exc.value.index == 0
+    # with s4 defined, the bytes it addresses are named by their address
+    with pytest.raises(ReplayDivergence, match=r"V_LOAD at pc 1 reads "
+                       r"vmem\[0x200\+64\], which no snapshot"):
+        replay(ExecutionTrace(t.header, t.reg_snapshots, [], t.instr_stream),
+               config)
+
+
+def test_divergence_names_an_undefined_dma_length_register():
+    # a zeroed length register would make the DMA fault as empty; the
+    # divergence names the register instead
+    src = ("  s_ldi s0, 0x1000\n  s_ldi s1, 0x200\n  s_ldi s2, 64\n"
+           "  dma_issue 0, hbm>vmem, s0, s1, s2\n  dma_wait 0\n  halt\n")
+    _, res, config = _record(src, bp=3)
+    t = res.trace
+    regs = [(r, d) for r, d in t.reg_snapshots if str(r) != "s2"]
+    assert len(regs) == 2
+    with pytest.raises(ReplayDivergence) as exc:
+        replay(ExecutionTrace(t.header, regs, t.mem_snapshots, t.instr_stream),
+               config)
+    assert str(exc.value).endswith(
+        "DMA_ISSUE at pc 3 reads s2, which no snapshot and no in-window "
+        "producer defines, so it cannot locate hbm[s0+s2]")
 
 
 def test_replay_config_hash_gate():
