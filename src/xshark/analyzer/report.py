@@ -41,12 +41,12 @@ def write_report(outdir: str,
             fh.write(render_dma_timeline(dma_records, backtails))
         written.append(path)
     if utilization is not None:
-        doc["utilization"] = {u: s.to_json() for u, s in sorted(utilization.items())}
+        doc["utilization"] = section = {}
         for unit, series in sorted(utilization.items()):
             path = os.path.join(outdir, f"util_{unit.lower()}.csv")
-            with open(path, "w", newline="") as fh:   # csv.writer's bytes
-                fh.write("bucket_start_cycle,busy_fraction\r\n")
-                fh.writelines(map("%d,%.6f\r\n".__mod__, series.samples))
+            section[unit] = {"unit": series.unit, "bucket_width": series.bucket_width,
+                             "samples": _Samples(series, path),
+                             "annotations": series.annotations}
             written.append(path)
     if vmem is not None:
         doc["vmem"] = vmem.to_json()
@@ -74,16 +74,51 @@ def write_report(outdir: str,
 
 # report.json is the text of json.dump(doc, fh, indent=1, sort_keys=True).
 # That encoder holds the whole text in memory or spends a generator step per
-# token, so a dict is written key by key, a list of equally shaped rows of
-# scalars (utilization samples and annotations, VMEM bucket rows, graph
-# edges) goes out as one %-format string per batch of about _BATCH values,
-# and any other value is its own json.dumps text.
+# token, so a dict is written key by key, a utilization series' samples go
+# out run by run (_Samples), a list of equally shaped rows of scalars
+# (utilization annotations, VMEM bucket rows, graph edges) as one %-format
+# string per batch of about _BATCH values, and any other value as its own
+# json.dumps text.
 _BATCH = 1000
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _STR = frozenset({str})
 _DICT = frozenset({dict})
 _SEQUENCES = frozenset({list, tuple})
 _INT = frozenset({int})
+
+
+class _Samples:
+    """The samples of `series` as report.json rows [cycle, fraction], written
+    run by run, and to the series' CSV file at `path` alongside. Each
+    fraction is formatted once for each file, and a run's cycles' text, at
+    most _BATCH cycles at a time, is joined between constant pieces for
+    both."""
+
+    def __init__(self, series: UtilizationSeries, path: str):
+        self.series, self.path = series, path
+
+    def write(self, fh, nl: str) -> None:
+        runs, w = self.series.runs, self.series.bucket_width
+        row, cell = nl + " ", nl + "  "
+        lead, later, step = "[" + row + "[" + cell, "," + row + "[" + cell, w * _BATCH
+        pieces = {}     # fraction -> (JSON row separator, JSON row end, CSV row end)
+        with open(self.path, "w", newline="") as csv:   # csv.writer's bytes
+            csv.write("bucket_start_cycle,busy_fraction\r\n")
+            for a, b, f in runs:
+                if f not in pieces:
+                    end = "," + cell + repr(round(f, 6)) + row + "]"
+                    pieces[f] = end + later, end, ",%.6f\r\n" % f
+                json_sep, json_end, csv_end = pieces[f]
+                while a < b:
+                    c = min(b, a + step)
+                    cycles = list(map(str, range(a, c, w)))
+                    fh.write(lead)
+                    fh.write(json_sep.join(cycles))
+                    fh.write(json_end)
+                    csv.write(csv_end.join(cycles))
+                    csv.write(csv_end)
+                    lead, a = later, c
+        fh.write(nl + "]" if runs else "[]")
 
 
 def _scalar(v):
@@ -123,6 +158,9 @@ def _table(rows, nl: str):
 def _write_json(fh, value, nl: str) -> None:
     """Writes the text of json.dumps(value, indent=1, sort_keys=True) to fh;
     `nl` is the newline and indent of value's own line."""
+    if type(value) is _Samples:
+        value.write(fh, nl)
+        return
     inner = nl + " "
     if type(value) is dict and value:
         if not _STR.issuperset(map(type, value)):

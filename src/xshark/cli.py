@@ -32,9 +32,9 @@ _LIBRARY = {name: (module, name) for module, names in (
     ("debugger", "Breakpoint"),
     ("recorder", "TraceError read_trace record write_trace"),
     ("replayer", "ReplayDivergence replay"),
-    ("analyzer", "AnalysisError Suggestion analyze_dma analyze_utilization "
-                 "analyze_vmem apply_and_verify build_dependency_graph "
-                 "compute_backtails write_report"),
+    ("analyzer", "AnalysisError MAX_SAMPLES Suggestion analyze_dma "
+                 "analyze_utilization analyze_vmem apply_and_verify "
+                 "build_dependency_graph compute_backtails write_report"),
 ) for name in names.split()}
 _LIBRARY["make_suggestions"] = ("analyzer", "suggest")
 
@@ -251,9 +251,9 @@ def cmd_analyze(args, config):
 
 def cmd_suggest(args, config):
     (read_trace, analyze_dma, analyze_vmem, build_dependency_graph,
-     make_suggestions) = _library(
+     make_suggestions, MAX_SAMPLES) = _library(
         "read_trace", "analyze_dma", "analyze_vmem", "build_dependency_graph",
-        "make_suggestions")
+        "make_suggestions", "MAX_SAMPLES")
     trace = read_trace(args.trace, expected_config_hash=config.config_hash())
     events, _ = _read_events(args.events)
     _loaded()
@@ -263,7 +263,10 @@ def cmd_suggest(args, config):
         raise CliError("EVENTS_TRACE_MISMATCH",
                        f"event log covers {graph.n} instructions, trace has "
                        f"{len(trace.instr_stream)}")
-    vmem = analyze_vmem(events, capacity=config.vmem_capacity)
+    # every 64 cycles, or as often as MAX_SAMPLES samples allow
+    end = max((ev.cycle for ev in events), default=0)
+    vmem = analyze_vmem(events, max(64, end // MAX_SAMPLES + 1),
+                        config.vmem_capacity)
     suggestions = make_suggestions(records, graph, vmem)
     _write_suggestions(args.output, suggestions)
     stalled = sum(1 for r in records if r.stall_total > 0)

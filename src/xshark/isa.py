@@ -163,10 +163,17 @@ class MemRegion:
 
     @staticmethod
     def from_json(d) -> "MemRegion":
-        """A region object; its offset and len are ints, never bools."""
+        """A region object of exactly the keys space, offset and len; its
+        offset and len are ints, never bools."""
+        if d.keys() != _REGION_KEYS:
+            raise ValueError(f"a region has exactly the keys space, offset "
+                             f"and len: {d!r}")
         if type(d["offset"]) is not int or type(d["len"]) is not int:
             raise ValueError(f"region offset and len must be integers: {d!r}")
         return MemRegion(MemSpace(d["space"]), d["offset"], d["len"])
+
+
+_REGION_KEYS = frozenset(("space", "offset", "len"))
 
 
 class Opcode(IntEnum):

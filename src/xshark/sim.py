@@ -203,6 +203,8 @@ _FIELD_VALUES = {"unit": frozenset(u.value for u in Unit),
 # of its dma_id
 _DMA_ENGINE_KINDS = frozenset({DMA_BASE_DONE, DMA_TRANSFER_START, DMA_COMPLETE})
 _DMA_WAIT = Opcode.DMA_WAIT.name
+# the opcodes whose issue, unless annulled, carries its slot and dma_id
+_DMA_OPS = frozenset({Opcode.DMA_ISSUE.name, _DMA_WAIT})
 
 
 _CMP_OPS = tuple(getattr(operator, mode) for mode in CMP_MODES)   # by S_CMP mode
@@ -329,6 +331,10 @@ def events_from_jsonl(text: str):
                 if ev.idx != issues:
                     raise ValueError(f"instr_issue idx {ev.idx} is not {issues}")
                 issues += 1
+                if (ev.opcode in _DMA_OPS and not ev.annulled
+                        and (ev.slot is None or ev.dma_id is None)):
+                    raise ValueError(f"{ev.opcode} instr_issue lacks its slot "
+                                     "or dma_id")
             elif ev.idx is not None and ev.idx > issues:
                 raise ValueError(f"idx {ev.idx} is past the next instr_issue")
             if kind == DMA_ISSUE_EV:

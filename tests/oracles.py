@@ -14,6 +14,9 @@ These deliberately avoid the production code paths they validate:
                         per sample
   events_from_jsonl     the earlier event-log reader: json.loads per line,
                         then each field's rule of docs/events.md in turn
+  analyze_utilization   the earlier per-bucket utilization: a fraction list
+                        per unit filled interval by interval, and its
+                        report.json section and CSV text, one row per bucket
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from xshark.isa import (DEFAULT_VMEM_CAPACITY, DMA_DIR_NAMES, ISA_VERSION,
                         PAGE_BYTES, REGISTER_NAMES, VMEM_BUCKETS, Fault,
                         MemRegion, MemSpace, Opcode, Unit, instruction_io_sets)
 from xshark.recorder import ExecutionTrace, TraceHeader
-from xshark.sim import EVENT_FIELDS, MEM_READ, MEM_WRITE, PerfEvent
+from xshark.sim import (DMA_COMPLETE, EVENT_FIELDS, MEM_READ, MEM_WRITE,
+                        UNIT_BUSY, PerfEvent)
 
 
 # --------------------------------------------------------------- dma oracle
@@ -351,6 +355,8 @@ def _event_from_json(d: dict) -> PerfEvent:
     ev = PerfEvent(**d)
     for name in ("region", "src_region", "dst_region"):
         if name in d:
+            if sorted(d[name]) != ["len", "offset", "space"]:
+                raise ValueError(f"event field {name!r} has the wrong keys")
             setattr(ev, name, MemRegion.from_json(d[name]))
     return ev
 
@@ -373,6 +379,9 @@ def events_from_jsonl(text: str):
                 if ev.idx != issues:
                     raise ValueError("instr_issue out of order")
                 issues += 1
+                if (ev.opcode in ("DMA_ISSUE", "DMA_WAIT") and not ev.annulled
+                        and None in (ev.slot, ev.dma_id)):
+                    raise ValueError("DMA op without its slot or dma_id")
             elif ev.idx is not None and ev.idx > issues:
                 raise ValueError("idx past the next instr_issue")
             if ev.kind == "dma_issue":
@@ -386,3 +395,55 @@ def events_from_jsonl(text: str):
             Fault) as e:
         raise ValueError(f"bad event line {line[:80]!r}: {e!r}") from None
     return events, summary
+
+
+# ------------------------------------------------- per-bucket utilization
+
+@dataclass
+class OracleUtilization:
+    unit: str
+    bucket_width: int
+    samples: List[Tuple[int, float]]            # (bucket start cycle, busy fraction)
+    annotations: List[Tuple[int, int]] = field(default_factory=list)
+
+    def to_json(self):
+        """The series' value in the `utilization` section of report.json."""
+        return {"unit": self.unit, "bucket_width": self.bucket_width,
+                "samples": [[c, round(f, 6)] for c, f in self.samples],
+                "annotations": self.annotations}
+
+    def to_csv(self) -> str:
+        """The text of the series' util_<unit>.csv."""
+        return "bucket_start_cycle,busy_fraction\r\n" + "".join(
+            "%d,%.6f\r\n" % s for s in self.samples)
+
+
+def analyze_utilization(events: List[PerfEvent],
+                        bucket_width: int = 1) -> Dict[str, OracleUtilization]:
+    """Per unit, a fraction per bucket up to the last cycle or `until` of
+    the log; each busy interval [s, e), in log order, adds (hi - lo) /
+    bucket_width to every bucket [lo, hi) it meets."""
+    busy: Dict[str, List[Tuple[int, int]]] = {u.value: [] for u in Unit}
+    completions, end = [], 0
+    for ev in events:
+        end = max(end, ev.cycle)
+        if ev.kind == UNIT_BUSY:
+            busy[ev.unit].append((ev.cycle, ev.until))
+            end = max(end, ev.until)
+        elif ev.kind == DMA_COMPLETE:
+            completions.append((ev.cycle, ev.dma_id))
+    n_buckets = max(1, -(-end // bucket_width)) if end else 0
+    out = {}
+    for unit, intervals in busy.items():
+        frac = [0.0] * n_buckets
+        for s, e in intervals:
+            b = s // bucket_width
+            while b < n_buckets and b * bucket_width < e:
+                lo = max(s, b * bucket_width)
+                hi = min(e, (b + 1) * bucket_width)
+                frac[b] += (hi - lo) / bucket_width
+                b += 1
+        out[unit] = OracleUtilization(
+            unit, bucket_width, [(b * bucket_width, frac[b]) for b in range(n_buckets)],
+            completions if unit == Unit.MXU.value else [])
+    return out

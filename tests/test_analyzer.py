@@ -1,21 +1,26 @@
 """Analyzer passes against spec examples and the independent oracles."""
 
+import dataclasses
+import json
+import os
 import re
+import tempfile
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xshark.debugger import Breakpoint
-from xshark.isa import PAGE_BYTES, VMEM_BUCKETS, MemRegion, MemSpace
+from xshark.isa import PAGE_BYTES, VMEM_BUCKETS, MemRegion, MemSpace, Unit
 from xshark.recorder import record
 from xshark.replayer import replay
-from xshark.sim import (INSTR_RETIRE, MEM_READ, MEM_WRITE, PerfEvent,
-                        RecordingTracker, SimConfig)
+from xshark.sim import (DMA_COMPLETE, INSTR_RETIRE, MEM_READ, MEM_WRITE,
+                        UNIT_BUSY, PerfEvent, RecordingTracker, SimConfig)
 from xshark.analyzer import (AnalysisError, analyze_dma, analyze_utilization,
                              analyze_vmem, apply_and_verify,
                              build_dependency_graph, compute_backtails,
-                             suggest)
+                             suggest, write_report)
 from xshark.analyzer import utilization as utilization_module
 from xshark.analyzer import vmem as vmem_module
 from xshark.analyzer.deps import RELAXED_CHAIN_CAP
@@ -25,6 +30,7 @@ from xshark.workloads import (gen_allgather_kernel, gen_checkerboard_kernel,
                               gen_random_kernel, gen_starvation_kernel)
 
 from helpers import asm_run, asm_session
+from oracles import analyze_utilization as util_oracle
 from oracles import analyze_vmem as vmem_oracle
 from oracles import bruteforce_dep_oracle, dma_oracle
 
@@ -158,6 +164,87 @@ def test_busy_fraction_bucketized():
             assert all(0.0 <= f <= 1.0 for _, f in series.samples)
             starts = [c for c, _ in series.samples]
             assert starts == list(range(0, starts[-1] + 1, width))
+
+
+def _busy(cycle, until, unit="MXU"):
+    return PerfEvent(cycle, UNIT_BUSY, pc=0, idx=0, unit=unit, until=until)
+
+
+@st.composite
+def _busy_logs(draw):
+    """unit_busy events, mostly MXU, that overlap, touch the previous one,
+    have zero length or end before they start, some running past the last
+    event, shuffled among dma_complete events; and a bucket width."""
+    busy, until = [], 0
+    for _ in range(draw(st.integers(0, 24))):
+        unit = draw(st.sampled_from(["MXU"] * 4 + [u.value for u in Unit]))
+        start = draw(st.one_of(st.just(until), st.integers(0, 300)))
+        length = draw(st.one_of(st.just(0), st.integers(1, 40),
+                                st.integers(150, 600), st.integers(-30, -1)))
+        until = max(0, start + length)
+        busy.append(_busy(start, until, unit))
+    done = draw(st.lists(st.builds(PerfEvent, st.integers(0, 400),
+                                   st.just(DMA_COMPLETE), dma_id=st.integers(0, 9)),
+                         max_size=6))
+    return draw(st.permutations(busy + done)), draw(st.integers(1, 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_busy_logs())
+@example(([], 1))
+@example(([_busy(2, 5), _busy(0, 3), _busy(0, 3), _busy(1, 3)], 3))
+@example(([_busy(3, 2600), _busy(10, 20), _busy(2599, 2601, "DMA")], 1))
+@example(([_busy(3, 6200), _busy(7, 11), _busy(2599, 2601, "DMA")], 3))
+def test_utilization_matches_the_per_bucket_oracle(case):
+    """The runs expand to the oracle's samples bit for bit, neighbouring
+    runs differ in fraction, and the report's utilization section and CSVs
+    are the oracle writer's bytes. In the first example below the empty
+    log, bucket 0 sums 1/3 + 1 + 1 + 2/3 in log order, which is not 3.0;
+    the last two hold runs longer than the writer's batch."""
+    events, width = case
+    series, want = analyze_utilization(events, width), util_oracle(events, width)
+    assert series.keys() == want.keys()
+    for unit, s in series.items():
+        assert ([(c, f.hex()) for c, f in s.samples]
+                == [(c, f.hex()) for c, f in want[unit].samples]), unit
+        assert s.annotations == want[unit].annotations
+        assert all(a[1] == b[0] and a[2] != b[2]       # neighbours differ
+                   for a, b in zip(s.runs, s.runs[1:])), unit
+    with tempfile.TemporaryDirectory() as out:
+        write_report(out, utilization=series)
+        files = {"report.json": json.dumps(
+            {"utilization": {u: o.to_json() for u, o in want.items()}},
+            indent=1, sort_keys=True)}
+        files.update((f"util_{u.lower()}.csv", o.to_csv()) for u, o in want.items())
+        for name, text in files.items():
+            with open(os.path.join(out, name), newline="") as fh:
+                difference = _first_difference(fh.read(), text)
+            assert difference is None, (name, difference)
+
+
+def _first_difference(got: str, want: str):
+    """None when the texts are equal, else the first line (number, got,
+    want) where they differ: a short failure message where pytest's diff
+    of two long texts would take minutes."""
+    if got == want:
+        return None
+    pairs = enumerate(zip_longest(got.splitlines(True), want.splitlines(True)))
+    return next((n, a, b) for n, (a, b) in pairs if a != b)
+
+
+def test_utilization_runs_follow_the_events_not_the_cycles():
+    """One unit_busy stretched to cycle 240,000 makes a 240,000-sample
+    series, yet each unit's series holds at most two runs per busy interval
+    and one more."""
+    _, _, tracker = asm_run(gen_starvation_kernel(tiles=4, prefetch_depth=1))
+    events = list(tracker.events)
+    i = next(i for i, ev in enumerate(events) if ev.kind == UNIT_BUSY)
+    events[i] = dataclasses.replace(events[i], until=240_000)
+    series = analyze_utilization(events)
+    for unit, s in series.items():
+        intervals = sum(ev.kind == UNIT_BUSY and ev.unit == unit for ev in events)
+        assert len(s.runs) <= 2 * intervals + 1, unit
+    assert len(series[events[i].unit].samples) == 240_000
 
 
 # ------------------------------------------------------------------- VMEM

@@ -1,14 +1,19 @@
 """CLI pipeline: asm -> run/record -> replay -> analyze -> suggest -> apply
 -> compare, exit codes and error codes."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xshark.cli import main
 from xshark.workloads import gen_checkerboard_kernel, gen_starvation_kernel
@@ -406,6 +411,9 @@ MALFORMED_INPUTS = {
     "events-wait-never-issued": (_edited_event("instr_issue", "dma_id", 999,
                                                "DMA_WAIT"),
                                  _ANALYZE, "EVENTS_INVALID", 1),
+    "events-dma-issue-op-no-dma-id": (
+        _edited_event("instr_issue", "dma_id", _DROP, "DMA_ISSUE"),
+        _ANALYZE, "EVENTS_INVALID", 1),
     "events-dma-issue-no-src-region": (_edited_event("dma_issue", "src_region", _DROP),
                                        _ANALYZE, "EVENTS_INVALID", 1),
     "events-mem-write-no-region": (_edited_event("mem_write", "region", _DROP),
@@ -439,6 +447,13 @@ MALFORMED_INPUTS = {
         _edited_event("mem_write", "region",
                       {"len": True, "offset": 1024, "space": "vmem"}),
         _ANALYZE, "EVENTS_INVALID", 1),
+    "events-region-extra-key": (
+        _edited_event("mem_read", "region",
+                      {"bogus": [1], "len": 64, "offset": 0, "space": "vmem"}),
+        _ANALYZE, "EVENTS_INVALID", 1),
+    "trace-mem-snapshot-extra-key": (
+        _first_mem_snapshot(lambda m, data: [{**m, "bogus": [1]}, data]),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
     "trace-mem-snapshot-offset-float": (
         _first_mem_snapshot(lambda m, data: [{**m, "offset": 1024.5}, data]),
         ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
@@ -451,9 +466,6 @@ MALFORMED_INPUTS = {
                             ["compare", "{f}", "{events}"], "EVENTS_INVALID", 1),
     "events-slow-dma-too-many-samples": (_log_of_slow_dma, _ANALYZE,
                                          "ANALYSIS_ERROR", 2),
-    "events-retire-late-suggest": (
-        _replay_log_ending_late, ["suggest", "{trace}", "{f}", "-o", "{ws}/s.json"],
-        "ANALYSIS_ERROR", 2),
     "events-unit-busy-until-huge": (_edited_event("unit_busy", "until", 10 ** 9),
                                     _ANALYZE, "ANALYSIS_ERROR", 2),
     "record-fault-in-fast-forward": (
@@ -482,6 +494,25 @@ def test_malformed_input_is_one_code_line(ws, capsys, content, argv, want,
     assert [ln.split()[0] for ln in err.splitlines()
             if ln.startswith("code:")] == [f"code:{want}"]
     assert "Traceback" not in err
+
+
+def test_suggest_samples_a_log_ending_late_more_coarsely(ws, capsys):
+    """A replay log whose last event is at cycle 10**9 is sampled every
+    4,001 cycles, the smallest interval of 64 or more that keeps the VMEM
+    series within MAX_SAMPLES, and gets the suggestions of the log it was
+    made from."""
+    prog, trace = ws / "prog.json", ws / "win.trace"
+    assert _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)[0] == 0
+    assert _run(capsys, "record", prog, "--break", "0", "--count", "50",
+                "-o", trace)[0] == 0
+    # writes the trace's replay log to late.jsonl, then edits a copy of it
+    (ws / "ending_late.jsonl").write_bytes(_replay_log_ending_late(ws))
+    for log in ("late", "ending_late"):
+        code, _, err = _run(capsys, "suggest", trace, ws / f"{log}.jsonl",
+                            "-o", ws / f"{log}.json")
+        assert (code, err) == (0, "")
+    suggestions = json.loads((ws / "ending_late.json").read_text())
+    assert suggestions and suggestions == json.loads((ws / "late.json").read_text())
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -522,6 +553,70 @@ def test_main_leaves_the_collector_as_it_found_it(ws, capsys, monkeypatch,
         real["unfreeze"]()
         if was_enabled:
             gc.enable()
+
+
+@pytest.fixture(scope="module")
+def replayed(tmp_path_factory):
+    """The trace of the whole run of a 2-tile starvation kernel and the lines
+    of its replay log."""
+    ws = tmp_path_factory.mktemp("replayed")
+    (ws / "k.xasm").write_text(gen_starvation_kernel(tiles=2, prefetch_depth=1))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["asm", "k.xasm", "-o", "k.json"],
+                     ["record", "k.json", "--break", "0", "--count", "100000",
+                      "-o", "k.trace"],
+                     ["replay", "k.trace", "-o", "k.jsonl"]):
+            assert main([str(ws / a) if a.startswith("k.") else a
+                         for a in argv]) == 0
+    return ws / "k.trace", (ws / "k.jsonl").read_text().splitlines()
+
+
+# what a mutation may put into a field: cycles near and far past the log's
+# end, the edges of every JSON type, and region objects with one part wrong
+_MUTATED_VALUES = st.one_of(
+    st.integers(0, 3000), st.integers(-5, -1),
+    st.sampled_from([10 ** 6, 17_000_000, 10 ** 9, 10 ** 12, 2 ** 63, 2 ** 70]),
+    st.sampled_from([None, True, False, 1.5, "", "x", "MXU", "DMA_WAIT",
+                     "summary", "hbm>vmem", "s0", [], {}, [1]]),
+    st.fixed_dictionaries({"space": st.sampled_from(["vmem", "hbm", "x"]),
+                           "offset": st.integers(-1, 3 * 2 ** 21),
+                           "len": st.integers(-1, 4096)},
+                          optional={"bogus": st.just([1])}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_mutated_log_through_analyze_and_suggest(replayed, data):
+    """A replay log with one field of one line set to another value or
+    deleted, `cycle`, `until` and `size` included, either succeeds in
+    `analyze` and `suggest` or ends in one `code:` line with exit 1 or 2,
+    never in a traceback."""
+    trace, lines = replayed
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1), "line")
+    doc = json.loads(lines[i])
+    name = data.draw(st.sampled_from(sorted(doc)), "field")
+    if data.draw(st.booleans(), "drop"):
+        del doc[name]
+    else:
+        doc[name] = data.draw(_MUTATED_VALUES, "value")
+    lines[i] = json.dumps(doc, sort_keys=True)
+    with tempfile.TemporaryDirectory() as ws:
+        log = os.path.join(ws, "mutated.jsonl")
+        with open(log, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for argv in (["analyze", log, "-o", os.path.join(ws, "r")],
+                     ["suggest", str(trace), log, "-o", os.path.join(ws, "s.json")]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            err = err.getvalue()
+            assert "Traceback" not in err
+            if code:
+                assert code in (1, 2)
+                assert len(err.splitlines()) == 1 and err.startswith("code:"), err
+            else:
+                assert err == ""
 
 
 def test_vdata_past_vmem_capacity_is_mem_oob(ws, capsys):

@@ -198,13 +198,18 @@ _ENGINE_KINDS = {"dma_base_done", "dma_transfer_start", "dma_complete"}
 def _valid_events(draw):
     """A list of events that satisfies every rule of docs/events.md: each
     kind with its required fields and some of its optional ones, valid
-    values, and the reference rules of `idx` and `dma_id`."""
+    values, and the reference rules of `idx`, `dma_id` and a DMA op's
+    `slot`."""
     events, issues, issued = [], 0, []
     for _ in range(draw(st.integers(0, 25))):
         kind = draw(st.sampled_from(sorted(EVENT_FIELDS)))
         required, optional = EVENT_FIELDS[kind]
         names = required.split() + [n for n in optional.split() if draw(st.booleans())]
         values = {n: draw(_VALID_VALUES[n]) for n in names}
+        if (values.get("opcode") in ("DMA_ISSUE", "DMA_WAIT")
+                and not values.get("annulled")):
+            for n in ("slot", "dma_id"):
+                values.setdefault(n, draw(_VALID_VALUES[n]))
         if kind in _ENGINE_KINDS or (values.get("opcode") == "DMA_WAIT"
                                      and not values.get("annulled")):
             if not issued:
