@@ -14,7 +14,7 @@ import os
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Dict, List, Optional
 
 from .deps import Backtail, DependencyGraph
@@ -177,12 +177,28 @@ def _write_json(fh, value, nl: str) -> None:
         fh.write(json.dumps(value, indent=1, sort_keys=True).replace("\n", nl))
         return
     row, get, n = table
-    step, sep, lead = max(1, _BATCH // n), "," + inner, "[" + inner
+    sep = "," + inner
+    if any(map(is_, value[1:], value)):
+        # a row object that repeats the one before it (VMEM bucket rows of
+        # samples that added no page) repeats that row's text
+        texts, prev = [], None
+        for r in value:
+            if r is not prev:
+                text, prev = _filled(row, (r,), get), r
+            texts.append(text)
+        fh.write("[" + inner + sep.join(texts) + nl + "]")
+        return
+    step, lead = max(1, _BATCH // n), "[" + inner
     for i in range(0, len(value), step):
         part = value[i:i + step]
-        values = tuple(chain.from_iterable(map(get, part)))
-        if not _INT.issuperset(map(type, values)):
-            values = tuple(map(_scalar, values))
-        fh.write(lead + sep.join([row] * len(part)) % values)
+        fh.write(lead + _filled(sep.join([row] * len(part)), part, get))
         lead = sep
     fh.write(nl + "]")
+
+
+def _filled(fmt: str, rows, get) -> str:
+    """`fmt` filled with the scalars of `rows`, each row's in `get` order."""
+    values = tuple(chain.from_iterable(map(get, rows)))
+    if not _INT.issuperset(map(type, values)):
+        values = tuple(map(_scalar, values))
+    return fmt % values

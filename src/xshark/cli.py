@@ -72,7 +72,7 @@ def _load_config(path):
             return SimConfig.from_json(json.load(fh))
     except FileNotFoundError:
         raise CliError("CONFIG_NOT_FOUND", f"config file {path!r} missing", 1)
-    except (json.JSONDecodeError, ValueError) as e:
+    except (ValueError, RecursionError) as e:      # bad JSON is a ValueError
         raise CliError("CONFIG_INVALID", f"bad config {path!r}: {e}", 1)
 
 
@@ -124,7 +124,7 @@ def _read_suggestions(path):
         if not isinstance(doc, list):
             raise ValueError("expected a JSON list of suggestions")
         return [Suggestion.from_json(d) for d in doc]
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise CliError("SUGGESTIONS_INVALID", f"bad suggestions {path!r}: {e}", 1)
 
 

@@ -388,6 +388,16 @@ def decode_instruction(raw: bytes) -> Instruction:
     return Instruction(opcode, dsts, srcs, imms, _dec_reg(pred_b), form)
 
 
+def decode_shared(raw: bytes, decoded: dict) -> Instruction:
+    """decode_instruction(raw) through `decoded`, the records a stream has
+    decoded so far: each distinct record is decoded once, and its (frozen)
+    Instruction is shared by every record equal to it."""
+    instr = decoded.get(raw)
+    if instr is None:
+        instr = decoded[raw] = decode_instruction(raw)
+    return instr
+
+
 @dataclass(frozen=True)
 class Program:
     """Decoded instruction stream. Branch targets are instruction indices."""
@@ -415,7 +425,8 @@ class Program:
     def from_bytes(raw: bytes, entry_pc: int = 0) -> "Program":
         if len(raw) % INSTR_BYTES:
             raise EncodingError("program byte length not a multiple of 16")
-        instrs = tuple(decode_instruction(raw[i:i + INSTR_BYTES])
+        decoded = {}
+        instrs = tuple(decode_shared(raw[i:i + INSTR_BYTES], decoded)
                        for i in range(0, len(raw), INSTR_BYTES))
         return Program(instrs, entry_pc)
 

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 from .debugger import Breakpoint
 from .isa import (INSTR_BYTES, ISA_VERSION, EncodingError, Fault, Instruction,
-                  MemRegion, MemSpace, RegClass, RegisterId, decode_instruction,
+                  MemRegion, MemSpace, RegClass, RegisterId, decode_shared,
                   encode_instruction, instruction_io_sets)
 from .sim import Simulator
 from .window import Footprint, WindowLedger
@@ -314,9 +314,7 @@ def _decode_stream(records) -> List[Tuple[int, Instruction]]:
         try:
             if type(pc) is not int:
                 raise EncodingError(f"pc {pc!r} is not an integer")
-            if raw not in decoded:
-                decoded[raw] = decode_instruction(raw)
-            stream.append((pc, decoded[raw]))
+            stream.append((pc, decode_shared(raw, decoded)))
         except EncodingError as e:
             raise TraceError("TRACE_FORMAT",
                              f"instruction record {i} does not decode: {e}") from None
@@ -332,9 +330,10 @@ def read_trace(source: str, expected_config_hash: Optional[str] = None) -> Execu
         else:
             trace = _trace_from_json(blob.decode())
     except (ValueError, LookupError, TypeError, AttributeError, struct.error,
-            Fault) as e:
-        # undecodable text, bad JSON/base64/hex, missing fields, short
-        # binary records, bad register bytes, empty regions
+            RecursionError, Fault) as e:
+        # undecodable text, bad JSON/base64/hex, nesting too deep to decode,
+        # missing fields, short binary records, bad register bytes, empty
+        # regions
         raise TraceError("TRACE_FORMAT", f"malformed trace: {e!r}") from None
     if expected_config_hash is not None:
         trace.check_config_hash(expected_config_hash)

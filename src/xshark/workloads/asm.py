@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..isa import (CMP_MODES, DMA_DIR_NAMES, FORMS, IMM_KINDS, ISA_VERSION,
-                   REG_KINDS, EncodingError, Instruction, MemRegion, MemSpace,
-                   Program, RegClass, RegisterId)
+                   REG_KINDS, REGISTER_NAMES, SCALAR_REGS, EncodingError,
+                   Instruction, MemRegion, MemSpace, Program, RegClass,
+                   RegisterId)
 
 _DIRECTIONS = {name: d for d, name in DMA_DIR_NAMES.items()}
 _OPCODES = {op.name.lower(): op for op in FORMS}
@@ -78,9 +79,15 @@ def _parse_reg(tok: str, line: int, col: int, want: RegClass) -> RegisterId:
 
 
 def assemble(source: str) -> AssembledKernel:
-    """Deterministic two-pass assembly; diagnostics carry line and column."""
+    """Deterministic two-pass assembly; diagnostics carry line and column.
+
+    Labels are fixed after pass 1, so an instruction's text alone decides
+    it: pass 2 builds one Instruction per distinct text, at its first line,
+    and every later line of that text shares it (an Instruction is frozen).
+    """
     labels: Dict[str, int] = {}
-    pending: List[tuple] = []          # (line, col, mnemonic, operands, guard)
+    texts: List[str] = []              # each instruction line's text, in order
+    first: Dict[str, tuple] = {}       # text -> (line, col, mnemonic, operands, guard)
     hbm_image: List[Tuple[int, bytes]] = []
     vmem_image: List[Tuple[int, bytes]] = []
     opened: List[Tuple[str, int]] = []          # (region name, start)
@@ -90,7 +97,7 @@ def assemble(source: str) -> AssembledKernel:
         line = raw_line
         hlo = ";;" in line and _HLO_RE.match(line)
         if hlo:
-            opened.append((hlo.group(1), len(pending)))
+            opened.append((hlo.group(1), len(texts)))
             continue
         if ";" in line:
             line = line[:line.index(";")]
@@ -99,12 +106,12 @@ def assemble(source: str) -> AssembledKernel:
             continue
         col = raw_line.index(line) + 1             # where the text starts
 
-        m = _LABEL_RE.match(line)
+        m = ":" in line and _LABEL_RE.match(line)
         if m:
             name = m.group(1)
             if name in labels:
                 raise AsmError(lineno, 1, f"duplicate label {name!r}")
-            labels[name] = len(pending)
+            labels[name] = len(texts)
             rest = line[m.end():]
             line = rest.strip()
             if not line:
@@ -138,20 +145,25 @@ def assemble(source: str) -> AssembledKernel:
                 continue
             raise AsmError(lineno, col, f"unknown directive {directive}")
 
-        pred = None
+        texts.append(line)
+        if line in first:
+            continue
+        text, pred = line, None
         if line.startswith("@"):
             ptok, _, line = line.partition(" ")
             pred = _parse_reg(ptok[1:], lineno, col, RegClass.PREDICATE)
             line = line.strip()
         toks = line.split(None, 1)
         ops = [o.strip() for o in toks[1].split(",")] if len(toks) > 1 else []
-        pending.append((lineno, col, toks[0].lower(), ops, pred))
+        first[text] = (lineno, col, toks[0].lower(), ops, pred)
 
     # a region ends where the next opens; one that holds no instruction is dropped
-    ends = [start for _, start in opened[1:]] + [len(pending)]
+    n = len(texts)
+    ends = [start for _, start in opened[1:]] + [n]
     regions = [(name, start, end) for (name, start), end in zip(opened, ends)
                if end > start]
-    instructions = [_build(*ent, labels, len(pending)) for ent in pending]
+    # in order of first lines, so the first bad line is the one reported
+    built = {text: _build(*ent, labels, n) for text, ent in first.items()}
     entry_pc = 0
     if entry_label is not None:
         name, lineno = entry_label
@@ -159,11 +171,11 @@ def assemble(source: str) -> AssembledKernel:
             raise AsmError(lineno, 1, f"entry label {name!r} undefined")
         entry_pc = labels[name]
     # _target and the entry check keep Program's bounds checks from firing
-    return AssembledKernel(Program(tuple(instructions), entry_pc), hbm_image,
-                           vmem_image, labels, regions)
+    return AssembledKernel(Program(tuple(map(built.__getitem__, texts)), entry_pc),
+                           hbm_image, vmem_image, labels, regions)
 
 
-def _target(tok: str, labels, n: int, line: int, col: int) -> int:
+def _target(tok: str, line: int, col: int, labels, n: int) -> int:
     if tok[:1].isdigit() or tok[:1] == "-":
         t = _num(tok, line, col)
     elif tok in labels:
@@ -175,40 +187,70 @@ def _target(tok: str, labels, n: int, line: int, col: int) -> int:
     return t
 
 
+def _mem(tok: str, line: int, col: int, *_) -> RegisterId:
+    mm = _MEM_RE.match(tok)
+    if not mm:
+        raise AsmError(line, col, f"expected [sN] operand, got {tok!r}")
+    return _parse_reg(mm.group(1), line, col, RegClass.SCALAR)
+
+
+def _mode(tok: str, line: int, col: int, *_) -> int:
+    if tok.lower() in CMP_MODES:
+        return CMP_MODES.index(tok.lower())
+    return _num(tok, line, col)
+
+
+def _direction(tok: str, line: int, col: int, *_) -> int:
+    raise AsmError(line, col, f"unknown DMA direction {tok!r}")
+
+
+_FIELDS = ("dst", "src", "imm")      # the Instruction fields, by reader slot
+
+
+def _reader(kind: str) -> tuple:
+    """How an operand of `kind` is read: (the slot in _FIELDS of the field
+    it fills, a table of its usual spellings, the rule for any other token).
+    The rule returns the value of a spelling the table lacks (`EQ`,
+    `[ s3 ]`, any number) or raises the token's AsmError."""
+    if kind == "[s]":
+        return 1, {f"[s{i}]": RegisterId.parse(f"s{i}") for i in range(SCALAR_REGS)}, _mem
+    if kind in REG_KINDS:
+        field_name, cls = REG_KINDS[kind]
+        names = {r.name: r for r in map(RegisterId.parse, REGISTER_NAMES) if r.cls is cls}
+        return _FIELDS.index(field_name), names, \
+            lambda tok, line, col, *_: _parse_reg(tok, line, col, cls)
+    if kind == "mode":
+        return 2, {mode: i for i, mode in enumerate(CMP_MODES)}, _mode
+    if kind == "dir":
+        return 2, _DIRECTIONS, _direction
+    return 2, {}, (_target if kind == "target" else
+                   lambda tok, line, col, *_: _num(tok, line, col))
+
+
+# (mnemonic, operand count) -> (opcode, form, one reader per operand)
+_PLANS = {(name, len(form.operands)): (op, form, tuple(_reader(k) for _, k in form.operands))
+          for name, op in _OPCODES.items() for form in FORMS[op]}
+
+
 def _build(line: int, col: int, m: str, ops: list, pred, labels, n: int) -> Instruction:
     """One instruction from its mnemonic and operand texts, read by the
-    opcode's forms in isa.OPCODES."""
-    op = _OPCODES.get(m)
-    if op is None:
-        raise AsmError(line, col, f"unknown mnemonic {m!r}")
-    forms = FORMS[op]
-    form = next((f for f in forms if len(f.operands) == len(ops)), None)
-    if form is None:
-        raise AsmError(line, col, f"{m} expects {len(forms[-1].operands)} operands, "
-                                  f"got {len(ops)}")
-    values = {"dst": [], "src": [], "imm": []}
-    for (_, kind), tok in zip(form.operands, ops):
-        if kind == "[s]":
-            mm = _MEM_RE.match(tok)
-            if not mm:
-                raise AsmError(line, col, f"expected [sN] operand, got {tok!r}")
-            tok = mm.group(1)
-        if kind in REG_KINDS:
-            value = _parse_reg(tok, line, col, REG_KINDS[kind][1])
-        elif kind == "mode" and tok.lower() in CMP_MODES:
-            value = CMP_MODES.index(tok.lower())
-        elif kind == "dir":
-            if tok not in _DIRECTIONS:
-                raise AsmError(line, col, f"unknown DMA direction {tok!r}")
-            value = _DIRECTIONS[tok]
-        elif kind == "target":
-            value = _target(tok, labels, n, line, col)
-        else:
-            value = _num(tok, line, col)
-        values[_KINDS[kind][0]].append(value)
+    plan of its opcode's form in isa.OPCODES."""
+    plan = _PLANS.get((m, len(ops)))
+    if plan is None:
+        if m not in _OPCODES:
+            raise AsmError(line, col, f"unknown mnemonic {m!r}")
+        raise AsmError(line, col, f"{m} expects {len(FORMS[_OPCODES[m]][-1].operands)} "
+                                  f"operands, got {len(ops)}")
+    op, form, readers = plan
+    values = ([], [], [])
+    for (slot, table, rule), tok in zip(readers, ops):
+        value = table.get(tok)
+        if value is None:
+            value = rule(tok, line, col, labels, n)
+        values[slot].append(value)
     try:
-        return Instruction(op, tuple(values["dst"]), tuple(values["src"]),
-                           tuple(values["imm"]), pred, form)
+        return Instruction(op, tuple(values[0]), tuple(values[1]), tuple(values[2]),
+                           pred, form)
     except EncodingError as e:
         raise AsmError(line, col, str(e)) from None
 
@@ -294,8 +336,9 @@ def load_bundle(path: str) -> AssembledKernel:
             labels,
             [tuple(r) for r in regions],
         )
-    except (ValueError, LookupError, TypeError, AttributeError) as e:
-        # EncodingError is a ValueError, as are bad JSON, hex and base64
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as e:
+        # EncodingError is a ValueError, as are bad JSON, hex and base64;
+        # nesting too deep to decode is a RecursionError
         raise EncodingError(f"{path}: {e!r}") from None
 
 

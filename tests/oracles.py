@@ -17,24 +17,31 @@ These deliberately avoid the production code paths they validate:
   analyze_utilization   the earlier per-bucket utilization: a fraction list
                         per unit filled interval by interval, and its
                         report.json section and CSV text, one row per bucket
+  assemble              the earlier assembler: every instruction line built
+                        on its own, each operand read by its kind's rule
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from xshark.analyzer.vmem import VmemPageStats
-from xshark.isa import (DEFAULT_VMEM_CAPACITY, DMA_DIR_NAMES, ISA_VERSION,
-                        PAGE_BYTES, REGISTER_NAMES, VMEM_BUCKETS, Fault,
-                        MemRegion, MemSpace, Opcode, Unit, instruction_io_sets)
+from xshark.isa import (CMP_MODES, DEFAULT_VMEM_CAPACITY, DMA_DIR_NAMES, FORMS,
+                        ISA_VERSION, PAGE_BYTES, REG_KINDS, REGISTER_NAMES,
+                        VMEM_BUCKETS, EncodingError, Fault, Instruction,
+                        MemRegion, MemSpace, Opcode, Program, RegClass,
+                        RegisterId, Unit, instruction_io_sets)
 from xshark.recorder import ExecutionTrace, TraceHeader
 from xshark.sim import (DMA_COMPLETE, EVENT_FIELDS, MEM_READ, MEM_WRITE,
                         UNIT_BUSY, PerfEvent)
+from xshark.workloads.asm import AsmError, AssembledKernel
 
 
 # --------------------------------------------------------------- dma oracle
@@ -447,3 +454,166 @@ def analyze_utilization(events: List[PerfEvent],
             unit, bucket_width, [(b * bucket_width, frac[b]) for b in range(n_buckets)],
             completions if unit == Unit.MXU.value else [])
     return out
+
+
+# ----------------------------------------------------------------- assembler
+
+_DIRECTIONS = {name: d for d, name in DMA_DIR_NAMES.items()}
+_OPCODES = {op.name.lower(): op for op in FORMS}
+_FIELDS = {kind: field_name for kind, (field_name, _) in REG_KINDS.items()}
+_LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):")
+_NUM_RE = re.compile(r"-?(0[xX][0-9a-fA-F]+|0|[1-9][0-9]*)")
+_HLO_RE = re.compile(r"^\s*;;\s*hlo:\s*(\S+)\s*$")
+_DATA_RE = re.compile(r"^(0[xX][0-9a-fA-F]+|[0-9]+)\s*:\s*(.*)$")
+_MEM_RE = re.compile(r"^\[\s*(s[0-9]+)\s*\]$")
+_HEX_BYTE_RE = re.compile(r"[0-9a-fA-F]{1,2}")
+
+
+def _num(tok: str, line: int, col: int) -> int:
+    if not _NUM_RE.fullmatch(tok):
+        raise AsmError(line, col, f"expected number, got {tok!r}")
+    return int(tok, 0)
+
+
+def _parse_reg(tok: str, line: int, col: int, want: RegClass) -> RegisterId:
+    try:
+        r = RegisterId.parse(tok)
+    except EncodingError as e:
+        raise AsmError(line, col, str(e)) from None
+    if r.cls is not want:
+        raise AsmError(line, col, f"expected {want.value}-register, got {tok}")
+    return r
+
+
+def assemble(source: str) -> AssembledKernel:
+    """The same kernel as xshark.workloads.assemble, or the same AsmError:
+    pass 1 collects labels, directives and each instruction line's
+    operand texts, pass 2 builds every line's Instruction anew."""
+    labels: Dict[str, int] = {}
+    pending: List[tuple] = []          # (line, col, mnemonic, operands, guard)
+    hbm_image: List[Tuple[int, bytes]] = []
+    vmem_image: List[Tuple[int, bytes]] = []
+    opened: List[Tuple[str, int]] = []
+    entry_label: Optional[Tuple[str, int]] = None
+
+    for lineno, raw_line in enumerate(source.splitlines(), 1):
+        line = raw_line
+        hlo = ";;" in line and _HLO_RE.match(line)
+        if hlo:
+            opened.append((hlo.group(1), len(pending)))
+            continue
+        if ";" in line:
+            line = line[:line.index(";")]
+        line = line.strip()
+        if not line:
+            continue
+        col = raw_line.index(line) + 1
+
+        m = _LABEL_RE.match(line)
+        if m:
+            name = m.group(1)
+            if name in labels:
+                raise AsmError(lineno, 1, f"duplicate label {name!r}")
+            labels[name] = len(pending)
+            rest = line[m.end():]
+            line = rest.strip()
+            if not line:
+                continue
+            col += m.end() + len(rest) - len(rest.lstrip())
+        if line.startswith("."):
+            directive, rest = (line.split(None, 1) + [""])[:2]
+            if directive == ".entry":
+                entry_label = (rest.strip(), lineno)
+                continue
+            m2 = _DATA_RE.match(rest)
+            if directive in (".data", ".data32", ".dataf", ".vdata", ".vdata32", ".vdataf"):
+                if not m2:
+                    raise AsmError(lineno, col, f"{directive} needs '<addr>: <values>'")
+                addr = _num(m2.group(1), lineno, col)
+                toks = m2.group(2).split()
+                if directive.endswith("32"):
+                    blob = b"".join(struct.pack("<I", _num(t, lineno, col) & 0xFFFFFFFF)
+                                    for t in toks)
+                elif directive.endswith("f"):
+                    try:
+                        blob = b"".join(struct.pack("<f", float(t.encode("ascii")))
+                                        for t in toks)
+                    except (ValueError, OverflowError):
+                        raise AsmError(lineno, col, "bad float literal") from None
+                else:
+                    if not all(_HEX_BYTE_RE.fullmatch(t) for t in toks):
+                        raise AsmError(lineno, col, "bad hex byte")
+                    blob = bytes(int(t, 16) for t in toks)
+                (vmem_image if directive.startswith(".v") else hbm_image).append((addr, blob))
+                continue
+            raise AsmError(lineno, col, f"unknown directive {directive}")
+
+        pred = None
+        if line.startswith("@"):
+            ptok, _, line = line.partition(" ")
+            pred = _parse_reg(ptok[1:], lineno, col, RegClass.PREDICATE)
+            line = line.strip()
+        toks = line.split(None, 1)
+        ops = [o.strip() for o in toks[1].split(",")] if len(toks) > 1 else []
+        pending.append((lineno, col, toks[0].lower(), ops, pred))
+
+    ends = [start for _, start in opened[1:]] + [len(pending)]
+    regions = [(name, start, end) for (name, start), end in zip(opened, ends)
+               if end > start]
+    instructions = [_build(*ent, labels, len(pending)) for ent in pending]
+    entry_pc = 0
+    if entry_label is not None:
+        name, lineno = entry_label
+        if name not in labels:
+            raise AsmError(lineno, 1, f"entry label {name!r} undefined")
+        entry_pc = labels[name]
+    return AssembledKernel(Program(tuple(instructions), entry_pc), hbm_image,
+                           vmem_image, labels, regions)
+
+
+def _target(tok: str, labels, n: int, line: int, col: int) -> int:
+    if tok[:1].isdigit() or tok[:1] == "-":
+        t = _num(tok, line, col)
+    elif tok in labels:
+        t = labels[tok]
+    else:
+        raise AsmError(line, col, f"undefined label {tok!r}")
+    if not 0 <= t < n:
+        raise AsmError(line, col, f"branch target {t} out of bounds")
+    return t
+
+
+def _build(line: int, col: int, m: str, ops: list, pred, labels, n: int) -> Instruction:
+    op = _OPCODES.get(m)
+    if op is None:
+        raise AsmError(line, col, f"unknown mnemonic {m!r}")
+    forms = FORMS[op]
+    form = next((f for f in forms if len(f.operands) == len(ops)), None)
+    if form is None:
+        raise AsmError(line, col, f"{m} expects {len(forms[-1].operands)} operands, "
+                                  f"got {len(ops)}")
+    values = {"dst": [], "src": [], "imm": []}
+    for (_, kind), tok in zip(form.operands, ops):
+        if kind == "[s]":
+            mm = _MEM_RE.match(tok)
+            if not mm:
+                raise AsmError(line, col, f"expected [sN] operand, got {tok!r}")
+            tok = mm.group(1)
+        if kind in REG_KINDS:
+            value = _parse_reg(tok, line, col, REG_KINDS[kind][1])
+        elif kind == "mode" and tok.lower() in CMP_MODES:
+            value = CMP_MODES.index(tok.lower())
+        elif kind == "dir":
+            if tok not in _DIRECTIONS:
+                raise AsmError(line, col, f"unknown DMA direction {tok!r}")
+            value = _DIRECTIONS[tok]
+        elif kind == "target":
+            value = _target(tok, labels, n, line, col)
+        else:
+            value = _num(tok, line, col)
+        values[_FIELDS.get(kind, "imm")].append(value)
+    try:
+        return Instruction(op, tuple(values["dst"]), tuple(values["src"]),
+                           tuple(values["imm"]), pred, form)
+    except EncodingError as e:
+        raise AsmError(line, col, str(e)) from None

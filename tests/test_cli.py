@@ -15,8 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xshark.analyzer.suggest import Suggestion
 from xshark.cli import main
-from xshark.workloads import gen_checkerboard_kernel, gen_starvation_kernel
+from xshark.isa import EncodingError
+from xshark.workloads import (gen_checkerboard_kernel, gen_random_kernel,
+                              gen_starvation_kernel, load_bundle)
 
 from helpers import mk_config
 
@@ -296,6 +299,8 @@ _ANALYZE = ["analyze", "{f}", "-o", "{ws}/r"]
 _BREAK_X = ["record", "{f}", "--break", "x", "--count", "5", "-o", "{ws}/t"]
 _WITH_REGIONS = ["analyze", "{events}", "--program", "{f}", "-o", "{ws}/r"]
 
+_DEEP = b"[" * 200_000 + b"]" * 200_000
+
 MALFORMED_INPUTS = {
     # id: (file content, or a function of the workspace that makes it,
     #      argv with the file as {f}, code, exit code)
@@ -468,6 +473,14 @@ MALFORMED_INPUTS = {
                                          "ANALYSIS_ERROR", 2),
     "events-unit-busy-until-huge": (_edited_event("unit_busy", "until", 10 ** 9),
                                     _ANALYZE, "ANALYSIS_ERROR", 2),
+    # nesting too deep for the JSON decoder, in each JSON input the CLI reads
+    "bundle-nested-too-deep": (_DEEP, ["run", "{f}"], "BUNDLE_INVALID", 1),
+    "suggestions-nested-too-deep": (_DEEP, ["apply", "{trace}", "{f}", "-o", "{ws}/e"],
+                                    "SUGGESTIONS_INVALID", 1),
+    "config-nested-too-deep": (_DEEP, ["--config", "{f}", "run", "{prog}"],
+                               "CONFIG_INVALID", 1),
+    "trace-nested-too-deep": (_DEEP, ["replay", "{f}", "-o", "{ws}/e"],
+                              "TRACE_FORMAT", 2),
     "record-fault-in-fast-forward": (
         _bundle_faulting_in_fast_forward,
         ["record", "{f}", "--break", "here", "--count", "5", "--fast-forward",
@@ -555,6 +568,21 @@ def test_main_leaves_the_collector_as_it_found_it(ws, capsys, monkeypatch,
             gc.enable()
 
 
+def _one_code_line_or_success(argv):
+    """Runs the CLI: it succeeds with nothing on stderr, or ends in one
+    `code:` line with exit 1 or 2, never in a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code:
+        assert code in (1, 2)
+        assert len(err.splitlines()) == 1 and err.startswith("code:"), err
+    else:
+        assert err == ""
+
+
 @pytest.fixture(scope="module")
 def replayed(tmp_path_factory):
     """The trace of the whole run of a 2-tile starvation kernel and the lines
@@ -607,16 +635,7 @@ def test_a_mutated_log_through_analyze_and_suggest(replayed, data):
             fh.write("\n".join(lines) + "\n")
         for argv in (["analyze", log, "-o", os.path.join(ws, "r")],
                      ["suggest", str(trace), log, "-o", os.path.join(ws, "s.json")]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            err = err.getvalue()
-            assert "Traceback" not in err
-            if code:
-                assert code in (1, 2)
-                assert len(err.splitlines()) == 1 and err.startswith("code:"), err
-            else:
-                assert err == ""
+            _one_code_line_or_success(argv)
 
 
 def test_vdata_past_vmem_capacity_is_mem_oob(ws, capsys):
@@ -751,3 +770,92 @@ def test_only_steps_that_run_a_kernel_import_numpy(tmp_path):
         assert out.stdout.splitlines()[-1] == f"numpy imported: {runs_a_kernel}", argv
     with open(f["run.jsonl"], "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == _RUN_LOG_4X1
+
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    """The bundle of a small random kernel with branches, as its JSON object,
+    and a config whose small HBM bounds what a mutated DMA can copy."""
+    ws = tmp_path_factory.mktemp("bundle")
+    (ws / "k.xasm").write_text(gen_random_kernel(3, size=40).text)
+    (ws / "c.json").write_text(json.dumps({"hbm_capacity": 1 << 23}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["asm", str(ws / "k.xasm"), "-o", str(ws / "k.json")]) == 0
+    return json.loads((ws / "k.json").read_text()), str(ws / "c.json")
+
+
+# JSON values of every type, for a field that a mutation retypes
+_JSON_VALUES = st.sampled_from([None, True, False, 0, 1, -1, 2 ** 70, 1.5, "",
+                                "x", "00", [], [1], [[0, "AAAA"]], {}, {"x": 0}])
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_a_mutated_bundle_through_load_and_run(small_bundle, data):
+    """A bundle with one field retyped, its hex cut or lengthened, one byte
+    of one record replaced (the opcode, a register, an immediate such as a
+    branch target, or a reserved byte) or its entry pc moved either loads or
+    raises EncodingError, and `run` on it succeeds or ends in one `code:`
+    line, never in a traceback."""
+    doc, config = small_bundle
+    doc = json.loads(json.dumps(doc))
+    hexed = doc["instructions"]
+    n = len(hexed) // 32
+    how = data.draw(st.sampled_from(["field", "hex", "byte", "entry_pc"]), "how")
+    if how == "field":
+        doc[data.draw(st.sampled_from(sorted(doc)), "field")] = data.draw(
+            _JSON_VALUES, "value")
+    elif how == "hex":
+        cut = data.draw(st.integers(-40, 40).filter(bool), "cut")
+        doc["instructions"] = (hexed[:cut] if cut < 0 else
+                               hexed + data.draw(st.sampled_from("0af g"), "pad") * cut)
+    elif how == "byte":
+        branches = [k for k in range(n) if hexed[32 * k:32 * k + 2] in ("0d", "0e")]
+        k = data.draw(st.sampled_from(branches + list(range(n))), "record")
+        at = data.draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 9, 10, 14, 15]), "byte")
+        b = data.draw(st.integers(0, 255), "value")
+        raw = bytearray.fromhex(hexed[32 * k:32 * k + 32])
+        raw[at] = b
+        doc["instructions"] = hexed[:32 * k] + raw.hex() + hexed[32 * k + 32:]
+    else:
+        doc["entry_pc"] = data.draw(st.integers(-3, n + 3), "entry")
+    with tempfile.TemporaryDirectory() as ws:
+        path = os.path.join(ws, "mutated.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        try:
+            load_bundle(path)
+        except EncodingError:
+            pass
+        _one_code_line_or_success(["--config", config, "run", path,
+                                   "--max-cycles", "20000"])
+
+
+# a suggestion object: each field absent, of the right type or retyped
+_SUGGESTION_FIELD = st.one_of(st.integers(-3, 40), _JSON_VALUES,
+                              st.lists(st.integers(-2, 40), max_size=4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=st.one_of(
+    _JSON_VALUES,
+    st.dictionaries(st.sampled_from(
+        ["dma_id", "issue_index", "proposed_position", "push_limit",
+         "stall_duration", "required_vmem", "largest_contiguous_at_target",
+         "block", "verified", "speedup_cycles", "stall_reduction",
+         "diagnostic", "bogus"]), _SUGGESTION_FIELD)))
+def test_a_mutated_suggestion_through_from_json_and_apply(replayed, doc):
+    """Suggestion.from_json of any JSON value either gives a Suggestion or
+    raises ValueError, and `apply` on a file of it succeeds or ends in one
+    `code:` line, never in a traceback."""
+    try:
+        Suggestion.from_json(doc)
+    except ValueError:
+        pass
+    trace, _ = replayed
+    with tempfile.TemporaryDirectory() as ws:
+        path = os.path.join(ws, "s.json")
+        with open(path, "w") as fh:
+            json.dump([doc], fh)
+        _one_code_line_or_success(["apply", str(trace), path, "--verify",
+                                   "-o", os.path.join(ws, "e.jsonl")])

@@ -6,8 +6,10 @@ import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xshark import recorder, replayer, sim
+from xshark import isa, recorder, replayer, sim
 from xshark.analyzer import apply_and_verify
 from xshark.analyzer.suggest import Suggestion
 from xshark.debugger import Breakpoint
@@ -335,7 +337,7 @@ def test_only_read_trace_decodes_the_stream(monkeypatch, tmp_path):
         decoded.append(raw)
         return decode_instruction(raw)
 
-    monkeypatch.setattr(recorder, "decode_instruction", counting)
+    monkeypatch.setattr(isa, "decode_instruction", counting)
     _, res, config = _record()
     n = len(res.trace.instr_stream)
     records = [encode_instruction(i) for _, i in res.trace.instr_stream]
@@ -377,3 +379,28 @@ def test_run_record_replay_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.integers(20, 120),
+       skip=st.integers(0, 60), count=st.integers(1, 150))
+def test_replay_reproduces_the_live_windows_timeline(seed, size, skip, count):
+    """The live run's events of a recorded window, rebased to the window's
+    start cycle and first instruction, are the replay's events, and the
+    window's cycles are the replay's; windows that run into HALT included."""
+    config = SimConfig()
+    kernel = assemble(gen_random_kernel(seed, size=size).text)
+    live = RecordingTracker()
+    session = Simulator(kernel.program, config, initial_state(kernel, config), live)
+    for _ in range(skip):
+        if session.peek() is None:
+            break
+        session.step()
+    res = record(session, None, count, fast_forward_dma=True)
+    replayed = RecordingTracker()
+    rep = replay(res.trace, config, replayed)
+    first, start = session.stream_index - res.recorded, res.trace.header.start_cycle
+    window = [(ev.kind, ev.cycle - start, ev.idx - first, ev.pc)
+              for ev in live.events if ev.idx >= first]
+    assert window == [(ev.kind, ev.cycle, ev.idx, ev.pc) for ev in replayed.events]
+    assert rep.cycles == session.state.cycle - start

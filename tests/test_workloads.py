@@ -1,9 +1,13 @@
 """Assembler round-trips and the paper-analog kernels."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xshark.analyzer import analyze_dma
-from xshark.isa import Fault, Opcode
+from xshark.isa import Fault, Opcode, encode_instruction
 from xshark.sim import SimConfig
 from xshark.workloads import (AsmError, assemble, disassemble,
                               gen_allgather_kernel, gen_checkerboard_kernel,
@@ -11,6 +15,7 @@ from xshark.workloads import (AsmError, assemble, disassemble,
                               initial_state)
 from xshark.workloads.asm import load_bundle, save_bundle
 
+import oracles
 from helpers import asm_run
 
 
@@ -130,6 +135,72 @@ def test_random_kernels_round_trip_and_bundle(tmp_path):
     save_bundle(k, path)
     back = load_bundle(path)
     assert back.program == k.program and back.labels == k.labels
+
+
+
+def _assembled(assembler, source: str):
+    """What `assembler` makes of `source`: the kernel's program bytes,
+    entry, images, labels and regions, or its AsmError's (line, col,
+    message)."""
+    try:
+        k = assembler(source)
+    except AsmError as e:
+        return "error", e.line, e.col, e.message
+    return ("kernel", k.program.to_bytes(), k.program.entry_pc, k.hbm_image,
+            k.vmem_image, k.labels, k.regions)
+
+
+# tokens a mutation may put in place of one token of a line: registers of
+# each class in and out of range, numbers with a leading zero, in hex and
+# out of every immediate's range, labels that exist and one that does not,
+# modes and directions in either case, and memory operands where a register
+# belongs
+_TOKENS = st.sampled_from([
+    "s0", "s31", "s32", "v0", "v31", "v32", "p0", "p7", "p8", "q2", "s\u00b2",
+    "", "0", "007", "-1", "15", "16", "6", "9", "0x10", "0x7fffffff",
+    "4294967296", "-2147483649", "loop0", "loop1", "nowhere", "eq", "GE",
+    "below", "hbm>vmem", "hbm>foo", "[s3]", "[ s3 ]", "[v1]", "[s40]", "@p1",
+    "halt", "s_add", "br", "frobnicate"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.integers(10, 60), data=st.data())
+def test_assembler_matches_the_reference(seed, size, data):
+    """A small random kernel, with up to three changes (an instruction
+    line's token replaced, or one line copied over another), assembles to the same kernel or
+    fails with the same AsmError as the reference assembler, which builds
+    every line on its own."""
+    lines = gen_random_kernel(seed, size=size).text.splitlines()
+    indented = [i for i, line in enumerate(lines) if line.startswith(" ")]
+    for _ in range(data.draw(st.integers(0, 3), "mutations")):
+        if data.draw(st.integers(0, 3), "copy") == 0:
+            i, j = data.draw(st.lists(st.integers(0, len(lines) - 1),
+                                      min_size=2, max_size=2), "copy from")
+            lines[i] = lines[j]
+            continue
+        i = data.draw(st.sampled_from(indented), "line")
+        parts = re.split(r"([\s,]+)", lines[i])   # tokens at even positions
+        j = data.draw(st.sampled_from([j for j in range(len(parts) - 1, -1, -2)
+                                       if parts[j]] or [0]), "token")   # last first
+        parts[j] = data.draw(_TOKENS, "with")
+        lines[i] = "".join(parts)
+    source = "\n".join(lines) + "\n"
+    assert _assembled(assemble, source) == _assembled(oracles.assemble, source)
+
+
+def test_one_instruction_per_distinct_text_and_record(tmp_path):
+    """A kernel holds one Instruction object per distinct instruction text,
+    and a loaded bundle one per distinct 16-byte record."""
+    k = assemble(gen_random_kernel(4, size=300).text)
+    text = disassemble(k.program)           # one instruction per indented line
+    texts = [ln for ln in text.splitlines() if ln.startswith("  ")]
+    again = assemble(text).program.instructions
+    assert len({id(i) for i in again}) == len(set(texts)) < len(texts)
+    path = str(tmp_path / "prog.json")
+    save_bundle(k, path)
+    loaded = load_bundle(path).program.instructions
+    assert len({id(i) for i in loaded}) == len(set(map(encode_instruction, loaded)))
+    assert loaded == k.program.instructions
 
 
 # ---------------------------------------------------------------- all-gather
