@@ -1,9 +1,11 @@
 """Arithmetic kernels for the vector and matrix units.
 
-One implementation (numpy, `pyfallback`) of one contract: IEEE-754 single
+One implementation (`pyfallback`) of one contract: IEEE-754 single
 precision, one rounding per operation, k-ascending accumulation order in the
-tile multiply, and the canonical quiet NaN. Replays are bit-exact because
-every run computes through these functions.
+tile multiply, and the canonical quiet NaN. The vector ops compute in Python
+doubles rounded once to f32; the tile multiply sums its f32 products with
+one sequential numpy accumulate (docs/isa.md, "Floating point"). Replays are
+bit-exact because every run computes through these functions.
 
 `pyfallback`, and so numpy, is imported on the first use of a name below:
 numpy costs more start-up time than the rest of xshark, and a step that

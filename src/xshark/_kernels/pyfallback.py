@@ -1,12 +1,24 @@
-"""Pure-Python (numpy) implementations of the execute-stage kernels.
+"""The execute-stage kernels, each bit-exact to a scalar f32 reference.
 
-All arithmetic stays in float32 end to end, one rounding per operation, so
-results match a scalar f32 reference bit for bit. Arithmetic that produces a
-NaN yields the canonical quiet NaN (0x7fc00000): IEEE-754 leaves payload
-propagation implementation defined, and numpy's own choice varies with array
-shape, so the ISA pins it. The tile multiply snapshots its input tiles first:
-partially overlapping dst/a/b tiles are legal and read the pre-op values.
+Every result is the IEEE-754 single-precision result of one rounding per
+operation. Arithmetic that produces a NaN yields the canonical quiet NaN
+(0x7fc00000): IEEE-754 leaves payload propagation implementation defined, so
+the ISA pins it. Buffers hold little-endian f32 lanes, as `array("f")` and
+numpy's float32 do on the little-endian hosts xshark runs on.
+
+- `v_add`/`v_mul` compute the 16 lanes in Python doubles and round each once
+  to f32 through `array("f")`. That is exact for both: an f32 x f32 product
+  is exact in a double, and for a sum the two roundings (to double, then to
+  f32) give the correctly rounded f32 because 53 >= 2*24 + 2.
+- `mxu_mm` forms all 4,096 products with one f32 broadcast multiply and adds
+  them in ascending k with one `np.add.accumulate` along k, which is the
+  sequential f32 sum by definition. `np.add.reduce`, `np.sum` and `matmul`
+  never sum the tile: their summation order is not this contract's.
 """
+
+import struct
+from array import array
+from operator import add, mul
 
 import numpy as np
 
@@ -15,46 +27,55 @@ BACKEND = "python"
 LANES = 16
 TILE = 16
 
-CANON_NAN = np.frombuffer(b"\x00\x00\xc0\x7f", dtype=np.float32)[0]
+CANON_NAN_BITS = 0x7FC00000
+CANON_NAN = np.uint32(CANON_NAN_BITS).view(np.float32)
+_VREG = struct.Struct(f"<{LANES}f")
+_LANE_BITS = struct.Struct("<I")
 
 
-def _lanes(buf, off):
-    return np.frombuffer(buf, dtype=np.float32, count=LANES, offset=off)
-
-
-def _canonicalize(arr):
-    mask = np.isnan(arr)
-    if mask.any():
-        arr[mask] = CANON_NAN
+def _lanewise(op, buf, d_off, a_off, b_off):
+    """dst = op(a, b) lane by lane: the sources are read before dst is
+    written, so any of the three may alias."""
+    lanes = list(map(op, _VREG.unpack_from(buf, a_off), _VREG.unpack_from(buf, b_off)))
+    buf[d_off:d_off + _VREG.size] = array("f", lanes)
+    total = sum(lanes)
+    if total != total:       # some lane is NaN, or lanes hold both infinities
+        for i, x in enumerate(lanes):
+            if x != x:
+                _LANE_BITS.pack_into(buf, d_off + 4 * i, CANON_NAN_BITS)
 
 
 def v_add(buf, d_off, a_off, b_off):
-    d = _lanes(buf, d_off)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        np.add(_lanes(buf, a_off), _lanes(buf, b_off), out=d)
-        _canonicalize(d)
+    _lanewise(add, buf, d_off, a_off, b_off)
 
 
 def v_mul(buf, d_off, a_off, b_off):
-    d = _lanes(buf, d_off)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        np.multiply(_lanes(buf, a_off), _lanes(buf, b_off), out=d)
-        _canonicalize(d)
+    _lanewise(mul, buf, d_off, a_off, b_off)
 
 
 def mxu_mm(buf, d_off, a_off, b_off):
     """dst += a @ b over 16x16 f32 row-major tiles, accumulating in f32.
 
-    Per output element the products are added in ascending-k order; each
-    add and each multiply rounds to single precision. NaN results are
-    canonicalized once at the end (NaN-ness is sticky under accumulation,
-    so this equals per-step canonicalization).
+    Per output element the products are added in ascending-k order, starting
+    from dst; each add and each multiply rounds to single precision. The
+    products are formed before dst is written, so partially overlapping
+    tiles read their pre-op values. NaN results are canonicalized once at
+    the end (NaN-ness is sticky under accumulation, so this equals per-step
+    canonicalization).
     """
     f = np.frombuffer(buf, dtype=np.float32)
     d = f[d_off // 4:d_off // 4 + TILE * TILE].reshape(TILE, TILE)
-    a = f[a_off // 4:a_off // 4 + TILE * TILE].reshape(TILE, TILE).copy()
-    b = f[b_off // 4:b_off // 4 + TILE * TILE].reshape(TILE, TILE).copy()
+    a = f[a_off // 4:a_off // 4 + TILE * TILE].reshape(TILE, TILE)
+    b = f[b_off // 4:b_off // 4 + TILE * TILE].reshape(TILE, TILE)
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        for k in range(TILE):
-            d += a[:, k, None] * b[None, k, :]
-        _canonicalize(d)
+        terms = a.T[:, :, None] * b[:, None, :]      # terms[k, i, j] = a[i, k] * b[k, j]
+        terms[0] += d
+        # each complex64 holds two adjacent f32 terms and a complex add is
+        # two independent f32 adds, so this is the sequential f32 sum over
+        # k of every element, in half the inner loops of a float32 view
+        pairs = terms.view(np.complex64)
+        np.add.accumulate(pairs, axis=0, out=pairs)
+        d[...] = terms[-1]
+        nan = np.isnan(d)
+        if nan.any():
+            d[nan] = CANON_NAN

@@ -589,7 +589,7 @@ def instruction_io_sets(instr: Instruction, state: MachineState,
     if guard is not None and not state.pregs[guard.index]:
         return _ANNULLED[guard.index]
     op, io = instr.opcode, instr.io
-    if op not in _MEM_OPCODES:
+    if op not in MEM_OPCODES:
         return io                                # registers only
     in_regs = io.input_regs
 
@@ -619,8 +619,9 @@ def instruction_io_sets(instr: Instruction, state: MachineState,
     return IoSets(in_regs, (), (src,), (dst,))
 
 
-_MEM_OPCODES = frozenset({Opcode.V_LOAD, Opcode.V_STORE, Opcode.MXU_MM,
-                          Opcode.DMA_ISSUE})
+# the opcodes whose footprint depends on the state: they address memory
+MEM_OPCODES = frozenset({Opcode.V_LOAD, Opcode.V_STORE, Opcode.MXU_MM,
+                         Opcode.DMA_ISSUE})
 # guard register index -> the footprint of an instruction it annuls
 _ANNULLED = [IoSets((_REG_BY_NAME[f"p{i}"],)) for i in range(PRED_REGS)]
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .isa import Fault, MachineState, addressed_reads, instruction_io_sets
+from .isa import (MEM_OPCODES, Fault, MachineState, addressed_reads,
+                  instruction_io_sets)
 from .recorder import ExecutionTrace, RecordResult
 from .sim import PerfTracker, RunResult, SimConfig, Simulator, state_digest
 
@@ -62,7 +63,8 @@ def _replay_stream(trace: ExecutionTrace, config: SimConfig,
         state.pc = pc
         fault = None
         try:
-            ios = instruction_io_sets(instr, state, pc)
+            ios = (instr.io if instr.predicate is None and instr.opcode not in MEM_OPCODES
+                   else instruction_io_sets(instr, state, pc))
         except Fault as f:
             # only an instruction that executes parses regions: it reads
             # its guard and all its source registers

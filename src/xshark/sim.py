@@ -14,10 +14,19 @@ Memory ordering is made timing-independent by two rules:
 Together these guarantee that changing timing parameters never changes
 architectural results.
 
-Run, record and replay share one core, which executes each instruction
-through its opcode's handler (`_HANDLERS`, indexed by the int opcode) with
-the static footprint `Instruction.io` caches at the first parse; latencies
-are a table lookup, and the DMA engine is skipped while no transfer lands.
+Run, record and replay share one core, `exec_instruction`, which executes
+each instruction through its opcode's handler (`_HANDLERS`, indexed by the
+int opcode) and is the one place that emits per-instruction events.
+Latencies are a table lookup, and the DMA engine is not called while no
+transfer lands. `run` is one loop over the code. It, `record` and `replay`
+take an unguarded register-only instruction's footprint from the
+`Instruction.io` cached at its first parse; only the others go through
+`instruction_io_sets`.
+
+The vector and tile kernels (`_kernels`) are bit-exact to a scalar f32
+reference: V_ADD/V_MUL round a lane computed in double once to f32, which
+is exact for a product and, since 53 >= 2*24 + 2, for a sum; MXU_MM sums its
+f32 products with one sequential `np.add.accumulate` in ascending k.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ from . import _kernels
 from .isa import (CMP_MODES, DMA_DIR_NAMES, OPCODES, PAGE_BYTES, REGISTER_NAMES,
                   VLEN_BYTES, VMEM_BUCKETS, DEFAULT_HBM_CAPACITY,
                   DEFAULT_VMEM_CAPACITY, Fault, Instruction, IoSets, MachineState,
-                  MemRegion, Opcode, Program, RegClass, Unit, instruction_io_sets)
+                  MEM_OPCODES, MemRegion, Opcode, Program, RegClass, Unit,
+                  instruction_io_sets)
 
 
 @dataclass
@@ -485,9 +495,28 @@ class Simulator:
     def run(self, max_cycles: int) -> RunResult:
         if max_cycles <= 0:
             raise ValueError("max_cycles must be positive")
-        state, fault = self.state, None
-        while fault is None and not state.halted and state.cycle < max_cycles:
-            fault = self.step()
+        # step() inlined: an unguarded register-only instruction's
+        # footprint is its cached `io`
+        state, code, execute, fault = self.state, self._code, self.exec_instruction, None
+        while not state.halted and state.cycle < max_cycles:
+            pc = state.pc
+            if not 0 <= pc < len(code):
+                state.halted = True
+                fault = Fault("pc_oob", f"pc {pc} outside program", pc)
+                break
+            instr = code[pc]
+            if instr.predicate is None and instr.opcode not in MEM_OPCODES:
+                ios = instr.io
+            else:
+                try:
+                    ios = instruction_io_sets(instr, state, pc)
+                except Fault as f:
+                    state.halted = True
+                    fault = f
+                    break
+            fault = execute(instr, pc, ios)
+            if fault is not None:
+                break
         self.sync()
         outcome = ("fault" if fault is not None
                    else "halted" if state.halted else "budget")
@@ -514,6 +543,10 @@ class Simulator:
                                      unit=_UNIT_NAMES[op], annulled=True))
                 self._send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
         else:
+            handler = _HANDLERS[op]
+            if handler is None and (fault := _dma_slot_fault(state, instr, pc)):
+                state.halted = True
+                return fault
             # Hazard interlock: touching bytes an in-flight DMA will write
             # blocks until that DMA completes (keeps results timing-independent).
             issue = start
@@ -525,8 +558,8 @@ class Simulator:
                         issue = max(issue, slot.complete_cycle)
                 if issue > start:
                     self._stall(STALL_HAZARD, start, issue, pc, idx)
-            self._advance_engine(issue)
-            handler = _HANDLERS[op]
+            if issue >= self._landing:
+                self._advance_engine(issue)
             try:
                 if handler is None:     # the DMA engine's ops time their retire
                     retire = (self._exec_dma_issue if op is Opcode.DMA_ISSUE
@@ -590,8 +623,6 @@ class Simulator:
         cfg = self.config
         slot_no = instr.immediates[0]
         slot = state.dma_slots[slot_no]
-        if slot.active:
-            raise Fault("dma_busy", f"DMA_ISSUE on busy slot {slot_no}", pc)
         src, dst = ios.input_mem[0], ios.output_mem[0]
         link = DMA_DIR_NAMES[instr.immediates[1]]
         base_done = issue + cfg.t_base
@@ -628,8 +659,6 @@ class Simulator:
         slot_no = instr.immediates[0]
         slot = self.state.dma_slots[slot_no]
         dma_id = slot.dma_id
-        if dma_id < 0:
-            raise Fault("dma_wait_idle", f"DMA_WAIT on idle slot {slot_no}", pc)
         complete = slot.complete_cycle
         base_done = slot.base_done_cycle
 
@@ -649,6 +678,20 @@ class Simulator:
         if self._emit:
             self._retire(pc, idx, instr.opcode, exec_at, retire)
         return retire
+
+
+def _dma_slot_fault(state, instr, pc) -> Optional[Fault]:
+    """The fault of a DMA_ISSUE on a busy slot or a DMA_WAIT on an idle one.
+    It does not depend on time, so exec_instruction raises it before the
+    hazard interlock: the instruction waits for, lands and logs nothing."""
+    slot_no = instr.immediates[0]
+    slot = state.dma_slots[slot_no]
+    if instr.opcode is Opcode.DMA_ISSUE:
+        if slot.active:
+            return Fault("dma_busy", f"DMA_ISSUE on busy slot {slot_no}", pc)
+    elif slot.dma_id < 0:
+        return Fault("dma_wait_idle", f"DMA_WAIT on idle slot {slot_no}", pc)
+    return None
 
 
 # -- instruction semantics: one handler per opcode, (state, instr, pc, ios)

@@ -54,7 +54,7 @@ class AssembledKernel:
         return None
 
 
-_LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):")
+_LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*):")
 _NUM_RE = re.compile(r"-?(0[xX][0-9a-fA-F]+|0|[1-9][0-9]*)")
 _HLO_RE = re.compile(r"^\s*;;\s*hlo:\s*(\S+)\s*$")
 _DATA_RE = re.compile(r"^(0[xX][0-9a-fA-F]+|[0-9]+)\s*:\s*(.*)$")

@@ -461,7 +461,7 @@ def analyze_utilization(events: List[PerfEvent],
 _DIRECTIONS = {name: d for d, name in DMA_DIR_NAMES.items()}
 _OPCODES = {op.name.lower(): op for op in FORMS}
 _FIELDS = {kind: field_name for kind, (field_name, _) in REG_KINDS.items()}
-_LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):")
+_LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*):")
 _NUM_RE = re.compile(r"-?(0[xX][0-9a-fA-F]+|0|[1-9][0-9]*)")
 _HLO_RE = re.compile(r"^\s*;;\s*hlo:\s*(\S+)\s*$")
 _DATA_RE = re.compile(r"^(0[xX][0-9a-fA-F]+|[0-9]+)\s*:\s*(.*)$")

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from xshark.analyzer.suggest import Suggestion
 from xshark.cli import main
-from xshark.isa import EncodingError
+from xshark.isa import (DEFAULT_VMEM_CAPACITY, DMA_DIR_NAMES, PAGE_BYTES,
+                        VMEM_BUCKETS, EncodingError, Unit)
 from xshark.workloads import (gen_checkerboard_kernel, gen_random_kernel,
                               gen_starvation_kernel, load_bundle)
 
@@ -859,3 +860,45 @@ def test_a_mutated_suggestion_through_from_json_and_apply(replayed, doc):
             json.dump([doc], fh)
         _one_code_line_or_success(["apply", str(trace), path, "--verify",
                                    "-o", os.path.join(ws, "e.jsonl")])
+
+
+@pytest.fixture(scope="module")
+def starvation_bundle(tmp_path_factory):
+    """The bundle of a 2-tile starvation kernel."""
+    ws = tmp_path_factory.mktemp("starvation")
+    (ws / "k.xasm").write_text(gen_starvation_kernel(tiles=2, prefetch_depth=1))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["asm", str(ws / "k.xasm"), "-o", str(ws / "k.json")]) == 0
+    return str(ws / "k.json")
+
+
+_CYCLES = st.integers(1, 10 ** 12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=st.fixed_dictionaries({
+    "t_base": _CYCLES,
+    "unit_latency": st.fixed_dictionaries({u.value: _CYCLES for u in Unit}),
+    "link_bandwidth": st.fixed_dictionaries({link: _CYCLES
+                                             for link in DMA_DIR_NAMES.values()}),
+    "vmem_capacity": st.sampled_from([VMEM_BUCKETS * PAGE_BYTES,
+                                      DEFAULT_VMEM_CAPACITY])}))
+def test_extreme_configs_through_the_pipeline(starvation_bundle, config):
+    """Under any timing from 1 to 10**12 cycles (or bytes per cycle), with
+    the smallest legal VMEM or the default one, `run`, `record`, `replay`,
+    `analyze` and `suggest` on the starvation kernel each succeed or end in
+    one `code:` line."""
+    with tempfile.TemporaryDirectory() as ws:
+        path = os.path.join(ws, "c.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        f = {name: os.path.join(ws, name)
+             for name in ("run.jsonl", "k.trace", "rep.jsonl", "r", "s.json")}
+        for argv in (["run", starvation_bundle, "-o", f["run.jsonl"]],
+                     ["record", starvation_bundle, "--break", "0", "--count",
+                      "1000", "-o", f["k.trace"]],
+                     ["replay", f["k.trace"], "-o", f["rep.jsonl"]],
+                     ["analyze", f["run.jsonl"], "-o", f["r"]],
+                     ["analyze", f["rep.jsonl"], "-o", f["r"]],
+                     ["suggest", f["k.trace"], f["rep.jsonl"], "-o", f["s.json"]]):
+            _one_code_line_or_success(["--config", path] + argv)

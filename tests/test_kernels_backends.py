@@ -1,6 +1,7 @@
 """Kernel contract: f32 results bit-identical to a scalar reference, aliased
 tiles read their pre-op values, and every NaN is the canonical quiet NaN."""
 
+import operator
 import random
 import struct
 
@@ -21,6 +22,36 @@ MXU_CASES = ([pytest.param(seed, DISJOINT, id=str(seed)) for seed in range(5)]
 def _rand_f32_bytes(r, n):
     # raw random bits: exercises NaNs, denormals, infinities
     return bytes(r.getrandbits(8) for _ in range(n))
+
+
+# raw bits draw huge exponents, so a 16-term dot product of them is almost
+# always inf or NaN: the "mixed" tiles draw most values near 1 and some raw,
+# subnormal, zero, infinite or NaN, so that rounding shows in finite results
+_SPECIAL_BITS = (0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7F7FFFFF,
+                 0x00000001, 0x807FFFFF, 0x7FC00001, 0xFFC00000, 0x7F800001)
+
+
+def _mixed_f32_bytes(r, n):
+    words = []
+    for _ in range(n // 4):
+        pick = r.random()
+        if pick < 0.8:            # sign, exponent 2**-20 .. 2**20, any mantissa
+            words.append(r.getrandbits(1) << 31 | r.randint(107, 147) << 23
+                         | r.getrandbits(23))
+        elif pick < 0.9:
+            words.append(r.getrandbits(32))
+        elif pick < 0.95:          # subnormal
+            words.append(r.getrandbits(1) << 31 | r.getrandbits(23))
+        else:
+            words.append(r.choice(_SPECIAL_BITS))
+    return struct.pack(f"<{len(words)}I", *words)
+
+
+def _canonical_nans(buf):
+    """`buf` with every NaN lane set to the canonical quiet NaN."""
+    lanes = np.frombuffer(bytearray(buf), dtype=np.float32)
+    lanes[np.isnan(lanes)] = np.uint32(CANON_NAN_BITS).view(np.float32)
+    return lanes.tobytes()
 
 
 def _mxu_scalar_reference(buf, d_off, a_off, b_off):
@@ -47,6 +78,52 @@ def test_fallback_mxu_matches_scalar_reference(seed, offs):
     pyfallback.mxu_mm(got, *offs)
     _mxu_scalar_reference(want, *offs)
     assert bytes(got) == bytes(want)
+
+
+@pytest.mark.parametrize("bits", [_rand_f32_bytes, _mixed_f32_bytes],
+                         ids=["raw", "mixed"])
+@pytest.mark.parametrize("seed,offs", MXU_CASES)
+def test_fallback_mxu_matches_scalar_reference_on_any_bits(seed, offs, bits):
+    base = bits(random.Random(1000 + seed), 3072)
+    got = bytearray(base)
+    want = bytearray(base)
+    pyfallback.mxu_mm(got, *offs)
+    with np.errstate(all="ignore"):
+        _mxu_scalar_reference(want, *offs)
+    assert _canonical_nans(got) == _canonical_nans(want)
+
+
+def _vector_scalar_reference(op, buf, d_off, a_off, b_off):
+    """Independent per-lane np.float32 loop: one rounding per lane, NaN
+    results canonical; the sources are read before dst is written."""
+    a = np.frombuffer(buf, dtype=np.float32, count=16, offset=a_off).copy()
+    b = np.frombuffer(buf, dtype=np.float32, count=16, offset=b_off).copy()
+    for i in range(16):
+        lane = op(np.float32(a[i]), np.float32(b[i]))
+        bits = CANON_NAN_BITS if np.isnan(lane) else int(lane.view(np.uint32))
+        struct.pack_into("<I", buf, d_off + 4 * i, bits)
+
+
+# disjoint; dst is a; dst is b; a is b; all three one register
+VECTOR_OFFSETS = [(0, 64, 128), (0, 0, 64), (64, 0, 64), (0, 64, 64), (64, 64, 64)]
+
+
+@pytest.mark.parametrize("name", ["v_add", "v_mul"])
+@pytest.mark.parametrize("bits", [_rand_f32_bytes, _mixed_f32_bytes],
+                         ids=["raw", "mixed"])
+def test_vector_ops_match_scalar_reference(name, bits):
+    """Raw bit patterns cover NaN payloads, sNaN, infinities, subnormals,
+    overflow to infinity and signed zeros."""
+    op = getattr(operator, name.removeprefix("v_"))
+    r = random.Random(name)
+    for _ in range(300):
+        base = bits(r, 192)
+        for offs in VECTOR_OFFSETS:
+            got, want = bytearray(base), bytearray(base)
+            getattr(pyfallback, name)(got, *offs)
+            with np.errstate(all="ignore"):
+                _vector_scalar_reference(op, want, *offs)
+            assert bytes(got) == bytes(want), (base.hex(), offs)
 
 
 def _nan_lane_bits(buf, off, n_lanes):

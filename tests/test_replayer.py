@@ -307,24 +307,35 @@ def test_trace_whose_last_record_faults_diverges():
 
 
 def test_footprint_parsed_once_per_instruction(monkeypatch):
-    """run, record and replay each parse an executed instruction's
-    footprint once; the simulator takes it from the caller."""
+    """run, record and replay each parse the footprint of an executed
+    instruction that is guarded or addresses memory once, and take the
+    cached `io` of every other one; the simulator takes it from the
+    caller."""
     calls = []
 
     def counting(*args):
         calls.append(args)
         return instruction_io_sets(*args)
 
+    def parsed(stream):
+        return [pc for pc, instr in stream if instr.predicate is not None
+                or instr.opcode in isa.MEM_OPCODES]
+
     for module in (sim, recorder, replayer):
         monkeypatch.setattr(module, "instruction_io_sets", counting)
-    kernel, result, _ = asm_run(KERNEL)
-    assert len(calls) == result.executed > 0
+    kernel, result, tracker = asm_run(KERNEL)
+    code = kernel.program.instructions
+    executed = [(ev.pc, code[ev.pc]) for ev in tracker.events
+                if ev.kind == "instr_issue"]
+    assert len(executed) == result.executed
+    assert [pc for _, _, pc in calls] == parsed(executed) != []
     calls.clear()
     _, res, config = _record()
-    assert len(calls) == res.recorded > 0
+    assert [pc for _, _, pc in calls] == parsed(res.trace.instr_stream) != []
     calls.clear()
     rep = replay(res.trace, config)
-    assert len(calls) == rep.executed == res.recorded
+    assert [pc for _, _, pc in calls] == parsed(res.trace.instr_stream)
+    assert rep.executed == res.recorded
 
 
 def test_only_read_trace_decodes_the_stream(monkeypatch, tmp_path):
@@ -397,6 +408,10 @@ def test_replay_reproduces_the_live_windows_timeline(seed, size, skip, count):
             break
         session.step()
     res = record(session, None, count, fast_forward_dma=True)
+    _assert_replay_reproduces_the_timeline(session, live, res, config)
+
+
+def _assert_replay_reproduces_the_timeline(session, live, res, config):
     replayed = RecordingTracker()
     rep = replay(res.trace, config, replayed)
     first, start = session.stream_index - res.recorded, res.trace.header.start_cycle
@@ -404,3 +419,41 @@ def test_replay_reproduces_the_live_windows_timeline(seed, size, skip, count):
               for ev in live.events if ev.idx >= first]
     assert window == [(ev.kind, ev.cycle, ev.idx, ev.pc) for ev in replayed.events]
     assert rep.cycles == session.state.cycle - start
+    return rep
+
+
+FAULTING_TIMELINES = [pytest.param(kind, src, id=kind)
+                      for kind, src in FAULTING_WINDOWS.items()] + [
+    # the second issue waits out a hazard on the first DMA's destination,
+    # then finds its slot busy: it must neither wait nor land that DMA
+    pytest.param("dma_busy", """
+      s_ldi s1, 0x1000
+      s_ldi s2, 0x200
+      s_ldi s3, 64
+      dma_issue 0, hbm>vmem, s1, s2, s3
+      dma_issue 0, hbm>vmem, s1, s2, s3
+      halt
+    """, id="dma_busy-after-hazard"),
+    # runs off the program's end with a DMA still in flight
+    pytest.param("pc_oob", """
+      s_ldi s1, 0x1000
+      s_ldi s2, 0x200
+      s_ldi s3, 64
+      dma_issue 0, hbm>vmem, s1, s2, s3
+      s_add s4, s1, s2
+    """, id="pc_oob"),
+]
+
+
+@pytest.mark.parametrize("kind,src", FAULTING_TIMELINES)
+def test_replay_reproduces_a_faulting_windows_timeline(kind, src):
+    """A window that ends in a fault: the replay's events and cycles are
+    the live window's, and so are its footprint and digest."""
+    config = SimConfig()
+    kernel = assemble(src)
+    live = RecordingTracker()
+    session = Simulator(kernel.program, config, initial_state(kernel, config), live)
+    res = record(session, None, 10)
+    assert res.fault.kind == kind
+    rep = _assert_replay_reproduces_the_timeline(session, live, res, config)
+    assert compare_window(session.state, res, rep)["equal"] is True

@@ -188,6 +188,26 @@ def test_assembler_matches_the_reference(seed, size, data):
     assert _assembled(assemble, source) == _assembled(oracles.assemble, source)
 
 
+@pytest.mark.parametrize("source,accepted", [
+    ("caf\u00e9: halt\n", False),        # a label is ASCII: [A-Za-z_][A-Za-z0-9_.]*
+    ("a\u0660: halt\n", False),
+    ("top: br caf\u00e9\n", False),
+    ("_a.b9: br _a.b9\n", True),
+    ("s_ldi s3, 0\nv_load v1, [ s3 ]\nhalt\n", True),
+    ("s_cmp p0, s0, s1, Le\ns_cmp p1, s0, s1, GE\nhalt\n", True),
+    ("dma_issue 0, HBM>VMEM, s0, s1, s2\nhalt\n", False),
+], ids=["non-ascii-label", "non-ascii-digit-label", "non-ascii-target",
+        "ascii-label", "blanks-in-brackets", "cmp-mode-any-case",
+        "dma-direction-upper-case"])
+def test_documented_spellings(source, accepted):
+    """What docs/asm.md says both assemblers accept and refuse: labels are
+    ASCII, a memory operand may hold blanks, a compare mode has any case and
+    a DMA direction is lower case."""
+    got = _assembled(assemble, source)
+    assert got == _assembled(oracles.assemble, source)
+    assert (got[0] == "kernel") == accepted
+
+
 def test_one_instruction_per_distinct_text_and_record(tmp_path):
     """A kernel holds one Instruction object per distinct instruction text,
     and a loaded bundle one per distinct 16-byte record."""
