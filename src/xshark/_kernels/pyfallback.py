@@ -13,14 +13,13 @@ numpy's float32 do on the little-endian hosts xshark runs on.
 - `mxu_mm` forms all 4,096 products with one f32 broadcast multiply and adds
   them in ascending k with one `np.add.accumulate` along k, which is the
   sequential f32 sum by definition. `np.add.reduce`, `np.sum` and `matmul`
-  never sum the tile: their summation order is not this contract's.
+  never sum the tile: their summation order is not this contract's. It
+  imports numpy on its first call; the vector ops never need it.
 """
 
 import struct
 from array import array
 from operator import add, mul
-
-import numpy as np
 
 BACKEND = "python"
 
@@ -28,7 +27,6 @@ LANES = 16
 TILE = 16
 
 CANON_NAN_BITS = 0x7FC00000
-CANON_NAN = np.uint32(CANON_NAN_BITS).view(np.float32)
 _VREG = struct.Struct(f"<{LANES}f")
 _LANE_BITS = struct.Struct("<I")
 
@@ -63,6 +61,7 @@ def mxu_mm(buf, d_off, a_off, b_off):
     the end (NaN-ness is sticky under accumulation, so this equals per-step
     canonicalization).
     """
+    import numpy as np
     f = np.frombuffer(buf, dtype=np.float32)
     d = f[d_off // 4:d_off // 4 + TILE * TILE].reshape(TILE, TILE)
     a = f[a_off // 4:a_off // 4 + TILE * TILE].reshape(TILE, TILE)
@@ -78,4 +77,4 @@ def mxu_mm(buf, d_off, a_off, b_off):
         d[...] = terms[-1]
         nan = np.isnan(d)
         if nan.any():
-            d[nan] = CANON_NAN
+            d.view(np.uint32)[nan] = CANON_NAN_BITS

@@ -176,14 +176,6 @@ class DependencyGraph:
                      else (self.conservative, self.conservative_at))
         return edges[at[idx]:at[idx + 1]] if 0 <= idx < len(at) - 1 else []
 
-    def earliest_position(self, idx: int, relaxed: bool = False) -> int:
-        """Dependency-only earliest stream position (no hazard clamps);
-        chain members do not bound their own DMA in the relaxed model."""
-        chain = set(self.chains.get(idx, ())) if relaxed else set()
-        deps = [e.producer for e in self.edges_of(idx, relaxed)
-                if e.producer not in chain]
-        return 1 + max(deps) if deps else 0
-
 
 def build_dependency_graph(events: List[PerfEvent]) -> DependencyGraph:
     t = build_tables(events)

@@ -1,5 +1,6 @@
 """Breakpoints for `Simulator.run_to`. The simulator is the step debugger:
-`step`, `peek` and `run_to` are the primitives the recorder needs.
+`step`, `peek` and `run_to` are the primitives the recorder needs. `run_to`
+runs `Simulator.run`'s loop, which stops before the Nth arrival at a pc.
 """
 
 from __future__ import annotations

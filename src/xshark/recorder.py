@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 from .debugger import Breakpoint
-from .isa import (INSTR_BYTES, ISA_VERSION, MEM_OPCODES, EncodingError, Fault,
+from .isa import (INSTR_BYTES, ISA_VERSION, EncodingError, Fault,
                   Instruction, MemRegion, MemSpace, RegClass, RegisterId,
                   decode_shared, encode_instruction, instruction_io_sets)
 from .sim import Simulator
@@ -170,8 +170,7 @@ def record(sim: Simulator, breakpoint: Optional[Breakpoint],
         pc = state.pc
         try:
             instr = sim.fetch()
-            ios = (instr.io if instr.predicate is None and instr.opcode not in MEM_OPCODES
-                   else instruction_io_sets(instr, state, pc))
+            ios = instr.static_io or instruction_io_sets(instr, state, pc)
         except Fault as f:
             state.halted = True          # any fault halts, as in Simulator.step
             fault = f

@@ -10,12 +10,11 @@ docs/trace-format.md, "Window footprint and the `window:` digest".
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .isa import (MEM_OPCODES, Fault, MachineState, addressed_reads,
-                  instruction_io_sets)
+from .isa import Fault, MachineState, addressed_reads, instruction_io_sets
 from .recorder import ExecutionTrace, RecordResult
-from .sim import PerfTracker, RunResult, SimConfig, Simulator, state_digest
+from .sim import RunResult, SimConfig, Simulator, Tracker, state_digest
 
 
 class ReplayDivergence(Exception):
@@ -48,7 +47,7 @@ def _undefined_registers(instr, pc: int, regs) -> str:
 
 
 def _replay_stream(trace: ExecutionTrace, config: SimConfig,
-                   order: Sequence[int], tracker: Optional[PerfTracker],
+                   order: Sequence[int], tracker: Tracker,
                    check_pc_chain: bool) -> RunResult:
     trace.check_config_hash(config.config_hash())
     ledger = trace.validate()
@@ -63,8 +62,7 @@ def _replay_stream(trace: ExecutionTrace, config: SimConfig,
         state.pc = pc
         fault = None
         try:
-            ios = (instr.io if instr.predicate is None and instr.opcode not in MEM_OPCODES
-                   else instruction_io_sets(instr, state, pc))
+            ios = instr.static_io or instruction_io_sets(instr, state, pc)
         except Fault as f:
             # only an instruction that executes parses regions: it reads
             # its guard and all its source registers
@@ -94,7 +92,7 @@ def _replay_stream(trace: ExecutionTrace, config: SimConfig,
 
 
 def replay(trace: ExecutionTrace, config: SimConfig,
-           tracker: Optional[PerfTracker] = None) -> RunResult:
+           tracker: Tracker = None) -> RunResult:
     """Replay the recorded window under `config` (the config-hash gate
     applies), emitting performance events, as a "replayed" RunResult."""
     return _replay_stream(trace, config, range(len(trace.instr_stream)),
@@ -103,7 +101,7 @@ def replay(trace: ExecutionTrace, config: SimConfig,
 
 def replay_with_schedule(trace: ExecutionTrace, order: Sequence[int],
                          config: SimConfig,
-                         tracker: Optional[PerfTracker] = None) -> RunResult:
+                         tracker: Tracker = None) -> RunResult:
     """Replay a permuted instruction stream (used to verify reorderings).
 
     A permutation that breaks a dependency surfaces as a divergence error or

@@ -1,4 +1,4 @@
-"""Cycle-level reference simulator with a performance-event callback sink.
+"""Cycle-level reference simulator that logs performance events.
 
 Execution model: single hardware thread, one instruction in flight at a time
 (each instruction runs to retirement before the next issues); the DMA engine
@@ -16,17 +16,19 @@ architectural results.
 
 Run, record and replay share one core, `exec_instruction`, which executes
 each instruction through its opcode's handler (`_HANDLERS`, indexed by the
-int opcode) and is the one place that emits per-instruction events.
-Latencies are a table lookup, and the DMA engine is not called while no
-transfer lands. `run` is one loop over the code. It, `record` and `replay`
-take an unguarded register-only instruction's footprint from the
-`Instruction.io` cached at its first parse; only the others go through
-`instruction_io_sets`.
+int opcode) and is the one place that emits per-instruction events. Events
+go straight into a RecordingTracker's `events` list; under a NullTracker,
+which has none, no event is made. Latencies are a table lookup, and the DMA
+engine is not called while no transfer lands. `run` and `run_to` share one
+loop over the code (`_execute`). It, `step`, `record` and `replay` take the
+footprint of an instruction that has one whatever the state from its cached
+`Instruction.static_io`; only the others go through `instruction_io_sets`.
 
 The vector and tile kernels (`_kernels`) are bit-exact to a scalar f32
 reference: V_ADD/V_MUL round a lane computed in double once to f32, which
 is exact for a product and, since 53 >= 2*24 + 2, for a sum; MXU_MM sums its
-f32 products with one sequential `np.add.accumulate` in ascending k.
+f32 products with one sequential `np.add.accumulate` in ascending k, and
+imports numpy on its first call.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from . import _kernels
 from .isa import (CMP_MODES, DMA_DIR_NAMES, OPCODES, PAGE_BYTES, REGISTER_NAMES,
                   VLEN_BYTES, VMEM_BUCKETS, DEFAULT_HBM_CAPACITY,
                   DEFAULT_VMEM_CAPACITY, Fault, Instruction, IoSets, MachineState,
-                  MEM_OPCODES, MemRegion, Opcode, Program, RegClass, Unit,
-                  instruction_io_sets)
+                  MemRegion, Opcode, Program, RegClass, Unit, instruction_io_sets)
 
 
 @dataclass
@@ -155,7 +156,6 @@ EVENT_FIELDS = {
     MEM_READ: ("pc idx region", "dma_id"),
     MEM_WRITE: ("pc idx region", "dma_id"),
 }
-EVENT_KINDS = frozenset(EVENT_FIELDS)
 # kind -> (the keys a line of that kind must have, the keys it may have)
 _KIND_KEYS = {kind: (frozenset(f"cycle kind {req}".split()),
                      frozenset(f"cycle kind {req} {opt}".split()))
@@ -224,24 +224,19 @@ def _region_json(r: MemRegion) -> dict:
     return {"len": r.length, "offset": r.offset, "space": r.space.value}
 
 
-class PerfTracker:
-    """Observational callback sink; must never affect architectural results."""
-
-    def on_event(self, ev: PerfEvent):
-        raise NotImplementedError
+class NullTracker:
+    """Keeps no events: it has no `events`, so a simulator makes none."""
 
 
-class NullTracker(PerfTracker):
-    def on_event(self, ev: PerfEvent):
-        pass
+class RecordingTracker:
+    """Keeps every event in log order: the simulator appends to `events`.
+    Trackers only observe; they never affect architectural results."""
 
-
-class RecordingTracker(PerfTracker):
     def __init__(self):
         self.events: List[PerfEvent] = []
 
-    def on_event(self, ev: PerfEvent):
-        self.events.append(ev)
+
+Tracker = Optional[RecordingTracker | NullTracker]     # None: a NullTracker
 
 
 def events_to_jsonl(events, summary: Optional[dict] = None) -> str:
@@ -383,15 +378,16 @@ class Simulator:
 
     def __init__(self, program: Optional[Program], config: SimConfig,
                  state: Optional[MachineState] = None,
-                 tracker: Optional[PerfTracker] = None):
+                 tracker: Tracker = None):
         self.program = program
         self.config = config
         if state is None:
             state = config.make_state()
             state.pc = program.entry_pc
         self.state = state
-        self.tracker = tracker if tracker is not None else NullTracker()
-        self._emit = not isinstance(self.tracker, NullTracker)
+        # the list events go to: None without a tracker or with a NullTracker
+        self._events = getattr(tracker, "events", None)
+        self._emit = self._events is not None
         self.stream_index = 0
         self.stall_cycles = {STALL_HAZARD: 0, STALL_DMA_BASE: 0, STALL_DMA_TRANSFER: 0}
         self._pending: list = []   # (cycle, seq, PerfEvent)
@@ -411,13 +407,14 @@ class Simulator:
         self._pseq += 1
 
     def _flush(self, upto: int):
-        while self._pending and self._pending[0][0] <= upto:
-            self.tracker.on_event(heapq.heappop(self._pending)[2])
+        pending, append = self._pending, self._events.append
+        while pending and pending[0][0] <= upto:
+            append(heapq.heappop(pending)[2])
 
     def _send(self, ev: PerfEvent):
         if self._pending and self._pending[0][0] <= ev.cycle:
             self._flush(ev.cycle)
-        self.tracker.on_event(ev)
+        self._events.append(ev)
 
     # -- DMA engine ----------------------------------------------------------
 
@@ -460,7 +457,7 @@ class Simulator:
         pc = state.pc
         try:
             instr = self.fetch()
-            ios = instruction_io_sets(instr, state, pc)
+            ios = instr.static_io or instruction_io_sets(instr, state, pc)
         except Fault as f:
             state.halted = True
             return f
@@ -474,54 +471,50 @@ class Simulator:
         return self._code[pc]
 
     def run_to(self, bp, max_cycles: int = 10_000_000) -> str:
-        """Step until the machine reaches bp.pc (a debugger.Breakpoint) for
+        """Run until the machine reaches bp.pc (a debugger.Breakpoint) for
         the hit_count_target-th time, stopping *before* that instruction
         executes. Returns "hit", or how the run ended instead: "halted",
         "budget" or "fault"."""
-        if not 0 <= bp.pc < len(self.program):
+        if not 0 <= bp.pc < len(self._code):
             raise Fault("bp_oob", f"breakpoint pc {bp.pc} outside program")
-        state, hits = self.state, 0
-        while not state.halted:
-            if state.cycle >= max_cycles:
-                return "budget"
-            if state.pc == bp.pc:
-                hits += 1
-                if hits == bp.hit_count_target:
-                    return "hit"
-            if self.step() is not None:
-                return "fault"
-        return "halted"
+        return self._execute(max_cycles, bp.pc, bp.hit_count_target)[0]
 
     def run(self, max_cycles: int) -> RunResult:
         if max_cycles <= 0:
             raise ValueError("max_cycles must be positive")
-        # step() inlined: an unguarded register-only instruction's
-        # footprint is its cached `io`
-        state, code, execute, fault = self.state, self._code, self.exec_instruction, None
-        while not state.halted and state.cycle < max_cycles:
+        outcome, fault = self._execute(max_cycles)
+        self.sync()
+        return RunResult(outcome, self.state, self.state.cycle,
+                         self.stream_index, dict(self.stall_cycles), fault)
+
+    def _execute(self, max_cycles: int, stop_pc: int = -1, arrivals: int = 0):
+        """Execute as step() does until the machine halts or faults, its
+        cycle reaches max_cycles, or it is about to execute stop_pc for the
+        arrivals-th time (never, when arrivals < 1). Returns (outcome,
+        fault): "halted", "budget", "hit" or "fault", and the Fault of a
+        "fault". It flushes no event and lands no transfer at the end."""
+        state, code, execute = self.state, self._code, self.exec_instruction
+        while not state.halted:
+            if state.cycle >= max_cycles:
+                return "budget", None
             pc = state.pc
+            if pc == stop_pc:
+                arrivals -= 1
+                if arrivals == 0:
+                    return "hit", None
             if not 0 <= pc < len(code):
                 state.halted = True
-                fault = Fault("pc_oob", f"pc {pc} outside program", pc)
-                break
+                return "fault", Fault("pc_oob", f"pc {pc} outside program", pc)
             instr = code[pc]
-            if instr.predicate is None and instr.opcode not in MEM_OPCODES:
-                ios = instr.io
-            else:
-                try:
-                    ios = instruction_io_sets(instr, state, pc)
-                except Fault as f:
-                    state.halted = True
-                    fault = f
-                    break
+            try:
+                ios = instr.static_io or instruction_io_sets(instr, state, pc)
+            except Fault as f:
+                state.halted = True
+                return "fault", f
             fault = execute(instr, pc, ios)
             if fault is not None:
-                break
-        self.sync()
-        outcome = ("fault" if fault is not None
-                   else "halted" if state.halted else "budget")
-        return RunResult(outcome, state, state.cycle,
-                         self.stream_index, dict(self.stall_cycles), fault)
+                return "fault", fault
+        return "halted", None
 
     def exec_instruction(self, instr: Instruction, pc: int,
                          ios: IoSets) -> Optional[Fault]:
@@ -799,7 +792,7 @@ def _mem_write(cycle, pc, idx, region, dma_id=None) -> PerfEvent:
 
 def run_program(program: Program, config: SimConfig,
                 state: Optional[MachineState] = None,
-                tracker: Optional[PerfTracker] = None,
+                tracker: Tracker = None,
                 max_cycles: int = 10_000_000) -> RunResult:
     sim = Simulator(program, config, state, tracker)
     sim.state.pc = program.entry_pc

@@ -47,12 +47,6 @@ class AssembledKernel:
     labels: Dict[str, int] = field(default_factory=dict)
     regions: List[Tuple[str, int, int]] = field(default_factory=list)  # (name, start, end)
 
-    def region_of(self, pc: int) -> Optional[str]:
-        for name, start, end in self.regions:
-            if start <= pc < end:
-                return name
-        return None
-
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*):")
 _NUM_RE = re.compile(r"-?(0[xX][0-9a-fA-F]+|0|[1-9][0-9]*)")

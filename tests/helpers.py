@@ -1,10 +1,16 @@
-"""Shared test scaffolding: assemble-and-run in one call."""
+"""Shared test scaffolding: assemble-and-run in one call, and the queries
+only tests make of a kernel, a dependency graph, HBM and the event kinds."""
 
 from __future__ import annotations
 
+from typing import Optional
+
 from xshark.debugger import DebugSession
-from xshark.sim import NullTracker, RecordingTracker, SimConfig, run_program
+from xshark.sim import (EVENT_FIELDS, NullTracker, RecordingTracker, SimConfig,
+                        run_program)
 from xshark.workloads import assemble, initial_state
+
+EVENT_KINDS = frozenset(EVENT_FIELDS)     # every kind an event log may hold
 
 
 def mk_config(**over) -> SimConfig:
@@ -31,3 +37,26 @@ def asm_session(src: str, config: SimConfig = None, tracker=None):
     config = config or SimConfig()
     kernel, state = asm_state(src, config)
     return kernel, DebugSession(kernel.program, config, state, tracker)
+
+
+def region_of(kernel, pc: int) -> Optional[str]:
+    """The name of the `;; region` of an AssembledKernel that holds pc."""
+    for name, start, end in kernel.regions:
+        if start <= pc < end:
+            return name
+    return None
+
+
+def earliest_position(graph, idx: int, relaxed: bool = False) -> int:
+    """Dependency-only earliest stream position of instruction idx in a
+    DependencyGraph (no hazard clamps); chain members do not bound their
+    own DMA in the relaxed model."""
+    chain = set(graph.chains.get(idx, ())) if relaxed else set()
+    deps = [e.producer for e in graph.edges_of(idx, relaxed)
+            if e.producer not in chain]
+    return 1 + max(deps) if deps else 0
+
+
+def backed_bytes(hbm) -> int:
+    """The bytes of the pages a SparseBytes has backed."""
+    return len(hbm._pages) * hbm.PAGE

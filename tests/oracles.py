@@ -6,6 +6,8 @@ These deliberately avoid the production code paths they validate:
                         transfer serialization; three-way stall/slack split)
   naive_record          whole-machine-state recorder (baseline for the
                         first-use recorder's minimality claims)
+  run_to_by_steps       the earlier Simulator.run_to: its own loop over
+                        step(), beside run's
   bruteforce_dep_oracle per-byte/per-register read-after-write tracker run
                         over a decoded instruction stream
   ByteSetOracle         per-byte model of the interval set
@@ -145,6 +147,25 @@ def naive_record(session, n_instructions: int):
                          start_cycle, len(stream), ended_at_halt)
     trace = ExecutionTrace(header, regs, mems, stream)
     return trace, trace.snapshot_bytes
+
+
+def run_to_by_steps(session, bp, max_cycles: int = 10_000_000) -> str:
+    """Step until the machine reaches bp.pc for the hit_count_target-th
+    time, stopping before that instruction executes: "hit", "halted",
+    "budget" or "fault", as Simulator.run_to."""
+    if not 0 <= bp.pc < len(session.program):
+        raise Fault("bp_oob", f"breakpoint pc {bp.pc} outside program")
+    state, hits = session.state, 0
+    while not state.halted:
+        if state.cycle >= max_cycles:
+            return "budget"
+        if state.pc == bp.pc:
+            hits += 1
+            if hits == bp.hit_count_target:
+                return "hit"
+        if session.step() is not None:
+            return "fault"
+    return "halted"
 
 
 # ------------------------------------------------- brute-force dependencies

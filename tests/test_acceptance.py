@@ -21,7 +21,7 @@ from xshark.workloads import (assemble, gen_allgather_kernel,
                               gen_checkerboard_kernel, gen_random_kernel,
                               gen_starvation_kernel, initial_state)
 
-from helpers import asm_session
+from helpers import asm_session, backed_bytes, earliest_position, region_of
 from oracles import bruteforce_dep_oracle, dma_oracle, naive_record
 
 N_KERNELS = 500
@@ -49,7 +49,7 @@ class KernelRun:
 
 def _naive_state_bytes(state):
     return (32 * 4 + 32 * 64 + 8 + state.vmem_capacity
-            + state.hbm.backed_bytes())
+            + backed_bytes(state.hbm))
 
 
 @pytest.fixture(scope="session")
@@ -106,8 +106,8 @@ def corpus():
             want = bruteforce_dep_oracle(rec.trace, config)
             run.dep_ok = got == want
             run.relaxed_superset_ok = all(
-                graph.earliest_position(i, relaxed=True)
-                <= graph.earliest_position(i)
+                earliest_position(graph, i, relaxed=True)
+                <= earliest_position(graph, i)
                 for i, info in enumerate(graph.tables.instrs)
                 if info.opcode == "DMA_ISSUE")
 
@@ -267,9 +267,9 @@ def test_criterion_04_allgather_pinning():
     kb, sb, tb = _run_kernel(gen_allgather_kernel(), config)
     kp, sp, tp = _run_kernel(gen_allgather_kernel(pinned=True), config)
     setup_b = [x for x in analyze_dma(tb.events)
-               if kb.region_of(x.pc) == "ag.setup"]
+               if region_of(kb, x.pc) == "ag.setup"]
     setup_p = [x for x in analyze_dma(tp.events)
-               if kp.region_of(x.pc) == "ag.setup"]
+               if region_of(kp, x.pc) == "ag.setup"]
     ok = (len(setup_b) == 9 and len(setup_p) == 0
           and sp.cycles <= 0.9 * sb.cycles)
     _report(4, "all-gather pinning", ok,
@@ -285,7 +285,7 @@ def test_criterion_05_allgather_parallel_issue():
     def setup_base_stall(kernel, tracker):
         total, opens = 0, {}
         for e in tracker.events:
-            if e.reason == "dma_base" and kernel.region_of(e.pc) == "ag.setup":
+            if e.reason == "dma_base" and region_of(kernel, e.pc) == "ag.setup":
                 if e.kind == "stall_begin":
                     opens[e.idx] = e.cycle
                 elif e.idx in opens:

@@ -748,11 +748,15 @@ _RUN_LOG_4X1 = "3384d3ac4aaeb4e3ea1668fb516e2eb39bb70bdfd2802c01710efee8dd428421
 
 
 def test_only_steps_that_run_a_kernel_import_numpy(tmp_path):
+    """numpy is loaded by the first MXU_MM alone: a step that executes
+    none, the V_ADD-only program's `run` included, leaves it unloaded."""
     (tmp_path / "k.xasm").write_text(gen_starvation_kernel(tiles=4,
                                                            prefetch_depth=1))
+    (tmp_path / "v.xasm").write_text(
+        "s_ldi s1, 0\nv_load v1, [s1]\nv_add v2, v1, v1\nhalt\n")
     f = {name: str(tmp_path / name) for name in (
         "k.xasm", "p.json", "run.jsonl", "t.json", "r.jsonl", "report",
-        "s.json", "a.jsonl")}
+        "s.json", "a.jsonl", "v.xasm", "v.json")}
     steps = [
         (["asm", f["k.xasm"], "-o", f["p.json"]], False),
         (["run", f["p.json"], "-o", f["run.jsonl"]], True),
@@ -763,12 +767,14 @@ def test_only_steps_that_run_a_kernel_import_numpy(tmp_path):
         (["suggest", f["t.json"], f["r.jsonl"], "-o", f["s.json"]], False),
         (["apply", f["t.json"], f["s.json"], "-o", f["a.jsonl"]], True),
         (["compare", f["r.jsonl"], f["a.jsonl"]], False),
+        (["asm", f["v.xasm"], "-o", f["v.json"]], False),
+        (["run", f["v.json"]], False),
     ]
-    for argv, runs_a_kernel in steps:
+    for argv, runs_an_mxu_mm in steps:
         out = subprocess.run([sys.executable, "-c", _CLI_REPORTING_NUMPY, *argv],
                              capture_output=True, text=True)
         assert out.returncode == 0, (argv, out.stderr)
-        assert out.stdout.splitlines()[-1] == f"numpy imported: {runs_a_kernel}", argv
+        assert out.stdout.splitlines()[-1] == f"numpy imported: {runs_an_mxu_mm}", argv
     with open(f["run.jsonl"], "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == _RUN_LOG_4X1
 

@@ -17,12 +17,12 @@ from xshark.analyzer.report import _write_json
 from xshark.cli import main
 from xshark.isa import (DMA_DIR_NAMES, REGISTER_NAMES, MemRegion, MemSpace,
                         Opcode, Unit)
-from xshark.sim import (EVENT_FIELDS, EVENT_KINDS, PerfEvent, RecordingTracker,
+from xshark.sim import (EVENT_FIELDS, PerfEvent, RecordingTracker,
                         SimConfig, events_from_jsonl, events_to_jsonl, run_program)
 from xshark.workloads import gen_random_kernel, gen_starvation_kernel
 
 import oracles
-from helpers import asm_state
+from helpers import EVENT_KINDS, asm_state
 
 
 def report_text(obj) -> str:

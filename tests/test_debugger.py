@@ -3,11 +3,15 @@
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xshark.debugger import Breakpoint
 from xshark.isa import Fault, MemRegion, MemSpace, Opcode, sreg
-from xshark.sim import SimConfig, state_digest
+from xshark.sim import RecordingTracker, SimConfig, Simulator, state_digest
+from xshark.workloads import assemble, gen_random_kernel, initial_state
 
+import oracles
 from helpers import asm_run, asm_session
 
 COUNTDOWN = """
@@ -56,6 +60,41 @@ def test_out_of_bounds_breakpoint_rejected():
         session.run_to(Breakpoint(1000))
     assert exc.value.kind == "bp_oob"
     assert session.state.cycle == 0 and session.stream_index == 0
+
+
+def test_breakpoint_without_a_program_rejected():
+    """A simulator built without a program, as a replay's is, has no pc a
+    breakpoint can name."""
+    config = SimConfig()
+    session = Simulator(None, config, config.make_state())
+    with pytest.raises(Fault) as exc:
+        session.run_to(Breakpoint(0))
+    assert exc.value.kind == "bp_oob"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.integers(10, 80),
+       at=st.integers(0, 10 ** 6), hits=st.integers(1, 6),
+       max_cycles=st.one_of(st.integers(-2, 3000), st.just(10_000_000)))
+def test_run_to_matches_the_step_loop(seed, size, at, hits, max_cycles):
+    """run_to, on run's loop, ends as the loop over step() ends, twice in a
+    row: the same outcome, pc, cycle, stream index, state and events."""
+    config = SimConfig()
+    kernel = assemble(gen_random_kernel(seed, size=size).text)
+    bp = Breakpoint(at % len(kernel.program), hits)
+    ends = []
+    for run_to in (oracles.run_to_by_steps, Simulator.run_to):
+        tracker = RecordingTracker()
+        session = Simulator(kernel.program, config, initial_state(kernel, config),
+                            tracker)
+        end = []
+        for target in (bp, Breakpoint(bp.pc, hits + 1)):
+            state = session.state
+            end.append((run_to(session, target, max_cycles), state.pc, state.cycle,
+                        session.stream_index, state_digest(state),
+                        list(tracker.events)))
+        ends.append(end)
+    assert ends[1] == ends[0]
 
 
 def test_step_returns_decoded_instruction_before_executing():

@@ -1,5 +1,7 @@
-"""Every contract document that the source names exists."""
+"""Every contract document that the source names exists, and every public
+name the source defines is used."""
 
+import ast
 import pathlib
 import re
 
@@ -108,3 +110,31 @@ def test_every_cli_error_code_is_expected_by_a_test():
     expected |= {code for path in (ROOT / "tests").glob("test_*.py")
                  for code in re.findall(r'== \["code:([A-Z_]+)"\]', path.read_text())}
     assert sorted(raised - expected) == []
+
+
+def test_every_public_name_in_src_is_used():
+    """Each public function, class, method and upper-case constant that
+    src/ defines is named somewhere in src/, perfbench/ or docs/ besides its
+    definition: a helper only tests call belongs in tests/helpers.py."""
+    texts = [path.read_text() for folder in ("src", "perfbench", "docs")
+             for path in (ROOT / folder).rglob("*") if path.suffix in (".py", ".md")]
+    defined = []
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend(n.id for target in targets for n in ast.walk(target)
+                               if isinstance(n, ast.Name) and n.id.isupper())
+
+    for path in (ROOT / "src").rglob("*.py"):
+        visit(ast.parse(path.read_text()).body)
+    public = {name for name in defined if not name.startswith("_")}
+    assert {"Simulator", "run_to", "static_io", "MEM_OPCODES"} <= public
+    uses = {name: sum(len(re.findall(rf"\b{name}\b", text)) for text in texts)
+            for name in public}
+    assert sorted(name for name in public if uses[name] <= defined.count(name)) == []

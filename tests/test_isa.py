@@ -197,6 +197,26 @@ def test_static_footprint_is_never_stale(op):
                                             after.input_mem + after.output_mem}
 
 
+@given(st.integers(0, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_static_footprint_is_the_parsed_one(seed):
+    """`static_io` is unset (None) exactly for a guarded instruction and one
+    that addresses memory; when set, it is what instruction_io_sets parses
+    from any state."""
+    r = random.Random(seed)
+    ins = r.choice(_OPCODE_BUILDERS)(r)
+    if r.random() < 0.3:
+        ins = Instruction(ins.opcode, ins.dst_regs, ins.src_regs,
+                          ins.immediates, preg(r.randrange(8)))
+    addresses = ins.opcode in (Opcode.V_LOAD, Opcode.V_STORE, Opcode.MXU_MM,
+                               Opcode.DMA_ISSUE)
+    assert (ins.static_io is None) == (ins.predicate is not None or addresses)
+    if ins.static_io is not None:
+        for _ in range(3):
+            st_ = _random_state(r, SimConfig())
+            assert ins.static_io == instruction_io_sets(ins, st_, 0)
+
+
 @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
 def test_addressed_reads_are_the_parsed_input_regions(op):
     """addressed_reads names, in order, the regions instruction_io_sets

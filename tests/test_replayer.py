@@ -372,9 +372,9 @@ def test_only_read_trace_decodes_the_stream(monkeypatch, tmp_path):
 
 
 def test_run_record_replay_leave_no_reference_cycle():
-    """A finished machine is freed by reference counting: run, record and
-    replay leave no reference cycle that would keep a machine's VMEM alive
-    until a full collection."""
+    """A finished machine is freed by reference counting: run, run_to,
+    record and replay leave no reference cycle that would keep a machine's
+    VMEM alive until a full collection."""
     config = SimConfig()
     kernel = assemble(gen_random_kernel(3, size=200).text)
     run_program(kernel.program, config, initial_state(kernel, config))   # warm-up
@@ -382,11 +382,14 @@ def test_run_record_replay_leave_no_reference_cycle():
     gc.disable()
     try:
         result = run_program(kernel.program, config, initial_state(kernel, config))
+        stopped = Simulator(kernel.program, config, initial_state(kernel, config),
+                            RecordingTracker())
+        assert stopped.run_to(Breakpoint(len(kernel.program) // 2)) == "hit"
         sim = Simulator(kernel.program, config, initial_state(kernel, config))
         res = record(sim, None, 10 ** 6)
         rep = replay(res.trace, config, RecordingTracker())
         assert result.outcome == "halted" and rep.executed == res.recorded > 0
-        del result, sim, res, rep
+        del result, stopped, sim, res, rep
         assert gc.collect() == 0
     finally:
         gc.enable()

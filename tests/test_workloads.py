@@ -16,7 +16,7 @@ from xshark.workloads import (AsmError, assemble, disassemble,
 from xshark.workloads.asm import load_bundle, save_bundle
 
 import oracles
-from helpers import asm_run
+from helpers import asm_run, region_of
 
 
 # ---------------------------------------------------------------- assembler
@@ -65,7 +65,7 @@ def test_region_labels_tracked():
     """
     k = assemble(src)
     assert k.regions == [("phase.a", 0, 2), ("phase.b", 2, 3)]
-    assert k.region_of(1) == "phase.a" and k.region_of(2) == "phase.b"
+    assert region_of(k, 1) == "phase.a" and region_of(k, 2) == "phase.b"
 
 
 def test_data_directives_build_images():
@@ -228,7 +228,7 @@ def test_one_instruction_per_distinct_text_and_record(tmp_path):
 def test_allgather_baseline_nine_setup_dmas_base_stalled():
     kernel, result, tracker = asm_run(gen_allgather_kernel())
     setup = [x for x in analyze_dma(tracker.events)
-             if kernel.region_of(x.pc) == "ag.setup"]
+             if region_of(kernel, x.pc) == "ag.setup"]
     assert len(setup) == 9
     for x in setup:
         base = x.base_done_cycle - x.wait_cycle
@@ -244,12 +244,12 @@ def test_allgather_pinned_elides_setup_phase():
     kernel_p, pinned, tracker_p = asm_run(gen_allgather_kernel(pinned=True))
     records_p = analyze_dma(tracker_p.events)
     setup_p = [x for x in records_p
-               if kernel_p.region_of(x.pc) == "ag.setup"]
+               if region_of(kernel_p, x.pc) == "ag.setup"]
     assert setup_p == []
     assert pinned.cycles <= 0.9 * base.cycles           # >= 10% faster
     # both variants push the same bytes
     assert len([x for x in records_p
-                if kernel_p.region_of(x.pc) == "ag.data"]) == 6
+                if region_of(kernel_p, x.pc) == "ag.data"]) == 6
 
 
 def test_allgather_variants_agree_on_data():
@@ -270,7 +270,7 @@ def test_allgather_parallel_setup_cuts_base_stall_threefold():
         opens = {}
         for e in tracker.events:
             if e.kind == "stall_begin" and e.reason == "dma_base" \
-                    and kernel.region_of(e.pc) == "ag.setup":
+                    and region_of(kernel, e.pc) == "ag.setup":
                 opens[e.idx] = e.cycle
             elif e.kind == "stall_end" and e.reason == "dma_base" and e.idx in opens:
                 total += e.cycle - opens.pop(e.idx)
