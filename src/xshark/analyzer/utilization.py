@@ -25,12 +25,6 @@ class UtilizationSeries:
     runs: List[Tuple[int, int, float]]
     annotations: List[Tuple[int, int]] = field(default_factory=list)  # (cycle, dma_id)
 
-    @property
-    def samples(self) -> List[Tuple[int, float]]:
-        """(bucket start cycle, busy fraction) per bucket."""
-        w = self.bucket_width
-        return [(c, f) for a, b, f in self.runs for c in range(a, b, w)]
-
 
 def analyze_utilization(events: List[PerfEvent],
                         bucket_width: int = 1) -> Dict[str, UtilizationSeries]:

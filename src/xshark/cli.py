@@ -20,16 +20,16 @@ import sys
 from . import __version__
 
 # Where each library name the subcommands use lives, as (module, name). A
-# step imports only the modules it runs, on first use (`_library`), so that
-# `asm`, `analyze`, `suggest` and `compare` never load numpy; the names become
-# attributes of this module then, as if imported at the top, and tools that
-# time a step may wrap them here.
+# step names each through `_lib` where it uses it (`_lib.assemble(...)`),
+# which imports the module on first use, so that `asm`, `analyze`, `suggest`
+# and `compare` never load numpy; the names become attributes of this module
+# then, as if imported at the top, and tools that time a step may wrap them
+# here.
 _LIBRARY = {name: (module, name) for module, names in (
     ("workloads", "AsmError assemble initial_state load_bundle save_bundle"),
-    ("sim", "RecordingTracker SimConfig Simulator events_from_jsonl "
+    ("sim", "Breakpoint RecordingTracker SimConfig Simulator events_from_jsonl "
             "events_to_jsonl run_program state_digest"),
     ("isa", "EncodingError Fault"),
-    ("debugger", "Breakpoint"),
     ("recorder", "TraceError read_trace record write_trace"),
     ("replayer", "ReplayDivergence replay"),
     ("analyzer", "AnalysisError MAX_SAMPLES Suggestion analyze_dma "
@@ -48,10 +48,20 @@ def __getattr__(name):
     return value
 
 
-def _library(*names):
-    """The library objects `names`, each imported on its first use."""
-    namespace = globals()
-    return [namespace[n] if n in namespace else __getattr__(n) for n in names]
+class _Library:
+    """`_lib.<name>` is the library object `name` as this module's namespace
+    holds it (the imported object, or a wrapper put in its place), imported
+    through the module's `__getattr__` on first use. It reads `globals()`,
+    the namespace this code runs in, which under
+    `runpy.run_module(..., run_name="__main__")` is not the module an import
+    registers."""
+
+    def __getattr__(self, name):
+        namespace = globals()
+        return namespace[name] if name in namespace else __getattr__(name)
+
+
+_lib = _Library()
 
 
 class CliError(Exception):
@@ -64,12 +74,11 @@ class CliError(Exception):
 def _load_config(path):
     """The SimConfig in file `path`, or the default one when `path` is
     empty."""
-    [SimConfig] = _library("SimConfig")
     if not path:
-        return SimConfig()
+        return _lib.SimConfig()
     try:
         with open(path) as fh:
-            return SimConfig.from_json(json.load(fh))
+            return _lib.SimConfig.from_json(json.load(fh))
     except FileNotFoundError:
         raise CliError("CONFIG_NOT_FOUND", f"config file {path!r} missing", 1)
     except (ValueError, RecursionError) as e:      # bad JSON is a ValueError
@@ -85,17 +94,15 @@ def _read(path):
 
 
 def _load_bundle(path):
-    load_bundle, EncodingError = _library("load_bundle", "EncodingError")
     try:
-        return load_bundle(path)
-    except EncodingError as e:
+        return _lib.load_bundle(path)
+    except _lib.EncodingError as e:
         raise CliError("BUNDLE_INVALID", f"bad program bundle {e}", 1)
 
 
 def _read_events(path):
-    [events_from_jsonl] = _library("events_from_jsonl")
     try:
-        return events_from_jsonl(_read(path))
+        return _lib.events_from_jsonl(_read(path))
     except ValueError as e:
         raise CliError("EVENTS_INVALID", f"bad event log {path!r}: {e}", 1)
 
@@ -118,12 +125,11 @@ def _read_summary(path) -> dict:
 
 
 def _read_suggestions(path):
-    [Suggestion] = _library("Suggestion")
     try:
         doc = json.loads(_read(path))
         if not isinstance(doc, list):
             raise ValueError("expected a JSON list of suggestions")
-        return [Suggestion.from_json(d) for d in doc]
+        return [_lib.Suggestion.from_json(d) for d in doc]
     except (ValueError, RecursionError) as e:
         raise CliError("SUGGESTIONS_INVALID", f"bad suggestions {path!r}: {e}", 1)
 
@@ -151,27 +157,24 @@ def _loaded():
 
 
 def _write_events(path, tracker, summary):
-    [events_to_jsonl] = _library("events_to_jsonl")
     with open(path, "w") as fh:
-        fh.write(events_to_jsonl(tracker.events, summary))
+        fh.write(_lib.events_to_jsonl(tracker.events, summary))
 
 
 def cmd_asm(args, config):
-    assemble, save_bundle = _library("assemble", "save_bundle")
-    kernel = assemble(_read(args.source))
-    save_bundle(kernel, args.output)
+    kernel = _lib.assemble(_read(args.source))
+    _lib.save_bundle(kernel, args.output)
     print(f"assembled {len(kernel.program)} instructions -> {args.output}")
     return 0
 
 
 def cmd_run(args, config):
-    RecordingTracker, initial_state, run_program, state_digest = _library(
-        "RecordingTracker", "initial_state", "run_program", "state_digest")
     bundle = _load_bundle(args.program)
-    tracker = RecordingTracker() if args.output else None
-    result = run_program(bundle.program, config, initial_state(bundle, config),
-                         tracker, max_cycles=args.max_cycles)
-    digest = state_digest(result.state)
+    tracker = _lib.RecordingTracker() if args.output else None
+    result = _lib.run_program(bundle.program, config,
+                              _lib.initial_state(bundle, config), tracker,
+                              max_cycles=args.max_cycles)
+    digest = _lib.state_digest(result.state)
     if args.output:
         _write_events(args.output, tracker, _summary(result, digest))
     print(f"outcome={result.outcome} cycles={result.cycles} "
@@ -191,14 +194,14 @@ def _resolve_break(bundle, spec: str) -> int:
 
 
 def cmd_record(args, config):
-    Breakpoint, Simulator, initial_state, record, write_trace = _library(
-        "Breakpoint", "Simulator", "initial_state", "record", "write_trace")
     bundle = _load_bundle(args.program)
-    sim = Simulator(bundle.program, config, initial_state(bundle, config))
-    bp = Breakpoint(_resolve_break(bundle, args.break_at), args.hit)
-    result = record(sim, bp, args.count, fast_forward_dma=args.fast_forward,
-                    max_cycles=args.max_cycles)
-    write_trace(result.trace, args.output, binary=args.binary)
+    sim = _lib.Simulator(bundle.program, config,
+                         _lib.initial_state(bundle, config))
+    bp = _lib.Breakpoint(_resolve_break(bundle, args.break_at), args.hit)
+    result = _lib.record(sim, bp, args.count,
+                         fast_forward_dma=args.fast_forward,
+                         max_cycles=args.max_cycles)
+    _lib.write_trace(result.trace, args.output, binary=args.binary)
     note = " (ended at HALT)" if result.ended_at_halt else ""
     if result.fault:
         note = f" (fault: {result.fault.kind})"
@@ -208,12 +211,10 @@ def cmd_record(args, config):
 
 
 def cmd_replay(args, config):
-    RecordingTracker, read_trace, replay = _library(
-        "RecordingTracker", "read_trace", "replay")
-    trace = read_trace(args.trace, expected_config_hash=config.config_hash())
+    trace = _lib.read_trace(args.trace, expected_config_hash=config.config_hash())
     _loaded()
-    tracker = RecordingTracker()
-    result = replay(trace, config, tracker)
+    tracker = _lib.RecordingTracker()
+    result = _lib.replay(trace, config, tracker)
     _write_events(args.output, tracker, _summary(result, result.digest))
     print(f"replayed {result.executed} instructions, cycles={result.cycles} "
           f"stalls={result.total_stall} -> {args.output}")
@@ -221,10 +222,6 @@ def cmd_replay(args, config):
 
 
 def cmd_analyze(args, config):
-    (analyze_dma, analyze_utilization, analyze_vmem, build_dependency_graph,
-     compute_backtails, write_report) = _library(
-        "analyze_dma", "analyze_utilization", "analyze_vmem",
-        "build_dependency_graph", "compute_backtails", "write_report")
     events, _ = _read_events(args.events)
     _loaded()
     want_all = not (args.dma or args.util or args.vmem or args.deps)
@@ -234,40 +231,36 @@ def cmd_analyze(args, config):
         regions = {name: [start, end] for name, start, end in bundle.regions}
     kw = {}
     if args.dma or want_all:
-        kw["dma_records"] = analyze_dma(events)
+        kw["dma_records"] = _lib.analyze_dma(events)
     if args.util or want_all:
-        kw["utilization"] = analyze_utilization(events, args.bucket_width)
+        kw["utilization"] = _lib.analyze_utilization(events, args.bucket_width)
     if args.vmem or want_all:
-        kw["vmem"] = analyze_vmem(events, args.sample_interval,
-                                  config.vmem_capacity)
+        kw["vmem"] = _lib.analyze_vmem(events, args.sample_interval,
+                                       config.vmem_capacity)
     if args.deps or want_all:
-        graph = build_dependency_graph(events)
+        graph = _lib.build_dependency_graph(events)
         kw["graph"] = graph
-        kw["backtails"] = compute_backtails(graph)
-    written = write_report(args.output, regions=regions, **kw)
+        kw["backtails"] = _lib.compute_backtails(graph)
+    written = _lib.write_report(args.output, regions=regions, **kw)
     print("wrote " + ", ".join(written))
     return 0
 
 
 def cmd_suggest(args, config):
-    (read_trace, analyze_dma, analyze_vmem, build_dependency_graph,
-     make_suggestions, MAX_SAMPLES) = _library(
-        "read_trace", "analyze_dma", "analyze_vmem", "build_dependency_graph",
-        "make_suggestions", "MAX_SAMPLES")
-    trace = read_trace(args.trace, expected_config_hash=config.config_hash())
+    trace = _lib.read_trace(args.trace, expected_config_hash=config.config_hash())
     events, _ = _read_events(args.events)
     _loaded()
-    records = analyze_dma(events)
-    graph = build_dependency_graph(events)
+    records = _lib.analyze_dma(events)
+    graph = _lib.build_dependency_graph(events)
     if graph.n != len(trace.instr_stream):
         raise CliError("EVENTS_TRACE_MISMATCH",
                        f"event log covers {graph.n} instructions, trace has "
                        f"{len(trace.instr_stream)}")
     # every 64 cycles, or as often as MAX_SAMPLES samples allow
     end = max((ev.cycle for ev in events), default=0)
-    vmem = analyze_vmem(events, max(64, end // MAX_SAMPLES + 1),
-                        config.vmem_capacity)
-    suggestions = make_suggestions(records, graph, vmem)
+    vmem = _lib.analyze_vmem(events, max(64, end // _lib.MAX_SAMPLES + 1),
+                             config.vmem_capacity)
+    suggestions = _lib.make_suggestions(records, graph, vmem)
     _write_suggestions(args.output, suggestions)
     stalled = sum(1 for r in records if r.stall_total > 0)
     print(f"{len(suggestions)} suggestions for {stalled} stalled DMAs "
@@ -276,16 +269,14 @@ def cmd_suggest(args, config):
 
 
 def cmd_apply(args, config):
-    RecordingTracker, apply_and_verify, read_trace = _library(
-        "RecordingTracker", "apply_and_verify", "read_trace")
-    trace = read_trace(args.trace, expected_config_hash=config.config_hash())
+    trace = _lib.read_trace(args.trace, expected_config_hash=config.config_hash())
     suggestions = _read_suggestions(args.suggestions)
     if not suggestions:
         raise CliError("NO_SUGGESTIONS", "suggestion list is empty", 1)
     _loaded()
-    tracker = RecordingTracker()
-    updated, applied = apply_and_verify(trace, suggestions, config,
-                                        tracker=tracker)
+    tracker = _lib.RecordingTracker()
+    updated, applied = _lib.apply_and_verify(trace, suggestions, config,
+                                             tracker=tracker)
     _write_suggestions(args.output + ".suggestions.json", updated)
     if applied is None:
         raise CliError("REPLAY_DIVERGENCE",
@@ -435,17 +426,15 @@ def _main(argv) -> int:
         print(f"code:IO_ERROR {e}", file=sys.stderr)
         return 1
     except Exception as e:
-        AsmError, TraceError, ReplayDivergence, Fault, AnalysisError = _library(
-            "AsmError", "TraceError", "ReplayDivergence", "Fault", "AnalysisError")
-        if isinstance(e, AsmError):
+        if isinstance(e, _lib.AsmError):
             print(f"code:ASM_ERROR {e}", file=sys.stderr)
-        elif isinstance(e, TraceError):
+        elif isinstance(e, _lib.TraceError):
             print(f"code:{e.code} {e}", file=sys.stderr)
-        elif isinstance(e, ReplayDivergence):
+        elif isinstance(e, _lib.ReplayDivergence):
             print(f"code:REPLAY_DIVERGENCE {e}", file=sys.stderr)
-        elif isinstance(e, Fault):
+        elif isinstance(e, _lib.Fault):
             print(f"code:{e.kind.upper()} {e}", file=sys.stderr)
-        elif isinstance(e, AnalysisError):
+        elif isinstance(e, _lib.AnalysisError):
             print(f"code:ANALYSIS_ERROR {e}", file=sys.stderr)
         else:
             raise

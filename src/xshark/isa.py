@@ -27,7 +27,7 @@ import re
 import struct
 from dataclasses import InitVar, dataclass, field
 from enum import Enum, IntEnum
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 ISA_VERSION = 1
@@ -123,11 +123,6 @@ for _cls, _tag in _REG_TAG.items():
         _REG_BY_BYTE[_tag << 6 | _i] = _REG_BY_NAME[f"{_cls.value}{_i}"] = \
             RegisterId(_cls, _i)
 REGISTER_NAMES = frozenset(_REG_BY_NAME)
-
-
-sreg = partial(RegisterId, RegClass.SCALAR)
-vreg = partial(RegisterId, RegClass.VECTOR)
-preg = partial(RegisterId, RegClass.PREDICATE)
 
 
 class MemSpace(Enum):

@@ -20,11 +20,10 @@ import struct
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
-from .debugger import Breakpoint
 from .isa import (INSTR_BYTES, ISA_VERSION, EncodingError, Fault,
                   Instruction, MemRegion, MemSpace, RegClass, RegisterId,
                   decode_shared, encode_instruction, instruction_io_sets)
-from .sim import Simulator
+from .sim import Breakpoint, Simulator
 from .window import Footprint, WindowLedger
 
 TRACE_MAGIC = b"XTRC"

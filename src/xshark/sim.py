@@ -19,10 +19,12 @@ each instruction through its opcode's handler (`_HANDLERS`, indexed by the
 int opcode) and is the one place that emits per-instruction events. Events
 go straight into a RecordingTracker's `events` list; under a NullTracker,
 which has none, no event is made. Latencies are a table lookup, and the DMA
-engine is not called while no transfer lands. `run` and `run_to` share one
-loop over the code (`_execute`). It, `step`, `record` and `replay` take the
-footprint of an instruction that has one whatever the state from its cached
-`Instruction.static_io`; only the others go through `instruction_io_sets`.
+engine is not called while no transfer lands. The simulator is also the
+step debugger: `step`, `peek`, and `run_to`, which stops at a `Breakpoint`.
+`run` and `run_to` share one loop over the code (`_execute`). It, `step`,
+`record` and `replay` take the footprint of an instruction that has one
+whatever the state from its cached `Instruction.static_io`; only the others
+go through `instruction_io_sets`.
 
 The vector and tile kernels (`_kernels`) are bit-exact to a scalar f32
 reference: V_ADD/V_MUL round a lane computed in double once to f32, which
@@ -370,16 +372,27 @@ class RunResult:
         return sum(self.stall_cycles.values())
 
 
+@dataclass(frozen=True)
+class Breakpoint:
+    """Where `Simulator.run_to` stops: before the hit_count_target-th
+    arrival at pc."""
+    pc: int
+    hit_count_target: int = 1
+
+    def __post_init__(self):
+        if self.hit_count_target < 1:
+            raise ValueError("hit_count_target must be >= 1")
+
+
 class Simulator:
     """Executes instructions against a MachineState, reporting events to a
-    tracker, and steps the machine for the debugger and the recorder. One
-    instance per state; not thread-safe. A state the simulator makes itself
-    starts at the program's entry; a replay runs with no program."""
+    tracker, and is the step debugger the recorder drives. One instance per
+    state; not thread-safe. A state the simulator makes itself starts at the
+    program's entry; a replay runs with no program."""
 
     def __init__(self, program: Optional[Program], config: SimConfig,
                  state: Optional[MachineState] = None,
                  tracker: Tracker = None):
-        self.program = program
         self.config = config
         if state is None:
             state = config.make_state()
@@ -470,11 +483,10 @@ class Simulator:
             return None
         return self._code[pc]
 
-    def run_to(self, bp, max_cycles: int = 10_000_000) -> str:
-        """Run until the machine reaches bp.pc (a debugger.Breakpoint) for
-        the hit_count_target-th time, stopping *before* that instruction
-        executes. Returns "hit", or how the run ended instead: "halted",
-        "budget" or "fault"."""
+    def run_to(self, bp: Breakpoint, max_cycles: int = 10_000_000) -> str:
+        """Run until the machine reaches bp.pc for the hit_count_target-th
+        time, stopping *before* that instruction executes. Returns "hit", or
+        how the run ended instead: "halted", "budget" or "fault"."""
         if not 0 <= bp.pc < len(self._code):
             raise Fault("bp_oob", f"breakpoint pc {bp.pc} outside program")
         return self._execute(max_cycles, bp.pc, bp.hit_count_target)[0]

@@ -1,16 +1,23 @@
-"""Shared test scaffolding: assemble-and-run in one call, and the queries
-only tests make of a kernel, a dependency graph, HBM and the event kinds."""
+"""Shared test scaffolding: assemble-and-run in one call, register
+constructors, and the queries only tests make of a kernel, a dependency
+graph, HBM, a utilization series and the event kinds."""
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import List, Optional, Tuple
 
 from xshark.debugger import DebugSession
+from xshark.isa import RegClass, RegisterId
 from xshark.sim import (EVENT_FIELDS, NullTracker, RecordingTracker, SimConfig,
                         run_program)
 from xshark.workloads import assemble, initial_state
 
 EVENT_KINDS = frozenset(EVENT_FIELDS)     # every kind an event log may hold
+
+sreg = partial(RegisterId, RegClass.SCALAR)
+vreg = partial(RegisterId, RegClass.VECTOR)
+preg = partial(RegisterId, RegClass.PREDICATE)
 
 
 def mk_config(**over) -> SimConfig:
@@ -55,6 +62,13 @@ def earliest_position(graph, idx: int, relaxed: bool = False) -> int:
     deps = [e.producer for e in graph.edges_of(idx, relaxed)
             if e.producer not in chain]
     return 1 + max(deps) if deps else 0
+
+
+def bucket_samples(series) -> List[Tuple[int, float]]:
+    """(bucket start cycle, busy fraction) per bucket of a
+    UtilizationSeries."""
+    w = series.bucket_width
+    return [(c, f) for a, b, f in series.runs for c in range(a, b, w)]
 
 
 def backed_bytes(hbm) -> int:

@@ -153,7 +153,7 @@ def run_to_by_steps(session, bp, max_cycles: int = 10_000_000) -> str:
     """Step until the machine reaches bp.pc for the hit_count_target-th
     time, stopping before that instruction executes: "hit", "halted",
     "budget" or "fault", as Simulator.run_to."""
-    if not 0 <= bp.pc < len(session.program):
+    if not 0 <= bp.pc < len(session._code):
         raise Fault("bp_oob", f"breakpoint pc {bp.pc} outside program")
     state, hits = session.state, 0
     while not state.halted:

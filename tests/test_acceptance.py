@@ -9,10 +9,10 @@ import time
 
 import pytest
 
-from xshark.debugger import Breakpoint, DebugSession
+from xshark.debugger import DebugSession
 from xshark.recorder import ExecutionTrace, record
 from xshark.replayer import compare_window, replay
-from xshark.sim import (NullTracker, RecordingTracker, SimConfig,
+from xshark.sim import (Breakpoint, NullTracker, RecordingTracker, SimConfig,
                         events_to_jsonl, run_program, state_digest)
 from xshark.analyzer import (analyze_dma, analyze_utilization, analyze_vmem,
                              apply_and_verify, build_dependency_graph,

@@ -17,10 +17,9 @@ import sys
 import pytest
 
 from xshark.analyzer import build_dependency_graph, compute_backtails
-from xshark.debugger import Breakpoint
 from xshark.recorder import record
 from xshark.replayer import replay
-from xshark.sim import RecordingTracker, SimConfig
+from xshark.sim import Breakpoint, RecordingTracker, SimConfig
 from xshark.workloads import gen_random_kernel, gen_starvation_kernel
 
 from helpers import asm_session

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xshark.debugger import Breakpoint
 from xshark.isa import PAGE_BYTES, VMEM_BUCKETS, MemRegion, MemSpace, Unit
 from xshark.recorder import record
 from xshark.replayer import replay
 from xshark.sim import (DMA_COMPLETE, INSTR_RETIRE, MEM_READ, MEM_WRITE,
-                        UNIT_BUSY, PerfEvent, RecordingTracker, SimConfig)
+                        UNIT_BUSY, Breakpoint, PerfEvent, RecordingTracker,
+                        SimConfig)
 from xshark.analyzer import (AnalysisError, analyze_dma, analyze_utilization,
                              analyze_vmem, apply_and_verify,
                              build_dependency_graph, compute_backtails,
@@ -29,7 +29,7 @@ from xshark.analyzer.svg import render_dma_timeline, render_vmem_heatmap
 from xshark.workloads import (gen_allgather_kernel, gen_checkerboard_kernel,
                               gen_random_kernel, gen_starvation_kernel)
 
-from helpers import asm_run, asm_session, earliest_position
+from helpers import asm_run, asm_session, bucket_samples, earliest_position
 from oracles import analyze_utilization as util_oracle
 from oracles import analyze_vmem as vmem_oracle
 from oracles import bruteforce_dep_oracle, dma_oracle
@@ -136,20 +136,20 @@ def test_back_to_back_mxu_fully_busy():
     """
     _, _, tracker = asm_run(src)
     series = analyze_utilization(tracker.events, bucket_width=1)["MXU"]
-    busy = [f for c, f in series.samples if 3 <= c < 99]
+    busy = [f for c, f in bucket_samples(series) if 3 <= c < 99]
     assert busy and all(f == 1.0 for f in busy)
 
 
 def test_empty_program_all_zero_series():
     _, _, tracker = asm_run("halt\n")
     series = analyze_utilization(tracker.events, bucket_width=1)
-    assert all(f == 0.0 for c, f in series["MXU"].samples)
+    assert all(f == 0.0 for c, f in bucket_samples(series["MXU"]))
 
 
 def test_starvation_mxu_rises_coincide_with_dma_completions():
     _, _, tracker = asm_run(gen_starvation_kernel(tiles=8, prefetch_depth=1))
     series = analyze_utilization(tracker.events, bucket_width=1)["MXU"]
-    samples = dict(series.samples)
+    samples = dict(bucket_samples(series))
     assert series.annotations, "MXU series carries DMA completion annotations"
     for cycle, _dma in series.annotations[2:]:      # skip the B-tile preloads
         before = samples.get(cycle - 2, 0.0)
@@ -161,8 +161,8 @@ def test_busy_fraction_bucketized():
     _, _, tracker = asm_run(gen_starvation_kernel(tiles=4, prefetch_depth=1))
     for width in (1, 16, 64):
         for unit, series in analyze_utilization(tracker.events, width).items():
-            assert all(0.0 <= f <= 1.0 for _, f in series.samples)
-            starts = [c for c, _ in series.samples]
+            assert all(0.0 <= f <= 1.0 for _, f in bucket_samples(series))
+            starts = [c for c, _ in bucket_samples(series)]
             assert starts == list(range(0, starts[-1] + 1, width))
 
 
@@ -205,7 +205,7 @@ def test_utilization_matches_the_per_bucket_oracle(case):
     series, want = analyze_utilization(events, width), util_oracle(events, width)
     assert series.keys() == want.keys()
     for unit, s in series.items():
-        assert ([(c, f.hex()) for c, f in s.samples]
+        assert ([(c, f.hex()) for c, f in bucket_samples(s)]
                 == [(c, f.hex()) for c, f in want[unit].samples]), unit
         assert s.annotations == want[unit].annotations
         assert all(a[1] == b[0] and a[2] != b[2]       # neighbours differ
@@ -244,7 +244,7 @@ def test_utilization_runs_follow_the_events_not_the_cycles():
     for unit, s in series.items():
         intervals = sum(ev.kind == UNIT_BUSY and ev.unit == unit for ev in events)
         assert len(s.runs) <= 2 * intervals + 1, unit
-    assert len(series[events[i].unit].samples) == 240_000
+    assert len(bucket_samples(series[events[i].unit])) == 240_000
 
 
 # ------------------------------------------------------------------- VMEM

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xshark.debugger import Breakpoint
-from xshark.isa import Fault, MemRegion, MemSpace, Opcode, sreg
-from xshark.sim import RecordingTracker, SimConfig, Simulator, state_digest
+from xshark.isa import Fault, MemRegion, MemSpace, Opcode
+from xshark.sim import (Breakpoint, RecordingTracker, SimConfig, Simulator,
+                        state_digest)
 from xshark.workloads import assemble, gen_random_kernel, initial_state
 
 import oracles
-from helpers import asm_run, asm_session
+from helpers import asm_run, asm_session, sreg
 
 COUNTDOWN = """
   s_ldi s0, 5

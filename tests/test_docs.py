@@ -113,28 +113,44 @@ def test_every_cli_error_code_is_expected_by_a_test():
 
 
 def test_every_public_name_in_src_is_used():
-    """Each public function, class, method and upper-case constant that
-    src/ defines is named somewhere in src/, perfbench/ or docs/ besides its
-    definition: a helper only tests call belongs in tests/helpers.py."""
+    """Each public function, class, method, module-level name and upper-case
+    class constant that src/ defines is named somewhere in src/, perfbench/
+    or docs/ besides its definition: a helper only tests call belongs in
+    tests/helpers.py."""
     texts = [path.read_text() for folder in ("src", "perfbench", "docs")
              for path in (ROOT / folder).rglob("*") if path.suffix in (".py", ".md")]
     defined = []
 
-    def visit(body):
+    def visit(body, module):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append(node.name)
                 if isinstance(node, ast.ClassDef):
-                    visit(node.body)
+                    visit(node.body, False)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined.extend(n.id for target in targets for n in ast.walk(target)
-                               if isinstance(n, ast.Name) and n.id.isupper())
+                               if isinstance(n, ast.Name)
+                               and (module or n.id.isupper()))
 
     for path in (ROOT / "src").rglob("*.py"):
-        visit(ast.parse(path.read_text()).body)
+        visit(ast.parse(path.read_text()).body, True)
     public = {name for name in defined if not name.startswith("_")}
-    assert {"Simulator", "run_to", "static_io", "MEM_OPCODES"} <= public
+    assert {"Simulator", "run_to", "static_io", "MEM_OPCODES",
+            "DebugSession"} <= public
     uses = {name: sum(len(re.findall(rf"\b{name}\b", text)) for text in texts)
             for name in public}
     assert sorted(name for name in public if uses[name] <= defined.count(name)) == []
+
+
+def test_every_cli_option_is_documented():
+    """Each option of each subcommand in cli.COMMANDS, and the global
+    `--config` and `--version`, is named by one of its flags in docs/*.md."""
+    from xshark.cli import COMMANDS
+    docs = "\n".join(path.read_text() for path in (ROOT / "docs").glob("*.md"))
+    options = [flags for _, _, _, arglist in COMMANDS for flags, _ in arglist
+               if flags[0].startswith("-")] + [["--config"], ["--version"]]
+    assert ["--binary"] in options and ["-o", "--output"] in options
+    assert [flags for flags in options
+            if not any(re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", docs)
+                       for flag in flags)] == []

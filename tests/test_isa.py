@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from xshark.isa import (EncodingError, Fault, Instruction, MachineState,
                         MemRegion, MemSpace, Opcode, Program, RegClass,
                         RegisterId, addressed_reads, decode_instruction,
-                        encode_instruction, instruction_io_sets, preg, sreg,
-                        vreg)
+                        encode_instruction, instruction_io_sets)
 from xshark.sim import SimConfig, Simulator
 from xshark.workloads import assemble, disassemble
 
-from helpers import asm_run
+from helpers import asm_run, preg, sreg, vreg
 
 
 def S(i):

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xshark.debugger import Breakpoint
-from xshark.isa import Fault, MemRegion, MemSpace, sreg
+from xshark.isa import Fault, MemRegion, MemSpace
 from xshark.recorder import (ExecutionTrace, TraceError, read_trace, record,
                              trace_to_binary, trace_to_json, write_trace)
 from xshark.replayer import compare_window, replay
-from xshark.sim import SimConfig, state_digest
+from xshark.sim import Breakpoint, SimConfig, state_digest
 
-from helpers import asm_session, mk_config
+from helpers import asm_session, mk_config, sreg
 
 
 def _record_all(src, config=None, n=10_000, bp_pc=0, **kw):

@@ -12,17 +12,16 @@ from hypothesis import strategies as st
 from xshark import isa, recorder, replayer, sim
 from xshark.analyzer import apply_and_verify
 from xshark.analyzer.suggest import Suggestion
-from xshark.debugger import Breakpoint
 from xshark.isa import (MemRegion, MemSpace, decode_instruction, encode_instruction,
-                        instruction_io_sets, sreg)
+                        instruction_io_sets)
 from xshark.recorder import ExecutionTrace, TraceError, record
 from xshark.replayer import (ReplayDivergence, compare_window, replay,
                              replay_with_schedule)
-from xshark.sim import (RecordingTracker, SimConfig, Simulator, events_to_jsonl,
-                        run_program)
+from xshark.sim import (Breakpoint, RecordingTracker, SimConfig, Simulator,
+                        events_to_jsonl, run_program)
 from xshark.workloads import assemble, gen_random_kernel, initial_state
 
-from helpers import asm_run, asm_session, mk_config
+from helpers import asm_run, asm_session, mk_config, sreg
 
 KERNEL = """
   .data 0x1000: 01 02 03 04 05 06 07 08
@@ -299,7 +298,7 @@ def test_trace_whose_last_record_faults_diverges():
     session, res, config = _record(FAULTING_WINDOWS["dma_busy"])
     t = res.trace
     pc = session.state.pc
-    stream = t.instr_stream + [(pc, session.program.instructions[pc])]
+    stream = t.instr_stream + [(pc, session._code[pc])]
     header = replace(t.header, instruction_count=len(stream))
     with pytest.raises(ReplayDivergence, match="dma_busy"):
         replay(ExecutionTrace(header, t.reg_snapshots, t.mem_snapshots, stream),
