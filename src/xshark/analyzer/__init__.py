@@ -13,6 +13,15 @@ class AnalysisError(Exception):
 MAX_SAMPLES = 250_000
 
 
+def sample_scale(end: int) -> int:
+    """The sampling of a log that ends at cycle `end`, for an analysis given
+    no bucket width or sample interval: utilization buckets of this many
+    cycles and VMEM samples every 64 times this many, the smallest that keep
+    the series within MAX_SAMPLES samples and the VMEM series within as many
+    as a log of MAX_SAMPLES cycles has (docs/reports.md, "Size limit")."""
+    return max(1, -(-end // MAX_SAMPLES))
+
+
 from .dma import DmaRecord, analyze_dma                      # noqa: E402
 from .utilization import UtilizationSeries, analyze_utilization  # noqa: E402
 from .vmem import VmemPageStats, analyze_vmem                # noqa: E402

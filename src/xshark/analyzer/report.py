@@ -77,8 +77,10 @@ def write_report(outdir: str,
 # token, so a dict is written key by key, a utilization series' samples go
 # out run by run (_Samples), a list of equally shaped rows of scalars
 # (utilization annotations, VMEM bucket rows, graph edges) as one %-format
-# string per batch of about _BATCH values, and any other value as its own
-# json.dumps text.
+# string per batch of about _BATCH values, a list of scalars as one string,
+# any other list item by item, and a scalar as its own json.dumps text. So
+# json.dumps never gets `indent`, whose pure-Python encoder leaves
+# reference cycles for the collector.
 _BATCH = 1000
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _STR = frozenset({str})
@@ -173,8 +175,19 @@ def _write_json(fh, value, nl: str) -> None:
         fh.write(nl + "}")
         return
     table = _table(value, inner)
-    if table is None:   # JSON text holds no raw newline inside a string
-        fh.write(json.dumps(value, indent=1, sort_keys=True).replace("\n", nl))
+    if table is None:
+        if type(value) not in _SEQUENCES or not value:      # a scalar, [] or {}
+            fh.write(json.dumps(value))
+        elif _SCALARS.issuperset(map(type, value)):
+            fh.write("[" + inner + ("," + inner).join(map(str, map(_scalar, value)))
+                     + nl + "]")
+        else:
+            lead = "[" + inner
+            for v in value:
+                fh.write(lead)
+                _write_json(fh, v, inner)
+                lead = "," + inner
+            fh.write(nl + "]")
         return
     row, get, n = table
     sep = "," + inner

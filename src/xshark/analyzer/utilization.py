@@ -9,11 +9,11 @@ not with the cycles they span (docs/reports.md, "Utilization")."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim import DMA_COMPLETE, UNIT_BUSY, PerfEvent
 from ..isa import Unit
-from . import MAX_SAMPLES, AnalysisError
+from . import MAX_SAMPLES, AnalysisError, sample_scale
 
 
 @dataclass
@@ -26,9 +26,11 @@ class UtilizationSeries:
     annotations: List[Tuple[int, int]] = field(default_factory=list)  # (cycle, dma_id)
 
 
-def analyze_utilization(events: List[PerfEvent],
-                        bucket_width: int = 1) -> Dict[str, UtilizationSeries]:
-    if bucket_width < 1:
+def analyze_utilization(events: List[PerfEvent], bucket_width: Optional[int] = None
+                        ) -> Dict[str, UtilizationSeries]:
+    """Each unit's series, in buckets of `bucket_width` cycles or, without
+    one, of sample_scale(end) cycles, `end` being the log's last cycle."""
+    if bucket_width is not None and bucket_width < 1:
         raise ValueError("bucket_width must be >= 1")
     busy: Dict[str, List[Tuple[int, int]]] = {u.value: [] for u in Unit}
     completions: List[Tuple[int, int]] = []
@@ -43,6 +45,8 @@ def analyze_utilization(events: List[PerfEvent],
         elif ev.kind == DMA_COMPLETE:
             completions.append((ev.cycle, ev.dma_id))
 
+    if bucket_width is None:
+        bucket_width = sample_scale(end)
     n_buckets = -(-end // bucket_width)
     if n_buckets > MAX_SAMPLES:
         raise AnalysisError(

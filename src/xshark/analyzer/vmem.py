@@ -20,11 +20,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..isa import DEFAULT_VMEM_CAPACITY, MemSpace, PAGE_BYTES, VMEM_BUCKETS
 from ..sim import MEM_READ, MEM_WRITE, PerfEvent
-from . import MAX_SAMPLES, AnalysisError
+from . import MAX_SAMPLES, AnalysisError, sample_scale
 
 
 @dataclass
@@ -63,9 +63,12 @@ class VmemPageStats:
                 "bucket_written": self.bucket_written}
 
 
-def analyze_vmem(events: List[PerfEvent], sample_interval: int = 64,
+def analyze_vmem(events: List[PerfEvent], sample_interval: Optional[int] = None,
                  capacity: int = DEFAULT_VMEM_CAPACITY) -> VmemPageStats:
-    if sample_interval < 1:
+    """The page statistics of VMEM, sampled every `sample_interval` cycles
+    or, without one, every 64 * sample_scale(end) cycles, `end` being the
+    log's last cycle."""
+    if sample_interval is not None and sample_interval < 1:
         raise ValueError("sample_interval must be >= 1")
     n_pages = capacity // PAGE_BYTES
     # page -> cycle, for the pages touched; used_since is the first read (in
@@ -96,6 +99,8 @@ def analyze_vmem(events: List[PerfEvent], sample_interval: int = 64,
             if p not in used_since and first_write.get(p, cycle + 1) <= cycle:
                 used_since[p] = cycle
 
+    if sample_interval is None:
+        sample_interval = 64 * sample_scale(end)
     if end // sample_interval >= MAX_SAMPLES:
         raise AnalysisError(
             f"VMEM samples to cycle {end} at interval {sample_interval} are "

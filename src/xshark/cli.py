@@ -32,7 +32,7 @@ _LIBRARY = {name: (module, name) for module, names in (
     ("isa", "EncodingError Fault"),
     ("recorder", "TraceError read_trace record write_trace"),
     ("replayer", "ReplayDivergence replay"),
-    ("analyzer", "AnalysisError MAX_SAMPLES Suggestion analyze_dma "
+    ("analyzer", "AnalysisError Suggestion analyze_dma "
                  "analyze_utilization analyze_vmem apply_and_verify "
                  "build_dependency_graph compute_backtails write_report"),
 ) for name in names.split()}
@@ -256,10 +256,7 @@ def cmd_suggest(args, config):
         raise CliError("EVENTS_TRACE_MISMATCH",
                        f"event log covers {graph.n} instructions, trace has "
                        f"{len(trace.instr_stream)}")
-    # every 64 cycles, or as often as MAX_SAMPLES samples allow
-    end = max((ev.cycle for ev in events), default=0)
-    vmem = _lib.analyze_vmem(events, max(64, end // _lib.MAX_SAMPLES + 1),
-                             config.vmem_capacity)
+    vmem = _lib.analyze_vmem(events, capacity=config.vmem_capacity)
     suggestions = _lib.make_suggestions(records, graph, vmem)
     _write_suggestions(args.output, suggestions)
     stalled = sum(1 for r in records if r.stall_total > 0)
@@ -353,8 +350,12 @@ COMMANDS = [
         (["--util"], {"action": "store_true"}),
         (["--vmem"], {"action": "store_true"}),
         (["--deps"], {"action": "store_true"}),
-        (["--bucket-width"], {"type": _positive_int, "default": 1}),
-        (["--sample-interval"], {"type": _positive_int, "default": 64}),
+        (["--bucket-width"], {"type": _positive_int, "help": "cycles per "
+                              "utilization sample (default: 1, or the "
+                              "smallest that fits the sample limit)"}),
+        (["--sample-interval"], {"type": _positive_int, "help": "cycles between "
+                                 "VMEM samples (default: 64 times the default "
+                                 "bucket width)"}),
         (["--program"], {"help": "program bundle, for pseudo-HLO regions"}),
         (["-o", "--output"], {"required": True, "help": "report directory"}),
     ]),

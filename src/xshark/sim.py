@@ -17,20 +17,25 @@ architectural results.
 Run, record and replay share one core, `exec_instruction`, which executes
 each instruction through its opcode's handler (`_HANDLERS`, indexed by the
 int opcode) and is the one place that emits per-instruction events. Events
-go straight into a RecordingTracker's `events` list; under a NullTracker,
-which has none, no event is made. Latencies are a table lookup, and the DMA
-engine is not called while no transfer lands. The simulator is also the
-step debugger: `step`, `peek`, and `run_to`, which stops at a `Breakpoint`.
-`run` and `run_to` share one loop over the code (`_execute`). It, `step`,
-`record` and `replay` take the footprint of an instruction that has one
-whatever the state from its cached `Instruction.static_io`; only the others
-go through `instruction_io_sets`.
+go into a RecordingTracker's `events` list, straight while no DMA engine
+event waits in the queue, and the common kinds are built positionally;
+under a NullTracker, which has none, no event is made. Latencies are a
+table lookup, and the DMA engine is not called while no transfer lands. The
+simulator is also the step debugger: `step`, `peek`, and `run_to`, which
+stops at a `Breakpoint`. `run` and `run_to` share one loop over the code
+(`_execute`). It, `step`, `record` and `replay` take the footprint of an
+instruction that has one whatever the state from its cached
+`Instruction.static_io`; only the others go through `instruction_io_sets`.
 
 The vector and tile kernels (`_kernels`) are bit-exact to a scalar f32
 reference: V_ADD/V_MUL round a lane computed in double once to f32, which
 is exact for a product and, since 53 >= 2*24 + 2, for a sum; MXU_MM sums its
 f32 products with one sequential `np.add.accumulate` in ascending k, and
 imports numpy on its first call.
+
+The event log (docs/events.md) is written with one `%` template per line
+shape (`events_to_jsonl`) and read with the json module's C scanner and one
+generated plan per kind and key order (`events_from_jsonl`).
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ import math
 import operator
 import struct
 from dataclasses import dataclass, field, fields
-from itertools import compress
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from json.scanner import make_scanner
 from typing import List, Optional
 
@@ -166,38 +169,28 @@ _KIND_KEYS = {kind: (frozenset(f"cycle kind {req}".split()),
 
 @dataclass(slots=True)
 class PerfEvent:
+    # the simulator builds the common kinds positionally, so the fields they
+    # have come first
     cycle: int
     kind: str
     pc: Optional[int] = None
     idx: Optional[int] = None
-    opcode: Optional[str] = None
-    unit: Optional[str] = None
     reg: Optional[str] = None
+    unit: Optional[str] = None
+    opcode: Optional[str] = None
+    until: Optional[int] = None
     region: Optional[MemRegion] = None
-    src_region: Optional[MemRegion] = None
-    dst_region: Optional[MemRegion] = None
-    slot: Optional[int] = None
     dma_id: Optional[int] = None
+    slot: Optional[int] = None
+    annulled: Optional[bool] = None
+    reason: Optional[str] = None
     link: Optional[str] = None
     size: Optional[int] = None
-    reason: Optional[str] = None
-    until: Optional[int] = None
-    annulled: Optional[bool] = None
-
-    def to_json(self) -> dict:
-        """The set fields of its kind's row of EVENT_FIELDS in name order,
-        regions as {"len", "offset", "space"}: plain json.dumps of it is
-        the event's log line."""
-        names, values = _KIND_VALUES[self.kind]
-        return {k: _region_json(v) if type(v) is MemRegion else v
-                for k, v in zip(names, values(self)) if v is not None}
+    src_region: Optional[MemRegion] = None
+    dst_region: Optional[MemRegion] = None
 
 
 _DECLARED = [f.name for f in fields(PerfEvent)]     # PerfEvent's argument order
-_ABSENT = (None,)          # the value of each field a line lacks
-# kind -> (the fields it may have in name order, a getter of their values)
-_KIND_VALUES = {kind: (tuple(sorted(allowed)), operator.attrgetter(*sorted(allowed)))
-                for kind, (_, allowed) in _KIND_KEYS.items()}
 _REGION_FIELDS = frozenset({"region", "src_region", "dst_region"})
 # field -> the type of its JSON value: a region is an object, and an int
 # field holds an int >= 0, never a bool (docs/events.md)
@@ -222,10 +215,6 @@ _DMA_OPS = frozenset({Opcode.DMA_ISSUE.name, _DMA_WAIT})
 _CMP_OPS = tuple(getattr(operator, mode) for mode in CMP_MODES)   # by S_CMP mode
 
 
-def _region_json(r: MemRegion) -> dict:
-    return {"len": r.length, "offset": r.offset, "space": r.space.value}
-
-
 class NullTracker:
     """Keeps no events: it has no `events`, so a simulator makes none."""
 
@@ -244,39 +233,102 @@ Tracker = Optional[RecordingTracker | NullTracker]     # None: a NullTracker
 def events_to_jsonl(events, summary: Optional[dict] = None) -> str:
     """One JSON object per line with sorted keys (docs/events.md); the
     summary line, when given, comes last. An event's line is
-    json.dumps(ev.to_json()), written by one C encoder made here."""
-    encode = c_make_encoder(None, json.JSONEncoder().default,
-                            encode_basestring_ascii, None, ": ", ", ",
-                            False, False, True)
-    join = "".join
-    lines = [join(encode(d, 0)) for d in map(PerfEvent.to_json, events)]
+    `template % values` with the template of its shape (_line_template),
+    made once per call."""
+    templates, lines = {}, []
+    append = lines.append
+    for ev in events:
+        shape = ev.kind, ev.slot is None, ev.dma_id is None, ev.annulled
+        plan = templates.get(shape)
+        if plan is None:
+            plan = templates[shape] = _line_template(*shape)
+        template, values = plan
+        append(template % values(ev))
     if summary is not None:
-        lines.append(json.dumps({"kind": "summary", **summary}, sort_keys=True))
+        append(json.dumps({"kind": "summary", **summary}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
-def _line_plan(kind, keys: frozenset):
-    """How events_from_jsonl checks and builds an event from a line of
-    `kind` with `keys`: a getter of its values in name order, their JSON
-    types, which of them are ints, its closed-set fields with their
-    members, a getter of PerfEvent's positional arguments from the values
-    followed by _ABSENT, and its region fields. Raises ValueError when
-    `kind` is unknown or its row of EVENT_FIELDS does not allow exactly
-    `keys`."""
+def _line_template(kind, no_slot, no_dma_id, annulled):
+    """(template, getter of its values) of the line of an event of `kind`
+    whose `slot` and `dma_id` are None as given, with `annulled`: the text of
+    json.dumps of its set fields, sorted by name, with `%d` for an int,
+    `"%s"` for a string (a closed-set member, which JSON writes unescaped),
+    and `kind` and `annulled` written out. A field its kind does not allow is
+    left out, and any other field of the row must be set."""
+    absent = {"slot": no_slot, "dma_id": no_dma_id, "annulled": annulled is None}
+    parts, paths = [], []
+    for name in sorted(_KIND_KEYS[kind][1]):
+        if absent.get(name):
+            continue
+        if name == "kind":
+            parts.append(f'"kind": "{kind}"')
+        elif name == "annulled":
+            parts.append(f'"annulled": {json.dumps(annulled)}')
+        elif name in _REGION_FIELDS:
+            parts.append(f'"{name}": {{"len": %d, "offset": %d, "space": "%s"}}')
+            paths += [f"{name}.length", f"{name}.offset", f"{name}.space.value"]
+        else:
+            parts.append(f'"{name}": ' + ("%d" if _FIELD_TYPES[name] is int else '"%s"'))
+            paths.append(name)
+    return "{" + ", ".join(parts) + "}", operator.attrgetter(*paths)
+
+
+def _line_plan(kind, keys: tuple):
+    """(build, 1 for an instr_issue else 0): how events_from_jsonl reads a
+    line of `kind` whose keys come in the order `keys`. build(d, issues,
+    issued) checks line `d` against the rules of docs/events.md, given the
+    count of instr_issue lines before it and the dma_ids issued so far,
+    adds a dma_issue's dma_id to `issued` and returns the PerfEvent. It is
+    compiled from generated source, as dataclasses makes an __init__, so
+    that one call unpacks, checks and builds. Raises ValueError when `kind`
+    is unknown or its row of EVENT_FIELDS does not allow exactly `keys`."""
     if kind not in _KIND_KEYS:
         raise ValueError(f"unknown event kind {kind!r}")
     required, allowed = _KIND_KEYS[kind]
-    if not required <= keys <= allowed:
-        raise ValueError(f"{kind} event lacks {sorted(required - keys)} "
-                         f"or has unlisted {sorted(keys - allowed)}")
-    names = sorted(keys)          # at least `cycle` and `kind`
-    types = tuple(_FIELD_TYPES[n] for n in names)
-    last = max(map(_DECLARED.index, names))
-    return (operator.itemgetter(*names), types, tuple(t is int for t in types),
-            tuple((n, _FIELD_VALUES[n]) for n in names if n in _FIELD_VALUES),
-            operator.itemgetter(*(names.index(f) if f in keys else len(names)
-                                  for f in _DECLARED[:last + 1])),
-            tuple(n for n in names if n in _REGION_FIELDS))
+    present = frozenset(keys)
+    if not required <= present <= allowed:
+        raise ValueError(f"{kind} event lacks {sorted(required - present)} "
+                         f"or has unlisted {sorted(present - allowed)}")
+    tests = []
+    for name in keys:
+        want = _FIELD_TYPES[name]
+        if name != "kind":
+            tests.append(f"type({name}) is not {want.__name__}")
+        if want is int:
+            tests.append(f"{name} < 0")
+        elif name in _FIELD_VALUES:
+            tests.append(f"{name} not in _{name}_values")
+    body = [f"{', '.join(keys)}, = d.values()",
+            f"if {' or '.join(tests)}:",
+            "    raise _field_error(d)"]
+    body += [f"{name} = _region({name})" for name in keys if name in _REGION_FIELDS]
+    last = max(map(_DECLARED.index, keys))
+    body.append("ev = _PerfEvent(" + ", ".join(
+        f if f in present else "None" for f in _DECLARED[:last + 1]) + ")")
+    if kind == INSTR_ISSUE:
+        done = " and not annulled" if "annulled" in present else ""
+        body += ["if idx != issues:",
+                 "    raise ValueError(f'instr_issue idx {idx} is not {issues}')"]
+        if not present >= {"slot", "dma_id"}:
+            body += [f"if opcode in _DMA_OPS{done}:",
+                     "    raise ValueError(f'{opcode} instr_issue lacks its slot or dma_id')"]
+        else:
+            body += [f"if opcode == {_DMA_WAIT!r}{done} and dma_id not in issued:",
+                     "    raise ValueError(f'dma_id {dma_id} has no earlier dma_issue')"]
+    else:
+        body += ["if idx > issues:",
+                 "    raise ValueError(f'idx {idx} is past the next instr_issue')"]
+    if kind == DMA_ISSUE_EV:
+        body.append("issued.add(dma_id)")
+    elif kind in _DMA_ENGINE_KINDS:
+        body += ["if dma_id not in issued:",
+                 "    raise ValueError(f'dma_id {dma_id} has no earlier dma_issue')"]
+    source = "def build(d, issues, issued):\n" + "".join(
+        f"    {line}\n" for line in body + ["return ev"])
+    namespace = {}
+    exec(source, _PLAN_GLOBALS, namespace)
+    return namespace["build"], int(kind == INSTR_ISSUE)
 
 
 def _field_error(d: dict) -> ValueError:
@@ -292,64 +344,53 @@ def _field_error(d: dict) -> ValueError:
                               f"{sorted(_FIELD_VALUES[name])}, got {value!r}")
 
 
+# the names the plans' generated source reads
+_PLAN_GLOBALS = {"_field_error": _field_error, "_region": MemRegion.from_json,
+                 "_PerfEvent": PerfEvent, "_DMA_OPS": _DMA_OPS,
+                 **{f"_{name}_values": v for name, v in _FIELD_VALUES.items()}}
+
+
 def events_from_jsonl(text: str):
     """Returns (events, summary_or_None). A line that is not one JSON value
     (JSON whitespace around it is allowed), or not an object with a known
     `kind` and exactly the fields its kind allows, each of the right type,
     raises ValueError, and so does a line that breaks a reference rule of
     docs/events.md (`idx` and `dma_id` refer to earlier lines). Each line
-    is parsed by the C scanner of the json module and checked by the plan
-    of its kind and key set (_line_plan), made once per call."""
+    is parsed by the C scanner of the json module and checked and built by
+    one call of the plan of its kind and key order (_line_plan), made once
+    per call."""
     events, summary, issued, issues = [], None, set(), 0
     plans, append = {}, events.append
     scan = make_scanner(json.JSONDecoder())
     try:
         for line in text.splitlines():
-            if not line or line.isspace():
-                continue
-            value = line.strip(" \t")      # the JSON whitespace a line can hold
             try:
-                d, end = scan(value, 0)
-            except StopIteration as e:
-                raise ValueError(f"expecting a JSON value at char {e.value}") from None
-            if end != len(value):
-                raise ValueError(f"extra data at char {end}")
+                d, end = scan(line, 0)
+            except StopIteration:
+                end = -1
+            if end != len(line):    # not one JSON value, as written
+                if not line or line.isspace():
+                    continue
+                value = line.strip(" \t")  # the JSON whitespace a line can hold
+                try:
+                    d, end = scan(value, 0)
+                except StopIteration as e:
+                    raise ValueError(f"expecting a JSON value at char {e.value}") from None
+                if end != len(value):
+                    raise ValueError(f"extra data at char {end}")
             if type(d) is not dict:
                 raise ValueError("an event line must be a JSON object")
             kind = d.get("kind")
             if kind == "summary":
                 summary = d
                 continue
-            key = kind, frozenset(d)
+            key = kind, *d
             plan = plans.get(key)
             if plan is None:
-                plan = plans[key] = _line_plan(*key)
-            values, types, is_int, closed, arguments, regions = plan
-            got = values(d)
-            if tuple(map(type, got)) != types or min(compress(got, is_int)) < 0:
-                raise _field_error(d)
-            for name, members in closed:
-                if d[name] not in members:
-                    raise _field_error(d)
-            ev = PerfEvent(*arguments(got + _ABSENT))
-            for name in regions:
-                setattr(ev, name, MemRegion.from_json(d[name]))
-            if kind == INSTR_ISSUE:
-                if ev.idx != issues:
-                    raise ValueError(f"instr_issue idx {ev.idx} is not {issues}")
-                issues += 1
-                if (ev.opcode in _DMA_OPS and not ev.annulled
-                        and (ev.slot is None or ev.dma_id is None)):
-                    raise ValueError(f"{ev.opcode} instr_issue lacks its slot "
-                                     "or dma_id")
-            elif ev.idx is not None and ev.idx > issues:
-                raise ValueError(f"idx {ev.idx} is past the next instr_issue")
-            if kind == DMA_ISSUE_EV:
-                issued.add(ev.dma_id)
-            elif (kind in _DMA_ENGINE_KINDS or ev.opcode == _DMA_WAIT
-                  and not ev.annulled) and ev.dma_id not in issued:
-                raise ValueError(f"dma_id {ev.dma_id} has no earlier dma_issue")
-            append(ev)
+                plan = plans[key] = _line_plan(kind, key[1:])
+            build, counts = plan
+            append(build(d, issues, issued))
+            issues += counts
     except (ValueError, KeyError, TypeError, RecursionError, Fault) as e:
         line = line.strip()
         raise ValueError(f"bad event line {line[:80]!r}: {e!r}") from None
@@ -541,12 +582,11 @@ class Simulator:
         if instr.predicate is not None and not state.pregs[instr.predicate.index]:
             retire, next_pc = start + 1, pc + 1
             if self._emit:
-                self._send(PerfEvent(start, REG_READ, pc=pc, idx=idx,
-                                     reg=instr.predicate.name))
-                self._send(PerfEvent(start, INSTR_ISSUE, pc=pc, idx=idx,
-                                     opcode=_OPCODE_NAMES[op],
-                                     unit=_UNIT_NAMES[op], annulled=True))
-                self._send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
+                send = self._send if self._pending else self._events.append
+                send(PerfEvent(start, REG_READ, pc, idx, instr.predicate.name))
+                send(PerfEvent(start, INSTR_ISSUE, pc, idx, None, _UNIT_NAMES[op],
+                               _OPCODE_NAMES[op], annulled=True))
+                send(PerfEvent(retire, INSTR_RETIRE, pc, idx))
         else:
             handler = _HANDLERS[op]
             if handler is None and (fault := _dma_slot_fault(state, instr, pc)):
@@ -587,30 +627,31 @@ class Simulator:
         self.stream_index = idx + 1
         return None
 
-    # -- per-instruction events (callers of _issue/_retire check _emit) -----
+    # -- per-instruction events (callers of _issue/_retire check _emit); the
+    # five common kinds are built positionally, and an event goes straight
+    # to the list while no DMA engine event is queued
 
     def _issue(self, instr, pc, idx, cycle, ios, slot=None, dma_id=None):
         """Emit instr_issue, then its reg_reads, then its mem_reads."""
-        send = self._send
+        send = self._send if self._pending else self._events.append
         op = instr.opcode
-        send(PerfEvent(cycle, INSTR_ISSUE, pc=pc, idx=idx, opcode=_OPCODE_NAMES[op],
-                       unit=_UNIT_NAMES[op], slot=slot, dma_id=dma_id))
+        send(PerfEvent(cycle, INSTR_ISSUE, pc, idx, None, _UNIT_NAMES[op],
+                       _OPCODE_NAMES[op], None, None, dma_id, slot))
         for r in ios.input_regs:
-            send(PerfEvent(cycle, REG_READ, pc=pc, idx=idx, reg=r.name))
+            send(PerfEvent(cycle, REG_READ, pc, idx, r.name))
         for m in ios.input_mem:
             send(PerfEvent(cycle, MEM_READ, pc=pc, idx=idx, region=m, dma_id=dma_id))
 
     def _retire(self, pc, idx, op, exec_at, retire, reg_writes=(), mem_writes=()):
         """Emit unit_busy, then the reg_writes and mem_writes, then
         instr_retire."""
-        send = self._send
-        send(PerfEvent(exec_at, UNIT_BUSY, pc=pc, idx=idx, unit=_UNIT_NAMES[op],
-                       until=retire))
+        send = self._send if self._pending else self._events.append
+        send(PerfEvent(exec_at, UNIT_BUSY, pc, idx, None, _UNIT_NAMES[op], None, retire))
         for r in reg_writes:
-            send(PerfEvent(retire, REG_WRITE, pc=pc, idx=idx, reg=r.name))
+            send(PerfEvent(retire, REG_WRITE, pc, idx, r.name))
         for m in mem_writes:
             send(_mem_write(retire, pc, idx, m))
-        send(PerfEvent(retire, INSTR_RETIRE, pc=pc, idx=idx))
+        send(PerfEvent(retire, INSTR_RETIRE, pc, idx))
 
     def _stall(self, reason, begin, end, pc, idx, slot=None, dma_id=None):
         """Charge end - begin cycles to `reason` and emit the stall pair."""

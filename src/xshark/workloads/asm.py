@@ -147,6 +147,8 @@ def assemble(source: str) -> AssembledKernel:
             ptok, _, line = line.partition(" ")
             pred = _parse_reg(ptok[1:], lineno, col, RegClass.PREDICATE)
             line = line.strip()
+            if not line:
+                raise AsmError(lineno, col, "guard without an instruction")
         toks = line.split(None, 1)
         ops = [o.strip() for o in toks[1].split(",")] if len(toks) > 1 else []
         first[text] = (lineno, col, toks[0].lower(), ops, pred)

@@ -14,6 +14,9 @@ These deliberately avoid the production code paths they validate:
   analyze_vmem          the earlier numpy form of the VMEM page analysis: a
                         whole-capacity array per page field and a full pass
                         per sample
+  event_json            the object of an event's log line, field by field
+                        from its kind's row of EVENT_FIELDS (the earlier
+                        PerfEvent.to_json)
   events_from_jsonl     the earlier event-log reader: json.loads per line,
                         then each field's rule of docs/events.md in turn
   analyze_utilization   the earlier per-bucket utilization: a fraction list
@@ -351,6 +354,24 @@ def analyze_vmem(events: List[PerfEvent], sample_interval: int = 64,
                          largest, bucket_used, bucket_written, states)
 
 
+# ------------------------------------------------------ event-log codec
+
+def event_json(ev: PerfEvent) -> dict:
+    """The set fields of the event's kind's row of EVENT_FIELDS, regions
+    as {"len", "offset", "space"}: json.dumps of it with sorted keys is the
+    event's log line."""
+    required, optional = EVENT_FIELDS[ev.kind]
+    out = {}
+    for name in ["cycle", "kind", *required.split(), *optional.split()]:
+        value = getattr(ev, name)
+        if isinstance(value, MemRegion):
+            value = {"len": value.length, "offset": value.offset,
+                     "space": value.space.value}
+        if value is not None:
+            out[name] = value
+    return out
+
+
 # ------------------------------------------------------ event-log reader
 
 # docs/events.md, "Malformed logs": the JSON type of each field, and the
@@ -574,6 +595,8 @@ def assemble(source: str) -> AssembledKernel:
             ptok, _, line = line.partition(" ")
             pred = _parse_reg(ptok[1:], lineno, col, RegClass.PREDICATE)
             line = line.strip()
+            if not line:
+                raise AsmError(lineno, col, "guard without an instruction")
         toks = line.split(None, 1)
         ops = [o.strip() for o in toks[1].split(",")] if len(toks) > 1 else []
         pending.append((lineno, col, toks[0].lower(), ops, pred))

@@ -1,6 +1,7 @@
 """Analyzer passes against spec examples and the independent oracles."""
 
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -220,6 +221,28 @@ def test_utilization_matches_the_per_bucket_oracle(case):
             with open(os.path.join(out, name), newline="") as fh:
                 difference = _first_difference(fh.read(), text)
             assert difference is None, (name, difference)
+
+
+def test_write_report_leaves_no_cyclic_garbage(tmp_path):
+    """Everything write_report makes is freed by reference counting: with
+    the collector off, a collection right after it finds nothing
+    unreachable."""
+    _, _, tracker = asm_run(gen_random_kernel(3, size=300).text)
+    events = tracker.events
+    graph = build_dependency_graph(events)
+    sections = dict(dma_records=analyze_dma(events),
+                    utilization=analyze_utilization(events),
+                    vmem=analyze_vmem(events), graph=graph,
+                    backtails=compute_backtails(graph), regions={"all": [0, 9]})
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        write_report(str(tmp_path), **sections)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _first_difference(got: str, want: str):

@@ -297,6 +297,7 @@ _float_offset_region = _edited_event("mem_write", "region",
                                      {"len": 64, "offset": 1024.5, "space": "vmem"})
 _ASM = ["asm", "{f}", "-o", "{ws}/p.json"]
 _ANALYZE = ["analyze", "{f}", "-o", "{ws}/r"]
+_ANALYZE_AT_WIDTH_1 = ["analyze", "{f}", "--bucket-width", "1", "-o", "{ws}/r"]
 _BREAK_X = ["record", "{f}", "--break", "x", "--count", "5", "-o", "{ws}/t"]
 _WITH_REGIONS = ["analyze", "{events}", "--program", "{f}", "-o", "{ws}/r"]
 
@@ -470,10 +471,15 @@ MALFORMED_INPUTS = {
                                 "BUNDLE_INVALID", 1),
     "summary-cycles-bool": (_edited_event("summary", "cycles", True),
                             ["compare", "{f}", "{events}"], "EVENTS_INVALID", 1),
-    "events-slow-dma-too-many-samples": (_log_of_slow_dma, _ANALYZE,
+    # a log that ends past cycle 10**9 is over the sample limit at an
+    # explicit bucket width of 1 or sample interval of 64
+    "events-slow-dma-too-many-samples": (_log_of_slow_dma, _ANALYZE_AT_WIDTH_1,
                                          "ANALYSIS_ERROR", 2),
+    "events-slow-dma-too-many-vmem-samples": (
+        _log_of_slow_dma, ["analyze", "{f}", "--vmem", "--sample-interval", "64",
+                           "-o", "{ws}/r"], "ANALYSIS_ERROR", 2),
     "events-unit-busy-until-huge": (_edited_event("unit_busy", "until", 10 ** 9),
-                                    _ANALYZE, "ANALYSIS_ERROR", 2),
+                                    _ANALYZE_AT_WIDTH_1, "ANALYSIS_ERROR", 2),
     # nesting too deep for the JSON decoder, in each JSON input the CLI reads
     "bundle-nested-too-deep": (_DEEP, ["run", "{f}"], "BUNDLE_INVALID", 1),
     "suggestions-nested-too-deep": (_DEEP, ["apply", "{trace}", "{f}", "-o", "{ws}/e"],
@@ -512,9 +518,9 @@ def test_malformed_input_is_one_code_line(ws, capsys, content, argv, want,
 
 def test_suggest_samples_a_log_ending_late_more_coarsely(ws, capsys):
     """A replay log whose last event is at cycle 10**9 is sampled every
-    4,001 cycles, the smallest interval of 64 or more that keeps the VMEM
-    series within MAX_SAMPLES, and gets the suggestions of the log it was
-    made from."""
+    256,000 cycles, 64 times the smallest bucket width that keeps a series
+    within MAX_SAMPLES, and gets the suggestions of the log it was made
+    from."""
     prog, trace = ws / "prog.json", ws / "win.trace"
     assert _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)[0] == 0
     assert _run(capsys, "record", prog, "--break", "0", "--count", "50",
@@ -527,6 +533,24 @@ def test_suggest_samples_a_log_ending_late_more_coarsely(ws, capsys):
         assert (code, err) == (0, "")
     suggestions = json.loads((ws / "ending_late.json").read_text())
     assert suggestions and suggestions == json.loads((ws / "late.json").read_text())
+
+
+def test_analyze_samples_a_long_run_more_coarsely(ws, capsys):
+    """The 2-tile starvation kernel under a DMA base latency of 200,000
+    cycles runs to cycle 600,270; `analyze` of its log picks bucket width 3,
+    the smallest that keeps a utilization series within MAX_SAMPLES, and
+    samples VMEM every 3 * 64 cycles, as `suggest` does."""
+    (ws / "slow.json").write_text('{"t_base": 200000}')
+    (ws / "tiles2.xasm").write_text(gen_starvation_kernel(tiles=2, prefetch_depth=1))
+    slow = ["--config", ws / "slow.json"]
+    assert _run(capsys, "asm", ws / "tiles2.xasm", "-o", ws / "p.json")[0] == 0
+    assert _run(capsys, *slow, "run", ws / "p.json", "-o", ws / "e.jsonl")[0] == 0
+    assert json.loads((ws / "e.jsonl").read_text().splitlines()[-1])["cycles"] == 600_270
+    code, _, err = _run(capsys, *slow, "analyze", ws / "e.jsonl", "-o", ws / "r")
+    assert (code, err) == (0, "")
+    report = json.loads((ws / "r" / "report.json").read_text())
+    assert {s["bucket_width"] for s in report["utilization"].values()} == {3}
+    assert report["vmem"]["sample_interval"] == 192
 
 
 @pytest.mark.parametrize("enabled", [True, False])

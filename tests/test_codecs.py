@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,9 @@ from xshark.analyzer.report import _write_json
 from xshark.cli import main
 from xshark.isa import (DMA_DIR_NAMES, REGISTER_NAMES, MemRegion, MemSpace,
                         Opcode, Unit)
-from xshark.sim import (EVENT_FIELDS, PerfEvent, RecordingTracker,
-                        SimConfig, events_from_jsonl, events_to_jsonl, run_program)
+from xshark.sim import (_FIELD_VALUES, EVENT_FIELDS, PerfEvent, RecordingTracker,
+                        SimConfig, events_from_jsonl, events_to_jsonl,
+                        run_program)
 from xshark.workloads import gen_random_kernel, gen_starvation_kernel
 
 import oracles
@@ -234,17 +236,24 @@ _summaries = st.one_of(st.none(), st.fixed_dictionaries({
 @given(_valid_events(), _summaries)
 @settings(max_examples=150, deadline=None)
 def test_event_lines_are_json_dumps_of_each_event(events, summary):
-    """Each line of a log is json.dumps of its event's to_json, with keys
-    sorted; decoding the log gives the events back, and encoding them again
-    the same bytes."""
+    """Each line of a log is json.dumps of its event's object, with keys
+    sorted (oracles.event_json); decoding the log gives the events back, and
+    encoding them again the same bytes."""
     log = events_to_jsonl(events, summary)
     assert (log.splitlines()[:len(events)]
-            == [json.dumps(ev.to_json()) for ev in events]
-            == [json.dumps(ev.to_json(), sort_keys=True) for ev in events])
+            == [json.dumps(oracles.event_json(ev), sort_keys=True) for ev in events])
     decoded, got_summary = events_from_jsonl(log)
     assert decoded == events
     assert events_to_jsonl(decoded, got_summary and {
         k: v for k, v in got_summary.items() if k != "kind"}) == log
+
+
+def test_closed_set_members_need_no_json_escaping():
+    """events_to_jsonl writes a closed-set string field as `"%s"`: each
+    member's JSON text is the member between quotes."""
+    for name, members in _FIELD_VALUES.items():
+        for m in members:
+            assert encode_basestring_ascii(m) == '"' + m + '"', (name, m)
 
 
 # what a mutation may put into a field: valid values of any field, edge

@@ -138,6 +138,16 @@ def test_random_kernels_round_trip_and_bundle(tmp_path):
 
 
 
+@pytest.mark.parametrize("source,line,col", [
+    ("@p1\n", 1, 1), ("  halt\n  @p1   ; no instruction\n", 2, 3)])
+def test_guard_without_an_instruction_is_an_asm_error(source, line, col):
+    for assembler in (assemble, oracles.assemble):
+        with pytest.raises(AsmError) as e:
+            assembler(source)
+        assert (e.value.line, e.value.col, e.value.message) == (
+            line, col, "guard without an instruction")
+
+
 def _assembled(assembler, source: str):
     """What `assembler` makes of `source`: the kernel's program bytes,
     entry, images, labels and regions, or its AsmError's (line, col,
