@@ -14,7 +14,7 @@ import os
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from .deps import Backtail, DependencyGraph
@@ -191,16 +191,6 @@ def _write_json(fh, value, nl: str) -> None:
         return
     row, get, n = table
     sep = "," + inner
-    if any(map(is_, value[1:], value)):
-        # a row object that repeats the one before it (VMEM bucket rows of
-        # samples that added no page) repeats that row's text
-        texts, prev = [], None
-        for r in value:
-            if r is not prev:
-                text, prev = _filled(row, (r,), get), r
-            texts.append(text)
-        fh.write("[" + inner + sep.join(texts) + nl + "]")
-        return
     step, lead = max(1, _BATCH // n), "[" + inner
     for i in range(0, len(value), step):
         part = value[i:i + step]

@@ -133,8 +133,9 @@ def record(sim: Simulator, breakpoint: Optional[Breakpoint],
     Recording refuses to start while a DMA is in flight unless
     fast_forward_dma is set: then `sim` steps on until the engine is
     quiescent, and raises the Fault of a step that faults. Traces are
-    self-contained. A pc outside the program ends the window as it ends
-    Simulator.step: with a pc_oob fault.
+    self-contained. A fault before an instruction executes, such as the
+    pc_oob of a pc outside the program, ends the window as Simulator.step
+    makes it.
     """
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
@@ -164,15 +165,14 @@ def record(sim: Simulator, breakpoint: Optional[Breakpoint],
     fault = None
 
     for _ in range(n_instructions):
-        if state.halted:
+        instr, pc = sim.peek(), state.pc
+        if instr is None:       # halted (None), or the pc_oob fault
+            fault = sim.step()
             break
-        pc = state.pc
         try:
-            instr = sim.fetch()
             ios = instr.static_io or instruction_io_sets(instr, state, pc)
-        except Fault as f:
-            state.halted = True          # any fault halts, as in Simulator.step
-            fault = f
+        except Fault:
+            fault = sim.step()  # the same fault, which halts the machine
             break
         regs, pieces = ledger.first_uses(ios)
         for r in regs:

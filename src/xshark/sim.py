@@ -17,15 +17,18 @@ architectural results.
 Run, record and replay share one core, `exec_instruction`, which executes
 each instruction through its opcode's handler (`_HANDLERS`, indexed by the
 int opcode) and is the one place that emits per-instruction events. Events
-go into a RecordingTracker's `events` list, straight while no DMA engine
-event waits in the queue, and the common kinds are built positionally;
-under a NullTracker, which has none, no event is made. Latencies are a
-table lookup, and the DMA engine is not called while no transfer lands. The
-simulator is also the step debugger: `step`, `peek`, and `run_to`, which
-stops at a `Breakpoint`. `run` and `run_to` share one loop over the code
-(`_execute`). It, `step`, `record` and `replay` take the footprint of an
-instruction that has one whatever the state from its cached
-`Instruction.static_io`; only the others go through `instruction_io_sets`.
+go into a RecordingTracker's `events` list, and the common kinds are built
+positionally; under a NullTracker, which has none, no event is made.
+Latencies are a table lookup. The DMA engine's future is one queue,
+`_pending`, ordered by (cycle, seq): each transfer in flight, to land, and
+with a tracker the engine events to log. An event goes straight to the list
+while the queue is empty, and the engine is called only when the queue's
+head is due. The simulator is also the step debugger: `step`, `peek`, and
+`run_to`, which stops at a `Breakpoint`. `run`, `run_to` and `step` (with a
+budget of one cycle) share one loop over the code (`_execute`). It, `record`
+and `replay` take the footprint of an instruction that has one whatever the
+state from its cached `Instruction.static_io`; only the others go through
+`instruction_io_sets`.
 
 The vector and tile kernels (`_kernels`) are bit-exact to a scalar f32
 reference: V_ADD/V_MUL round a lane computed in double once to f32, which
@@ -444,78 +447,50 @@ class Simulator:
         self._emit = self._events is not None
         self.stream_index = 0
         self.stall_cycles = {STALL_HAZARD: 0, STALL_DMA_BASE: 0, STALL_DMA_TRANSFER: 0}
-        self._pending: list = []   # (cycle, seq, PerfEvent)
+        self._pending: list = []   # (cycle, seq, PerfEvent or DmaSlotState)
         self._pseq = 0
+        for slot in state.dma_slots:      # a state may arrive with DMAs in flight
+            if slot.active and not slot.applied:
+                self._queue(slot.complete_cycle, slot)
         self._code = program.instructions if program is not None else ()
         self._latency = [config.unit_latency[u] if u else 0
                          for u in _UNIT_NAMES]               # by int opcode
-        # the earliest complete_cycle of the transfers that have not landed
-        # (_IDLE: none); a state may arrive with DMAs in flight
-        self._landing = min((s.complete_cycle for s in state.dma_slots
-                             if s.active and not s.applied), default=_IDLE)
 
-    # -- event plumbing ------------------------------------------------------
+    # -- the DMA engine ------------------------------------------------------
 
-    def _queue(self, ev: PerfEvent):
-        heapq.heappush(self._pending, (ev.cycle, self._pseq, ev))
+    def _queue(self, cycle: int, entry):
+        heapq.heappush(self._pending, (cycle, self._pseq, entry))
         self._pseq += 1
-
-    def _flush(self, upto: int):
-        pending, append = self._pending, self._events.append
-        while pending and pending[0][0] <= upto:
-            append(heapq.heappop(pending)[2])
 
     def _send(self, ev: PerfEvent):
         if self._pending and self._pending[0][0] <= ev.cycle:
-            self._flush(ev.cycle)
+            self._advance_engine(ev.cycle)
         self._events.append(ev)
 
-    # -- DMA engine ----------------------------------------------------------
-
     def _advance_engine(self, upto: int):
-        """Land the transfers that complete by `upto`."""
-        if upto < self._landing:
-            return
-        landing = _IDLE
-        for slot in self.state.dma_slots:
-            if slot.active and not slot.applied:
-                if slot.complete_cycle <= upto:
-                    self.state.write_mem(slot.dst, slot.buffer)
-                    slot.applied = True
-                    slot.buffer = b""
-                else:
-                    landing = min(landing, slot.complete_cycle)
-        self._landing = landing
+        """Do what the queue holds up to cycle `upto`, in queue order: log
+        each engine event, land each transfer (write its destination)."""
+        pending = self._pending
+        while pending and pending[0][0] <= upto:
+            entry = heapq.heappop(pending)[2]
+            if type(entry) is PerfEvent:
+                self._events.append(entry)
+            else:
+                self.state.write_mem(entry.dst, entry.buffer)
+                entry.applied = True
+                entry.buffer = b""
 
     def sync(self):
-        """Apply completed transfers and flush queued events up to now."""
+        """Land completed transfers and log queued events up to now."""
         self._advance_engine(self.state.cycle)
-        if self._emit:
-            self._flush(self.state.cycle)
 
     # -- execution -----------------------------------------------------------
 
-    def fetch(self) -> Instruction:
-        """The instruction at pc; a pc outside the program is a Fault."""
-        pc = self.state.pc
-        if not 0 <= pc < len(self._code):
-            raise Fault("pc_oob", f"pc {pc} outside program", pc)
-        return self._code[pc]
-
     def step(self) -> Optional[Fault]:
         """Execute the instruction at pc: returns its Fault, which halts the
-        machine, or None. A halted machine does not step."""
-        state = self.state
-        if state.halted:
-            return None
-        pc = state.pc
-        try:
-            instr = self.fetch()
-            ios = instr.static_io or instruction_io_sets(instr, state, pc)
-        except Fault as f:
-            state.halted = True
-            return f
-        return self.exec_instruction(instr, pc, ios)
+        machine, or None. A halted machine does not step. Every instruction
+        takes at least one cycle, so one cycle's budget is one step."""
+        return self._execute(self.state.cycle + 1)[1]
 
     def peek(self) -> Optional[Instruction]:
         """Instruction about to execute, decoded, without stepping."""
@@ -541,11 +516,11 @@ class Simulator:
                          self.stream_index, dict(self.stall_cycles), fault)
 
     def _execute(self, max_cycles: int, stop_pc: int = -1, arrivals: int = 0):
-        """Execute as step() does until the machine halts or faults, its
-        cycle reaches max_cycles, or it is about to execute stop_pc for the
-        arrivals-th time (never, when arrivals < 1). Returns (outcome,
-        fault): "halted", "budget", "hit" or "fault", and the Fault of a
-        "fault". It flushes no event and lands no transfer at the end."""
+        """Execute the instruction at pc, and the next, until the machine
+        halts or faults, its cycle reaches max_cycles, or it is about to
+        execute stop_pc for the arrivals-th time (never, when arrivals < 1).
+        Returns (outcome, fault): "halted", "budget", "hit" or "fault", and
+        the Fault of a "fault". It does not sync at the end."""
         state, code, execute = self.state, self._code, self.exec_instruction
         while not state.halted:
             if state.cycle >= max_cycles:
@@ -595,7 +570,7 @@ class Simulator:
             # Hazard interlock: touching bytes an in-flight DMA will write
             # blocks until that DMA completes (keeps results timing-independent).
             issue = start
-            if self._landing is not _IDLE and (ios.input_mem or ios.output_mem):
+            if self._pending and (ios.input_mem or ios.output_mem):
                 touched = ios.input_mem + ios.output_mem
                 for slot in state.dma_slots:
                     if (slot.active and not slot.applied
@@ -603,7 +578,7 @@ class Simulator:
                         issue = max(issue, slot.complete_cycle)
                 if issue > start:
                     self._stall(STALL_HAZARD, start, issue, pc, idx)
-            if issue >= self._landing:
+            if self._pending and self._pending[0][0] <= issue:
                 self._advance_engine(issue)
             try:
                 if handler is None:     # the DMA engine's ops time their retire
@@ -629,7 +604,7 @@ class Simulator:
 
     # -- per-instruction events (callers of _issue/_retire check _emit); the
     # five common kinds are built positionally, and an event goes straight
-    # to the list while no DMA engine event is queued
+    # to the list while the engine's queue is empty
 
     def _issue(self, instr, pc, idx, cycle, ios, slot=None, dma_id=None):
         """Emit instr_issue, then its reg_reads, then its mem_reads."""
@@ -683,7 +658,7 @@ class Simulator:
         slot.buffer = state.read_mem(src)
         slot.dma_id = dma_id = state.dma_seq
         state.dma_seq += 1
-        self._landing = min(self._landing, complete)
+        self._queue(complete, slot)
 
         retire = issue + self._latency[instr.opcode]
         if self._emit:
@@ -695,9 +670,9 @@ class Simulator:
             for cycle, kind in ((base_done, DMA_BASE_DONE),
                                 (t_start, DMA_TRANSFER_START),
                                 (complete, DMA_COMPLETE)):
-                self._queue(PerfEvent(cycle, kind, idx=idx, slot=slot_no,
-                                      dma_id=dma_id))
-            self._queue(_mem_write(complete, pc, idx, dst, dma_id))
+                self._queue(cycle, PerfEvent(cycle, kind, idx=idx, slot=slot_no,
+                                             dma_id=dma_id))
+            self._queue(complete, _mem_write(complete, pc, idx, dst, dma_id))
             self._retire(pc, idx, instr.opcode, issue, retire)
         return retire
 
@@ -833,7 +808,6 @@ _HANDLERS = [{Opcode.S_LDI: _s_ldi, Opcode.S_ADD: _s_add, Opcode.S_MUL: _s_mul,
 # by int opcode: its name and its unit's name, as the event logs spell them
 _OPCODE_NAMES = [op in OPCODES and Opcode(op).name for op in range(len(_HANDLERS))]
 _UNIT_NAMES = [op in OPCODES and OPCODES[op][0].value for op in range(len(_HANDLERS))]
-_IDLE = math.inf       # the landing bound while no DMA is in flight
 
 
 def _mem_write(cycle, pc, idx, region, dma_id=None) -> PerfEvent:

@@ -12,7 +12,7 @@ from xshark.sim import (Breakpoint, RecordingTracker, SimConfig, Simulator,
 from xshark.workloads import assemble, gen_random_kernel, initial_state
 
 import oracles
-from helpers import asm_run, asm_session, sreg
+from helpers import asm_run, asm_session, mk_config, sreg
 
 COUNTDOWN = """
   s_ldi s0, 5
@@ -105,6 +105,27 @@ def test_step_returns_decoded_instruction_before_executing():
     assert session.step() is None
     assert session.state.pc == 1 and session.stream_index == 1
     assert session.state.sregs[0] == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.integers(10, 120), ones=st.booleans())
+def test_each_step_executes_exactly_one_instruction(seed, size, ones):
+    """step() is run's loop with one cycle's budget, which is one step
+    because every instruction takes at least one cycle: each step advances
+    stream_index by exactly one until the machine halts or faults, under the
+    default config and with every latency and t_base at 1."""
+    config = (mk_config(t_base=1, unit_latency=dict.fromkeys(
+        SimConfig().unit_latency, 1)) if ones else SimConfig())
+    kernel = assemble(gen_random_kernel(seed, size=size).text)
+    session = Simulator(kernel.program, config, initial_state(kernel, config))
+    state = session.state
+    while not state.halted:
+        before = session.stream_index
+        fault = session.step()
+        assert session.stream_index == before + (fault is None)
+        assert fault is None or state.halted
+    executed = session.stream_index
+    assert session.step() is None and session.stream_index == executed
 
 
 def test_step_at_halt_reports_halted():

@@ -1,5 +1,5 @@
-"""Every contract document that the source names exists, and every public
-name the source defines is used."""
+"""Every contract document that the source names exists, and every name
+the source defines or imports is used."""
 
 import ast
 import pathlib
@@ -112,13 +112,9 @@ def test_every_cli_error_code_is_expected_by_a_test():
     assert sorted(raised - expected) == []
 
 
-def test_every_public_name_in_src_is_used():
-    """Each public function, class, method, module-level name and upper-case
-    class constant that src/ defines is named somewhere in src/, perfbench/
-    or docs/ besides its definition: a helper only tests call belongs in
-    tests/helpers.py."""
-    texts = [path.read_text() for folder in ("src", "perfbench", "docs")
-             for path in (ROOT / folder).rglob("*") if path.suffix in (".py", ".md")]
+def _src_definitions() -> list:
+    """The names src/ defines, once per definition: each function, class
+    and method, each module-level name and each upper-case class constant."""
     defined = []
 
     def visit(body, module):
@@ -135,12 +131,59 @@ def test_every_public_name_in_src_is_used():
 
     for path in (ROOT / "src").rglob("*.py"):
         visit(ast.parse(path.read_text()).body, True)
+    return defined
+
+
+def _unused(names, defined, folders) -> list:
+    """The `names` that the .py and .md files under `folders` name no more
+    often than src/ defines them."""
+    texts = [path.read_text() for folder in folders
+             for path in (ROOT / folder).rglob("*") if path.suffix in (".py", ".md")]
+    return sorted(name for name in names
+                  if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts)
+                  <= defined.count(name))
+
+
+def test_every_public_name_in_src_is_used():
+    """Each public function, class, method, module-level name and upper-case
+    class constant that src/ defines is named somewhere in src/, perfbench/
+    or docs/ besides its definition: a helper only tests call belongs in
+    tests/helpers.py."""
+    defined = _src_definitions()
     public = {name for name in defined if not name.startswith("_")}
     assert {"Simulator", "run_to", "static_io", "MEM_OPCODES",
             "DebugSession"} <= public
-    uses = {name: sum(len(re.findall(rf"\b{name}\b", text)) for text in texts)
-            for name in public}
-    assert sorted(name for name in public if uses[name] <= defined.count(name)) == []
+    assert _unused(public, defined, ("src", "perfbench", "docs")) == []
+
+
+def test_every_private_name_in_src_is_used():
+    """Each private function, class, method, module-level name and
+    upper-case class constant (one `_`, not a dunder) that src/ defines is
+    named somewhere in src/ or perfbench/ besides its definition, so a
+    deletion leaves no private helper behind."""
+    defined = _src_definitions()
+    private = {name for name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    assert {"_execute", "_advance_engine", "_HANDLERS", "_write_json"} <= private
+    assert _unused(private, defined, ("src", "perfbench")) == []
+
+
+def test_every_import_in_src_is_used():
+    """Each name a src/ module other than an `__init__.py` imports is read
+    in that module."""
+    unused = []
+    for path in (ROOT / "src").rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}: {name}" for name in imported - read]
+    assert sorted(unused) == []
 
 
 def test_every_cli_option_is_documented():

@@ -414,12 +414,19 @@ def test_replay_reproduces_the_live_windows_timeline(seed, size, skip, count):
 
 
 def _assert_replay_reproduces_the_timeline(session, live, res, config):
+    """The replay's event log is the live window's, byte for byte, once the
+    live events are rebased to the window's start cycle, first index and
+    first dma_id; and the replay's cycles are the window's."""
     replayed = RecordingTracker()
     rep = replay(res.trace, config, replayed)
     first, start = session.stream_index - res.recorded, res.trace.header.start_cycle
-    window = [(ev.kind, ev.cycle - start, ev.idx - first, ev.pc)
-              for ev in live.events if ev.idx >= first]
-    assert window == [(ev.kind, ev.cycle, ev.idx, ev.pc) for ev in replayed.events]
+    window = [ev for ev in live.events if ev.idx >= first]
+    first_id = next((ev.dma_id for ev in window if ev.kind == "dma_issue"), 0)
+    rebased = [replace(ev, cycle=ev.cycle - start, idx=ev.idx - first,
+                       until=None if ev.until is None else ev.until - start,
+                       dma_id=None if ev.dma_id is None else ev.dma_id - first_id)
+               for ev in window]
+    assert events_to_jsonl(rebased) == events_to_jsonl(replayed.events)
     assert rep.cycles == session.state.cycle - start
     return rep
 

@@ -4,6 +4,8 @@ tracker transparency, determinism, faults."""
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xshark.analyzer import analyze_dma
 from xshark.isa import Fault, MemRegion, MemSpace
@@ -11,6 +13,7 @@ from xshark.sim import (NullTracker, RecordingTracker, SimConfig, Simulator,
                         events_from_jsonl, events_to_jsonl,
                         run_program, state_digest,
                         STALL_DMA_BASE, STALL_DMA_TRANSFER, STALL_HAZARD)
+from xshark.workloads import assemble, gen_random_kernel, initial_state
 
 from helpers import asm_run, asm_state, mk_config
 from oracles import dma_oracle, event_json
@@ -270,6 +273,37 @@ def test_simulator_built_on_a_dma_in_flight_interlocks_and_lands_it():
     assert rest.stall_cycles == whole.stall_cycles
     assert rest.state.vregs[:4] == bytes([1, 2, 3, 4])
     assert state_digest(rest.state) == state_digest(whole.state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.integers(20, 120),
+       tracked=st.booleans(), data=st.data())
+def test_a_run_another_simulator_finishes_is_one_run(seed, size, tracked, data):
+    """Simulator A steps a random kernel to a split point, at a step that
+    leaves a transfer in flight when there is one; simulator B, built over
+    A's state, runs to the end. Together they take the cycles and stalls,
+    and leave the state, of one uninterrupted run."""
+    config = SimConfig()
+    kernel = assemble(gen_random_kernel(seed, size=size).text)
+    whole = run_program(kernel.program, config, initial_state(kernel, config))
+
+    def stepped(steps):
+        a = Simulator(kernel.program, config, initial_state(kernel, config),
+                      RecordingTracker() if tracked else None)
+        in_flight = []
+        for k in range(steps):
+            assert a.step() is None
+            if any(s.active and not s.applied for s in a.state.dma_slots):
+                in_flight.append(k + 1)
+        return a, in_flight
+
+    _, in_flight = stepped(whole.executed)
+    a, _ = stepped(data.draw(st.sampled_from(in_flight or range(whole.executed + 1))))
+    b = Simulator(kernel.program, config, a.state).run(10_000_000)
+    assert b.outcome == "halted" and b.cycles == whole.cycles
+    assert {reason: a.stall_cycles[reason] + b.stall_cycles[reason]
+            for reason in whole.stall_cycles} == whole.stall_cycles
+    assert state_digest(b.state) == state_digest(whole.state)
 
 
 def test_budget_exhaustion_distinct_from_fault():
