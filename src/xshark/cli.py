@@ -416,8 +416,9 @@ def _main(argv) -> int:
         return 1
     try:
         path = args.config or os.environ.get("XSHARK_CONFIG")
-        # compare reads two summaries and no config, but checks one it is given
-        config = (_load_config(path) if path or args.handler is not cmd_compare
+        # asm and compare read no config, and load the simulator only to
+        # check one they are given
+        config = (_load_config(path) if path or args.handler not in (cmd_asm, cmd_compare)
                   else None)
         return args.handler(args, config)
     except CliError as e:

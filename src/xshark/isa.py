@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import InitVar, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum, IntEnum
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 ISA_VERSION = 1
@@ -298,60 +297,112 @@ class IoSets(NamedTuple):
     output_mem: tuple = ()
 
 
-@dataclass(frozen=True)
-class Instruction:
-    opcode: Opcode
-    dst_regs: tuple = ()
-    src_regs: tuple = ()
-    immediates: tuple = ()
-    predicate: Optional[RegisterId] = None
-    form: Form = field(init=False, repr=False, compare=False)
-    # the form the caller has matched these operands against (the assembler
-    # and decode_instruction have); without it, __post_init__ matches one
-    matched: InitVar[Optional[Form]] = None
+class _Fields:
+    """An Instruction's fields, writable. make_instruction fills one and then
+    makes it an Instruction by assigning its class (the two share one
+    layout): one assignment in place of the object.__setattr__ call per
+    field that a frozen class needs."""
 
-    def __post_init__(self, matched):
-        form = matched or _form_of(self.opcode, self.dst_regs, self.src_regs)
-        if form is None or len(self.immediates) != len(form.imms):
-            raise EncodingError(self._shape_error())
-        for imm, kind in zip(self.immediates, form.imms):
+    __slots__ = ("opcode", "dst_regs", "src_regs", "immediates", "predicate",
+                 "form", "io", "static_io")
+
+
+class Instruction(_Fields):
+    """One instruction, checked against its opcode's forms in OPCODES;
+    immutable, and equal to another of the same opcode, registers,
+    immediates and guard.
+
+    `form` is the form its operands match. `io` is the footprint that does
+    not depend on the state: all of it for a register-only opcode, the
+    registers of one that addresses memory (instruction_io_sets).
+    `static_io` is instruction_io_sets from any state when no state can
+    change it: `io` for an unguarded instruction that addresses no memory,
+    None for the others, whose footprint is parsed per step. An IoSets is
+    never false, so `static_io or instruction_io_sets(...)` is the
+    footprint. Both are slots set at construction, so every read of them
+    is a plain attribute read."""
+
+    __slots__ = ()
+
+    def __new__(cls, opcode: Opcode, dst_regs: tuple = (), src_regs: tuple = (),
+                immediates: tuple = (), predicate: Optional[RegisterId] = None):
+        return make_instruction(opcode, dst_regs, src_regs, immediates, predicate)
+
+    def _key(self) -> tuple:
+        return self.opcode, self.dst_regs, self.src_regs, self.immediates, self.predicate
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("Instruction(opcode=%r, dst_regs=%r, src_regs=%r, immediates=%r, "
+                "predicate=%r)" % self._key())
+
+    def __reduce__(self):
+        return make_instruction, self._key()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_tuple_new = tuple.__new__     # IoSets(a, b) without its Python-level __new__
+
+
+def make_instruction(opcode: Opcode, dst_regs: tuple = (), src_regs: tuple = (),
+                     immediates: tuple = (), predicate: Optional[RegisterId] = None,
+                     form: Optional[Form] = None) -> Instruction:
+    """Instruction(opcode, dst_regs, src_regs, immediates, predicate) in one
+    call. The assembler and decode_instruction, which have matched the
+    operands against `form`, pass it; without it, one is matched here.
+    Raises EncodingError for operands no form of the opcode takes, then for
+    an immediate out of its kind's range, then for a guard that is not a
+    predicate register."""
+    form = form or _form_of(opcode, dst_regs, src_regs)
+    if form is None or len(immediates) != len(form.imms):
+        raise EncodingError(_shape_error(opcode, dst_regs, src_regs))
+    if immediates:
+        for imm, kind in zip(immediates, form.imms):
             lo, end, message = IMM_KINDS[kind]
             if not lo <= imm < end:
                 raise EncodingError((message if _I32_MIN <= imm <= _I32_MAX
                                      else _WIDE).format(imm))
-        if self.predicate is not None and self.predicate.cls is not P:
-            raise EncodingError("guard must be a predicate register")
-        object.__setattr__(self, "form", form)
+    if predicate is None:
+        io = _tuple_new(IoSets, (src_regs, dst_regs, (), ()))
+        static_io = None if opcode in MEM_OPCODES else io
+    elif predicate.cls is P:
+        io = _tuple_new(IoSets, ((predicate,) + src_regs, dst_regs, (), ()))
+        static_io = None
+    else:
+        raise EncodingError("guard must be a predicate register")
+    ins = _Fields()
+    ins.opcode = opcode
+    ins.dst_regs = dst_regs
+    ins.src_regs = src_regs
+    ins.immediates = immediates
+    ins.predicate = predicate
+    ins.form = form
+    ins.io = io
+    ins.static_io = static_io
+    ins.__class__ = Instruction
+    return ins
 
-    @cached_property
-    def io(self) -> IoSets:
-        """The footprint that does not depend on the state, computed on the
-        first parse: all of it for a register-only opcode, the registers of
-        one that addresses memory (instruction_io_sets)."""
-        guard = () if self.predicate is None else (self.predicate,)
-        return IoSets(guard + self.src_regs, self.dst_regs)
 
-    @cached_property
-    def static_io(self) -> Optional[IoSets]:
-        """instruction_io_sets from any state, when no state can change it:
-        that of an unguarded instruction that addresses no memory, None for
-        the others, whose footprint is parsed per step. An IoSets is never
-        false, so `static_io or instruction_io_sets(...)` is the footprint.
-        It does not read `io`, so only the others cache both: on CPython
-        3.11 an instance's seventh attribute fits its shared-key dict, and an
-        eighth costs about 400 bytes."""
-        if self.predicate is None and self.opcode not in MEM_OPCODES:
-            return IoSets(self.src_regs, self.dst_regs)
-        return None
-
-    def _shape_error(self) -> str:
-        name, dst = self.opcode.name, [r.cls for r in self.dst_regs]
-        if all(f.dst != dst for f in FORMS[self.opcode]):
-            return f"{name}: bad destination operands"
-        form = _form_of(self.opcode, self.dst_regs, self.src_regs)
-        if form is None:
-            return f"{name}: bad source operands"
-        return f"{name}: expected {len(form.imms)} immediates"
+def _shape_error(opcode: Opcode, dst_regs: tuple, src_regs: tuple) -> str:
+    name, dst = opcode.name, [r.cls for r in dst_regs]
+    if all(f.dst != dst for f in FORMS[opcode]):
+        return f"{name}: bad destination operands"
+    form = _form_of(opcode, dst_regs, src_regs)
+    if form is None:
+        return f"{name}: bad source operands"
+    return f"{name}: expected {len(form.imms)} immediates"
 
 
 def _enc_reg(r: Optional[RegisterId]) -> int:
@@ -390,10 +441,10 @@ def decode_instruction(raw: bytes) -> Instruction:
         raise EncodingError(f"unknown opcode byte {op_b:#04x}")
     dst = _dec_reg(dst_b)
     dsts = (dst,) if dst else ()
-    srcs = tuple(r for r in (_dec_reg(s0), _dec_reg(s1), _dec_reg(s2)) if r is not None)
+    srcs = tuple(filter(None, (_dec_reg(s0), _dec_reg(s1), _dec_reg(s2))))
     form = _form_of(opcode, dsts, srcs)
     imms = (imm0, imm1)[:len(form.imms) if form else 0]
-    return Instruction(opcode, dsts, srcs, imms, _dec_reg(pred_b), form)
+    return make_instruction(opcode, dsts, srcs, imms, _dec_reg(pred_b), form)
 
 
 def decode_shared(raw: bytes, decoded: dict) -> Instruction:

@@ -27,7 +27,7 @@ head is due. The simulator is also the step debugger: `step`, `peek`, and
 `run_to`, which stops at a `Breakpoint`. `run`, `run_to` and `step` (with a
 budget of one cycle) share one loop over the code (`_execute`). It, `record`
 and `replay` take the footprint of an instruction that has one whatever the
-state from its cached `Instruction.static_io`; only the others go through
+state from its `Instruction.static_io`; only the others go through
 `instruction_io_sets`.
 
 The vector and tile kernels (`_kernels`) are bit-exact to a scalar f32

@@ -14,12 +14,13 @@ import json
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa import (CMP_MODES, DMA_DIR_NAMES, FORMS, IMM_KINDS, ISA_VERSION,
                    REG_KINDS, REGISTER_NAMES, SCALAR_REGS, EncodingError,
                    Instruction, MemRegion, MemSpace, Program, RegClass,
-                   RegisterId)
+                   RegisterId, make_instruction)
 
 _DIRECTIONS = {name: d for d, name in DMA_DIR_NAMES.items()}
 _OPCODES = {op.name.lower(): op for op in FORMS}
@@ -56,7 +57,7 @@ _MEM_RE = re.compile(r"^\[\s*(s[0-9]+)\s*\]$")
 _HEX_BYTE_RE = re.compile(r"[0-9a-fA-F]{1,2}")
 
 
-def _num(tok: str, line: int, col: int) -> int:
+def _num(tok: str, line: int, col: int, *_) -> int:
     if not _NUM_RE.fullmatch(tok):
         raise AsmError(line, col, f"expected number, got {tok!r}")
     return int(tok, 0)
@@ -81,7 +82,7 @@ def assemble(source: str) -> AssembledKernel:
     """
     labels: Dict[str, int] = {}
     texts: List[str] = []              # each instruction line's text, in order
-    first: Dict[str, tuple] = {}       # text -> (line, col, mnemonic, operands, guard)
+    first: Dict[str, tuple] = {}       # text -> (builder, line, col, guard, operands)
     hbm_image: List[Tuple[int, bytes]] = []
     vmem_image: List[Tuple[int, bytes]] = []
     opened: List[Tuple[str, int]] = []          # (region name, start)
@@ -89,11 +90,11 @@ def assemble(source: str) -> AssembledKernel:
 
     for lineno, raw_line in enumerate(source.splitlines(), 1):
         line = raw_line
-        hlo = ";;" in line and _HLO_RE.match(line)
-        if hlo:
-            opened.append((hlo.group(1), len(texts)))
-            continue
         if ";" in line:
+            hlo = ";;" in line and _HLO_RE.match(line)
+            if hlo:
+                opened.append((hlo.group(1), len(texts)))
+                continue
             line = line[:line.index(";")]
         line = line.strip()
         if not line:
@@ -149,9 +150,11 @@ def assemble(source: str) -> AssembledKernel:
             line = line.strip()
             if not line:
                 raise AsmError(lineno, col, "guard without an instruction")
-        toks = line.split(None, 1)
-        ops = [o.strip() for o in toks[1].split(",")] if len(toks) > 1 else []
-        first[text] = (lineno, col, toks[0].lower(), ops, pred)
+        parts = line.split(None, 1)
+        operands = parts[1] if len(parts) > 1 else ""
+        key = parts[0].lower(), operands.count(",") + 1 if operands else 0
+        first[text] = (_BUILDERS.get(key) or partial(_unplanned, *key),
+                       lineno, col, pred, operands)
 
     # a region ends where the next opens; one that holds no instruction is dropped
     n = len(texts)
@@ -159,7 +162,8 @@ def assemble(source: str) -> AssembledKernel:
     regions = [(name, start, end) for (name, start), end in zip(opened, ends)
                if end > start]
     # in order of first lines, so the first bad line is the one reported
-    built = {text: _build(*ent, labels, n) for text, ent in first.items()}
+    built = {text: build(line, col, pred, operands, labels, n)
+             for text, (build, line, col, pred, operands) in first.items()}
     entry_pc = 0
     if entry_label is not None:
         name, lineno = entry_label
@@ -219,36 +223,60 @@ def _reader(kind: str) -> tuple:
         return 2, {mode: i for i, mode in enumerate(CMP_MODES)}, _mode
     if kind == "dir":
         return 2, _DIRECTIONS, _direction
-    return 2, {}, (_target if kind == "target" else
-                   lambda tok, line, col, *_: _num(tok, line, col))
+    return 2, {}, _target if kind == "target" else _num
 
 
-# (mnemonic, operand count) -> (opcode, form, one reader per operand)
-_PLANS = {(name, len(form.operands)): (op, form, tuple(_reader(k) for _, k in form.operands))
-          for name, op in _OPCODES.items() for form in FORMS[op]}
+def _builder(op, form) -> Callable:
+    """build(line, col, guard, operands, labels, n): the Instruction of a
+    line of `form`, whose operand text (after the mnemonic) is `operands`,
+    given the program's labels and length. It splits the operands, reads
+    each through its reader (a table lookup, else the rule) into its
+    field, and makes the Instruction; an error is the AsmError of the first
+    operand that does not read, else that of the Instruction's checks. A
+    field of one value is a one-tuple the table holds, so lines share it.
+    It is compiled from generated source, as sim._line_plan is, so that one
+    call reads a whole line."""
+    readers = [_reader(kind) for _, kind in form.operands]
+    fields = ([], [], [])            # the names of each field's values
+    for i, (slot, _, _) in enumerate(readers):
+        fields[slot].append(f"a{i}")
+    namespace = {"_make": make_instruction, "_op": op, "_form": form,
+                 "EncodingError": EncodingError, "AsmError": AsmError}
+    body = [", ".join(f"o{i}" for i in range(len(readers))) + ", = operands.split(',')"
+            ] if readers else []
+    for i, (slot, table, rule) in enumerate(readers):
+        one = len(fields[slot]) == 1
+        namespace[f"_get{i}"] = ({tok: (v,) for tok, v in table.items()} if one
+                                 else table).get
+        namespace[f"_rule{i}"] = rule
+        read = f"_rule{i}(o{i}, line, col, labels, n)"
+        body += [f"o{i} = o{i}.strip()",
+                 f"a{i} = _get{i}(o{i})",
+                 f"if a{i} is None:",
+                 f"    a{i} = " + (f"({read},)" if one else read)]
+    values = [f[0] if len(f) == 1 else "(" + "".join(v + ", " for v in f) + ")"
+              for f in fields]
+    body += ["try:",
+             f"    return _make(_op, {values[0]}, {values[1]}, {values[2]}, guard, _form)",
+             "except EncodingError as e:",
+             "    raise AsmError(line, col, str(e)) from None"]
+    source = "def build(line, col, guard, operands, labels, n):\n" + "".join(
+        f"    {line}\n" for line in body)
+    exec(source, namespace)
+    return namespace["build"]
 
 
-def _build(line: int, col: int, m: str, ops: list, pred, labels, n: int) -> Instruction:
-    """One instruction from its mnemonic and operand texts, read by the
-    plan of its opcode's form in isa.OPCODES."""
-    plan = _PLANS.get((m, len(ops)))
-    if plan is None:
-        if m not in _OPCODES:
-            raise AsmError(line, col, f"unknown mnemonic {m!r}")
-        raise AsmError(line, col, f"{m} expects {len(FORMS[_OPCODES[m]][-1].operands)} "
-                                  f"operands, got {len(ops)}")
-    op, form, readers = plan
-    values = ([], [], [])
-    for (slot, table, rule), tok in zip(readers, ops):
-        value = table.get(tok)
-        if value is None:
-            value = rule(tok, line, col, labels, n)
-        values[slot].append(value)
-    try:
-        return Instruction(op, tuple(values[0]), tuple(values[1]), tuple(values[2]),
-                           pred, form)
-    except EncodingError as e:
-        raise AsmError(line, col, str(e)) from None
+def _unplanned(m: str, count: int, line: int, col: int, *_):
+    """The builder of a line whose mnemonic takes no `count` operands."""
+    if m not in _OPCODES:
+        raise AsmError(line, col, f"unknown mnemonic {m!r}")
+    raise AsmError(line, col, f"{m} expects {len(FORMS[_OPCODES[m]][-1].operands)} "
+                              f"operands, got {count}")
+
+
+# (mnemonic, operand count) -> the builder of its lines
+_BUILDERS = {(name, len(form.operands)): _builder(op, form)
+             for name, op in _OPCODES.items() for form in FORMS[op]}
 
 
 def disassemble(program: Program) -> str:

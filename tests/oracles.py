@@ -6,8 +6,9 @@ These deliberately avoid the production code paths they validate:
                         transfer serialization; three-way stall/slack split)
   naive_record          whole-machine-state recorder (baseline for the
                         first-use recorder's minimality claims)
-  run_to_by_steps       the earlier Simulator.run_to: its own loop over
-                        step(), beside run's
+  run_to_by_steps       the earlier Simulator.run_to: its own fetch,
+                        footprint and fault loop over exec_instruction,
+                        beside run's
   bruteforce_dep_oracle per-byte/per-register read-after-write tracker run
                         over a decoded instruction stream
   ByteSetOracle         per-byte model of the interval set
@@ -42,7 +43,8 @@ from xshark.isa import (CMP_MODES, DEFAULT_VMEM_CAPACITY, DMA_DIR_NAMES, FORMS,
                         ISA_VERSION, PAGE_BYTES, REG_KINDS, REGISTER_NAMES,
                         VMEM_BUCKETS, EncodingError, Fault, Instruction,
                         MemRegion, MemSpace, Opcode, Program, RegClass,
-                        RegisterId, Unit, instruction_io_sets)
+                        RegisterId, Unit, instruction_io_sets,
+                        make_instruction)
 from xshark.recorder import ExecutionTrace, TraceHeader
 from xshark.sim import (DMA_COMPLETE, EVENT_FIELDS, MEM_READ, MEM_WRITE,
                         UNIT_BUSY, PerfEvent)
@@ -155,18 +157,31 @@ def naive_record(session, n_instructions: int):
 def run_to_by_steps(session, bp, max_cycles: int = 10_000_000) -> str:
     """Step until the machine reaches bp.pc for the hit_count_target-th
     time, stopping before that instruction executes: "hit", "halted",
-    "budget" or "fault", as Simulator.run_to."""
+    "budget" or "fault", as Simulator.run_to. Its own loop: each step
+    fetches through peek(), parses the whole footprint with
+    instruction_io_sets, makes a pc off the program or a footprint that
+    does not parse a fault that halts the machine, and only then calls
+    exec_instruction."""
     if not 0 <= bp.pc < len(session._code):
         raise Fault("bp_oob", f"breakpoint pc {bp.pc} outside program")
     state, hits = session.state, 0
     while not state.halted:
         if state.cycle >= max_cycles:
             return "budget"
-        if state.pc == bp.pc:
+        pc = state.pc
+        if pc == bp.pc:
             hits += 1
             if hits == bp.hit_count_target:
                 return "hit"
-        if session.step() is not None:
+        instr = session.peek()
+        try:
+            if instr is None:               # not halted: the pc is off the program
+                raise Fault("pc_oob", f"pc {pc} outside program", pc)
+            ios = instruction_io_sets(instr, state, pc)
+        except Fault:
+            state.halted = True
+            return "fault"
+        if session.exec_instruction(instr, pc, ios) is not None:
             return "fault"
     return "halted"
 
@@ -657,7 +672,7 @@ def _build(line: int, col: int, m: str, ops: list, pred, labels, n: int) -> Inst
             value = _num(tok, line, col)
         values[_FIELDS.get(kind, "imm")].append(value)
     try:
-        return Instruction(op, tuple(values["dst"]), tuple(values["src"]),
-                           tuple(values["imm"]), pred, form)
+        return make_instruction(op, tuple(values["dst"]), tuple(values["src"]),
+                                tuple(values["imm"]), pred, form)
     except EncodingError as e:
         raise AsmError(line, col, str(e)) from None

@@ -803,6 +803,40 @@ def test_only_steps_that_run_a_kernel_import_numpy(tmp_path):
         assert hashlib.sha256(fh.read()).hexdigest() == _RUN_LOG_4X1
 
 
+# Runs `xshark <argv>` in a fresh interpreter and prints, last, which of the
+# modules that `asm` has no use for it loaded.
+_CLI_REPORTING_MODULES = """import runpy, sys
+sys.argv = ["xshark"] + sys.argv[1:]
+try:
+    runpy.run_module("xshark.cli", run_name="__main__")
+finally:
+    print("loaded:", [name for name in ("xshark.sim", "xshark.workloads.kernels",
+                                        "hashlib", "numpy") if name in sys.modules])
+"""
+
+
+def test_asm_loads_only_the_assembler(tmp_path):
+    """`asm` reads no config unless one is named, so it loads neither the
+    simulator, the kernel generators, hashlib nor numpy; a config named by
+    --config or XSHARK_CONFIG is still checked."""
+    src, bad = tmp_path / "k.xasm", tmp_path / "bad.json"
+    src.write_text(gen_starvation_kernel(tiles=4, prefetch_depth=1))
+    bad.write_text(json.dumps({"t_base": 0}))
+    env = {key: value for key, value in os.environ.items() if key != "XSHARK_CONFIG"}
+
+    def asm(*options, **extra_env):
+        return subprocess.run(
+            [sys.executable, "-c", _CLI_REPORTING_MODULES, *options, "asm", str(src),
+             "-o", str(tmp_path / "p.json")],
+            capture_output=True, text=True, env={**env, **extra_env})
+
+    out = asm()
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "loaded: []"
+    for out in (asm("--config", str(bad)), asm(XSHARK_CONFIG=str(bad))):
+        assert out.returncode == 1 and "code:CONFIG_INVALID" in out.stderr
+
+
 @pytest.fixture(scope="module")
 def small_bundle(tmp_path_factory):
     """The bundle of a small random kernel with branches, as its JSON object,

@@ -12,7 +12,7 @@ from xshark.sim import (Breakpoint, RecordingTracker, SimConfig, Simulator,
 from xshark.workloads import assemble, gen_random_kernel, initial_state
 
 import oracles
-from helpers import asm_run, asm_session, mk_config, sreg
+from helpers import asm_run, asm_session, mk_config, random_kernels, sreg
 
 COUNTDOWN = """
   s_ldi s0, 5
@@ -97,6 +97,36 @@ def test_run_to_matches_the_step_loop(seed, size, at, hits, max_cycles):
     assert ends[1] == ends[0]
 
 
+# programs that end in a fault: a pc off the program, a footprint that does
+# not parse, and a step that faults with a transfer in flight
+_FAULTING = {
+    "pc_oob": "s_ldi s0, 1\n",
+    "mem_align": "s_ldi s1, 0x203\nv_load v2, [s1]\nhalt\n",
+    "dma_busy": "s_ldi s0, 0x1000\ns_ldi s1, 0x200\ns_ldi s2, 64\n"
+                "dma_issue 0, hbm>vmem, s0, s1, s2\nv_load v1, [s1]\n"
+                "dma_issue 0, hbm>vmem, s0, s1, s2\nhalt\n",
+}
+
+
+@pytest.mark.parametrize("kind", _FAULTING)
+def test_run_to_matches_the_step_loop_through_a_fault(kind):
+    """run_to ends in each fault as the loop over exec_instruction does:
+    the same outcome, pc, cycle, stream index, state and events, on a
+    machine both leave halted."""
+    config = SimConfig()
+    kernel = assemble(_FAULTING[kind])
+    ends = []
+    for run_to in (oracles.run_to_by_steps, Simulator.run_to):
+        tracker = RecordingTracker()
+        session = Simulator(kernel.program, config, initial_state(kernel, config),
+                            tracker)
+        state = session.state
+        ends.append((run_to(session, Breakpoint(0, 2)), state.halted, state.pc,
+                     state.cycle, session.stream_index, state_digest(state),
+                     list(tracker.events)))
+    assert ends[1] == ends[0] and ends[0][:2] == ("fault", True)
+
+
 def test_step_returns_decoded_instruction_before_executing():
     kernel, session = asm_session(COUNTDOWN)
     nxt = session.peek()
@@ -108,15 +138,16 @@ def test_step_returns_decoded_instruction_before_executing():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10_000), size=st.integers(10, 120), ones=st.booleans())
-def test_each_step_executes_exactly_one_instruction(seed, size, ones):
+@given(text=random_kernels(st.integers(10, 120)), ones=st.booleans())
+def test_each_step_executes_exactly_one_instruction(text, ones):
     """step() is run's loop with one cycle's budget, which is one step
     because every instruction takes at least one cycle: each step advances
     stream_index by exactly one until the machine halts or faults, under the
-    default config and with every latency and t_base at 1."""
+    default config and with every latency and t_base at 1, on random
+    kernels with hazards and without."""
     config = (mk_config(t_base=1, unit_latency=dict.fromkeys(
         SimConfig().unit_latency, 1)) if ones else SimConfig())
-    kernel = assemble(gen_random_kernel(seed, size=size).text)
+    kernel = assemble(text)
     session = Simulator(kernel.program, config, initial_state(kernel, config))
     state = session.state
     while not state.halted:

@@ -151,7 +151,7 @@ def test_every_public_name_in_src_is_used():
     tests/helpers.py."""
     defined = _src_definitions()
     public = {name for name in defined if not name.startswith("_")}
-    assert {"Simulator", "run_to", "static_io", "MEM_OPCODES",
+    assert {"Simulator", "run_to", "make_instruction", "MEM_OPCODES",
             "DebugSession"} <= public
     assert _unused(public, defined, ("src", "perfbench", "docs")) == []
 

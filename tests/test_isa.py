@@ -1,8 +1,9 @@
 """Encoding round-trips, IO-set parsing, and IO-set soundness fuzzing."""
 
 import copy
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,29 @@ def test_encode_decode_round_trip_random(seed):
     assert assemble(disassemble(prog)).program == prog
 
 
+def test_instruction_is_an_immutable_value():
+    """An Instruction is equal to, and hashes as, another of the same
+    opcode, registers, immediates and guard, and to nothing else; its
+    fields cannot be set or deleted; a copy or a pickle round trip is equal
+    to it, and it prints its five fields."""
+    ins = Instruction(Opcode.S_ADD, (sreg(2),), (sreg(0), sreg(1)), (), preg(3))
+    twin = Instruction(Opcode.S_ADD, (sreg(2),), (sreg(0), sreg(1)), (), preg(3))
+    assert ins == twin and hash(ins) == hash(twin) and ins is not twin
+    assert ins != Instruction(Opcode.S_ADD, (sreg(2),), (sreg(0), sreg(1)))
+    assert ins != (ins.opcode, ins.dst_regs, ins.src_regs, ins.immediates,
+                   ins.predicate)
+    for name in ("opcode", "io", "static_io", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ins, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(ins, name)
+    for again in (copy.copy(ins), copy.deepcopy(ins), pickle.loads(pickle.dumps(ins))):
+        assert again == ins and again.io == ins.io and again.form is ins.form
+    assert repr(ins) == (f"Instruction(opcode={Opcode.S_ADD!r}, dst_regs={ins.dst_regs!r}, "
+                         f"src_regs={ins.src_regs!r}, immediates=(), "
+                         f"predicate={preg(3)!r})")
+
+
 # ----------------------------------------------------------- IO-set parsing
 
 def test_vload_footprint():
@@ -166,12 +190,20 @@ def _instruction_of(op, r):
             return ins
 
 
+def _copy(ins):
+    """An Instruction equal to `ins`, built afresh."""
+    fresh = Instruction(ins.opcode, ins.dst_regs, ins.src_regs, ins.immediates,
+                        ins.predicate)
+    assert fresh == ins and fresh is not ins
+    return fresh
+
+
 @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
 def test_static_footprint_is_never_stale(op):
-    """The footprint an instruction keeps from its first parse never leaks
-    into a later one: parsed with its guard false, true, then false again,
-    it gives what a never-parsed copy gives from the same state, and the
-    regions of a memory opcode follow its address register."""
+    """The footprint an instruction keeps never leaks into a parse: parsed
+    with its guard false, true, then false again, it gives what a copy built
+    afresh gives from the same state, and the regions of a memory opcode
+    follow its address register."""
     r = random.Random(int(op))
     base = _instruction_of(op, r)
     guard = preg(r.randrange(8))
@@ -180,8 +212,7 @@ def test_static_footprint_is_never_stale(op):
     _constrain_addresses(r, ins, st_)
     for value in (0, 1, 0):
         st_.pregs[guard.index] = value
-        fresh = replace(ins)
-        assert "io" not in vars(fresh)            # never parsed
+        fresh = _copy(ins)
         ios = instruction_io_sets(ins, st_, 0)
         assert ios == instruction_io_sets(fresh, st_, 0)
         assert ios.input_regs == ((guard, *ins.src_regs) if value else (guard,))
@@ -191,7 +222,7 @@ def test_static_footprint_is_never_stale(op):
         address = ins.src_regs[0]                 # [ra], rd of MXU_MM, rs of DMA
         st_.sregs[address.index] += 64
         after = instruction_io_sets(ins, st_, 0)
-        assert after == instruction_io_sets(replace(ins), st_, 0) != before
+        assert after == instruction_io_sets(_copy(ins), st_, 0) != before
         assert st_.sregs[address.index] in {m.offset for m in
                                             after.input_mem + after.output_mem}
 

@@ -21,7 +21,7 @@ from xshark.sim import (Breakpoint, RecordingTracker, SimConfig, Simulator,
                         events_to_jsonl, run_program)
 from xshark.workloads import assemble, gen_random_kernel, initial_state
 
-from helpers import asm_run, asm_session, mk_config, sreg
+from helpers import asm_run, asm_session, mk_config, random_kernels, sreg
 
 KERNEL = """
   .data 0x1000: 01 02 03 04 05 06 07 08
@@ -395,14 +395,15 @@ def test_run_record_replay_leave_no_reference_cycle():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), size=st.integers(20, 120),
-       skip=st.integers(0, 60), count=st.integers(1, 150))
-def test_replay_reproduces_the_live_windows_timeline(seed, size, skip, count):
+@given(text=random_kernels(st.integers(20, 120)), skip=st.integers(0, 60),
+       count=st.integers(1, 150))
+def test_replay_reproduces_the_live_windows_timeline(text, skip, count):
     """The live run's events of a recorded window, rebased to the window's
     start cycle and first instruction, are the replay's events, and the
-    window's cycles are the replay's; windows that run into HALT included."""
+    window's cycles are the replay's; windows that run into HALT, and
+    random kernels with hazards, included."""
     config = SimConfig()
-    kernel = assemble(gen_random_kernel(seed, size=size).text)
+    kernel = assemble(text)
     live = RecordingTracker()
     session = Simulator(kernel.program, config, initial_state(kernel, config), live)
     for _ in range(skip):

@@ -13,9 +13,9 @@ from xshark.sim import (NullTracker, RecordingTracker, SimConfig, Simulator,
                         events_from_jsonl, events_to_jsonl,
                         run_program, state_digest,
                         STALL_DMA_BASE, STALL_DMA_TRANSFER, STALL_HAZARD)
-from xshark.workloads import assemble, gen_random_kernel, initial_state
+from xshark.workloads import assemble, initial_state
 
-from helpers import asm_run, asm_state, mk_config
+from helpers import asm_run, asm_state, hazard_kernel, mk_config, random_kernels
 from oracles import dma_oracle, event_json
 
 
@@ -276,15 +276,16 @@ def test_simulator_built_on_a_dma_in_flight_interlocks_and_lands_it():
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 10_000), size=st.integers(20, 120),
-       tracked=st.booleans(), data=st.data())
-def test_a_run_another_simulator_finishes_is_one_run(seed, size, tracked, data):
-    """Simulator A steps a random kernel to a split point, at a step that
-    leaves a transfer in flight when there is one; simulator B, built over
-    A's state, runs to the end. Together they take the cycles and stalls,
-    and leave the state, of one uninterrupted run."""
+@given(text=random_kernels(st.integers(20, 120)), tracked=st.booleans(),
+       data=st.data())
+def test_a_run_another_simulator_finishes_is_one_run(text, tracked, data):
+    """Simulator A steps a random kernel, with hazards or without, to a
+    split point, at a step that leaves a transfer in flight when there is
+    one; simulator B, built over A's state, runs to the end. Together they
+    take the cycles and stalls, and leave the state, of one uninterrupted
+    run."""
     config = SimConfig()
-    kernel = assemble(gen_random_kernel(seed, size=size).text)
+    kernel = assemble(text)
     whole = run_program(kernel.program, config, initial_state(kernel, config))
 
     def stepped(steps):
@@ -304,6 +305,17 @@ def test_a_run_another_simulator_finishes_is_one_run(seed, size, tracked, data):
     assert {reason: a.stall_cycles[reason] + b.stall_cycles[reason]
             for reason in whole.stall_cycles} == whole.stall_cycles
     assert state_digest(b.state) == state_digest(whole.state)
+
+
+def test_hazard_kernels_stall_on_a_hazard():
+    """Every kernel hazard_kernel makes stalls on a hazard, as almost no
+    gen_random_kernel text does, so the tests that draw random_kernels reach
+    the hazard interlock in about half their examples."""
+    for seed in range(40):
+        text = hazard_kernel(seed, 10 + seed * 37 % 111)
+        result = asm_run(text, record_events=False)[1]
+        assert result.outcome == "halted", seed
+        assert result.stall_cycles[STALL_HAZARD] > 0, seed
 
 
 def test_budget_exhaustion_distinct_from_fault():

@@ -177,16 +177,20 @@ _TOKENS = st.sampled_from([
 @given(seed=st.integers(0, 10_000), size=st.integers(10, 60), data=st.data())
 def test_assembler_matches_the_reference(seed, size, data):
     """A small random kernel, with up to three changes (an instruction
-    line's token replaced, or one line copied over another), assembles to the same kernel or
-    fails with the same AsmError as the reference assembler, which builds
-    every line on its own."""
+    line's token replaced, or one line copied over another, its leading
+    blanks, a trailing comment or a label prefix changed on the way),
+    assembles to the same kernel or fails with the same AsmError as the
+    reference assembler, which builds every line on its own."""
     lines = gen_random_kernel(seed, size=size).text.splitlines()
     indented = [i for i, line in enumerate(lines) if line.startswith(" ")]
     for _ in range(data.draw(st.integers(0, 3), "mutations")):
         if data.draw(st.integers(0, 3), "copy") == 0:
             i, j = data.draw(st.lists(st.integers(0, len(lines) - 1),
                                       min_size=2, max_size=2), "copy from")
-            lines[i] = lines[j]
+            lines[i] = (data.draw(st.sampled_from(["", " ", "\t", "    "]), "blanks")
+                        + data.draw(st.sampled_from(["", "copied: ", "c.1:"]), "label")
+                        + lines[j].lstrip()
+                        + data.draw(st.sampled_from(["", " ; copied", ";"]), "comment"))
             continue
         i = data.draw(st.sampled_from(indented), "line")
         parts = re.split(r"([\s,]+)", lines[i])   # tokens at even positions
@@ -196,6 +200,27 @@ def test_assembler_matches_the_reference(seed, size, data):
         lines[i] = "".join(parts)
     source = "\n".join(lines) + "\n"
     assert _assembled(assemble, source) == _assembled(oracles.assemble, source)
+
+
+# the benchmark's kernels: starvation, long_window and three of its corpus
+# kernels (seeds 3, 9 and 14, sized by the acceptance corpus's formula,
+# 50 + seed * 991 % 4951)
+_BENCHMARK_KERNELS = {
+    "starvation": lambda: gen_starvation_kernel(tiles=64, prefetch_depth=1),
+    "long_window": lambda: gen_random_kernel(7, size=5000).text,
+    **{f"corpus-{seed}": (lambda seed=seed: gen_random_kernel(
+        seed, size=50 + seed * 991 % 4951).text) for seed in (3, 9, 14)},
+}
+
+
+@pytest.mark.parametrize("name", _BENCHMARK_KERNELS)
+def test_benchmark_kernels_match_the_reference(name):
+    """Each whole benchmark kernel, thousands of lines, assembles to the
+    same program bytes, entry, images, labels and regions as the reference
+    assembler gives."""
+    source = _BENCHMARK_KERNELS[name]()
+    got = _assembled(assemble, source)
+    assert got[0] == "kernel" and got == _assembled(oracles.assemble, source)
 
 
 @pytest.mark.parametrize("source,accepted", [
