@@ -39,7 +39,7 @@ def _doc(height: int, body: List[str]) -> str:
 
 
 def render_dma_timeline(records: List[DmaRecord],
-                        backtails: Optional[Dict[int, Backtail]] = None) -> str:
+                        backtails: Optional[Dict[int, Backtail]]) -> str:
     if not records:
         return _doc(40, ['<text x="8" y="24" font-size="12">no DMAs</text>'])
     t0 = min(r.issue_cycle for r in records)
@@ -54,6 +54,11 @@ def render_dma_timeline(records: List[DmaRecord],
     def x(c):
         return pad_l + (c - t0) * scale
 
+    def bar(start, stop, fill, stroke=""):      # on the row at `mid`
+        return (f'<rect x="{x(start):.1f}" y="{mid}" '
+                f'width="{max(1.0, (stop - start) * scale):.1f}" height="10" '
+                f'fill="{fill}"{stroke}/>')
+
     body = [f'<text x="8" y="16" font-size="12">DMA timeline '
             f'(cycles {t0}..{t1})</text>']
     for row, r in enumerate(sorted(records, key=lambda r: r.dma_id)):
@@ -62,25 +67,15 @@ def render_dma_timeline(records: List[DmaRecord],
         body.append(f'<text x="8" y="{y + 12}" font-size="10">dma {r.dma_id} '
                     f's{r.slot} {r.link} {r.size}B</text>')
         end = r.complete_cycle if r.complete_cycle is not None else t1
-        body.append(f'<rect x="{x(r.issue_cycle):.1f}" y="{mid}" '
-                    f'width="{max(1.0, (end - r.issue_cycle) * scale):.1f}" height="10" '
-                    f'fill="{COLOR_TRANSFER}" stroke="#666" stroke-width="0.5"/>')
+        body.append(bar(r.issue_cycle, end, COLOR_TRANSFER,
+                        ' stroke="#666" stroke-width="0.5"'))
         w, bd, c = r.wait_cycle, r.base_done_cycle, r.complete_cycle
         if r.scenario == "base_then_transfer":
-            body.append(f'<rect x="{x(w):.1f}" y="{mid}" '
-                        f'width="{max(1.0, (bd - w) * scale):.1f}" height="10" '
-                        f'fill="{COLOR_BASE_STALL}"/>')
-            body.append(f'<rect x="{x(bd):.1f}" y="{mid}" '
-                        f'width="{max(1.0, (c - bd) * scale):.1f}" height="10" '
-                        f'fill="{COLOR_TRANSFER_STALL}"/>')
+            body += [bar(w, bd, COLOR_BASE_STALL), bar(bd, c, COLOR_TRANSFER_STALL)]
         elif r.scenario == "transfer_only":
-            body.append(f'<rect x="{x(w):.1f}" y="{mid}" '
-                        f'width="{max(1.0, (c - w) * scale):.1f}" height="10" '
-                        f'fill="{COLOR_TRANSFER_STALL}"/>')
+            body.append(bar(w, c, COLOR_TRANSFER_STALL))
         elif r.scenario == "slack" and w > c:
-            body.append(f'<rect x="{x(c):.1f}" y="{mid}" '
-                        f'width="{max(1.0, (w - c) * scale):.1f}" height="10" '
-                        f'fill="url(#hatch)"/>')
+            body.append(bar(c, w, "url(#hatch)"))
         if backtails and r.dma_id in backtails:
             b = backtails[r.dma_id]
             body.append(f'<line x1="{x(b.earliest_cycle):.1f}" y1="{mid + 5}" '

@@ -47,8 +47,6 @@ class VmemPageStats:
         return self.n_pages // VMEM_BUCKETS
 
     def largest_contiguous_at(self, cycle: int) -> int:
-        if not self.samples:
-            return self.capacity
         i = min(max(cycle, 0) // self.sample_interval, len(self.samples) - 1)
         return self.largest_contiguous_free[i]
 

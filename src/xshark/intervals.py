@@ -42,13 +42,6 @@ class IntervalSet:
         i = bisect.bisect_right(self._spans, (start, float("inf"))) - 1
         return i >= 0 and self._spans[i][0] <= start and self._spans[i][1] >= end
 
-    def overlaps(self, start: int, end: int) -> bool:
-        if start >= end:
-            return False
-        spans = self._spans
-        i = _first_overlap(spans, start)
-        return i < len(spans) and spans[i][0] < end
-
     def remove(self, start: int, end: int):
         if start >= end:
             return

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import NamedTuple, Optional
 
@@ -258,7 +258,6 @@ IMM_KINDS = {
 
 class Form(NamedTuple):
     """One operand form of an opcode, read from OPCODES."""
-    unit: Unit
     operands: tuple          # ((name, kind), ...) in text order
     dst: list                # classes of the written registers; lists, as
     src: list                # _form_of compares them with lists (no hashing)
@@ -266,18 +265,17 @@ class Form(NamedTuple):
     target: Optional[int]    # index of the branch target in imms
 
 
-def _form(unit: Unit, text: str) -> Form:
+def _form(text: str) -> Form:
     operands = tuple((name, kind or name) for name, _, kind in
                      (op.partition(":") for op in text.split(", ") if op))
     regs = [REG_KINDS[k] for _, k in operands if k in REG_KINDS]
     imms = tuple(k for _, k in operands if k not in REG_KINDS)
-    return Form(unit, operands, [c for f, c in regs if f == "dst"],
+    return Form(operands, [c for f, c in regs if f == "dst"],
                 [c for f, c in regs if f == "src"], imms,
                 imms.index("target") if "target" in imms else None)
 
 
-FORMS = {op: tuple(_form(unit, text) for text in texts)
-         for op, (unit, *texts) in OPCODES.items()}
+FORMS = {op: tuple(map(_form, texts)) for op, (_, *texts) in OPCODES.items()}
 
 
 def _form_of(opcode: Opcode, dst_regs: tuple, src_regs: tuple) -> Optional[Form]:
@@ -291,10 +289,10 @@ def _form_of(opcode: Opcode, dst_regs: tuple, src_regs: tuple) -> Optional[Form]
 class IoSets(NamedTuple):
     """Exact architectural read/write footprint of one dynamic instruction."""
 
-    input_regs: tuple = ()
-    output_regs: tuple = ()
-    input_mem: tuple = ()
-    output_mem: tuple = ()
+    input_regs: tuple
+    output_regs: tuple
+    input_mem: tuple
+    output_mem: tuple
 
 
 class _Fields:
@@ -307,6 +305,7 @@ class _Fields:
                  "form", "io", "static_io")
 
 
+@dataclass(frozen=True, init=False)
 class Instruction(_Fields):
     """One instruction, checked against its opcode's forms in OPCODES;
     immutable, and equal to another of the same opcode, registers,
@@ -323,41 +322,29 @@ class Instruction(_Fields):
     is a plain attribute read."""
 
     __slots__ = ()
+    opcode: Opcode
+    dst_regs: tuple
+    src_regs: tuple
+    immediates: tuple
+    predicate: Optional[RegisterId]
+    form: Form = field(compare=False, repr=False)
+    io: IoSets = field(compare=False, repr=False)
+    static_io: Optional[IoSets] = field(compare=False, repr=False)
 
     def __new__(cls, opcode: Opcode, dst_regs: tuple = (), src_regs: tuple = (),
                 immediates: tuple = (), predicate: Optional[RegisterId] = None):
         return make_instruction(opcode, dst_regs, src_regs, immediates, predicate)
 
-    def _key(self) -> tuple:
-        return self.opcode, self.dst_regs, self.src_regs, self.immediates, self.predicate
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return ("Instruction(opcode=%r, dst_regs=%r, src_regs=%r, immediates=%r, "
-                "predicate=%r)" % self._key())
-
     def __reduce__(self):
-        return make_instruction, self._key()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        return make_instruction, (self.opcode, self.dst_regs, self.src_regs,
+                                  self.immediates, self.predicate)
 
 
-_tuple_new = tuple.__new__     # IoSets(a, b) without its Python-level __new__
+_tuple_new = tuple.__new__     # an IoSets without its Python-level __new__
 
 
-def make_instruction(opcode: Opcode, dst_regs: tuple = (), src_regs: tuple = (),
-                     immediates: tuple = (), predicate: Optional[RegisterId] = None,
+def make_instruction(opcode: Opcode, dst_regs: tuple, src_regs: tuple,
+                     immediates: tuple, predicate: Optional[RegisterId],
                      form: Optional[Form] = None) -> Instruction:
     """Instruction(opcode, dst_regs, src_regs, immediates, predicate) in one
     call. The assembler and decode_instruction, which have matched the
@@ -481,7 +468,7 @@ class Program:
         return b"".join(encode_instruction(i) for i in self.instructions)
 
     @staticmethod
-    def from_bytes(raw: bytes, entry_pc: int = 0) -> "Program":
+    def from_bytes(raw: bytes, entry_pc: int) -> "Program":
         if len(raw) % INSTR_BYTES:
             raise EncodingError("program byte length not a multiple of 16")
         decoded = {}
@@ -622,7 +609,7 @@ class MachineState:
 
 
 def _aligned_region(state: MachineState, r: RegisterId, length: int,
-                    space: MemSpace, pc=None) -> MemRegion:
+                    space: MemSpace, pc: Optional[int]) -> MemRegion:
     addr = state.sregs[r.index]
     if addr % PAGE_BYTES:
         raise Fault("mem_align", f"address register {r}={addr:#x} not {PAGE_BYTES}-byte aligned", pc)
@@ -652,8 +639,8 @@ def instruction_io_sets(instr: Instruction, state: MachineState,
     if op is Opcode.V_LOAD or op is Opcode.V_STORE:
         region = _aligned_region(state, instr.src_regs[0], VLEN_BYTES, MemSpace.VMEM, pc)
         if op is Opcode.V_LOAD:
-            return IoSets(in_regs, io.output_regs, (region,))
-        return IoSets(in_regs, (), (), (region,))
+            return _tuple_new(IoSets, (in_regs, io.output_regs, (region,), ()))
+        return _tuple_new(IoSets, (in_regs, (), (), (region,)))
 
     if op is Opcode.MXU_MM:
         rd, ra, rb = instr.src_regs
@@ -661,7 +648,7 @@ def instruction_io_sets(instr: Instruction, state: MachineState,
         a = _aligned_region(state, ra, MXU_TILE_BYTES, MemSpace.VMEM, pc)
         b = _aligned_region(state, rb, MXU_TILE_BYTES, MemSpace.VMEM, pc)
         # accumulate: destination tile is both read and written
-        return IoSets(in_regs, (), (a, b, dst), (dst,))
+        return _tuple_new(IoSets, (in_regs, (), (a, b, dst), (dst,)))
 
     rs, rd, rl = instr.src_regs                  # DMA_ISSUE
     src_space, dst_space = DMA_DIRS[instr.immediates[1]]
@@ -672,14 +659,15 @@ def instruction_io_sets(instr: Instruction, state: MachineState,
     dst = MemRegion(dst_space, state.sregs[rd.index], length)
     state.check_region(src, rs, pc)
     state.check_region(dst, rd, pc)
-    return IoSets(in_regs, (), (src,), (dst,))
+    return _tuple_new(IoSets, (in_regs, (), (src,), (dst,)))
 
 
 # the opcodes whose footprint depends on the state: they address memory
 MEM_OPCODES = frozenset({Opcode.V_LOAD, Opcode.V_STORE, Opcode.MXU_MM,
                          Opcode.DMA_ISSUE})
 # guard register index -> the footprint of an instruction it annuls
-_ANNULLED = [IoSets((_REG_BY_NAME[f"p{i}"],)) for i in range(PRED_REGS)]
+_ANNULLED = [_tuple_new(IoSets, ((_REG_BY_NAME[f"p{i}"],), (), (), ()))
+             for i in range(PRED_REGS)]
 
 
 def addressed_reads(instr: Instruction) -> list:

@@ -270,8 +270,7 @@ def _trace_from_json(text: str) -> ExecutionTrace:
 
 
 def _trace_from_binary(blob: bytes) -> ExecutionTrace:
-    if blob[:4] != TRACE_MAGIC:
-        raise TraceError("TRACE_FORMAT", "bad magic")
+    """The trace of a binary container, which read_trace knows by its magic."""
     blob, digest = blob[:-32], blob[-32:]
     if hashlib.sha256(blob).digest() != digest:
         raise TraceError("TRACE_CHECKSUM", "trace payload checksum mismatch")

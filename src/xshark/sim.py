@@ -49,7 +49,7 @@ import json
 import math
 import operator
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from json.scanner import make_scanner
 from typing import List, Optional
 
@@ -75,8 +75,9 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("t_base", "vmem_capacity", "hbm_capacity"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer")
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"{name} must be a positive integer")
         # the link and unit names are those of the event logs
         for name, names in (("link_bandwidth", _FIELD_VALUES["link"]),
                             ("unit_latency", _FIELD_VALUES["unit"])):
@@ -85,21 +86,14 @@ class SimConfig:
                     and all(type(v) is int and v > 0 for v in table.values())):
                 raise ValueError(f"{name} must map each of {sorted(names)}, "
                                  f"and nothing else, to a positive integer")
-        if self.t_base <= 0:
-            raise ValueError("t_base must be positive")
-        if self.hbm_capacity <= 0:
-            raise ValueError("hbm_capacity must be positive")
+        # VMEM is allocated whole, and a 32-bit address register names 2**32 bytes
         bucket = VMEM_BUCKETS * PAGE_BYTES
-        if self.vmem_capacity <= 0 or self.vmem_capacity % bucket:
-            raise ValueError(f"vmem_capacity must be a positive multiple of "
-                             f"{bucket} bytes ({VMEM_BUCKETS} whole-page buckets)")
+        if self.vmem_capacity % bucket or self.vmem_capacity > 1 << 32:
+            raise ValueError(f"vmem_capacity must be a multiple of {bucket} bytes "
+                             f"({VMEM_BUCKETS} whole-page buckets) and at most 2**32")
 
     def to_json(self) -> dict:
-        return {"t_base": self.t_base,
-                "link_bandwidth": dict(sorted(self.link_bandwidth.items())),
-                "unit_latency": dict(sorted(self.unit_latency.items())),
-                "vmem_capacity": self.vmem_capacity,
-                "hbm_capacity": self.hbm_capacity}
+        return asdict(self)
 
     @staticmethod
     def from_json(d: dict) -> "SimConfig":
@@ -431,16 +425,11 @@ class Breakpoint:
 class Simulator:
     """Executes instructions against a MachineState, reporting events to a
     tracker, and is the step debugger the recorder drives. One instance per
-    state; not thread-safe. A state the simulator makes itself starts at the
-    program's entry; a replay runs with no program."""
+    state; not thread-safe. A replay runs with no program."""
 
     def __init__(self, program: Optional[Program], config: SimConfig,
-                 state: Optional[MachineState] = None,
-                 tracker: Tracker = None):
+                 state: MachineState, tracker: Tracker = None):
         self.config = config
-        if state is None:
-            state = config.make_state()
-            state.pc = program.entry_pc
         self.state = state
         # the list events go to: None without a tracker or with a NullTracker
         self._events = getattr(tracker, "events", None)
@@ -817,8 +806,7 @@ def _mem_write(cycle, pc, idx, region, dma_id=None) -> PerfEvent:
                      dma_id=dma_id)
 
 
-def run_program(program: Program, config: SimConfig,
-                state: Optional[MachineState] = None,
+def run_program(program: Program, config: SimConfig, state: MachineState,
                 tracker: Tracker = None,
                 max_cycles: int = 10_000_000) -> RunResult:
     sim = Simulator(program, config, state, tracker)

@@ -32,7 +32,7 @@ class WindowLedger:
     def define(self, region) -> bool:
         """Mark a snapshot's bytes defined; False if some already were."""
         spans = self._mem[region.space]
-        fresh = not spans.overlaps(region.offset, region.end)
+        fresh = spans.uncovered(region.offset, region.end) == [(region.offset, region.end)]
         spans.add(region.offset, region.end)
         return fresh
 

@@ -25,11 +25,6 @@ from ..isa import (CMP_MODES, DMA_DIR_NAMES, FORMS, IMM_KINDS, ISA_VERSION,
 _DIRECTIONS = {name: d for d, name in DMA_DIR_NAMES.items()}
 _OPCODES = {op.name.lower(): op for op in FORMS}
 _MNEMONICS = {op: name for name, op in _OPCODES.items()}
-# operand kind -> (the Instruction field it fills, its text from its value)
-_KINDS = {kind: (field_name, str) for kind, (field_name, _) in REG_KINDS.items()}
-_KINDS.update({kind: ("imm", str) for kind in IMM_KINDS}, **{
-    "[s]": ("src", "[{}]".format), "mode": ("imm", CMP_MODES.__getitem__),
-    "dir": ("imm", DMA_DIR_NAMES.__getitem__), "target": ("imm", "L{}".format)})
 
 
 class AsmError(Exception):
@@ -204,26 +199,30 @@ def _direction(tok: str, line: int, col: int, *_) -> int:
     raise AsmError(line, col, f"unknown DMA direction {tok!r}")
 
 
-_FIELDS = ("dst", "src", "imm")      # the Instruction fields, by reader slot
-
-
-def _reader(kind: str) -> tuple:
-    """How an operand of `kind` is read: (the slot in _FIELDS of the field
-    it fills, a table of its usual spellings, the rule for any other token).
-    The rule returns the value of a spelling the table lacks (`EQ`,
-    `[ s3 ]`, any number) or raises the token's AsmError."""
+def _operand(kind: str) -> tuple:
+    """How an operand of `kind` is read and written: (the slot of the field
+    it fills in (dst_regs, src_regs, immediates), its text from its value, a
+    table of its usual spellings, the rule for any other token). The rule
+    returns the value of a spelling the table lacks (`EQ`, `[ s3 ]`, any
+    number) or raises the token's AsmError."""
     if kind == "[s]":
-        return 1, {f"[s{i}]": RegisterId.parse(f"s{i}") for i in range(SCALAR_REGS)}, _mem
+        return 1, "[{}]".format, {f"[s{i}]": RegisterId.parse(f"s{i}")
+                                  for i in range(SCALAR_REGS)}, _mem
     if kind in REG_KINDS:
         field_name, cls = REG_KINDS[kind]
         names = {r.name: r for r in map(RegisterId.parse, REGISTER_NAMES) if r.cls is cls}
-        return _FIELDS.index(field_name), names, \
+        return ("dst", "src").index(field_name), str, names, \
             lambda tok, line, col, *_: _parse_reg(tok, line, col, cls)
     if kind == "mode":
-        return 2, {mode: i for i, mode in enumerate(CMP_MODES)}, _mode
+        return 2, CMP_MODES.__getitem__, {mode: i for i, mode in enumerate(CMP_MODES)}, _mode
     if kind == "dir":
-        return 2, _DIRECTIONS, _direction
-    return 2, {}, _target if kind == "target" else _num
+        return 2, DMA_DIR_NAMES.__getitem__, _DIRECTIONS, _direction
+    if kind == "target":
+        return 2, "L{}".format, {}, _target
+    return 2, str, {}, _num
+
+
+_OPERANDS = {kind: _operand(kind) for kind in (*REG_KINDS, *IMM_KINDS)}
 
 
 def _builder(op, form) -> Callable:
@@ -236,15 +235,15 @@ def _builder(op, form) -> Callable:
     field of one value is a one-tuple the table holds, so lines share it.
     It is compiled from generated source, as sim._line_plan is, so that one
     call reads a whole line."""
-    readers = [_reader(kind) for _, kind in form.operands]
+    readers = [_OPERANDS[kind] for _, kind in form.operands]
     fields = ([], [], [])            # the names of each field's values
-    for i, (slot, _, _) in enumerate(readers):
+    for i, (slot, *_) in enumerate(readers):
         fields[slot].append(f"a{i}")
     namespace = {"_make": make_instruction, "_op": op, "_form": form,
                  "EncodingError": EncodingError, "AsmError": AsmError}
     body = [", ".join(f"o{i}" for i in range(len(readers))) + ", = operands.split(',')"
             ] if readers else []
-    for i, (slot, table, rule) in enumerate(readers):
+    for i, (slot, _, table, rule) in enumerate(readers):
         one = len(fields[slot]) == 1
         namespace[f"_get{i}"] = ({tok: (v,) for tok, v in table.items()} if one
                                  else table).get
@@ -293,12 +292,11 @@ def disassemble(program: Program) -> str:
 
 
 def _format(ins: Instruction) -> str:
-    values = {"dst": iter(ins.dst_regs), "src": iter(ins.src_regs),
-              "imm": iter(ins.immediates)}
+    values = iter(ins.dst_regs), iter(ins.src_regs), iter(ins.immediates)
     texts = []
     for _, kind in ins.form.operands:
-        field_name, show = _KINDS[kind]
-        texts.append(show(next(values[field_name])))
+        slot, show, *_ = _OPERANDS[kind]
+        texts.append(show(next(values[slot])))
     guard = f"@{ins.predicate} " if ins.predicate is not None else ""
     body = _MNEMONICS[ins.opcode]
     return guard + (f"{body} {', '.join(texts)}" if texts else body)

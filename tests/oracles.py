@@ -240,9 +240,6 @@ class ByteSetOracle:
     def covers(self, start, end):
         return all(b in self.bytes for b in range(start, end))
 
-    def overlaps(self, start, end):
-        return any(b in self.bytes for b in range(start, end))
-
     def uncovered(self, start, end):
         out, run = [], None
         for b in range(start, end):

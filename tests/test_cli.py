@@ -1,6 +1,7 @@
 """CLI pipeline: asm -> run/record -> replay -> analyze -> suggest -> apply
 -> compare, exit codes and error codes."""
 
+import base64
 import contextlib
 import gc
 import hashlib
@@ -100,7 +101,8 @@ def test_record_unreachable_breakpoint_exit_2(ws, capsys):
     code, _, err = _run(capsys, "record", prog, "--break", "1", "--hit", "99",
                         "--count", "10", "--max-cycles", "20000", "-o", ws / "t")
     assert code == 2
-    assert "code:BP_NOT_HIT" in err
+    assert [ln.split()[0] for ln in err.splitlines()
+            if ln.startswith("code:")] == ["code:BP_NOT_HIT"]
 
 
 def test_record_breaks_at_a_label_as_at_its_pc(tmp_path, capsys):
@@ -128,6 +130,25 @@ def test_compare_run_log_with_replay_log_is_incomparable(ws, capsys):
     assert out.splitlines()[-1] == "state: incomparable"
 
 
+def test_no_command_prints_help_and_exits_1(capsys):
+    code, out, err = _run(capsys)
+    assert (code, err) == (1, "")
+    assert out.startswith("usage: xshark")
+
+
+def test_record_window_ending_in_a_fault_exits_0(ws, capsys):
+    """A window whose instruction faults is recorded up to the fault, which
+    the message and the header name."""
+    _bundle_of(_FAULT_IN_FAST_FORWARD)(ws)
+    capsys.readouterr()
+    code, out, err = _run(capsys, "record", ws / "k.json", "--break", "0",
+                          "--count", "10", "-o", ws / "t")
+    assert (code, err) == (0, "")
+    assert out.rstrip().endswith("(fault: mem_align)")
+    header = json.loads((ws / "t").read_text())["header"]
+    assert (header["instruction_count"], header["fault_kind"]) == (5, "mem_align")
+
+
 def test_usage_error_exit_1(ws, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["record", "--count", "5"])
@@ -143,8 +164,9 @@ def test_usage_error_exit_1(ws, capsys):
      "-o", "{ws}/t"],
     ["analyze", "{events}", "--bucket-width", "0", "-o", "{ws}/r"],
     ["analyze", "{events}", "--sample-interval", "0", "-o", "{ws}/r"],
+    ["record", "{prog}", "--break", "0", "--count", "x", "-o", "{ws}/t"],
 ], ids=["count", "hit", "max-cycles", "record-max-cycles", "bucket-width",
-        "sample-interval"])
+        "sample-interval", "count-not-a-number"])
 def test_nonpositive_numeric_argument_is_usage_error(ws, capsys, argv):
     prog, events = ws / "prog.json", ws / "events.jsonl"
     _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
@@ -153,7 +175,9 @@ def test_nonpositive_numeric_argument_is_usage_error(ws, capsys, argv):
         main([a.format(prog=prog, events=events, ws=ws) for a in argv])
     err = capsys.readouterr().err
     assert exc.value.code == 1
-    assert "code:USAGE" in err and "Traceback" not in err
+    assert [ln.split()[0] for ln in err.splitlines()
+            if ln.startswith("code:")] == ["code:USAGE"]
+    assert "Traceback" not in err
 
 
 def _resigned_binary_prefix(ws):
@@ -164,11 +188,11 @@ def _resigned_binary_prefix(ws):
     return prefix + hashlib.sha256(prefix).digest()
 
 
-def _resigned_trace(edit):
-    """The JSON trace of the workspace as edit(doc) leaves it, re-signed: the
-    checksum matches."""
+def _resigned_trace(edit, name="win.trace"):
+    """The JSON trace `name` of the workspace as edit(doc) leaves it,
+    re-signed: the checksum matches."""
     def make(ws):
-        doc = json.loads((ws / "win.trace").read_text())
+        doc = json.loads((ws / name).read_text())
         edit(doc)
         payload = {k: doc[k] for k in ("header", "reg_snapshots", "mem_snapshots",
                                        "instr_stream")}
@@ -265,10 +289,79 @@ here:
 """
 
 
-def _bundle_faulting_in_fast_forward(ws):
-    (ws / "ff.xasm").write_text(_FAULT_IN_FAST_FORWARD)
-    assert main(["asm", str(ws / "ff.xasm"), "-o", str(ws / "ff.json")]) == 0
-    return (ws / "ff.json").read_bytes()
+def _bundle_of(source):
+    """The bundle that `source` assembles to, also written to k.json."""
+    def make(ws):
+        (ws / "k.xasm").write_text(source)
+        assert main(["asm", str(ws / "k.xasm"), "-o", str(ws / "k.json")]) == 0
+        return (ws / "k.json").read_bytes()
+    return make
+
+
+# the region v_load reads at `here` is addressed by s1, a register snapshot
+# of a window that starts there
+_LOAD_VIA_SNAPSHOT = """
+  s_ldi s1, 64
+here:
+  v_load v0, [s1]
+  halt
+"""
+
+
+def _trace_of(source, edit):
+    """The JSON trace of `source` recorded from `here`, as edit(doc) leaves
+    it, re-signed."""
+    def make(ws):
+        _bundle_of(source)(ws)
+        assert main(["record", str(ws / "k.json"), "--break", "here", "--count",
+                     "5", "-o", str(ws / "k.trace")]) == 0
+        return _resigned_trace(edit, "k.trace")(ws)
+    return make
+
+
+def _first_reg_snapshot_bytes(data):
+    """An edit that sets the bytes of the first register snapshot to `data`."""
+    def edit(doc):
+        doc["reg_snapshots"][0][1] = base64.b64encode(data).decode()
+    return edit
+
+
+def _second_record_pc_moved(doc):
+    """Moves the second instruction record one pc past where control flow
+    takes the replay."""
+    doc["instr_stream"][1][0] += 1
+
+
+def _stale_checksum(ws):
+    """The JSON trace of the workspace with its start cycle changed and its
+    checksum left as it was."""
+    doc = json.loads((ws / "win.trace").read_text())
+    doc["header"]["start_cycle"] += 1
+    return json.dumps(doc).encode()
+
+
+def _guarded_by_s0(raw: str) -> str:
+    """The hex of instruction records `raw` with the guard byte of the first
+    set to 0x00, the scalar register s0."""
+    return raw[:2] + "00" + raw[4:]
+
+
+def _bundle_guarded_by_s0(ws):
+    doc = json.loads((ws / "prog.json").read_text())
+    doc["instructions"] = _guarded_by_s0(doc["instructions"])
+    return json.dumps(doc).encode()
+
+
+# the DMA issued before `here` is never waited for
+_DMA_NEVER_WAITED = """
+  s_ldi s0, 0
+  s_ldi s1, 0
+  s_ldi s2, 64
+  dma_issue 0, hbm>vmem, s0, s1, s2
+here:
+  halt
+"""
+_DMA_ISSUE = "  dma_issue 0, hbm>vmem, s0, s1, s2\n"
 
 
 def _log_of_slow_dma(ws):
@@ -489,9 +582,71 @@ MALFORMED_INPUTS = {
     "trace-nested-too-deep": (_DEEP, ["replay", "{f}", "-o", "{ws}/e"],
                               "TRACE_FORMAT", 2),
     "record-fault-in-fast-forward": (
-        _bundle_faulting_in_fast_forward,
+        _bundle_of(_FAULT_IN_FAST_FORWARD),
         ["record", "{f}", "--break", "here", "--count", "5", "--fast-forward",
          "-o", "{ws}/t"], "MEM_ALIGN", 2),
+    "record-dma-in-flight": (
+        _bundle_of(_DMA_NEVER_WAITED),
+        ["record", "{f}", "--break", "here", "--count", "5", "-o", "{ws}/t"],
+        "DMA_INFLIGHT", 2),
+    "record-fast-forward-halts-in-flight": (
+        _bundle_of(_DMA_NEVER_WAITED),
+        ["record", "{f}", "--break", "here", "--count", "5", "--fast-forward",
+         "-o", "{ws}/t"], "DMA_INFLIGHT", 2),
+    "record-break-past-the-program": (
+        b"", ["record", "{prog}", "--break", "100000", "--count", "5", "-o", "{ws}/t"],
+        "BP_OOB", 2),
+    "run-off-the-end": (_bundle_of("  s_ldi s0, 1\n"), ["run", "{f}"], "PC_OOB", 2),
+    "run-dma-length-0": (_bundle_of(_DMA_ISSUE + "  halt\n"), ["run", "{f}"],
+                         "DMA_EMPTY", 2),
+    "run-dma-on-busy-slot": (_bundle_of("  s_ldi s2, 64\n" + _DMA_ISSUE * 2 + "  halt\n"),
+                             ["run", "{f}"], "DMA_BUSY", 2),
+    "run-dma-wait-on-idle-slot": (_bundle_of("  dma_wait 0\n  halt\n"), ["run", "{f}"],
+                                  "DMA_WAIT_IDLE", 2),
+    "run-output-in-missing-directory": (
+        b"", ["run", "{prog}", "-o", "{ws}/missing/e.jsonl"], "IO_ERROR", 1),
+    "trace-pcs-off-the-control-flow": (_resigned_trace(_second_record_pc_moved),
+                                       ["replay", "{f}", "-o", "{ws}/e"],
+                                       "REPLAY_DIVERGENCE", 2),
+    "trace-address-snapshot-misaligned": (
+        _trace_of(_LOAD_VIA_SNAPSHOT, _first_reg_snapshot_bytes((65).to_bytes(4, "little"))),
+        ["replay", "{f}", "-o", "{ws}/e"], "REPLAY_DIVERGENCE", 2),
+    "trace-reg-snapshot-wrong-width": (
+        _trace_of(_LOAD_VIA_SNAPSHOT, _first_reg_snapshot_bytes(bytes(8))),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-mem-snapshot-wrong-width": (
+        _first_mem_snapshot(lambda m, data: [{**m, "len": m["len"] + 64}, data]),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-header-isa-version-2": (
+        _resigned_trace(lambda doc: doc["header"].update(isa_version=2)),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_VERSION", 2),
+    "trace-version-2": (_resigned_trace(lambda doc: doc.update(version=2)),
+                        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_VERSION", 2),
+    "trace-no-format-marker": (_resigned_trace(lambda doc: doc.pop("format")),
+                               ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-start-cycle-string": (
+        _resigned_trace(lambda doc: doc["header"].update(start_cycle="0")),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-checksum-stale": (_stale_checksum, ["replay", "{f}", "-o", "{ws}/e"],
+                             "TRACE_CHECKSUM", 2),
+    "trace-mem-snapshot-len-0": (
+        _first_mem_snapshot(lambda m, data: [{**m, "len": 0}, data]),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-mem-snapshot-offset-negative": (
+        _first_mem_snapshot(lambda m, data: [{**m, "offset": -64}, data]),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "trace-guard-scalar-register": (
+        _resigned_first_record(lambda pc, raw: [pc, _guarded_by_s0(raw)]),
+        ["replay", "{f}", "-o", "{ws}/e"], "TRACE_FORMAT", 2),
+    "bundle-guard-scalar-register": (_bundle_guarded_by_s0, ["run", "{f}"],
+                                     "BUNDLE_INVALID", 1),
+    "events-region-len-0": (
+        _edited_event("mem_write", "region", {"len": 0, "offset": 1024, "space": "vmem"}),
+        _ANALYZE, "EVENTS_INVALID", 1),
+    "events-region-offset-negative": (
+        _edited_event("mem_write", "region", {"len": 64, "offset": -64, "space": "vmem"}),
+        _ANALYZE, "EVENTS_INVALID", 1),
+    "events-line-not-an-object": (b"[1, 2]\n", _ANALYZE, "EVENTS_INVALID", 1),
 }
 
 
@@ -682,7 +837,8 @@ def test_replay_config_mismatch_exit_2(ws, capsys, tmp_path):
     cfg.write_text(json.dumps({"t_base": 5}))
     code, _, err = _run(capsys, "--config", cfg, "replay", trace, "-o", ws / "e")
     assert code == 2
-    assert "code:TRACE_CONFIG_MISMATCH" in err
+    assert [ln.split()[0] for ln in err.splitlines()
+            if ln.startswith("code:")] == ["code:TRACE_CONFIG_MISMATCH"]
 
 
 def test_analyze_at_one_mib_vmem_writes_report(ws, capsys, tmp_path):
@@ -698,13 +854,28 @@ def test_analyze_at_one_mib_vmem_writes_report(ws, capsys, tmp_path):
 
 
 def test_unsplittable_vmem_capacity_is_config_invalid(ws, capsys, tmp_path):
-    prog, events = ws / "prog.json", ws / "e.jsonl"
+    """A vmem_capacity that does not split into whole-page buckets, or one
+    past the 2**32 bytes an address register can name, is one
+    `code:CONFIG_INVALID` line from every step, which allocates no VMEM."""
+    prog, trace, events = ws / "prog.json", ws / "win.trace", ws / "e.jsonl"
     _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
+    _run(capsys, "record", prog, "--break", "0", "--count", "50", "-o", trace)
     _run(capsys, "run", prog, "-o", events)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"vmem_capacity": 1_000_000}))
-    code, _, err = _run(capsys, "--config", cfg, "analyze", events, "-o", ws / "r")
-    assert code == 1 and "code:CONFIG_INVALID" in err
+    for capacity in (1_000_000, 1 << 40):
+        cfg.write_text(json.dumps({"vmem_capacity": capacity}))
+        for argv in (["asm", ws / "kernel.xasm", "-o", ws / "p.json"], ["run", prog],
+                     ["record", prog, "--break", "0", "--count", "5", "-o", ws / "t"],
+                     ["replay", trace, "-o", ws / "r.jsonl"],
+                     ["analyze", events, "-o", ws / "r"],
+                     ["suggest", trace, events, "-o", ws / "s.json"],
+                     ["apply", trace, ws / "s.json", "-o", ws / "a.jsonl"],
+                     ["compare", events, events]):
+            code, _, err = _run(capsys, "--config", cfg, *argv)
+            assert code == 1
+            assert [ln.split()[0] for ln in err.splitlines()
+                    if ln.startswith("code:")] == ["code:CONFIG_INVALID"]
+            assert "Traceback" not in err
 
 
 def test_config_env_var_respected(ws, capsys, tmp_path, monkeypatch):
@@ -946,10 +1117,11 @@ _CYCLES = st.integers(1, 10 ** 12)
     "link_bandwidth": st.fixed_dictionaries({link: _CYCLES
                                              for link in DMA_DIR_NAMES.values()}),
     "vmem_capacity": st.sampled_from([VMEM_BUCKETS * PAGE_BYTES,
-                                      DEFAULT_VMEM_CAPACITY])}))
+                                      DEFAULT_VMEM_CAPACITY, 1 << 40])}))
 def test_extreme_configs_through_the_pipeline(starvation_bundle, config):
     """Under any timing from 1 to 10**12 cycles (or bytes per cycle), with
-    the smallest legal VMEM or the default one, `run`, `record`, `replay`,
+    the smallest legal VMEM, the default one or 2**40 bytes, which is
+    refused before any is allocated, `run`, `record`, `replay`,
     `analyze` and `suggest` on the starvation kernel each succeed or end in
     one `code:` line."""
     with tempfile.TemporaryDirectory() as ws:

@@ -18,7 +18,7 @@ def test_docs_named_in_src_exist():
 def test_isa_opcode_table_matches_code():
     """Each row of the opcode table in docs/isa.md gives the opcode, byte,
     unit and operand forms that isa.OPCODES gives."""
-    from xshark.isa import FORMS
+    from xshark.isa import FORMS, OPCODES
     text = (ROOT / "docs" / "isa.md").read_text()
     rows = {}
     for line in text[text.index("## Opcodes"):].splitlines()[4:]:
@@ -26,7 +26,7 @@ def test_isa_opcode_table_matches_code():
             break
         name, byte, unit, operands = (c.strip() for c in line.split("|")[1:5])
         rows[name] = (int(byte, 16), unit, operands)
-    assert rows == {op.name: (op.value, forms[0].unit.value,
+    assert rows == {op.name: (op.value, OPCODES[op][0].value,
                               " or ".join("`" + ", ".join(n for n, _ in f.operands) + "`"
                                           for f in forms if f.operands))
                     for op, forms in FORMS.items()}
@@ -96,20 +96,25 @@ def test_cli_codes_are_documented():
 
 
 def test_every_cli_error_code_is_expected_by_a_test():
-    """Each `CliError("<CODE>", ...)` in cli.py, and each `code:<CODE>` that
-    `main` prints, is the expected code of a case of test_cli.MALFORMED_INPUTS
-    or of a test that asserts it is the only `code:` line a command printed."""
+    """Each code of a row of docs/cli.md, but the three that no CLI input
+    can print, is the expected code of a case of test_cli.MALFORMED_INPUTS
+    or of a test that asserts it is the only `code:` line a command
+    printed."""
     from test_cli import MALFORMED_INPUTS
-    cli = (ROOT / "src" / "xshark" / "cli.py").read_text()
-    raised = set(re.findall(r'CliError\("([A-Z_]+)"', cli))
-    assert {"CONFIG_NOT_FOUND", "NO_SUGGESTIONS", "VERIFY_FAILED"} <= raised
-    printed = set(re.findall(r"code:([A-Z_]+) ", cli[cli.index("\ndef main("):]))
-    assert {"IO_ERROR", "REPLAY_DIVERGENCE", "ANALYSIS_ERROR"} <= printed
-    raised |= printed
+    doc = (ROOT / "docs" / "cli.md").read_text()
+    rows = set(re.findall(r"^\| `([A-Z_]+)` \| [12] \|", doc, re.MULTILINE))
+    assert {"CONFIG_NOT_FOUND", "IO_ERROR", "TRACE_CHECKSUM", "DMA_BUSY"} <= rows
+    unprintable = {
+        # a zero-length region is refused as TRACE_FORMAT or EVENTS_INVALID,
+        # and no instruction makes one
+        "MEM_EMPTY",
+        # every write is sized by its region, or its width is validated first
+        "MEM_WIDTH", "REG_WIDTH",
+    }
     expected = {want for _, _, want, _ in MALFORMED_INPUTS.values()}
     expected |= {code for path in (ROOT / "tests").glob("test_*.py")
                  for code in re.findall(r'== \["code:([A-Z_]+)"\]', path.read_text())}
-    assert sorted(raised - expected) == []
+    assert sorted(rows - unprintable - expected) == []
 
 
 def _src_definitions() -> list:

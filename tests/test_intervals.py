@@ -25,7 +25,6 @@ def test_interval_set_matches_byte_oracle(seed):
             oracle.remove(a, b)
         else:
             assert ivs.covers(a, b) == oracle.covers(a, b)
-            assert ivs.overlaps(a, b) == oracle.overlaps(a, b)
             assert ivs.uncovered(a, b) == oracle.uncovered(a, b)
         assert list(ivs) == oracle.spans()
         assert sum(e - s for s, e in ivs) == len(oracle.bytes)
