@@ -23,15 +23,28 @@ def sample_scale(end: int) -> int:
 
 
 from .dma import DmaRecord, analyze_dma                      # noqa: E402
-from .utilization import UtilizationSeries, analyze_utilization  # noqa: E402
 from .vmem import VmemPageStats, analyze_vmem                # noqa: E402
 from .deps import (DependencyGraph, LogTables, build_tables,  # noqa: E402
                    build_dependency_graph, compute_backtails, Backtail)
+# imported here, so that the package's `suggest` is the function even once
+# the submodule of that name is imported
 from .suggest import Suggestion, suggest, apply_and_verify    # noqa: E402
-from .report import write_report                              # noqa: E402
+
+# imported on first use (PEP 562), so that `suggest` and `apply` do not
+# load the report writer
+_LAZY = {"UtilizationSeries": "utilization", "analyze_utilization": "utilization",
+         "write_report": "report"}
 
 __all__ = ["AnalysisError", "MAX_SAMPLES", "DmaRecord", "analyze_dma",
            "UtilizationSeries", "analyze_utilization", "VmemPageStats", "analyze_vmem",
            "DependencyGraph", "LogTables", "build_tables",
            "build_dependency_graph", "compute_backtails", "Backtail",
            "Suggestion", "suggest", "apply_and_verify", "write_report"]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module("." + _LAZY[name], __name__), name)
+    return value

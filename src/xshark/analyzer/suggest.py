@@ -13,16 +13,17 @@ diagnostic.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from ..isa import MemSpace
-from ..recorder import ExecutionTrace
-from ..replayer import ReplayDivergence, replay, replay_with_schedule
 from ..sim import RunResult, SimConfig
 from . import AnalysisError
 from .deps import Backtail, DependencyGraph, compute_backtails
 from .dma import DmaRecord
 from .vmem import VmemPageStats
+
+if TYPE_CHECKING:                   # `analyze` loads no recorder
+    from ..recorder import ExecutionTrace
 
 _REQUIRED_FIELDS = ("dma_id", "issue_index", "proposed_position", "push_limit",
                     "stall_duration", "required_vmem")
@@ -128,6 +129,7 @@ def apply_and_verify(trace: ExecutionTrace,
     verified unless the final state matches bit-exactly and total stall
     cycles strictly drop.
     """
+    from ..replayer import ReplayDivergence, replay, replay_with_schedule
     suggestions = [suggestion] if isinstance(suggestion, Suggestion) else list(suggestion)
     if baseline is None:
         baseline = replay(trace, config)

@@ -21,10 +21,10 @@ from . import __version__
 
 # Where each library name the subcommands use lives, as (module, name). A
 # step names each through `_lib` where it uses it (`_lib.assemble(...)`),
-# which imports the module on first use, so that `asm`, `analyze`, `suggest`
-# and `compare` never load numpy; the names become attributes of this module
-# then, as if imported at the top, and tools that time a step may wrap them
-# here.
+# which imports the module on first use, so that a step loads only the
+# modules it calls (docs/cli.md lists them); the names become attributes of
+# this module then, as if imported at the top, and tools that time a step
+# may wrap them here.
 _LIBRARY = {name: (module, name) for module, names in (
     ("workloads", "AsmError assemble initial_state load_bundle save_bundle"),
     ("sim", "Breakpoint RecordingTracker SimConfig Simulator events_from_jsonl "
@@ -148,14 +148,6 @@ def _summary(result, digest: str) -> dict:
             "total_stall": result.total_stall, "digest": digest}
 
 
-def _loaded():
-    """Freeze the collector once a step has loaded its inputs: they live
-    until the step ends, so no later collection needs to walk them. `main`
-    unfreezes them; a caller that froze objects itself is left as it is."""
-    if not gc.get_freeze_count():
-        gc.freeze()
-
-
 def _write_events(path, tracker, summary):
     with open(path, "w") as fh:
         fh.write(_lib.events_to_jsonl(tracker.events, summary))
@@ -212,7 +204,6 @@ def cmd_record(args, config):
 
 def cmd_replay(args, config):
     trace = _lib.read_trace(args.trace, expected_config_hash=config.config_hash())
-    _loaded()
     tracker = _lib.RecordingTracker()
     result = _lib.replay(trace, config, tracker)
     _write_events(args.output, tracker, _summary(result, result.digest))
@@ -223,7 +214,6 @@ def cmd_replay(args, config):
 
 def cmd_analyze(args, config):
     events, _ = _read_events(args.events)
-    _loaded()
     want_all = not (args.dma or args.util or args.vmem or args.deps)
     regions = None
     if args.program:
@@ -249,7 +239,6 @@ def cmd_analyze(args, config):
 def cmd_suggest(args, config):
     trace = _lib.read_trace(args.trace, expected_config_hash=config.config_hash())
     events, _ = _read_events(args.events)
-    _loaded()
     records = _lib.analyze_dma(events)
     graph = _lib.build_dependency_graph(events)
     if graph.n != len(trace.instr_stream):
@@ -270,7 +259,6 @@ def cmd_apply(args, config):
     suggestions = _read_suggestions(args.suggestions)
     if not suggestions:
         raise CliError("NO_SUGGESTIONS", "suggestion list is empty", 1)
-    _loaded()
     tracker = _lib.RecordingTracker()
     updated, applied = _lib.apply_and_verify(trace, suggestions, config,
                                              tracker=tracker)
@@ -400,12 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    frozen = gc.get_freeze_count()
+    """The `xshark` command and `python -m xshark.cli`: runs one step with
+    the collector off, and leaves it on or off as it found it. No step makes
+    cyclic garbage of its inputs, which reference counting frees, so a
+    collection during the step would only walk objects that outlive it."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _main(argv)
     finally:
-        if not frozen:
-            gc.unfreeze()      # the collector as main found it
+        if enabled:
+            gc.enable()
 
 
 def _main(argv) -> int:
@@ -426,6 +419,10 @@ def _main(argv) -> int:
         return e.exit_code
     except OSError as e:
         print(f"code:IO_ERROR {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("code:OUT_OF_MEMORY the host cannot allocate the memory this step "
+              "needs", file=sys.stderr)
         return 1
     except Exception as e:
         if isinstance(e, _lib.AsmError):

@@ -148,8 +148,8 @@ def assemble(source: str) -> AssembledKernel:
         parts = line.split(None, 1)
         operands = parts[1] if len(parts) > 1 else ""
         key = parts[0].lower(), operands.count(",") + 1 if operands else 0
-        first[text] = (_BUILDERS.get(key) or partial(_unplanned, *key),
-                       lineno, col, pred, operands)
+        first[text] = (_BUILDERS.get(key) or _builder(*key), lineno, col, pred,
+                       operands)
 
     # a region ends where the next opens; one that holds no instruction is dropped
     n = len(texts)
@@ -225,16 +225,22 @@ def _operand(kind: str) -> tuple:
 _OPERANDS = {kind: _operand(kind) for kind in (*REG_KINDS, *IMM_KINDS)}
 
 
-def _builder(op, form) -> Callable:
+def _builder(m: str, count: int) -> Callable:
     """build(line, col, guard, operands, labels, n): the Instruction of a
-    line of `form`, whose operand text (after the mnemonic) is `operands`,
-    given the program's labels and length. It splits the operands, reads
-    each through its reader (a table lookup, else the rule) into its
-    field, and makes the Instruction; an error is the AsmError of the first
-    operand that does not read, else that of the Instruction's checks. A
-    field of one value is a one-tuple the table holds, so lines share it.
-    It is compiled from generated source, as sim._line_plan is, so that one
-    call reads a whole line."""
+    line of mnemonic `m` with `count` operands, whose operand text (after
+    the mnemonic) is `operands`, given the program's labels and length. It
+    splits the operands, reads each through its reader (a table lookup,
+    else the rule) into its field, and makes the Instruction; an error is
+    the AsmError of the first operand that does not read, else that of the
+    Instruction's checks. A field of one value is a one-tuple the table
+    holds, so lines share it. It is compiled from generated source, as
+    sim._line_plan is, so that one call reads a whole line, when the first
+    line that needs it is assembled, and kept in _BUILDERS. A mnemonic
+    that takes no `count` operands gets _unplanned, which is not kept."""
+    op = _OPCODES.get(m)
+    form = next((f for f in FORMS.get(op, ()) if len(f.operands) == count), None)
+    if form is None:
+        return partial(_unplanned, m, count)
     readers = [_OPERANDS[kind] for _, kind in form.operands]
     fields = ([], [], [])            # the names of each field's values
     for i, (slot, *_) in enumerate(readers):
@@ -262,7 +268,8 @@ def _builder(op, form) -> Callable:
     source = "def build(line, col, guard, operands, labels, n):\n" + "".join(
         f"    {line}\n" for line in body)
     exec(source, namespace)
-    return namespace["build"]
+    build = _BUILDERS[m, count] = namespace["build"]
+    return build
 
 
 def _unplanned(m: str, count: int, line: int, col: int, *_):
@@ -273,9 +280,8 @@ def _unplanned(m: str, count: int, line: int, col: int, *_):
                               f"operands, got {count}")
 
 
-# (mnemonic, operand count) -> the builder of its lines
-_BUILDERS = {(name, len(form.operands)): _builder(op, form)
-             for name, op in _OPCODES.items() for form in FORMS[op]}
+# (mnemonic, operand count) -> the builder of its lines, made on first use
+_BUILDERS: Dict[tuple, Callable] = {}
 
 
 def disassemble(program: Program) -> str:

@@ -8,14 +8,17 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xshark import cli
 from xshark.analyzer.suggest import Suggestion
 from xshark.cli import main
 from xshark.isa import (DEFAULT_VMEM_CAPACITY, DMA_DIR_NAMES, PAGE_BYTES,
@@ -711,41 +714,105 @@ def test_analyze_samples_a_long_run_more_coarsely(ws, capsys):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_leaves_the_collector_as_it_found_it(ws, capsys, monkeypatch,
                                                   enabled):
-    """Each step that loads a log or a trace freezes the collector once its
-    inputs are in, and `main` unfreezes on success and on a `code:` exit
-    alike; a collector the caller disabled stays disabled, and one the
-    caller froze is neither frozen further nor unfrozen."""
+    """A step runs with the collector off, from parsing its arguments to
+    its last callee, and `main` leaves the collector on or off as the
+    caller had it and the caller's frozen objects as they were: on success,
+    on a `code:` exit and on a USAGE exit."""
     prog, trace, events = ws / "prog.json", ws / "win.trace", ws / "events.jsonl"
     _run(capsys, "asm", ws / "kernel.xasm", "-o", prog)
     _run(capsys, "record", prog, "--break", "0", "--count", "50", "-o", trace)
     _run(capsys, "run", prog, "-o", events)
-    calls, real = [], {name: getattr(gc, name) for name in ("freeze", "unfreeze")}
-    for name, call in real.items():
-        monkeypatch.setattr(gc, name, lambda call=call, name=name:
-                            calls.append(name) or call())
-    was_enabled = gc.isenabled()
+    seen = []                  # gc.isenabled() inside each step
+    for name in ("build_parser", "analyze_dma"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, **kw:
+                            seen.append(gc.isenabled()) or real(*a, **kw))
     steps = [(["analyze", events, "-o", ws / "r"], 0, ""),
              (["suggest", trace, events, "-o", ws / "s.json"], 2,
-              "code:EVENTS_TRACE_MISMATCH")]
+              "code:EVENTS_TRACE_MISMATCH"),
+             (["run"], 1, "code:USAGE")]
+    was_enabled = gc.isenabled()
     try:
-        if not enabled:
-            gc.disable()
-        assert gc.get_freeze_count() == 0
-        for argv, want, err_start in steps:
-            code, _, err = _run(capsys, *argv)
-            assert code == want and err.startswith(err_start)
-            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
-        assert calls == ["freeze", "unfreeze"] * 2
-        del calls[:]
-        real["freeze"]()                         # the caller freezes
-        for argv, want, _ in steps:
-            assert _run(capsys, *argv)[0] == want
-            assert gc.isenabled() == enabled and gc.get_freeze_count() > 0
-        assert calls == []
+        (gc.enable if enabled else gc.disable)()
+        for freeze in (False, True):
+            if freeze:
+                gc.freeze()                      # the caller freezes
+            for argv, want, err_code in steps:
+                del seen[:]
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    frozen = gc.get_freeze_count()
+                    try:
+                        code = main([str(a) for a in argv])
+                    except SystemExit as e:
+                        code = e.code
+                    after = gc.isenabled(), gc.get_freeze_count()
+                assert code == want and err_code in err.getvalue()
+                assert seen and not any(seen)
+                assert after == (enabled, frozen) and (frozen > 0) == freeze
     finally:
-        real["unfreeze"]()
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_no_step_makes_cyclic_garbage_of_its_inputs(tmp_path):
+    """What a step loads and builds is freed by reference counting, which
+    is why `main` can run it with the collector off: with the collector
+    off, each of the eight steps leaves the same cyclic garbage on a kernel
+    of 2,000 instructions as on one of 200, and no object of an xshark type
+    in it but argparse's parser, which is cyclic by construction. (At size
+    200, unlike 100, the kernel yields a suggestion, so `apply` and
+    `compare` run too.)"""
+    def garbage(size):
+        """(step, exit code, unreachable objects, xshark types among them)
+        of each step of a pass over gen_random_kernel(3, size)."""
+        d = tmp_path / str(size)
+        d.mkdir(exist_ok=True)
+        (d / "k.xasm").write_text(gen_random_kernel(3, size=size).text)
+        found = []
+        for argv in _pipeline(d):
+            gc.collect()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                count = gc.collect()
+                types = {type(o).__qualname__ for o in gc.garbage
+                         if type(o).__module__.startswith("xshark")}
+            finally:
+                gc.set_debug(0)
+                del gc.garbage[:]
+            found.append((argv[0], code, count, types))
+        return found
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage(200)                # a first pass's imports make garbage of their own
+        small, large = garbage(200), garbage(2000)
+    finally:
         if was_enabled:
             gc.enable()
+    assert [step for step, *_ in small] == list(_STEP_MODULES)
+    assert all(code == 0 and types == {"_Parser"} for _, code, _, types in small)
+    assert small == large
+
+
+def _pipeline(d):
+    """The eight steps' arguments, as the pipeline runs them on the kernel
+    source `k.xasm` in directory `d`."""
+    f = {name: str(d / name) for name in ("k.xasm", "p.json", "t.json", "r.jsonl",
+                                          "report", "s.json", "a.jsonl")}
+    return [["asm", f["k.xasm"], "-o", f["p.json"]],
+            ["run", f["p.json"]],
+            ["record", f["p.json"], "--break", "0", "--count", "100000",
+             "-o", f["t.json"]],
+            ["replay", f["t.json"], "-o", f["r.jsonl"]],
+            ["analyze", f["r.jsonl"], "--program", f["p.json"], "-o", f["report"]],
+            ["suggest", f["t.json"], f["r.jsonl"], "-o", f["s.json"]],
+            ["apply", f["t.json"], f["s.json"], "-o", f["a.jsonl"]],
+            ["compare", f["r.jsonl"], f["a.jsonl"]]]
 
 
 def _one_code_line_or_success(argv):
@@ -928,13 +995,18 @@ def test_asm_error_reports_location(ws, capsys):
     assert code == 2 and "code:ASM_ERROR" in err and "line 2" in err
 
 
-# Runs `xshark <argv>` in a fresh interpreter and prints, last, whether it
-# imported numpy.
-_CLI_REPORTING_NUMPY = """import runpy, sys
+# Runs `xshark <argv>` in a fresh interpreter and prints, last, the xshark
+# modules it loaded (but the package), how many assembler builders it
+# made, and whether it imported numpy.
+_CLI_REPORTING_MODULES = """import runpy, sys
 sys.argv = ["xshark"] + sys.argv[1:]
 try:
     runpy.run_module("xshark.cli", run_name="__main__")
 finally:
+    asm = sys.modules.get("xshark.workloads.asm")
+    print("loaded:", *sorted(name[7:] for name in sys.modules
+                             if name.startswith("xshark.")))
+    print("builders made:", len(asm._BUILDERS) if asm else 0)
     print("numpy imported:", "numpy" in sys.modules)
 """
 
@@ -966,7 +1038,7 @@ def test_only_steps_that_run_a_kernel_import_numpy(tmp_path):
         (["run", f["v.json"]], False),
     ]
     for argv, runs_an_mxu_mm in steps:
-        out = subprocess.run([sys.executable, "-c", _CLI_REPORTING_NUMPY, *argv],
+        out = subprocess.run([sys.executable, "-c", _CLI_REPORTING_MODULES, *argv],
                              capture_output=True, text=True)
         assert out.returncode == 0, (argv, out.stderr)
         assert out.stdout.splitlines()[-1] == f"numpy imported: {runs_an_mxu_mm}", argv
@@ -974,38 +1046,98 @@ def test_only_steps_that_run_a_kernel_import_numpy(tmp_path):
         assert hashlib.sha256(fh.read()).hexdigest() == _RUN_LOG_4X1
 
 
-# Runs `xshark <argv>` in a fresh interpreter and prints, last, which of the
-# modules that `asm` has no use for it loaded.
-_CLI_REPORTING_MODULES = """import runpy, sys
-sys.argv = ["xshark"] + sys.argv[1:]
-try:
-    runpy.run_module("xshark.cli", run_name="__main__")
-finally:
-    print("loaded:", [name for name in ("xshark.sim", "xshark.workloads.kernels",
-                                        "hashlib", "numpy") if name in sys.modules])
-"""
+# The xshark modules each step loads when it succeeds, as docs/cli.md
+# lists them; they do not depend on the kernel
+_STEP_MODULES = {
+    "asm": "isa workloads workloads.asm",
+    "run": "_kernels _kernels.pyfallback isa sim workloads workloads.asm",
+    "record": "_kernels _kernels.pyfallback intervals isa recorder sim window "
+              "workloads workloads.asm",
+    "replay": "_kernels _kernels.pyfallback intervals isa recorder replayer sim "
+              "window",
+    "analyze": "_kernels _kernels.pyfallback analyzer analyzer.deps analyzer.dma "
+               "analyzer.report analyzer.suggest analyzer.svg "
+               "analyzer.utilization analyzer.vmem intervals isa sim workloads "
+               "workloads.asm",
+    "suggest": "_kernels _kernels.pyfallback analyzer analyzer.deps analyzer.dma "
+               "analyzer.suggest analyzer.vmem intervals isa recorder sim window",
+    "apply": "_kernels _kernels.pyfallback analyzer analyzer.deps analyzer.dma "
+             "analyzer.suggest analyzer.vmem intervals isa recorder replayer sim "
+             "window",
+    "compare": "",
+}
 
 
-def test_asm_loads_only_the_assembler(tmp_path):
-    """`asm` reads no config unless one is named, so it loads neither the
-    simulator, the kernel generators, hashlib nor numpy; a config named by
-    --config or XSHARK_CONFIG is still checked."""
-    src, bad = tmp_path / "k.xasm", tmp_path / "bad.json"
-    src.write_text(gen_starvation_kernel(tiles=4, prefetch_depth=1))
+def test_each_step_loads_only_the_modules_it_calls(tmp_path):
+    """Each step, run as the pipeline runs it in a fresh interpreter, loads
+    the xshark modules of its row of docs/cli.md and no others; only `asm`
+    makes assembler builders, though `run`, `record` and `analyze` load the
+    assembler to read a bundle. `asm` reads no config unless one is named,
+    and one named by --config or XSHARK_CONFIG is still checked."""
+    doc = (Path(__file__).parents[1] / "docs" / "cli.md").read_text()
+    rows = {}
+    for line in doc[doc.index("| step | xshark modules loaded |"):].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        step, modules = line.split("|")[1:3]
+        rows[step.strip(" `").split()[0]] = " ".join(re.findall(r"`([\w.]+)`", modules))
+    assert rows == _STEP_MODULES
+    (tmp_path / "k.xasm").write_text(gen_starvation_kernel(tiles=4, prefetch_depth=1))
+    bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"t_base": 0}))
     env = {key: value for key, value in os.environ.items() if key != "XSHARK_CONFIG"}
 
-    def asm(*options, **extra_env):
-        return subprocess.run(
-            [sys.executable, "-c", _CLI_REPORTING_MODULES, *options, "asm", str(src),
-             "-o", str(tmp_path / "p.json")],
-            capture_output=True, text=True, env={**env, **extra_env})
+    def xshark(*argv, **extra_env):
+        return subprocess.run([sys.executable, "-c", _CLI_REPORTING_MODULES, *argv],
+                              capture_output=True, text=True, env={**env, **extra_env})
 
-    out = asm()
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "loaded: []"
-    for out in (asm("--config", str(bad)), asm(XSHARK_CONFIG=str(bad))):
+    for argv in _pipeline(tmp_path):
+        out = xshark(*argv)
+        assert out.returncode == 0, (argv, out.stderr)
+        loaded, builders = out.stdout.splitlines()[-3:-1]
+        assert loaded.split()[1:] == _STEP_MODULES[argv[0]].split(), argv
+        assert (builders == "builders made: 0") == (argv[0] != "asm"), argv
+    asm = _pipeline(tmp_path)[0]
+    for out in (xshark("--config", str(bad), *asm), xshark(*asm, XSHARK_CONFIG=str(bad))):
         assert out.returncode == 1 and "code:CONFIG_INVALID" in out.stderr
+
+
+def test_the_package_name_suggest_is_the_function():
+    """`xshark.analyzer.suggest` is both a function and the module that
+    defines it: in a fresh interpreter, the package's `suggest` is the
+    function also once the module is imported by name, and the names the
+    benchmark imports from the package are functions."""
+    for code in ("import xshark.analyzer.suggest\n"
+                 "from xshark.analyzer import suggest\n"
+                 "print(type(suggest).__name__)",
+                 "from xshark.analyzer import (analyze_dma, analyze_vmem, "
+                 "apply_and_verify, build_dependency_graph, compute_backtails, "
+                 "suggest)\n"
+                 "import xshark.analyzer.suggest, xshark.analyzer\n"
+                 "names = (analyze_dma, analyze_vmem, apply_and_verify, "
+                 "build_dependency_graph, compute_backtails, suggest, "
+                 "xshark.analyzer.suggest)\n"
+                 "print(*{type(f).__name__ for f in names})"):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True)
+        assert (out.returncode, out.stdout) == (0, "function\n"), out.stderr
+
+
+def test_a_vmem_the_host_cannot_allocate_is_out_of_memory(tmp_path):
+    """A `vmem_capacity` that SimConfig accepts (2**32 bytes) but the host
+    cannot allocate, here under a 1 GiB address-space limit set in the
+    child alone, ends in one `code:OUT_OF_MEMORY` line and exit 1."""
+    import resource
+    (tmp_path / "k.xasm").write_text("halt\n")
+    (tmp_path / "c.json").write_text(json.dumps({"vmem_capacity": 1 << 32}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["asm", str(tmp_path / "k.xasm"), "-o", str(tmp_path / "k.json")]) == 0
+    out = subprocess.run(
+        [sys.executable, "-m", "xshark.cli", "--config", str(tmp_path / "c.json"),
+         "run", str(tmp_path / "k.json")], capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert out.returncode == 1
+    assert [ln.split()[0] for ln in out.stderr.splitlines()] == ["code:OUT_OF_MEMORY"]
 
 
 @pytest.fixture(scope="module")
