@@ -22,18 +22,18 @@ def sample_scale(end: int) -> int:
     return max(1, -(-end // MAX_SAMPLES))
 
 
-from .dma import DmaRecord, analyze_dma                      # noqa: E402
-from .vmem import VmemPageStats, analyze_vmem                # noqa: E402
-from .deps import (DependencyGraph, LogTables, build_tables,  # noqa: E402
-                   build_dependency_graph, compute_backtails, Backtail)
 # imported here, so that the package's `suggest` is the function even once
 # the submodule of that name is imported
 from .suggest import Suggestion, suggest, apply_and_verify    # noqa: E402
 
-# imported on first use (PEP 562), so that `suggest` and `apply` do not
-# load the report writer
-_LAZY = {"UtilizationSeries": "utilization", "analyze_utilization": "utilization",
-         "write_report": "report"}
+# imported on first use (PEP 562), so that a step loads only the analyses
+# it calls: `suggest` and `apply` no report writer, `apply` no analysis
+_LAZY = {name: module for module, names in (
+    ("dma", "DmaRecord analyze_dma"), ("vmem", "VmemPageStats analyze_vmem"),
+    ("deps", "DependencyGraph LogTables build_tables build_dependency_graph "
+             "compute_backtails Backtail"),
+    ("utilization", "UtilizationSeries analyze_utilization"),
+    ("report", "write_report")) for name in names.split()}
 
 __all__ = ["AnalysisError", "MAX_SAMPLES", "DmaRecord", "analyze_dma",
            "UtilizationSeries", "analyze_utilization", "VmemPageStats", "analyze_vmem",

@@ -25,10 +25,11 @@ that share a page with the region.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from .. import gc_paused
 from ..intervals import IntervalMap
 from ..isa import MemRegion, MemSpace, Opcode
 from ..sim import (DMA_COMPLETE, INSTR_ISSUE, INSTR_RETIRE, MEM_READ,
@@ -177,6 +178,7 @@ class DependencyGraph:
         return edges[at[idx]:at[idx + 1]] if 0 <= idx < len(at) - 1 else []
 
 
+@gc_paused
 def build_dependency_graph(events: List[PerfEvent]) -> DependencyGraph:
     t = build_tables(events)
     n = t.n
@@ -274,7 +276,7 @@ class Backtail:
     block: Tuple[int, ...]            # chain members + the issue, stream order
 
     def to_json(self):
-        return {**asdict(self), "block": list(self.block)}
+        return {**vars(self), "block": list(self.block)}
 
 
 def _before(access: Accesses, m: int, block: Set[int],
@@ -339,6 +341,7 @@ def _block_constraints(block: Set[int], d: int, t: LogTables,
     return last + 1, (ready if last >= 0 else None)
 
 
+@gc_paused
 def compute_backtails(graph: DependencyGraph) -> Dict[int, Backtail]:
     """Earliest feasible issue position/cycle per DMA under the relaxed model,
     clamped by every hazard that would change architectural results (register

@@ -10,7 +10,7 @@ the window are flagged instead of classified.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..isa import MemRegion, Opcode
@@ -45,7 +45,7 @@ class DmaRecord:
         return self.stall_base + self.stall_transfer
 
     def to_json(self):
-        return {**asdict(self), "src": self.src.to_json(), "dst": self.dst.to_json()}
+        return {**vars(self), "src": self.src.to_json(), "dst": self.dst.to_json()}
 
 
 def classify(rec: DmaRecord):

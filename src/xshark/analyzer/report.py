@@ -78,7 +78,7 @@ def write_report(outdir: str,
 # out run by run (_Samples), a list of equally shaped rows of scalars
 # (utilization annotations, VMEM bucket rows, graph edges) as one %-format
 # string per batch of about _BATCH values, a list of scalars as one string,
-# any other list item by item, and a scalar as its own json.dumps text. So
+# any other list item by item, and a scalar through _scalar. So
 # json.dumps never gets `indent`, whose pure-Python encoder leaves
 # reference cycles for the collector.
 _BATCH = 1000
@@ -87,6 +87,7 @@ _STR = frozenset({str})
 _DICT = frozenset({dict})
 _SEQUENCES = frozenset({list, tuple})
 _INT = frozenset({int})
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 class _Samples:
@@ -130,6 +131,8 @@ def _scalar(v):
         return _quote(v)
     if t is int or t is float and isfinite(v):
         return v
+    if t is bool or v is None:
+        return _LITERALS[v]
     return json.dumps(v)
 
 
@@ -177,7 +180,7 @@ def _write_json(fh, value, nl: str) -> None:
     table = _table(value, inner)
     if table is None:
         if type(value) not in _SEQUENCES or not value:      # a scalar, [] or {}
-            fh.write(json.dumps(value))
+            fh.write(str(_scalar(value)))
         elif _SCALARS.issuperset(map(type, value)):
             fh.write("[" + inner + ("," + inner).join(map(str, map(_scalar, value)))
                      + nl + "]")

@@ -18,12 +18,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 from ..isa import MemSpace
 from ..sim import RunResult, SimConfig
 from . import AnalysisError
-from .deps import Backtail, DependencyGraph, compute_backtails
-from .dma import DmaRecord
-from .vmem import VmemPageStats
 
-if TYPE_CHECKING:                   # `analyze` loads no recorder
+if TYPE_CHECKING:                   # `analyze` loads no recorder, `apply` no analysis
     from ..recorder import ExecutionTrace
+    from .deps import Backtail, DependencyGraph
+    from .dma import DmaRecord
+    from .vmem import VmemPageStats
 
 _REQUIRED_FIELDS = ("dma_id", "issue_index", "proposed_position", "push_limit",
                     "stall_duration", "required_vmem")
@@ -79,6 +79,7 @@ def suggest(dma_records: List[DmaRecord], graph: DependencyGraph,
             backtails: Optional[Dict[int, Backtail]] = None) -> List[Suggestion]:
     """All inputs must derive from the same event log."""
     if backtails is None:
+        from .deps import compute_backtails
         backtails = compute_backtails(graph)
     out: List[Suggestion] = []
     for rec in dma_records:

@@ -9,6 +9,7 @@ version comment on line two.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Optional
 
 from .. import __version__
@@ -94,13 +95,14 @@ def render_vmem_heatmap(stats: VmemPageStats) -> str:
     cell_h = 4
     body = [f'<text x="8" y="16" font-size="12">VMEM heatmap: {VMEM_BUCKETS} buckets '
             f'x {n_samples} samples (interval {stats.sample_interval})</text>']
+    rows, drawn = stats.bucket_used, [[] for _ in range(VMEM_BUCKETS)]
+    for s, row in enumerate(rows):      # each bucket's samples with used pages
+        for b in compress(range(VMEM_BUCKETS), row):
+            drawn[b].append(s)
     for b in range(VMEM_BUCKETS):
         y = 24 + b * cell_h
-        for s in range(n_samples):
-            used = stats.bucket_used[s][b]
-            if used == 0:
-                continue
-            shade = 255 - int(200 * used / stats.bucket_pages)
+        for s in drawn[b]:
+            shade = 255 - int(200 * rows[s][b] / stats.bucket_pages)
             body.append(f'<rect x="{120 + s * cell_w:.1f}" y="{y}" '
                         f'width="{cell_w:.1f}" height="{cell_h}" '
                         f'fill="rgb({shade},{shade // 2},{255 - shade})"/>')

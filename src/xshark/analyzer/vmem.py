@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
+from .. import gc_paused
 from ..isa import DEFAULT_VMEM_CAPACITY, MemSpace, PAGE_BYTES, VMEM_BUCKETS
 from ..sim import MEM_READ, MEM_WRITE, PerfEvent
 from . import MAX_SAMPLES, AnalysisError, sample_scale
@@ -61,6 +62,7 @@ class VmemPageStats:
                 "bucket_written": self.bucket_written}
 
 
+@gc_paused
 def analyze_vmem(events: List[PerfEvent], sample_interval: Optional[int] = None,
                  capacity: int = DEFAULT_VMEM_CAPACITY) -> VmemPageStats:
     """The page statistics of VMEM, sampled every `sample_interval` cycles

@@ -11,13 +11,12 @@ embedded in traces so `replay` refuses a mismatched clock.
 from __future__ import annotations
 
 import argparse
-import gc
 import importlib
 import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, gc_paused
 
 # Where each library name the subcommands use lives, as (module, name). A
 # step names each through `_lib` where it uses it (`_lib.assemble(...)`),
@@ -387,21 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@gc_paused
 def main(argv=None) -> int:
-    """The `xshark` command and `python -m xshark.cli`: runs one step with
-    the collector off, and leaves it on or off as it found it. No step makes
-    cyclic garbage of its inputs, which reference counting frees, so a
-    collection during the step would only walk objects that outlive it."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _main(argv)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _main(argv) -> int:
+    """The `xshark` command and `python -m xshark.cli`: runs one step, with
+    the collector off (`gc_paused`; no step makes cyclic garbage)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "handler", None):

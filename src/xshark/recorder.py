@@ -20,6 +20,7 @@ import struct
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
+from . import gc_paused
 from .isa import (INSTR_BYTES, ISA_VERSION, EncodingError, Fault,
                   Instruction, MemRegion, MemSpace, RegClass, RegisterId,
                   decode_shared, encode_instruction, instruction_io_sets)
@@ -125,6 +126,7 @@ class RecordResult:
     fault: Optional[Fault] = None
 
 
+@gc_paused
 def record(sim: Simulator, breakpoint: Optional[Breakpoint],
            n_instructions: int, fast_forward_dma: bool = False,
            max_cycles: int = 10_000_000) -> RecordResult:
@@ -201,27 +203,26 @@ def record(sim: Simulator, breakpoint: Optional[Breakpoint],
 _REG_CLASSES = tuple(RegClass)   # a binary register snapshot's class tag: index here
 
 
-def _trace_payload(trace: ExecutionTrace) -> dict:
-    return {
-        "header": trace.header.to_json(),
-        "reg_snapshots": [[str(r), base64.b64encode(d).decode()]
-                          for r, d in trace.reg_snapshots],
-        "mem_snapshots": [[m.to_json(), base64.b64encode(d).decode()]
-                          for m, d in trace.mem_snapshots],
-        "instr_stream": [[pc, encode_instruction(i).hex()]
-                         for pc, i in trace.instr_stream],
-    }
-
-
 def _payload_checksum(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def trace_to_json(trace: ExecutionTrace) -> str:
-    payload = _trace_payload(trace)
-    return json.dumps({"format": "xshark-trace", "version": TRACE_VERSION,
-                       **payload, "checksum": _payload_checksum(payload)},
+    # the text of json.dumps(container, indent=1); instr_stream, its bulk, by template
+    hexes = {id(i): i for _, i in trace.instr_stream}   # each distinct Instruction
+    hexes = {k: encode_instruction(i).hex() for k, i in hexes.items()}
+    stream = [(pc, hexes[id(i)]) for pc, i in trace.instr_stream]
+    payload = {"header": trace.header.to_json(),
+               "reg_snapshots": [[str(r), base64.b64encode(d).decode()]
+                                 for r, d in trace.reg_snapshots],
+               "mem_snapshots": [[m.to_json(), base64.b64encode(d).decode()]
+                                 for m, d in trace.mem_snapshots]}
+    checksum = _payload_checksum({**payload, "instr_stream": stream})
+    head = json.dumps({"format": "xshark-trace", "version": TRACE_VERSION, **payload},
                       indent=1)
+    rows = ",\n  ".join(map('[\n   %d,\n   "%s"\n  ]'.__mod__, stream))
+    return (head[:-2] + ',\n "instr_stream": ' + ("[\n  " + rows + "\n ]" if rows else "[]")
+            + ',\n "checksum": "' + checksum + '"\n}')
 
 
 def trace_to_binary(trace: ExecutionTrace) -> bytes:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from . import gc_paused
 from .isa import Fault, MachineState, addressed_reads, instruction_io_sets
 from .recorder import ExecutionTrace, RecordResult
 from .sim import RunResult, SimConfig, Simulator, Tracker, state_digest
@@ -46,6 +47,7 @@ def _undefined_registers(instr, pc: int, regs) -> str:
                                if lost else ""))
 
 
+@gc_paused
 def _replay_stream(trace: ExecutionTrace, config: SimConfig,
                    order: Sequence[int], tracker: Tracker,
                    check_pc_chain: bool) -> RunResult:

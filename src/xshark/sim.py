@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, field, fields
 from json.scanner import make_scanner
 from typing import List, Optional
 
-from . import _kernels
+from . import _kernels, gc_paused
 from .isa import (CMP_MODES, DMA_DIR_NAMES, OPCODES, PAGE_BYTES, REGISTER_NAMES,
                   VLEN_BYTES, VMEM_BUCKETS, DEFAULT_HBM_CAPACITY,
                   DEFAULT_VMEM_CAPACITY, Fault, Instruction, IoSets, MachineState,
@@ -347,6 +347,7 @@ _PLAN_GLOBALS = {"_field_error": _field_error, "_region": MemRegion.from_json,
                  **{f"_{name}_values": v for name, v in _FIELD_VALUES.items()}}
 
 
+@gc_paused
 def events_from_jsonl(text: str):
     """Returns (events, summary_or_None). A line that is not one JSON value
     (JSON whitespace around it is allowed), or not an object with a known

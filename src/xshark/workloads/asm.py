@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .. import gc_paused
 from ..isa import (CMP_MODES, DMA_DIR_NAMES, FORMS, IMM_KINDS, ISA_VERSION,
                    REG_KINDS, REGISTER_NAMES, SCALAR_REGS, EncodingError,
                    Instruction, MemRegion, MemSpace, Program, RegClass,
@@ -68,6 +69,7 @@ def _parse_reg(tok: str, line: int, col: int, want: RegClass) -> RegisterId:
     return r
 
 
+@gc_paused
 def assemble(source: str) -> AssembledKernel:
     """Deterministic two-pass assembly; diagnostics carry line and column.
 

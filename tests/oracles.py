@@ -25,10 +25,14 @@ These deliberately avoid the production code paths they validate:
                         report.json section and CSV text, one row per bucket
   assemble              the earlier assembler: every instruction line built
                         on its own, each operand read by its kind's rule
+  trace_to_json         the earlier JSON trace writer: the whole container
+                        through json.dumps(indent=1), each record encoded
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import math
 import re
@@ -44,8 +48,8 @@ from xshark.isa import (CMP_MODES, DEFAULT_VMEM_CAPACITY, DMA_DIR_NAMES, FORMS,
                         VMEM_BUCKETS, EncodingError, Fault, Instruction,
                         MemRegion, MemSpace, Opcode, Program, RegClass,
                         RegisterId, Unit, instruction_io_sets,
-                        make_instruction)
-from xshark.recorder import ExecutionTrace, TraceHeader
+                        encode_instruction, make_instruction)
+from xshark.recorder import TRACE_VERSION, ExecutionTrace, TraceHeader
 from xshark.sim import (DMA_COMPLETE, EVENT_FIELDS, MEM_READ, MEM_WRITE,
                         UNIT_BUSY, PerfEvent)
 from xshark.workloads.asm import AsmError, AssembledKernel
@@ -673,3 +677,18 @@ def _build(line: int, col: int, m: str, ops: list, pred, labels, n: int) -> Inst
                                 tuple(values["imm"]), pred, form)
     except EncodingError as e:
         raise AsmError(line, col, str(e)) from None
+
+
+def trace_to_json(trace: ExecutionTrace) -> str:
+    payload = {
+        "header": trace.header.to_json(),
+        "reg_snapshots": [[str(r), base64.b64encode(d).decode()]
+                          for r, d in trace.reg_snapshots],
+        "mem_snapshots": [[m.to_json(), base64.b64encode(d).decode()]
+                          for m, d in trace.mem_snapshots],
+        "instr_stream": [[pc, encode_instruction(i).hex()]
+                         for pc, i in trace.instr_stream],
+    }
+    checksum = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return json.dumps({"format": "xshark-trace", "version": TRACE_VERSION,
+                       **payload, "checksum": checksum}, indent=1)

@@ -1061,9 +1061,8 @@ _STEP_MODULES = {
                "workloads.asm",
     "suggest": "_kernels _kernels.pyfallback analyzer analyzer.deps analyzer.dma "
                "analyzer.suggest analyzer.vmem intervals isa recorder sim window",
-    "apply": "_kernels _kernels.pyfallback analyzer analyzer.deps analyzer.dma "
-             "analyzer.suggest analyzer.vmem intervals isa recorder replayer sim "
-             "window",
+    "apply": "_kernels _kernels.pyfallback analyzer analyzer.suggest intervals isa "
+             "recorder replayer sim window",
     "compare": "",
 }
 

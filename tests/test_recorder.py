@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xshark.isa import Fault, MemRegion, MemSpace
-from xshark.recorder import (ExecutionTrace, TraceError, read_trace, record,
+from xshark.recorder import (ExecutionTrace, TraceError, TraceHeader, read_trace, record,
                              trace_to_binary, trace_to_json, write_trace)
 from xshark.replayer import compare_window, replay
 from xshark.sim import Breakpoint, SimConfig, state_digest
+from xshark.workloads import assemble, gen_random_kernel
 
 from helpers import asm_session, mk_config, sreg
+from oracles import trace_to_json as trace_json_oracle
 
 
 def _record_all(src, config=None, n=10_000, bp_pc=0, **kw):
@@ -246,6 +248,29 @@ def test_golden_trace_vector_stable():
         golden.parent.mkdir(exist_ok=True)
         golden.write_text(text)
     assert text == golden.read_text()
+
+
+# a random kernel's instructions, twice: two assemblies make equal
+# instructions that are distinct objects, one makes a repeated line's once
+_POOL = [i for _ in range(2)
+         for i in assemble(gen_random_kernel(0, size=80).text).program.instructions]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(TraceHeader, st.just(1), st.text(max_size=6), st.integers(0, 2 ** 31),
+                 st.integers(0, 2 ** 40), st.integers(0, 99), st.booleans(),
+                 st.none() | st.text(max_size=4)),
+       st.lists(st.tuples(st.sampled_from([sreg(1), sreg(7)]), st.binary(max_size=4)),
+                max_size=2),
+       st.lists(st.tuples(st.builds(MemRegion, st.sampled_from(MemSpace),
+                                    st.integers(0, 2 ** 20), st.integers(1, 64)),
+                          st.binary(max_size=8)), max_size=2),
+       st.lists(st.tuples(st.integers(0, 2 ** 31), st.sampled_from(_POOL)), max_size=12))
+def test_the_json_writer_is_json_dumps_at_indent_1(header, regs, mems, stream):
+    """trace_to_json writes the text of json.dumps(container, indent=1), as
+    the earlier writer did, for any trace, an empty stream included."""
+    trace = ExecutionTrace(header, regs, mems, stream)
+    assert trace_to_json(trace) == trace_json_oracle(trace)
 
 
 def test_duplicate_register_snapshot_rejected():
