@@ -11,6 +11,7 @@ embedded in traces so `replay` refuses a mismatched clock.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -388,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @gc_paused
 def main(argv=None) -> int:
-    """The `xshark` command and `python -m xshark.cli`: runs one step, with
-    the collector off (`gc_paused`; no step makes cyclic garbage)."""
+    """One step of the `xshark` command (`entry`), with the collector off
+    (`gc_paused`; no step makes cyclic garbage); it never freezes."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "handler", None):
@@ -428,5 +429,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry():
+    """The process entry: `main`, then a frozen heap for shutdown to skip."""
+    gc.disable()            # so `main` does not turn it on again
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,6 +1,7 @@
 """CLI pipeline: asm -> run/record -> replay -> analyze -> suggest -> apply
 -> compare, exit codes and error codes."""
 
+import ast
 import base64
 import contextlib
 import gc
@@ -763,7 +764,9 @@ def test_no_step_makes_cyclic_garbage_of_its_inputs(tmp_path):
     of 2,000 instructions as on one of 200, and no object of an xshark type
     in it but argparse's parser, which is cyclic by construction. (At size
     200, unlike 100, the kernel yields a suggestion, so `apply` and
-    `compare` run too.)"""
+    `compare` run too.) Each step runs with what was alive before it
+    frozen, and nothing is unfrozen until the end, so each collection walks
+    only what the last step made, not the heap that earlier tests leave."""
     def garbage(size):
         """(step, exit code, unreachable objects, xshark types among them)
         of each step of a pass over gen_random_kernel(3, size)."""
@@ -773,6 +776,7 @@ def test_no_step_makes_cyclic_garbage_of_its_inputs(tmp_path):
         found = []
         for argv in _pipeline(d):
             gc.collect()
+            gc.freeze()
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             gc.set_debug(gc.DEBUG_SAVEALL)
@@ -792,6 +796,7 @@ def test_no_step_makes_cyclic_garbage_of_its_inputs(tmp_path):
         garbage(200)                # a first pass's imports make garbage of their own
         small, large = garbage(200), garbage(2000)
     finally:
+        gc.unfreeze()
         if was_enabled:
             gc.enable()
     assert [step for step, *_ in small] == list(_STEP_MODULES)
@@ -997,8 +1002,9 @@ def test_asm_error_reports_location(ws, capsys):
 
 # Runs `xshark <argv>` in a fresh interpreter and prints, last, the xshark
 # modules it loaded (but the package), how many assembler builders it
-# made, and whether it imported numpy.
-_CLI_REPORTING_MODULES = """import runpy, sys
+# made, whether it imported numpy, and at exit whether the heap was frozen
+# and whether the collector was on.
+_CLI_REPORTING_MODULES = """import gc, runpy, sys
 sys.argv = ["xshark"] + sys.argv[1:]
 try:
     runpy.run_module("xshark.cli", run_name="__main__")
@@ -1008,6 +1014,8 @@ finally:
                              if name.startswith("xshark.")))
     print("builders made:", len(asm._BUILDERS) if asm else 0)
     print("numpy imported:", "numpy" in sys.modules)
+    print("heap frozen, collector on at exit:", gc.get_freeze_count() > 0,
+          gc.isenabled())
 """
 
 # sha256 of the `run` event log of the 4-tile starvation kernel
@@ -1041,7 +1049,7 @@ def test_only_steps_that_run_a_kernel_import_numpy(tmp_path):
         out = subprocess.run([sys.executable, "-c", _CLI_REPORTING_MODULES, *argv],
                              capture_output=True, text=True)
         assert out.returncode == 0, (argv, out.stderr)
-        assert out.stdout.splitlines()[-1] == f"numpy imported: {runs_an_mxu_mm}", argv
+        assert out.stdout.splitlines()[-2] == f"numpy imported: {runs_an_mxu_mm}", argv
     with open(f["run.jsonl"], "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == _RUN_LOG_4X1
 
@@ -1093,12 +1101,65 @@ def test_each_step_loads_only_the_modules_it_calls(tmp_path):
     for argv in _pipeline(tmp_path):
         out = xshark(*argv)
         assert out.returncode == 0, (argv, out.stderr)
-        loaded, builders = out.stdout.splitlines()[-3:-1]
+        loaded, builders = out.stdout.splitlines()[-4:-2]
         assert loaded.split()[1:] == _STEP_MODULES[argv[0]].split(), argv
         assert (builders == "builders made: 0") == (argv[0] != "asm"), argv
     asm = _pipeline(tmp_path)[0]
     for out in (xshark("--config", str(bad), *asm), xshark(*asm, XSHARK_CONFIG=str(bad))):
         assert out.returncode == 1 and "code:CONFIG_INVALID" in out.stderr
+
+
+def test_the_process_entry_freezes_the_heap_and_keeps_main_s_exit(tmp_path,
+                                                                 monkeypatch):
+    """`python -m xshark.cli` exits through `entry`, which freezes the heap
+    after `main` returns or raises, so interpreter shutdown sweeps nothing:
+    in a fresh interpreter after each of the eight steps, a `code:` exit 1
+    and 2, a USAGE exit and `--version`. Each gives the exit code, stdout
+    and stderr that `main` gives in this process for the same argv."""
+    monkeypatch.delenv("XSHARK_CONFIG", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")          # argparse's usage width
+    (tmp_path / "k.xasm").write_text(gen_starvation_kernel(tiles=4, prefetch_depth=1))
+    (tmp_path / "empty.json").write_text("[]")
+    f = {name: str(tmp_path / name) for name in ("p.json", "t.json", "r.jsonl",
+                                                 "empty.json", "short.json")}
+    steps = [(argv, 0, "") for argv in _pipeline(tmp_path)] + [
+        (["record", f["p.json"], "--break", "0", "--count", "5",
+          "-o", f["short.json"]], 0, ""),
+        (["apply", f["t.json"], f["empty.json"], "-o", f["p.json"] + ".a"],
+         1, "code:NO_SUGGESTIONS"),
+        (["suggest", f["short.json"], f["r.jsonl"], "-o", f["p.json"] + ".s"],
+         2, "code:EVENTS_TRACE_MISMATCH"),
+        (["run"], 1, "code:USAGE"),
+        (["--version"], 0, "")]
+    for argv, want, code_line in steps:
+        fresh = subprocess.run([sys.executable, "-c", _CLI_REPORTING_MODULES, *argv],
+                               capture_output=True, text=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        lines = fresh.stdout.splitlines(keepends=True)
+        assert lines[-1] == "heap frozen, collector on at exit: True False\n", \
+            (argv, fresh.stdout)
+        assert (fresh.returncode, "".join(lines[:-4]), fresh.stderr) == \
+            (code, out.getvalue(), err.getvalue()), argv
+        assert (code, [ln.split()[0] for ln in err.getvalue().splitlines()
+                       if ln.startswith("code:")]) == (want, [code_line] if want else [])
+
+
+def test_the_console_script_is_the_process_entry():
+    """`xshark`, the console script of pyproject.toml, and `python -m
+    xshark.cli` both run `xshark.cli.entry`. pyproject.toml is read as text:
+    `tomllib` is not in Python 3.10, which the package supports."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = text[text.index("[project.scripts]\n"):].split("\n[")[0]
+    assert re.findall(r"^(\w+) = \"([\w.:]+)\"$", scripts, re.M) == \
+        [("xshark", "xshark.cli:entry")]
+    tree = ast.parse(Path(cli.__file__).read_text())
+    guard, = [node for node in tree.body if isinstance(node, ast.If)]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    entry()"
 
 
 def test_the_package_name_suggest_is_the_function():

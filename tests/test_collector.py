@@ -1,11 +1,13 @@
 """The library's collector contract: each bulk call runs with the cyclic
 garbage collector off (`xshark.gc_paused`), and leaves it on or off, and
 the caller's frozen objects, as it found them, whether it returns or
-raises."""
+raises; and what keeps the process entry's freeze before shutdown safe."""
 
+import ast
 import gc
 import inspect
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,3 +114,23 @@ def test_a_bulk_call_pauses_the_collector_and_restores_it(fn, returns, raises,
     finally:
         gc.unfreeze()
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_no_file_or_finalizer_outlives_main():
+    """`xshark.cli.entry` freezes the heap when `main` returns, so shutdown
+    frees no object alive then. That loses nothing while no xshark file or
+    finalizer outlives `main`: in `src/`, every `open(...)` is the context
+    expression of a `with` item, and no class defines `__del__`."""
+    for path in sorted((Path(__file__).parents[1] / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        managed = {id(item.context_expr) for node in ast.walk(tree)
+                   if isinstance(node, (ast.With, ast.AsyncWith))
+                   for item in node.items}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", getattr(node.func, "attr", None)) == "open":
+                assert id(node) in managed, f"{path}:{node.lineno}: open() outside with"
+            if isinstance(node, ast.ClassDef):
+                assert "__del__" not in {f.name for f in node.body
+                                         if isinstance(f, ast.FunctionDef)}, \
+                    f"{path}:{node.lineno}: {node.name}.__del__"
